@@ -37,10 +37,6 @@ class NotMinimizable(ValueError):
 class CheckSpec:
     id: str
     description: str
-    bound: int
-    mode: str = "exact"  # exact | float
-    tolerance: Optional[float] = None
-    shards: int = 1
 
 
 @dataclass
@@ -80,13 +76,10 @@ def counterexample_minimize(report: CheckReport,
     check = checks.get(report.id)
     if check is None:
         raise NotMinimizable(f"unknown check id {report.id!r}")
-    start = time.perf_counter()
-    for n in check.sizes:
-        witness = check.kernel(n)
-        if witness is not None:
-            return CheckReport(report.id, "fail", witness,
-                               time.perf_counter() - start)
-    raise NotMinimizable(f"{report.id} no longer fails anywhere")
+    rerun = check.run()
+    if rerun.status != "fail":
+        raise NotMinimizable(f"{report.id} no longer fails anywhere")
+    return rerun
 
 
 def run_checks(checks: Iterable[Check]) -> list[CheckReport]:
@@ -139,26 +132,7 @@ def _recursion_kernel(stat: Statistic, kind: str, workers: int):
 
 def _subset_kernel(stat: Statistic, kind: str):
     law = stats.second_kind_input(stat, kind)
-
-    def kernel(n: int) -> Optional[dict]:
-        for parent_op in tree.iter_level(n - 1, kind):
-            kids = (tree.children(parent_op) if kind == FULL
-                    else tree.pair_children(parent_op))
-            core = stats.core_child_digits(stat, kind, parent_op)
-            z = evaluate(stat, parent_op)
-            if len(core) != z + law.q:
-                return {"n": n, "stat": stat.name,
-                        "parent": parent_op.to_json(),
-                        "core_size": len(core), "want": z + law.q}
-            for digit, child in enumerate(kids):
-                jump = law.alpha if digit in core else law.beta
-                if evaluate(stat, child) - z != jump:
-                    return {"n": n, "stat": stat.name, "digit": digit,
-                            "parent": parent_op.to_json(),
-                            "increment": evaluate(stat, child) - z,
-                            "want": jump}
-        return None
-    return kernel
+    return lambda n: stats.second_kind_witness(stat, kind, n, law)
 
 
 def _mean_step_kernel(stat: Statistic, kind: str, closed):
@@ -540,10 +514,8 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
     b_pair = 8 if deep else 7
     b_outer = 9 if deep else 8
 
-    def mk(id_, desc, sizes, kernel, mode="exact", tol=None, bound=None):
-        spec = CheckSpec(id_, desc, bound if bound is not None else max(sizes),
-                         mode, tol, workers)
-        return Check(spec, tuple(sizes), kernel)
+    def mk(id_, desc, sizes, kernel):
+        return Check(CheckSpec(id_, desc), tuple(sizes), kernel)
 
     checks = [
         mk("count-full", "streamed full-tree level sizes equal (n+1)!/2",
@@ -571,10 +543,10 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
         mk("variance-forms", "the two printed variance forms agree",
            range(2, 10001), _k_variance_forms),
         mk("mean-asymptote", "mean block count approaches n - ln n + 3/2 - g",
-           [10000], _float_kernel("EY", 1e-3), mode="float", tol=1e-3),
+           [10000], _float_kernel("EY", 1e-3)),
         mk("variance-asymptote",
            "block-count variance approaches ln n - (pi^2/6 + 1/4 - g)",
-           [10000], _float_kernel("VarY", 1e-3), mode="float", tol=1e-3),
+           [10000], _float_kernel("VarY", 1e-3)),
 
         mk("size1-mean", "enumerated mean singleton count vs closed form",
            range(3, b_full + 1),
@@ -598,7 +570,7 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
            "level-3 singleton transform settles to 6t^3 + 5t + 1",
            [3], _k_seed_resolution),
         mk("size3-limit", "telescoped three-block mean approaches 23/90",
-           [1000], _float_kernel("EY3", 1e-2), mode="float", tol=1e-2),
+           [1000], _float_kernel("EY3", 1e-2)),
 
         mk("parent-chain-bijection",
            "iterated parents biject big-max-block slices onto singleton "
@@ -656,7 +628,7 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
            range(2, 1001),
            _mean_step_kernel(OUTER, PAIR, cf.expected_outer_pairs)),
         mk("outer-pair-asymptote", "pair-tree outer mean approaches sqrt(pi n)",
-           [10000], _ratio_kernel("EOutPair", 0.01), mode="float", tol=0.01),
+           [10000], _ratio_kernel("EOutPair", 0.01)),
 
         mk("area-mean",
            "enumerated mean area vs (2n+1) sum 1/(2k+1)",
@@ -668,7 +640,7 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
            [2], _k_area_spot),
         mk("area-asymptote",
            "mean area over n log n enters [0.9, 1.1] and tightens",
-           [10 ** 6], _k_area_ratio_shrinks, mode="float", tol=0.1),
+           [10 ** 6], _k_area_ratio_shrinks),
 
         mk("triangle-frozen", "ordered-count triangle rows 1..6 are frozen",
            range(1, 7), _k_triangle_frozen),
@@ -828,26 +800,19 @@ def corrupted_checks() -> dict[str, tuple[Check, int]]:
         return (None if wrong == want
                 else {"n": n, "corrupted": _frac(wrong), "triangle": _frac(want)})
 
-    def spec(id_, sizes):
-        return CheckSpec(id_, f"corrupted twin {id_}", max(sizes))
+    def twin(id_, sizes, kernel):
+        return Check(CheckSpec(id_, f"corrupted twin {id_}"), tuple(sizes),
+                     kernel)
 
     return {
-        "cardinality": (Check(spec("corrupt-count", (1, 2, 3, 4)),
-                              (1, 2, 3, 4), k_card), 1),
-        "thm16": (Check(spec("corrupt-mean", tuple(range(2, 6))),
-                        tuple(range(2, 6)), k_mean), 2),
-        "thm17": (Check(spec("corrupt-size1", tuple(range(3, 7))),
-                        tuple(range(3, 7)), k_size1), 3),
-        "lemmas": (Check(spec("corrupt-split", tuple(range(2, 6))),
-                         tuple(range(2, 6)), k_split), 2),
-        "thm110": (Check(spec("corrupt-outer", tuple(range(1, 6))),
-                         tuple(range(1, 6)), k_outer), 1),
-        "thm111": (Check(spec("corrupt-area", tuple(range(1, 6))),
-                         tuple(range(1, 6)), k_area), 1),
-        "stirling": (Check(spec("corrupt-triangle", tuple(range(1, 6))),
-                           tuple(range(1, 6)), k_triangle), 2),
-        "cumulants": (Check(spec("corrupt-poisson", tuple(range(1, 6))),
-                            tuple(range(1, 6)), k_poisson), 1),
+        "cardinality": (twin("corrupt-count", range(1, 5), k_card), 1),
+        "thm16": (twin("corrupt-mean", range(2, 6), k_mean), 2),
+        "thm17": (twin("corrupt-size1", range(3, 7), k_size1), 3),
+        "lemmas": (twin("corrupt-split", range(2, 6), k_split), 2),
+        "thm110": (twin("corrupt-outer", range(1, 6), k_outer), 1),
+        "thm111": (twin("corrupt-area", range(1, 6), k_area), 1),
+        "stirling": (twin("corrupt-triangle", range(1, 6), k_triangle), 2),
+        "cumulants": (twin("corrupt-poisson", range(1, 6), k_poisson), 1),
     }
 
 

@@ -21,10 +21,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import tree
+from .partitions import _span_sweep
 from .polynomials import ExactPolynomial
 from .stats import (AreaRequiresPairPartition, SecondKindInput, Statistic,
-                    first_kind_input)
-from .tree import FULL, PAIR, _digits_from_rank, _radix, _step
+                    first_kind_input, second_kind_input)
+from .tree import FULL, _walk
 
 DEFAULT_MAX_FULL = 10
 DEFAULT_MAX_PAIR = 8
@@ -46,34 +47,13 @@ class ZeroPolynomial(ValueError):
 # brute-force scan
 
 def _full_key(blocks):
-    sizes = sorted(len(b) for b in blocks)
-    out = 0
-    ints = 0
-    reach = 0
-    for lo, hi in sorted((b[0], b[-1]) for b in blocks):
-        if lo > reach:
-            out += 1
-        if hi > reach:
-            reach = hi
-        if hi == lo + 1:
-            ints += 1
-    return (tuple(sizes), out, ints)
+    outer, ints, _ = _span_sweep(blocks)
+    return (tuple(sorted(len(b) for b in blocks)), len(outer), ints)
 
 
 def _pair_key(blocks):
-    out = 0
-    ints = 0
-    area = 0
-    reach = 0
-    for lo, hi in sorted(blocks):
-        area += hi - lo
-        if lo > reach:
-            out += 1
-        if hi > reach:
-            reach = hi
-        if hi == lo + 1:
-            ints += 1
-    return (out, ints, area)
+    outer, ints, area = _span_sweep(blocks)
+    return (len(outer), ints, area)
 
 
 def scan_chunk(kind: str, depth: int, lo: int, hi: int) -> dict[int, Counter]:
@@ -83,34 +63,11 @@ def scan_chunk(kind: str, depth: int, lo: int, hi: int) -> dict[int, Counter]:
     hist: dict[int, Counter] = {level: Counter() for level in range(1, depth + 1)}
     if lo >= hi:
         return hist
-    if depth == 1:
-        hist[1][key_of(((1,),) if kind == FULL else ((1, 2),))] += 1
-        return hist
-    digits = _digits_from_rank(lo, depth, kind)
-    path = [((1,),) if kind == FULL else ((1, 2),)]
-    for d_level, d in enumerate(digits, start=1):
-        path.append(_step(kind, path[-1], d_level, d))
-    # interior nodes on the seed path belong to this shard only from the
-    # point where the remaining digit suffix is all zero
-    suffix_zero_from = depth - 1
-    while suffix_zero_from > 0 and digits[suffix_zero_from - 1] == 0:
-        suffix_zero_from -= 1
-    for level in range(suffix_zero_from + 1, depth + 1):
-        hist[level][key_of(path[level - 1])] += 1
-    radii = [_radix(level, kind) for level in range(1, depth)]
-    remaining = hi - lo - 1
-    while remaining > 0:
-        i = depth - 1
-        while digits[i - 1] == radii[i - 1] - 1:
-            i -= 1
-        digits[i - 1] += 1
-        path[i] = _step(kind, path[i - 1], i, digits[i - 1])
-        hist[i + 1][key_of(path[i])] += 1
-        for j in range(i + 1, depth):
-            digits[j - 1] = 0
-            path[j] = _step(kind, path[j - 1], j, 0)
-            hist[j + 1][key_of(path[j])] += 1
-        remaining -= 1
+    tallies = [hist[level] for level in range(1, depth + 1)]
+    path: list = []
+    for fresh in _walk(path, depth, kind, lo, hi - lo):
+        for i in range(fresh, depth):
+            tallies[i][key_of(path[i])] += 1
     return hist
 
 
@@ -270,7 +227,6 @@ def recursion_transform(stat: Statistic, n: int, kind: str = FULL,
                         max_n: Optional[int] = None) -> ExactPolynomial:
     """Level-n transform via the statistic's transition law, seeded by
     tiny brute-forced levels."""
-    from .stats import second_kind_input
     if kind == FULL and stat.family in ("blocks", "blocks_of_size",
                                         "blocks_at_least3"):
         r = first_kind_input(stat)

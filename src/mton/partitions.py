@@ -135,16 +135,37 @@ def nesting_parents(p: NcPartition) -> tuple[Optional[int], ...]:
     return tuple(parents)
 
 
+def _span_sweep(blocks: Iterable[tuple[int, ...]]) -> tuple[list[int], int, int]:
+    """One left-to-right pass over the spans of a non-crossing partition.
+
+    ``blocks`` are sorted tuples in any order; only each block's min and
+    max are read, and sorting the tuples orders them by min because the
+    minima are distinct.  Returns the minima of the outer blocks, the
+    number of two-point interval blocks (max == min + 1), and the summed
+    span sum(max - min).  Without crossings a block is outer exactly when
+    its min lies past the max of the last outer block, and only outer
+    blocks extend the reach.
+    """
+    outer = []
+    ints = 0
+    summed = 0
+    reach = 0
+    for b in sorted(blocks):
+        lo = b[0]
+        hi = b[-1]
+        if lo > reach:
+            outer.append(lo)
+            reach = hi
+        if hi == lo + 1:
+            ints += 1
+        summed += hi - lo
+    return outer, ints, summed
+
+
 def outer_blocks(p: NcPartition) -> list[int]:
     """Indices of blocks not nested inside any other block, in min order."""
-    out = []
-    reach = 0
-    for idx, b in enumerate(p.blocks):
-        if b[0] > reach:
-            out.append(idx)
-        if b[-1] > reach:
-            reach = b[-1]
-    return out
+    minima = set(_span_sweep(p.blocks)[0])
+    return [idx for idx, b in enumerate(p.blocks) if b[0] in minima]
 
 
 def interval_pairs(p: NcPartition) -> list[int]:

@@ -128,7 +128,7 @@ class ExactPolynomial:
             return "0"
         parts = []
         for e, c in sorted(self._coeffs.items(), reverse=True):
-            coeff = format_rational(c if c > 0 or not parts else -c)
+            coeff = format_rational(abs(c))
             if e == 0:
                 term = coeff
             else:

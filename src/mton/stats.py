@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, TextIO
 
 from . import tree
-from .partitions import NcPartition, NotPairPartition
+from .partitions import NcPartition, NotPairPartition, _span_sweep
 from .polynomials import format_rational
 from .tree import FULL, PAIR, OrderedNcPartition
 
@@ -87,17 +87,6 @@ def blocks_of_size(size: int) -> Statistic:
     return Statistic("blocks_of_size", size)
 
 
-def _outer_count(blocks: Sequence[tuple[int, ...]]) -> int:
-    out = 0
-    reach = 0
-    for lo, hi in sorted((b[0], b[-1]) for b in blocks):
-        if lo > reach:
-            out += 1
-        if hi > reach:
-            reach = hi
-    return out
-
-
 def evaluate(stat: Statistic, op: OrderedNcPartition) -> int:
     """Value of the statistic on one ordered partition."""
     blocks = op.blocks_by_label
@@ -108,7 +97,7 @@ def evaluate(stat: Statistic, op: OrderedNcPartition) -> int:
     if stat.family == "blocks_at_least3":
         return sum(1 for b in blocks if len(b) >= 3)
     if stat.family == "outer":
-        return _outer_count(blocks)
+        return len(_span_sweep(blocks)[0])
     if stat.family == "intervals":
         return sum(1 for b in blocks if len(b) == 2 and b[1] == b[0] + 1)
     if stat.family == "area":
@@ -195,31 +184,17 @@ def core_child_digits(stat: Statistic, kind: str,
 
     Outer blocks: the new singleton (or pair) is outer exactly when it is
     inserted at the left end of an outer block's span or to the right of
-    the last one.  Interval pairs: the new pair splits an existing
-    interval pair exactly when inserted between its two points.
+    the last one (digit n, since the outer spans reach the last point n).
+    Interval pairs: the new pair splits an existing interval pair exactly
+    when inserted between its two points.
     """
     blocks = parent_op.blocks_by_label
     if stat.family == "outer":
-        spans = sorted((b[0], b[-1]) for b in blocks)
-        reach = 0
-        mins = []
-        for lo, hi in spans:
-            if lo > reach:
-                mins.append(lo)
-            if hi > reach:
-                reach = hi
-        if kind == FULL:
-            return {m - 1 for m in mins} | {parent_op.n}
-        return {m - 1 for m in mins} | {reach}
+        minima = _span_sweep(blocks)[0]
+        return {m - 1 for m in minima} | {parent_op.n}
     if stat.family == "intervals" and kind == PAIR:
         return {b[0] for b in blocks if len(b) == 2 and b[1] == b[0] + 1}
     raise NotSecondKind(f"{stat.name} on the {kind} tree")
-
-
-def _iter_parents(kind: str, bound: int):
-    top = bound - 1
-    for n in range(1, top + 1):
-        yield from tree.iter_level(n, kind)
 
 
 def certify_first_kind(stat: Statistic, bound: int = 7,
@@ -238,26 +213,51 @@ def certify_first_kind(stat: Statistic, bound: int = 7,
     return r
 
 
-def certify_second_kind(stat: Statistic, kind: str, bound: int = 7,
-                        law: Optional[SecondKindInput] = None) -> SecondKindInput:
-    """Return (alpha, beta; q) after re-verifying, for every parent with
-    depth < bound, all three clauses: the alpha jump on the distinguished
-    children, the beta jump elsewhere, and the subset size Z + q.  Pass
-    ``law`` to certify a claimed triple instead of the built-in one."""
+def second_kind_witness(stat: Statistic, kind: str, n: int,
+                        law: Optional[SecondKindInput] = None) -> Optional[dict]:
+    """First violation of the (alpha, beta; q) law on the edges into
+    level n, in rank order, or None when all three clauses hold: the
+    alpha jump on the distinguished children, the beta jump elsewhere,
+    and the subset size Z + q.  ``law`` defaults to the built-in one."""
     law = second_kind_input(stat, kind) if law is None else law
-    for parent_op in _iter_parents(kind, bound + 1):
+    for parent_op in tree.iter_level(n - 1, kind):
         kids = (tree.children(parent_op) if kind == FULL
                 else tree.pair_children(parent_op))
         core = core_child_digits(stat, kind, parent_op)
         z = evaluate(stat, parent_op)
         if len(core) != z + law.q:
-            raise VerificationFailed(
-                f"core subset size {len(core)} != {z} + {law.q}", parent_op)
+            return {"n": n, "stat": stat.name,
+                    "parent": parent_op.to_json(),
+                    "core_size": len(core), "want": z + law.q}
         for digit, child in enumerate(kids):
             jump = law.alpha if digit in core else law.beta
-            if evaluate(stat, child) - z != jump:
-                raise VerificationFailed(
-                    f"{stat.name} child digit {digit} increment != {jump}", child)
+            increment = evaluate(stat, child) - z
+            if increment != jump:
+                return {"n": n, "stat": stat.name, "digit": digit,
+                        "parent": parent_op.to_json(),
+                        "increment": increment, "want": jump}
+    return None
+
+
+def certify_second_kind(stat: Statistic, kind: str, bound: int = 7,
+                        law: Optional[SecondKindInput] = None) -> SecondKindInput:
+    """Return (alpha, beta; q) after re-verifying, for every parent with
+    depth <= bound, the three clauses of :func:`second_kind_witness`.
+    Pass ``law`` to certify a claimed triple instead of the built-in one."""
+    law = second_kind_input(stat, kind) if law is None else law
+    for n in range(2, bound + 2):
+        witness = second_kind_witness(stat, kind, n, law)
+        if witness is None:
+            continue
+        parent_op = OrderedNcPartition.from_json(witness["parent"])
+        if "digit" in witness:
+            raise VerificationFailed(
+                f"{stat.name} child digit {witness['digit']} increment "
+                f"!= {witness['want']}",
+                tree.child_at(parent_op, witness["digit"], kind))
+        raise VerificationFailed(
+            f"core subset size {witness['core_size']} != {witness['want']}",
+            parent_op)
     return law
 
 

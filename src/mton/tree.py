@@ -299,6 +299,42 @@ def unrank(k: int, n: int, kind: str = FULL) -> OrderedNcPartition:
     return decode(TreeCode(kind, tuple(_digits_from_rank(k, n, kind))))
 
 
+def _walk(path: list, n: int, kind: str, start: int = 0,
+          count: Optional[int] = None) -> Iterator[int]:
+    """Rank-order odometer over the depth-n nodes from rank ``start``.
+
+    Keeps the caller-owned ``path`` filled with the raw blocks of the
+    current node's ancestors (``path[i]`` sits at depth i+1, ``path[-1]``
+    is the node itself) and yields ``fresh``: the first path index whose
+    node has the current node as its leftmost descendant.  Stops after
+    ``count`` nodes, or, when ``count`` is None, once every digit is at
+    its maximum.
+    """
+    digits = _digits_from_rank(start, n, kind)
+    path[:] = [((1,),) if kind == FULL else ((1, 2),)]
+    for depth, d in enumerate(digits, start=1):
+        path.append(_step(kind, path[-1], depth, d))
+    fresh = n - 1
+    while fresh > 0 and digits[fresh - 1] == 0:
+        fresh -= 1
+    yield fresh
+    radii = [_radix(depth, kind) for depth in range(1, n)]
+    remaining = -1 if count is None else count - 1
+    while remaining:
+        i = n - 1
+        while i > 0 and digits[i - 1] == radii[i - 1] - 1:
+            i -= 1
+        if i == 0:
+            return
+        digits[i - 1] += 1
+        path[i] = _step(kind, path[i - 1], i, digits[i - 1])
+        for j in range(i + 1, n):
+            digits[j - 1] = 0
+            path[j] = _step(kind, path[j - 1], j, 0)
+        yield i
+        remaining -= 1
+
+
 def iter_level(n: int, kind: str = FULL, start: int = 0,
                stop: Optional[int] = None) -> Iterator[OrderedNcPartition]:
     """Yield the depth-n nodes with ranks in [start, stop) in rank order.
@@ -314,24 +350,9 @@ def iter_level(n: int, kind: str = FULL, start: int = 0,
     if start == stop:
         return
     ground = n if kind == FULL else 2 * n
-    digits = _digits_from_rank(start, n, kind)
-    path = [((1,),) if kind == FULL else ((1, 2),)]
-    for depth, d in enumerate(digits, start=1):
-        path.append(_step(kind, path[-1], depth, d))
-    yield OrderedNcPartition(ground, path[-1])
-    radii = [_radix(depth, kind) for depth in range(1, n)]
-    remaining = stop - start - 1
-    while remaining > 0:
-        i = n - 1
-        while digits[i - 1] == radii[i - 1] - 1:
-            i -= 1
-        digits[i - 1] += 1
-        path[i] = _step(kind, path[i - 1], i, digits[i - 1])
-        for j in range(i + 1, n):
-            digits[j - 1] = 0
-            path[j] = _step(kind, path[j - 1], j, 0)
+    path: list = []
+    for _ in _walk(path, n, kind, start, stop - start):
         yield OrderedNcPartition(ground, path[-1])
-        remaining -= 1
 
 
 def stream_level(n: int, kind: str = FULL) -> Iterator[OrderedNcPartition]:
@@ -343,21 +364,6 @@ def stream_level(n: int, kind: str = FULL) -> Iterator[OrderedNcPartition]:
     """
     _require_kind(kind)
     ground = n if kind == FULL else 2 * n
-    digits = [0] * (n - 1)
-    path = [((1,),) if kind == FULL else ((1, 2),)]
-    for depth in range(1, n):
-        path.append(_step(kind, path[-1], depth, 0))
-    yield OrderedNcPartition(ground, path[-1])
-    radii = [_radix(depth, kind) for depth in range(1, n)]
-    while True:
-        i = n - 1
-        while i > 0 and digits[i - 1] == radii[i - 1] - 1:
-            i -= 1
-        if i == 0:
-            return
-        digits[i - 1] += 1
-        path[i] = _step(kind, path[i - 1], i, digits[i - 1])
-        for j in range(i + 1, n):
-            digits[j - 1] = 0
-            path[j] = _step(kind, path[j - 1], j, 0)
+    path: list = []
+    for _ in _walk(path, n, kind):
         yield OrderedNcPartition(ground, path[-1])

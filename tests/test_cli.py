@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from mton import cumulants as cm
 from mton.cli import main
 
 
@@ -104,6 +105,23 @@ def test_stirling_rows(capsys):
     code, out, _ = run(capsys, "stirling", "--n", "4", "--check")
     assert code == 0
     assert out.strip().splitlines() == ["1", "1 2", "1 5 6", "1 9 26 24"]
+
+
+def test_stirling_check_caps_the_exponential_tables(capsys, monkeypatch):
+    asked = {}
+
+    def recording(name):
+        def table(n_max, workers=1):
+            asked[name] = n_max
+            return cm.stirling_by_recursion(n_max)
+        return table
+
+    monkeypatch.setattr(cm, "stirling_by_closed_form", recording("closed"))
+    monkeypatch.setattr(cm, "stirling_by_tree_count", recording("tree"))
+    code, out, _ = run(capsys, "stirling", "--n", "30", "--check")
+    assert code == 0
+    assert asked == {"closed": 20, "tree": 9}
+    assert len(out.strip().splitlines()) == 30
 
 
 def test_poisson(capsys):

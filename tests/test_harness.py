@@ -16,7 +16,7 @@ def make_check(threshold):
         if n >= threshold:
             return {"n": n, "got": n * n, "want": -1}
         return None
-    spec = CheckSpec("toy", "fails at and past a threshold", 9)
+    spec = CheckSpec("toy", "fails at and past a threshold")
     return Check(spec, tuple(range(1, 10)), kernel)
 
 

@@ -13,7 +13,7 @@ from mton.laplace import (InsufficientSeed, SizeBoundExceeded, ZeroPolynomial,
 from mton.polynomials import ExactPolynomial, NegativeExponent
 from mton.stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
                         SecondKindInput, blocks_of_size)
-from mton.tree import FULL, PAIR, level_count
+from mton.tree import FULL, PAIR, encode, level_count, unrank
 
 
 def test_frozen_block_count_transforms():
@@ -102,13 +102,20 @@ def test_variance_from_frozen_transform():
 
 
 def test_shard_merge_equals_full_scan():
-    laplace.clear_scan_cache()
-    whole = level_histograms(FULL, 6)
-    total = level_count(6, FULL)
-    cuts = [0, total // 3, 2 * total // 3 + 5, total]
-    parts = [scan_chunk(FULL, 6, cuts[i], cuts[i + 1]) for i in range(3)]
-    merged = laplace._merge(parts)
-    assert merged == whole
+    for kind, depth in ((FULL, 6), (PAIR, 5)):
+        laplace.clear_scan_cache()
+        whole = level_histograms(kind, depth)
+        for level, counter in whole.items():
+            assert sum(counter.values()) == level_count(level, kind)
+        total = level_count(depth, kind)
+        ragged = 2 * total // 3 + 5
+        # a shard starting mid-sibling-run owns none of its seed path's
+        # interior nodes; one-leaf shards own at most their own path
+        assert encode(unrank(ragged, depth, kind), kind).digits[-1] != 0
+        cuts = [0, 1, total // 3, ragged, ragged + 1, total - 1, total]
+        parts = [scan_chunk(kind, depth, cuts[i], cuts[i + 1])
+                 for i in range(len(cuts) - 1)]
+        assert laplace._merge(parts) == whole, kind
 
 
 def test_scan_cache_serves_shallower_depths():

@@ -14,6 +14,10 @@ coeffs = st.dictionaries(
     st.fractions(min_value=-20, max_value=20, max_denominator=12),
     max_size=6)
 polys = coeffs.map(ExactPolynomial)
+int_polys = st.dictionaries(
+    st.integers(min_value=0, max_value=9),
+    st.integers(min_value=-20, max_value=20),
+    max_size=6).map(ExactPolynomial)
 
 
 def test_zero_and_monomial():
@@ -56,6 +60,8 @@ def test_from_counts_and_str():
     p = ExactPolynomial.from_counts({0: 1, 1: 5, 3: 6})
     assert str(p) == "6*t^3 + 5*t + 1"
     assert str(ExactPolynomial.zero()) == "0"
+    assert str(ExactPolynomial({2: -3, 0: 1})) == "-3*t^2 + 1"
+    assert str(ExactPolynomial({1: -1})) == "-t"
 
 
 def test_json_round_trip():
@@ -102,3 +108,12 @@ def test_evaluation_is_a_homomorphism(a, x):
 @given(polys)
 def test_json_round_trip_property(a):
     assert ExactPolynomial.from_json(a.to_json()) == a
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_polys, st.integers(min_value=-5, max_value=5))
+def test_str_reads_back_as_the_same_polynomial(p, x):
+    text = str(p)
+    if not p.is_zero() and p.coefficient(p.degree) < 0:
+        assert text.split(" ")[0].count("-") == 1, text
+    assert eval(text.replace("^", "**"), {"t": x}) == p.evaluate(x), text

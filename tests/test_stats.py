@@ -127,6 +127,11 @@ def test_certificate_rejects_wrong_vector():
     with pytest.raises(VerificationFailed):
         certify_second_kind(OUTER, FULL, bound=4,
                             law=SecondKindInput(1, 0, 2))
+    # a wrong alpha: the witness is the first child whose jump is off
+    with pytest.raises(VerificationFailed) as exc:
+        certify_second_kind(INTERVAL_PAIRS, PAIR, bound=3,
+                            law=SecondKindInput(1, 1, 0))
+    assert exc.value.witness.blocks_by_label == ((1, 4), (2, 3))
 
 
 def test_joint_distribution_streaming_pass():

@@ -113,6 +113,15 @@ def test_rank_windows():
     assert rank_of(mid[-1]) == 139
 
 
+def test_iter_level_window_is_a_stream_slice():
+    for kind, n in ((FULL, 5), (PAIR, 4)):
+        streamed = list(stream_level(n, kind))
+        total = len(streamed)
+        for a, b in ((0, total), (0, 1), (7, 8), (13, total - 3),
+                     (total - 1, total), (5, 5)):
+            assert list(iter_level(n, kind, a, b)) == streamed[a:b], (kind, a, b)
+
+
 def test_stream_level_terminates_without_formula():
     for n in range(1, 7):
         assert sum(1 for _ in stream_level(n, FULL)) == level_count(n, FULL)
