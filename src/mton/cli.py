@@ -106,14 +106,14 @@ def cmd_laplace(args: argparse.Namespace) -> int:
     if msg:
         print(msg, file=sys.stderr)
         return 2
-    max_n = args.n if args.force else None
+    # the CLI guard alone decides the size, so the library bound follows it
     results = {}
     if args.method in ("brute", "both"):
         results["brute"] = laplace.bruteforce_transform(
-            stat, args.n, args.kind, max_n=max_n, workers=args.workers)
+            stat, args.n, args.kind, max_n=args.n, workers=args.workers)
     if args.method in ("recursion", "both"):
         results["recursion"] = laplace.recursion_transform(
-            stat, args.n, args.kind, max_n=max_n)
+            stat, args.n, args.kind, max_n=args.n)
     if args.json:
         payload = {name: poly.to_json() for name, poly in results.items()}
         if args.method == "both":

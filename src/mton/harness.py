@@ -4,7 +4,9 @@ Each check owns a kernel run over an ascending size range; the first
 failing size yields a witness dictionary and the run stops.  Because
 kernels scan sizes (and ranks within a size) in increasing order, the
 reported witness is already minimal, and counterexample_minimize simply
-re-derives it from scratch.
+re-derives it from scratch.  A kernel that raises yields an "error"
+report with a traceback excerpt, and the checks after it still run.  The
+self-test feeds one wrong formula per suite to that suite's own kernels.
 
 Exact values inside witnesses are serialized as integer or "p/q"
 strings; only checks in float mode carry floats, and they say so.
@@ -14,10 +16,13 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import time
+import traceback
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import closed_forms as cf
@@ -42,7 +47,7 @@ class CheckSpec:
 @dataclass
 class CheckReport:
     id: str
-    status: str  # pass | fail
+    status: str  # pass | fail | error
     witness: Optional[dict] = None
     elapsed: float = 0.0
 
@@ -59,12 +64,20 @@ class Check:
 
     def run(self) -> CheckReport:
         start = time.perf_counter()
+        status, witness = "pass", None
         for n in self.sizes:
-            witness = self.kernel(n)
+            try:
+                witness = self.kernel(n)
+            except Exception as exc:  # reported, so later checks still run
+                frames = "".join(traceback.format_tb(exc.__traceback__))
+                status, witness = "error", {
+                    "n": n, "error": f"{type(exc).__name__}: {exc}",
+                    "traceback": frames.splitlines()[-6:]}
+                break
             if witness is not None:
-                return CheckReport(self.spec.id, "fail", witness,
-                                   time.perf_counter() - start)
-        return CheckReport(self.spec.id, "pass", None,
+                status = "fail"
+                break
+        return CheckReport(self.spec.id, status, witness,
                            time.perf_counter() - start)
 
 
@@ -87,23 +100,19 @@ def run_checks(checks: Iterable[Check]) -> list[CheckReport]:
 
 
 # ---------------------------------------------------------------------------
-# kernel helpers
+# kernels and kernel factories
 
 _SIX = (BLOCKS, blocks_of_size(1), blocks_of_size(2), blocks_of_size(3),
         blocks_of_size(4), LARGE_BLOCKS)
 
 
-def _frac(v) -> str:
-    return format_rational(v)
-
-
 def _poly_diff_witness(n: int, got: ExactPolynomial,
-                       want: ExactPolynomial) -> dict:
+                       want: ExactPolynomial, **extra) -> dict:
     exps = sorted(set(dict(got.items())) | set(dict(want.items())))
     bad = next(e for e in exps if got.coefficient(e) != want.coefficient(e))
     return {"n": n, "exponent": bad,
-            "got": _frac(got.coefficient(bad)),
-            "want": _frac(want.coefficient(bad))}
+            "got": format_rational(got.coefficient(bad)),
+            "want": format_rational(want.coefficient(bad)), **extra}
 
 
 def _mean_kernel(stat: Statistic, kind: str, closed, workers: int):
@@ -112,20 +121,21 @@ def _mean_kernel(stat: Statistic, kind: str, closed, workers: int):
         brute = laplace.expectation_from_laplace(poly)
         want = closed(n)
         if brute != want:
-            return {"n": n, "stat": stat.name, "enumerated": _frac(brute),
-                    "closed_form": _frac(want)}
+            return {"n": n, "stat": stat.name,
+                    "enumerated": format_rational(brute),
+                    "closed_form": format_rational(want)}
         return None
     return kernel
 
 
-def _recursion_kernel(stat: Statistic, kind: str, workers: int):
+def _recursion_kernel(chosen: Sequence[Statistic], kind: str, workers: int):
     def kernel(n: int) -> Optional[dict]:
-        brute = laplace.bruteforce_transform(stat, n, kind, workers=workers)
-        rec = laplace.recursion_transform(stat, n, kind)
-        if brute != rec:
-            w = _poly_diff_witness(n, rec, brute)
-            w["stat"] = stat.name
-            return w
+        for stat in chosen:
+            brute = laplace.bruteforce_transform(stat, n, kind,
+                                                 workers=workers)
+            rec = laplace.recursion_transform(stat, n, kind)
+            if brute != rec:
+                return _poly_diff_witness(n, rec, brute, stat=stat.name)
         return None
     return kernel
 
@@ -142,23 +152,27 @@ def _mean_step_kernel(stat: Statistic, kind: str, closed):
         stepped = cf.expectation_recursion_step(law, closed(n - 1), n, kind)
         want = closed(n)
         if stepped != want:
-            return {"n": n, "stat": stat.name, "stepped": _frac(stepped),
-                    "closed_form": _frac(want)}
+            return {"n": n, "stat": stat.name,
+                    "stepped": format_rational(stepped),
+                    "closed_form": format_rational(want)}
         return None
     return kernel
 
 
-def _product_form(n: int) -> ExactPolynomial:
-    poly = ExactPolynomial.monomial(1)
-    for j in range(2, n + 1):
-        poly = poly * ExactPolynomial({0: 1, 1: j})
-    return poly
+def _product_kernel(poly_of: Callable[[int], ExactPolynomial]):
+    # poly_of(n) must equal t(1+2t)...(1+nt)
+    def kernel(n: int) -> Optional[dict]:
+        want = ExactPolynomial.monomial(1)
+        for j in range(2, n + 1):
+            want = want * ExactPolynomial({0: 1, 1: j})
+        got = poly_of(n)
+        if got != want:
+            return _poly_diff_witness(n, got, want)
+        return None
+    return kernel
 
 
-# ---------------------------------------------------------------------------
-# kernels with bigger bodies
-
-def _count_kernel(kind: str):
+def _count_kernel(kind: str, formula: Callable[[int, str], int]):
     # the walk terminates on digit exhaustion, never on the formula, and
     # a stride of ranks is recomputed through encode() as a spot check
     # that positions agree with the rank bijection
@@ -169,7 +183,7 @@ def _count_kernel(kind: str):
                 return {"n": n, "position": idx,
                         "rank": tree.rank_of(op, kind)}
             count += 1
-        want = tree.level_count(n, kind)
+        want = formula(n, kind)
         if count != want:
             return {"n": n, "streamed": count, "formula": want}
         return None
@@ -187,11 +201,6 @@ def _k_enum_cross(n: int) -> Optional[dict]:
     return None
 
 
-def _padded_shift(stat: Statistic, ell: int) -> int:
-    r = stats.first_kind_input(stat)
-    return sum(r[j] for j in range(1, ell) if j < len(r))
-
-
 def _k_parent_chain(m: int) -> Optional[dict]:
     ells = [ell for ell in (2, 3, 4) if ell <= m]
     buckets: dict[int, list] = {ell: [] for ell in ells}
@@ -203,7 +212,8 @@ def _k_parent_chain(m: int) -> Optional[dict]:
         target_level = m - ell + 1
         target = {op.blocks_by_label for op in tree.iter_level(target_level, FULL)
                   if len(op.max_label_block()) == 1}
-        shifts = {s: _padded_shift(s, ell) for s in _SIX}
+        # r_2 + ... + r_ell, with r_j = 0 past the increment vector
+        shifts = {s: sum(stats.first_kind_input(s)[1:ell]) for s in _SIX}
         images = set()
         for op in buckets[ell]:
             cur = op
@@ -236,84 +246,63 @@ def _k_singleton_slice(m: int) -> Optional[dict]:
         r1 = stats.first_kind_input(s)[0]
         rhs = laplace.bruteforce_transform(s, m - 1, FULL).shifted(r1).scaled(m)
         if lhs != rhs:
-            w = _poly_diff_witness(m, lhs, rhs)
-            w["stat"] = s.name
-            return w
+            return _poly_diff_witness(m, lhs, rhs, stat=s.name)
     return None
 
 
-def _k_area_split(n: int) -> Optional[dict]:
-    for parent_op in tree.iter_level(n - 1, PAIR):
-        parent_area = evaluate(AREA, parent_op)
-        child_sum = sum(evaluate(AREA, c) for c in tree.pair_children(parent_op))
-        want = (2 * n - 1) + (2 * n + 1) * parent_area
-        if child_sum != want:
-            return {"n": n, "parent": parent_op.to_json(),
-                    "child_sum": child_sum, "want": want}
-    return None
-
-
-def _k_variance_forms(n: int) -> Optional[dict]:
-    a = cf.variance_block_count(n)
-    b = cf.variance_block_count_alt(n)
-    if a != b:
-        return {"n": n, "direct": _frac(a), "shifted": _frac(b)}
-    return None
-
-
-def _k_block_variance(workers: int):
+def _area_split_kernel(split: Callable[[int, int], int]):
+    # split(n, parent area) is the claimed sum of the children's areas
     def kernel(n: int) -> Optional[dict]:
-        poly = laplace.bruteforce_transform(BLOCKS, n, workers=workers)
-        brute = laplace.variance_from_laplace(poly)
-        want = cf.variance_block_count(n)
-        if brute != want or brute != cf.variance_block_count_alt(n):
-            return {"n": n, "enumerated": _frac(brute),
-                    "closed_form": _frac(want)}
+        for parent_op in tree.iter_level(n - 1, PAIR):
+            child_sum = sum(evaluate(AREA, c)
+                            for c in tree.pair_children(parent_op))
+            want = split(n, evaluate(AREA, parent_op))
+            if child_sum != want:
+                return {"n": n, "parent": parent_op.to_json(),
+                        "child_sum": child_sum, "want": want}
         return None
     return kernel
 
 
-def _k_spot_block(n: int) -> Optional[dict]:
-    poly = laplace.bruteforce_transform(BLOCKS, n)
-    mean = laplace.expectation_from_laplace(poly)
-    var = laplace.variance_from_laplace(poly)
-    if (mean, var) != (Fraction(29, 12), Fraction(59, 144)):
-        return {"n": n, "mean": _frac(mean), "variance": _frac(var),
-                "want": ["29/12", "59/144"]}
-    return None
-
-
-def _k_product_form(workers: int):
+def _forms_kernel(name_a: str, form_a: Callable[[int], Fraction],
+                  name_b: str, form_b: Callable[[int], Fraction]):
     def kernel(n: int) -> Optional[dict]:
-        brute = laplace.bruteforce_transform(BLOCKS, n, workers=workers)
-        want = _product_form(n)
-        if brute != want:
-            return _poly_diff_witness(n, brute, want)
+        a, b = form_a(n), form_b(n)
+        if a != b:
+            return {"n": n, name_a: format_rational(a),
+                    name_b: format_rational(b)}
         return None
     return kernel
 
 
-def _k_size_decomposition(n: int) -> Optional[dict]:
-    lhs = cf.expected_block_count(n)
-    rhs = (cf.expected_size1_blocks(n) + cf.expected_size2_blocks(n)
-           + cf.expected_size3plus_blocks(n))
-    if lhs != rhs:
-        return {"n": n, "whole": _frac(lhs), "sum_of_parts": _frac(rhs)}
-    return None
+def _total(poly: ExactPolynomial) -> Fraction:
+    return poly.derivative().evaluate(1)
 
 
-def _k_tally_recursions(workers: int):
-    stats_list = (blocks_of_size(1), blocks_of_size(2), blocks_of_size(3),
-                  blocks_of_size(4), LARGE_BLOCKS)
-
+def _readout_kernel(stat: Statistic, kind: str,
+                    readout: Callable[[ExactPolynomial], Fraction],
+                    closed, alt, workers: int):
+    # a readout of the enumerated transform vs two closed forms of it
     def kernel(n: int) -> Optional[dict]:
-        for s in stats_list:
-            brute = laplace.bruteforce_transform(s, n, workers=workers)
-            rec = laplace.recursion_transform(s, n)
-            if brute != rec:
-                w = _poly_diff_witness(n, rec, brute)
-                w["stat"] = s.name
-                return w
+        poly = laplace.bruteforce_transform(stat, n, kind, workers=workers)
+        got, want = readout(poly), closed(n)
+        if got != want or got != alt(n):
+            return {"n": n, "enumerated": format_rational(got),
+                    "closed_form": format_rational(want)}
+        return None
+    return kernel
+
+
+def _spot_kernel(stat: Statistic, kind: str, name: str,
+                 readout: Callable[[ExactPolynomial], Fraction], want: tuple):
+    # the frozen (mean, readout) pair of one small level
+    def kernel(n: int) -> Optional[dict]:
+        poly = laplace.bruteforce_transform(stat, n, kind)
+        mean, got = laplace.expectation_from_laplace(poly), readout(poly)
+        if (mean, got) != want:
+            return {"n": n, "mean": format_rational(mean),
+                    name: format_rational(got),
+                    "want": [format_rational(v) for v in want]}
         return None
     return kernel
 
@@ -326,31 +315,8 @@ def _k_seed_resolution(n: int) -> Optional[dict]:
     mean = laplace.expectation_from_laplace(brute)
     if brute != frozen or rec != frozen or mean != Fraction(23, 12):
         return {"n": n, "brute": brute.to_json(), "recursion": rec.to_json(),
-                "frozen": frozen.to_json(), "mean": _frac(mean),
+                "frozen": frozen.to_json(), "mean": format_rational(mean),
                 "want_mean": "23/12"}
-    return None
-
-
-def _k_area_total(workers: int):
-    def kernel(n: int) -> Optional[dict]:
-        poly = laplace.bruteforce_transform(AREA, n, PAIR, workers=workers)
-        summed = poly.derivative().evaluate(1)
-        want = cf.total_area(n)
-        alt = cf.expected_area(n) * cf.double_factorial_odd(n)
-        if summed != want or summed != alt:
-            return {"n": n, "enumerated": _frac(summed),
-                    "closed_form": _frac(want)}
-        return None
-    return kernel
-
-
-def _k_area_spot(n: int) -> Optional[dict]:
-    poly = laplace.bruteforce_transform(AREA, n, PAIR)
-    mean = laplace.expectation_from_laplace(poly)
-    total = poly.derivative().evaluate(1)
-    if (mean, total) != (Fraction(8, 3), 8):
-        return {"n": n, "mean": _frac(mean), "total": _frac(total),
-                "want": ["8/3", "8"]}
     return None
 
 
@@ -404,51 +370,40 @@ def _k_triangle_frozen(n: int) -> Optional[dict]:
     return None
 
 
-def _k_triangle_tree(workers: int):
+def _row_kernel(name_a: str, table_a: Callable[[int], cm.StirlingTable],
+                name_b: str, table_b: Callable[[int], cm.StirlingTable]):
     def kernel(n: int) -> Optional[dict]:
-        a = cm.stirling_by_tree_count(n, workers=workers).row(n)
-        b = cm.stirling_by_recursion(n).row(n)
+        a, b = table_a(n).row(n), table_b(n).row(n)
         if a != b:
             k = next(i + 1 for i in range(n) if a[i] != b[i])
-            return {"n": n, "k": k, "tree": a[k - 1], "recursion": b[k - 1]}
+            return {"n": n, "k": k, name_a: a[k - 1], name_b: b[k - 1]}
         return None
     return kernel
 
 
-def _k_triangle_closed(n: int) -> Optional[dict]:
-    a = cm.stirling_by_closed_form(n).row(n)
-    b = cm.stirling_by_recursion(n).row(n)
-    if a != b:
-        k = next(i + 1 for i in range(n) if a[i] != b[i])
-        return {"n": n, "k": k, "closed_form": a[k - 1], "recursion": b[k - 1]}
-    return None
+def _factorial_sum_kernel(name: str, terms: Callable[[int], Iterable[int]]):
+    # the terms at size n must sum to (n+1)!/2
+    def kernel(n: int) -> Optional[dict]:
+        total = sum(terms(n))
+        want = math.factorial(n + 1) // 2
+        if total != want:
+            return {"n": n, name: total, "want": want}
+        return None
+    return kernel
 
 
-def _k_triangle_row_sum(n: int) -> Optional[dict]:
-    total = sum(cm.stirling_by_recursion(n).row(n))
-    want = math.factorial(n + 1) // 2
-    if total != want:
-        return {"n": n, "row_sum": total, "want": want}
-    return None
-
-
-def _k_triangle_poly(n: int) -> Optional[dict]:
-    row = cm.stirling_by_recursion(n).row(n)
-    poly = ExactPolynomial({k: row[k - 1] for k in range(1, n + 1)})
-    want = _product_form(n)
-    if poly != want:
-        return _poly_diff_witness(n, poly, want)
-    return None
+def _triangle_row(n: int) -> tuple[int, ...]:
+    return cm.stirling_by_recursion(n).row(n)
 
 
 def _k_roundtrip(index: int) -> Optional[dict]:
-    import random
     rng = random.Random(20260823 + index)
-    seq = [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(8)]
+    seq = [Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+           for _ in range(8)]
     back = cm.cumulants_from_moments(cm.moments_from_cumulants(seq))
     fwd = cm.moments_from_cumulants(cm.cumulants_from_moments(seq))
     if list(back) != seq or list(fwd) != seq:
-        return {"n": index, "sequence": [_frac(v) for v in seq]}
+        return {"n": index, "sequence": [format_rational(v) for v in seq]}
     return None
 
 
@@ -458,22 +413,25 @@ def _k_small_identities(n: int) -> Optional[dict]:
     c3 = cm.cumulants_from_moments([Fraction(1), Fraction(2), Fraction(5)])[2]
     ok = (m3 == 5 + Fraction(5, 2) * 6 + 8 and c3 == Fraction(3, 2))
     if not ok:
-        return {"n": n, "moment3": _frac(m3), "cumulant3": _frac(c3)}
+        return {"n": n, "moment3": format_rational(m3),
+                "cumulant3": format_rational(c3)}
     return None
 
 
 _POISSON_ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1))
 
 
-def _k_poisson_constant(index: int) -> Optional[dict]:
-    alpha = _POISSON_ALPHAS[index - 1]
-    direct = cm.poisson_moments(alpha, 8)
-    viaset = cm.moments_from_cumulants([alpha] * 8)
-    if direct != viaset:
-        return {"n": index, "alpha": _frac(alpha),
-                "triangle": [_frac(v) for v in direct],
-                "partition_sum": [_frac(v) for v in viaset]}
-    return None
+def _poisson_kernel(triangle_moments: Callable[[Fraction, int], tuple]):
+    def kernel(index: int) -> Optional[dict]:
+        alpha = _POISSON_ALPHAS[index - 1]
+        direct = triangle_moments(alpha, 8)
+        viaset = cm.moments_from_cumulants([alpha] * 8)
+        if direct != viaset:
+            return {"n": index, "alpha": format_rational(alpha),
+                    "triangle": [format_rational(v) for v in direct],
+                    "partition_sum": [format_rational(v) for v in viaset]}
+        return None
+    return kernel
 
 
 def _k_hook_vs_filter(n: int) -> Optional[dict]:
@@ -497,15 +455,6 @@ def _k_ordering_ratio(n: int) -> Optional[dict]:
     return None
 
 
-def _k_ordering_sum(n: int) -> Optional[dict]:
-    total = sum(cm._ordering_count_blocks(b)
-                for b in reference.noncrossing_partitions(n))
-    want = math.factorial(n + 1) // 2
-    if total != want:
-        return {"n": n, "sum": total, "want": want}
-    return None
-
-
 # ---------------------------------------------------------------------------
 # registry
 
@@ -519,9 +468,9 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
 
     checks = [
         mk("count-full", "streamed full-tree level sizes equal (n+1)!/2",
-           range(1, b_full + 1), _count_kernel(FULL)),
+           range(1, b_full + 1), _count_kernel(FULL, tree.level_count)),
         mk("count-pair", "streamed pair-tree level sizes equal (2n-1)!!",
-           range(1, b_pair + 1), _count_kernel(PAIR)),
+           range(1, b_pair + 1), _count_kernel(PAIR, tree.level_count)),
         mk("enum-cross-check",
            "tree enumeration equals the permutation-filter construction",
            range(1, 8), _k_enum_cross),
@@ -531,17 +480,24 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
            _mean_kernel(BLOCKS, FULL, cf.expected_block_count, workers)),
         mk("block-count-variance",
            "enumerated block-count variance vs both closed forms",
-           range(2, b_full + 1), _k_block_variance(workers)),
+           range(2, b_full + 1), _readout_kernel(
+               BLOCKS, FULL, laplace.variance_from_laplace,
+               cf.variance_block_count, cf.variance_block_count_alt, workers)),
         mk("block-count-spot", "frozen level-3 mean 29/12 and variance 59/144",
-           [3], _k_spot_block),
+           [3], _spot_kernel(BLOCKS, FULL, "variance",
+                             laplace.variance_from_laplace,
+                             (Fraction(29, 12), Fraction(59, 144)))),
         mk("product-form",
            "block-count transform equals t(1+2t)...(1+nt)",
-           range(1, b_full + 1), _k_product_form(workers)),
+           range(1, b_full + 1), _product_kernel(partial(
+               laplace.bruteforce_transform, BLOCKS, workers=workers))),
         mk("block-count-recursion",
            "block-count transform recursion vs enumeration",
-           range(1, b_full + 1), _recursion_kernel(BLOCKS, FULL, workers)),
+           range(1, b_full + 1), _recursion_kernel((BLOCKS,), FULL, workers)),
         mk("variance-forms", "the two printed variance forms agree",
-           range(2, 10001), _k_variance_forms),
+           range(2, 10001), _forms_kernel(
+               "direct", cf.variance_block_count,
+               "shifted", cf.variance_block_count_alt)),
         mk("mean-asymptote", "mean block count approaches n - ln n + 3/2 - g",
            [10000], _float_kernel("EY", 1e-3)),
         mk("variance-asymptote",
@@ -562,10 +518,13 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
                         workers)),
         mk("size-decomposition",
            "closed forms: whole mean equals sum of size parts",
-           range(4, 1001), _k_size_decomposition),
+           range(4, 1001), _forms_kernel(
+               "whole", cf.expected_block_count, "sum_of_parts",
+               lambda n: (cf.expected_size1_blocks(n) + cf.expected_size2_blocks(n)
+                          + cf.expected_size3plus_blocks(n)))),
         mk("tally-recursions",
            "size-count transform recursions vs enumeration",
-           range(1, b_full + 1), _k_tally_recursions(workers)),
+           range(1, b_full + 1), _recursion_kernel(_SIX[1:], FULL, workers)),
         mk("seed-resolution",
            "level-3 singleton transform settles to 6t^3 + 5t + 1",
            [3], _k_seed_resolution),
@@ -582,14 +541,15 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
            range(2, 9), _k_singleton_slice),
         mk("area-child-split",
            "pair children areas sum to (2n-1) + (2n+1) parent area",
-           range(2, 8), _k_area_split),
+           range(2, 8), _area_split_kernel(
+               lambda n, area: (2 * n - 1) + (2 * n + 1) * area)),
 
         mk("outer-full-mean", "enumerated mean outer count vs (2n+1)/3",
            range(1, b_outer + 1),
            _mean_kernel(OUTER, FULL, cf.expected_outer_blocks, workers)),
         mk("outer-full-recursion",
            "outer-count transform recursion vs enumeration (full tree)",
-           range(1, b_outer + 1), _recursion_kernel(OUTER, FULL, workers)),
+           range(1, b_outer + 1), _recursion_kernel((OUTER,), FULL, workers)),
         mk("outer-full-subsets",
            "outer-count insertion law clauses on every full-tree parent",
            range(2, b_outer + 1), _subset_kernel(OUTER, FULL)),
@@ -601,7 +561,7 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
         mk("interval-pair-recursion",
            "interval-pair transform recursion vs enumeration",
            range(1, b_pair + 1),
-           _recursion_kernel(INTERVAL_PAIRS, PAIR, workers)),
+           _recursion_kernel((INTERVAL_PAIRS,), PAIR, workers)),
         mk("interval-pair-subsets",
            "interval-pair insertion law clauses on every pair-tree parent",
            range(2, b_pair + 1), _subset_kernel(INTERVAL_PAIRS, PAIR)),
@@ -611,7 +571,7 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
            _mean_kernel(OUTER, PAIR, cf.expected_outer_pairs, workers)),
         mk("outer-pair-recursion",
            "outer-count transform recursion vs enumeration (pair tree)",
-           range(1, b_pair + 1), _recursion_kernel(OUTER, PAIR, workers)),
+           range(1, b_pair + 1), _recursion_kernel((OUTER,), PAIR, workers)),
         mk("outer-pair-subsets",
            "outer-count insertion law clauses on every pair-tree parent",
            range(2, b_pair + 1), _subset_kernel(OUTER, PAIR)),
@@ -635,9 +595,12 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
            range(1, b_pair + 1),
            _mean_kernel(AREA, PAIR, cf.expected_area, workers)),
         mk("area-total", "summed area vs (2n+1)!! partial odd harmonic",
-           range(1, b_pair + 1), _k_area_total(workers)),
+           range(1, b_pair + 1), _readout_kernel(
+               AREA, PAIR, _total, cf.total_area,
+               lambda n: cf.expected_area(n) * cf.double_factorial_odd(n),
+               workers)),
         mk("area-spot", "frozen pair level 2: mean 8/3, total 8",
-           [2], _k_area_spot),
+           [2], _spot_kernel(AREA, PAIR, "total", _total, (Fraction(8, 3), 8))),
         mk("area-asymptote",
            "mean area over n log n enters [0.9, 1.1] and tightens",
            [10 ** 6], _k_area_ratio_shrinks),
@@ -646,15 +609,19 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
            range(1, 7), _k_triangle_frozen),
         mk("triangle-tree-recursion",
            "triangle from enumeration vs recursion",
-           range(1, 10), _k_triangle_tree(workers)),
+           range(1, 10), _row_kernel(
+               "tree", partial(cm.stirling_by_tree_count, workers=workers),
+               "recursion", cm.stirling_by_recursion)),
         mk("triangle-recursion-closed",
            "triangle recursion vs increasing-products closed form",
-           range(1, 21), _k_triangle_closed),
+           range(1, 21), _row_kernel("closed_form", cm.stirling_by_closed_form,
+                                     "recursion", cm.stirling_by_recursion)),
         mk("triangle-row-sums", "triangle rows sum to (n+1)!/2",
-           range(1, 21), _k_triangle_row_sum),
+           range(1, 21), _factorial_sum_kernel("row_sum", _triangle_row)),
         mk("triangle-poly-identity",
            "triangle generating polynomial equals t(1+2t)...(1+nt)",
-           range(1, 10), _k_triangle_poly),
+           range(1, 10), _product_kernel(
+               lambda n: ExactPolynomial(dict(enumerate(_triangle_row(n), 1))))),
 
         mk("roundtrip-random",
            "seeded random sequences round-trip moments <-> cumulants",
@@ -663,7 +630,7 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
            [3], _k_small_identities),
         mk("poisson-constant",
            "triangle moments equal constant-cumulant moments to order 8",
-           range(1, 5), _k_poisson_constant),
+           range(1, 5), _poisson_kernel(cm.poisson_moments)),
         mk("hook-vs-filter",
            "forest hook-length ordering count vs permutation filter",
            range(1, 9), _k_hook_vs_filter),
@@ -671,7 +638,8 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
            "ordering count <= k! with equality iff interval partition",
            range(1, 9), _k_ordering_ratio),
         mk("ordering-sum", "ordering counts over NC(n) sum to (n+1)!/2",
-           range(1, 10), _k_ordering_sum),
+           range(1, 10), _factorial_sum_kernel("sum", lambda n: map(
+               cm._ordering_count_blocks, reference.noncrossing_partitions(n)))),
 
         mk("harness-selftest",
            "every suite's corrupted twin fails and minimizes",
@@ -724,112 +692,63 @@ def run_suite(name: str, deep: bool = False, workers: int = 1) -> list[CheckRepo
 # deliberately corrupted twins, exercised by the self-test
 
 def corrupted_checks() -> dict[str, tuple[Check, int]]:
-    """One broken formula per suite, with its minimal failing size."""
+    """One wrong formula per suite, fed to a kernel factory of that
+    suite, with the minimal size at which the kernel must fail."""
 
-    def k_card(n):
-        got = sum(1 for _ in tree.iter_level(n, FULL))
-        want = math.factorial(n + 1) // 2 + 1  # off by one
-        return None if got == want else {"n": n, "streamed": got, "formula": want}
-
-    def k_mean(n):
-        # harmonic index off by one
-        wrong = n - cf.harmonic(n - 1) + Fraction(3, 2) - Fraction(1, n + 1)
-        brute = laplace.expectation_from_laplace(
-            laplace.bruteforce_transform(BLOCKS, n))
-        return (None if brute == wrong
-                else {"n": n, "enumerated": _frac(brute), "closed_form": _frac(wrong)})
-
-    def k_product(n):
-        # factors shifted by one
-        wrong = ExactPolynomial.monomial(1)
-        for j in range(2, n + 1):
-            wrong = wrong * ExactPolynomial({0: 1, 1: j + 1})
-        brute = laplace.bruteforce_transform(BLOCKS, n)
-        return None if brute == wrong else _poly_diff_witness(n, brute, wrong)
-
-    def k_size1(n):
-        wrong = n - 3 * cf.harmonic(n) + Fraction(10, 3) - Fraction(3, n + 1)
-        brute = laplace.expectation_from_laplace(
-            laplace.bruteforce_transform(blocks_of_size(1), n))
-        return (None if brute == wrong
-                else {"n": n, "enumerated": _frac(brute), "closed_form": _frac(wrong)})
-
-    def k_split(n):
-        for parent_op in tree.iter_level(n - 1, PAIR):
-            child_sum = sum(evaluate(AREA, c)
-                            for c in tree.pair_children(parent_op))
-            wrong = 2 * n + (2 * n + 1) * evaluate(AREA, parent_op)
-            if child_sum != wrong:
-                return {"n": n, "child_sum": child_sum, "want": wrong}
-        return None
-
-    def k_outer(n):
-        brute = laplace.expectation_from_laplace(
-            laplace.bruteforce_transform(OUTER, n))
-        wrong = Fraction(2 * n + 2, 3)
-        return (None if brute == wrong
-                else {"n": n, "enumerated": _frac(brute), "closed_form": _frac(wrong)})
-
-    def k_area(n):
-        brute = laplace.expectation_from_laplace(
-            laplace.bruteforce_transform(AREA, n, PAIR))
-        wrong = (2 * n + 1) * sum(Fraction(1, 2 * k - 1) for k in range(1, n + 1))
-        return (None if brute == wrong
-                else {"n": n, "enumerated": _frac(brute), "closed_form": _frac(wrong)})
-
-    def k_triangle(n):
+    def wrong_triangle(n_max):  # J[m][k] = J[m-1][k] + (m+1) J[m-1][k-1]
         rows = [(1,)]
-        for m in range(2, n + 1):
-            prev = rows[-1]
-            rows.append(tuple(
-                (prev[k - 1] if k <= len(prev) else 0)
-                + (m + 1) * (prev[k - 2] if 2 <= k <= len(prev) + 1 else 0)
-                for k in range(1, m + 1)))
-        got = rows[-1]
-        want = cm.stirling_by_tree_count(n).row(n)
-        if got != want:
-            k = next(i + 1 for i in range(n) if got[i] != want[i])
-            return {"n": n, "k": k, "corrupted": got[k - 1], "tree": want[k - 1]}
-        return None
+        for m in range(2, n_max + 1):
+            rows.append(tuple(a + (m + 1) * b for a, b
+                              in zip(rows[-1] + (0,), (0,) + rows[-1])))
+        return cm.StirlingTable(tuple(rows))
 
-    def k_poisson(n):
-        table = cm.stirling_by_recursion(n)
-        wrong = sum(table.value(n, k) * Fraction(1) ** k / math.factorial(k + 1)
-                    for k in range(1, n + 1))
-        want = cm.poisson_moments(1, n)[n - 1]
-        return (None if wrong == want
-                else {"n": n, "corrupted": _frac(wrong), "triangle": _frac(want)})
+    def wrong_poisson(alpha, upto):  # 1/(k+1)! where 1/k! belongs
+        table = cm.stirling_by_recursion(upto)
+        return tuple(sum(table.value(n, k) * alpha ** k / math.factorial(k + 1)
+                         for k in range(1, n + 1)) for n in range(1, upto + 1))
 
-    def twin(id_, sizes, kernel):
-        return Check(CheckSpec(id_, f"corrupted twin {id_}"), tuple(sizes),
-                     kernel)
-
-    return {
-        "cardinality": (twin("corrupt-count", range(1, 5), k_card), 1),
-        "thm16": (twin("corrupt-mean", range(2, 6), k_mean), 2),
-        "thm17": (twin("corrupt-size1", range(3, 7), k_size1), 3),
-        "lemmas": (twin("corrupt-split", range(2, 6), k_split), 2),
-        "thm110": (twin("corrupt-outer", range(1, 6), k_outer), 1),
-        "thm111": (twin("corrupt-area", range(1, 6), k_area), 1),
-        "stirling": (twin("corrupt-triangle", range(1, 6), k_triangle), 2),
-        "cumulants": (twin("corrupt-poisson", range(1, 6), k_poisson), 1),
+    twins = {
+        "cardinality": ("corrupt-count", range(1, 5), 1, _count_kernel(
+            FULL, lambda n, kind: math.factorial(n + 1) // 2 + 1)),
+        "thm16": ("corrupt-mean", range(2, 6), 2, _mean_kernel(
+            BLOCKS, FULL,  # harmonic index off by one
+            lambda n: (n - cf.harmonic(n - 1) + Fraction(3, 2)
+                       - Fraction(1, n + 1)), 1)),
+        "thm17": ("corrupt-size1", range(3, 7), 3, _mean_kernel(
+            blocks_of_size(1), FULL,
+            lambda n: (n - 3 * cf.harmonic(n) + Fraction(10, 3)
+                       - Fraction(3, n + 1)), 1)),
+        "lemmas": ("corrupt-split", range(2, 6), 2, _area_split_kernel(
+            lambda n, area: 2 * n + (2 * n + 1) * area)),
+        "thm110": ("corrupt-outer", range(1, 6), 1, _mean_kernel(
+            OUTER, FULL, lambda n: Fraction(2 * n + 2, 3), 1)),
+        "thm111": ("corrupt-area", range(1, 6), 1, _mean_kernel(
+            AREA, PAIR,
+            lambda n: (2 * n + 1) * sum(Fraction(1, 2 * k - 1)
+                                        for k in range(1, n + 1)), 1)),
+        "stirling": ("corrupt-triangle", range(1, 6), 2, _row_kernel(
+            "corrupted", wrong_triangle, "tree", cm.stirling_by_tree_count)),
+        "cumulants": ("corrupt-poisson", range(1, 5), 1,
+                      _poisson_kernel(wrong_poisson)),
     }
+    return {suite: (Check(CheckSpec(id_, f"corrupted twin {id_}"),
+                          tuple(sizes), kernel), minimal)
+            for suite, (id_, sizes, minimal, kernel) in twins.items()}
 
 
 def _k_selftest(_: int) -> Optional[dict]:
     for suite, (check, minimal) in corrupted_checks().items():
+        where = {"suite": suite, "check": check.spec.id}
         report = check.run()
         if report.status != "fail":
-            return {"suite": suite, "check": check.spec.id,
-                    "problem": "corrupted formula not caught"}
+            return {**where, "problem": "corrupted formula not caught",
+                    "status": report.status}
         try:
             minimized = counterexample_minimize(report, {check.spec.id: check})
         except NotMinimizable:
-            return {"suite": suite, "check": check.spec.id,
-                    "problem": "failure not minimizable"}
-        if minimized.witness is None or minimized.witness.get("n") != minimal:
-            return {"suite": suite, "check": check.spec.id,
-                    "problem": f"minimal witness not n={minimal}",
+            return {**where, "problem": "failure not minimizable"}
+        if minimized.witness.get("n") != minimal:
+            return {**where, "problem": f"minimal witness not n={minimal}",
                     "witness": minimized.witness}
     return None
 

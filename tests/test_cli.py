@@ -5,6 +5,8 @@ import json
 import pytest
 
 from mton import cumulants as cm
+from mton import laplace
+from mton.harness import SUITES
 from mton.cli import main
 
 
@@ -144,6 +146,9 @@ def test_verify_suite_jsonl(tmp_path, capsys):
     assert code == 0
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert all(r["status"] == "pass" for r in rows)
+    # the benchmark parses these lines: one row per check, nothing else
+    assert [r["id"] for r in rows] == list(SUITES["selftest"])
+    assert all(set(r) == {"id", "status", "witness", "elapsed"} for r in rows)
     saved = [json.loads(line) for line in target.read_text().splitlines()]
     assert saved == rows
 
@@ -166,3 +171,9 @@ def test_env_override_of_size_guard(capsys, monkeypatch):
     code, out, _ = run(capsys, "enumerate", "--n", "4", "--format", "count")
     assert code == 0
     assert out.strip() == "60"
+    # once the CLI guard admits a level, the library bound does not refuse it
+    monkeypatch.setattr(laplace, "DEFAULT_MAX_FULL", 4)
+    monkeypatch.setenv("MTON_MAX_N", "5")
+    code, _, err = run(capsys, "laplace", "--stat", "Y", "--n", "5",
+                       "--method", "brute")
+    assert code == 0, err

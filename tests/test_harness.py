@@ -33,6 +33,25 @@ def test_failing_check_stops_at_first_witness():
     assert report.witness["n"] == 4
 
 
+def test_raising_kernel_is_an_error_report_and_the_run_goes_on():
+    def kernel(n):
+        if n == 3:
+            raise ZeroDivisionError("bad denominator")
+        return None
+    broken = Check(CheckSpec("broken", "raises at n=3"), (1, 2, 3, 4), kernel)
+    reports = run_checks([broken, make_check(100)])
+    assert [r.status for r in reports] == ["error", "pass"]
+    witness = reports[0].witness
+    assert witness["n"] == 3
+    assert witness["error"] == "ZeroDivisionError: bad denominator"
+    assert any("raise ZeroDivisionError" in line
+               for line in witness["traceback"])
+    assert "1 failing" in summary_table(reports)
+    assert json.loads(reports_to_jsonl(reports).splitlines()[0]) == {
+        "id": "broken", "status": "error", "witness": witness,
+        "elapsed": round(reports[0].elapsed, 3)}
+
+
 def test_minimize_recovers_smallest_size():
     check = make_check(3)
     report = CheckReport("toy", "fail", {"n": 7, "got": 49, "want": -1}, 0.0)
@@ -89,11 +108,23 @@ def test_reports_serialize_to_json_lines():
 
 
 def test_corrupted_twins_fail_and_minimize():
-    for suite, (check, minimal) in corrupted_checks().items():
+    twins = corrupted_checks()
+    assert {suite: minimal for suite, (_, minimal) in twins.items()} == {
+        "cardinality": 1, "thm16": 2, "thm17": 3, "lemmas": 2, "thm110": 1,
+        "thm111": 1, "stirling": 2, "cumulants": 1}
+    for suite, (check, minimal) in twins.items():
         report = check.run()
         assert report.status == "fail", suite
         minimized = counterexample_minimize(report, {check.spec.id: check})
         assert minimized.witness["n"] == minimal, suite
+
+
+def test_corrupted_twins_run_their_suites_kernels():
+    # each twin is a real kernel factory fed a wrong formula, not a copy
+    checks = build_checks()
+    for suite, (twin, _) in corrupted_checks().items():
+        codes = {checks[i].kernel.__code__ for i in SUITES[suite]}
+        assert twin.kernel.__code__ in codes, suite
 
 
 def test_selftest_suite_passes():
