@@ -49,10 +49,10 @@ def main():
     print("constant cumulants alpha give the Poisson-type moments:")
     for alpha in (Fraction(1), Fraction(1, 2)):
         via_triangle = poisson_moments(alpha, 5)
-        via_partitions = moments_from_cumulants([alpha] * 5)
+        via_recurrence = moments_from_cumulants([alpha] * 5)
         print(f"  alpha={alpha}:  {list(via_triangle)}")
-        print("    triangle formula matches partition sum:",
-              via_triangle == via_partitions)
+        print("    triangle formula matches cumulant recurrence:",
+              via_triangle == via_recurrence)
 
 
 if __name__ == "__main__":

@@ -24,17 +24,17 @@ from .stats import Statistic
 from .tree import FULL, PAIR, KINDS
 
 _FORMULAS = {
-    "EY": (cf.expected_block_count, "EY"),
-    "VarY": (cf.variance_block_count, "VarY"),
-    "EY1": (cf.expected_size1_blocks, "EY1"),
-    "EY2": (cf.expected_size2_blocks, "EY2"),
-    "EY3": (cf.telescoped_size3_expectation, "EY3"),
-    "EYge3": (cf.expected_size3plus_blocks, None),
-    "EOut": (cf.expected_outer_blocks, None),
-    "EInt": (cf.expected_interval_pairs, None),
-    "EOutPair": (cf.expected_outer_pairs, "EOutPair"),
-    "EArea": (cf.expected_area, "EArea"),
-    "STotal": (cf.total_area, None),
+    "EY": cf.expected_block_count,
+    "VarY": cf.variance_block_count,
+    "EY1": cf.expected_size1_blocks,
+    "EY2": cf.expected_size2_blocks,
+    "EY3": cf.telescoped_size3_expectation,
+    "EYge3": cf.expected_size3plus_blocks,
+    "EOut": cf.expected_outer_blocks,
+    "EInt": cf.expected_interval_pairs,
+    "EOutPair": cf.expected_outer_pairs,
+    "EArea": cf.expected_area,
+    "STotal": cf.total_area,
 }
 
 
@@ -102,18 +102,20 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_laplace(args: argparse.Namespace) -> int:
     stat = Statistic.parse(args.stat)
-    msg = _guard(args.n, args.kind, args.force)
-    if msg:
-        print(msg, file=sys.stderr)
-        return 2
-    # the CLI guard alone decides the size, so the library bound follows it
+    # only brute force enumerates level n; the recursion enumerates just
+    # its seed levels, which the library bound still guards
+    max_n = args.n if args.force else _ceiling(args.kind)
     results = {}
     if args.method in ("brute", "both"):
+        msg = _guard(args.n, args.kind, args.force)
+        if msg:
+            print(msg, file=sys.stderr)
+            return 2
         results["brute"] = laplace.bruteforce_transform(
-            stat, args.n, args.kind, max_n=args.n, workers=args.workers)
+            stat, args.n, args.kind, max_n=max_n, workers=args.workers)
     if args.method in ("recursion", "both"):
         results["recursion"] = laplace.recursion_transform(
-            stat, args.n, args.kind, max_n=args.n)
+            stat, args.n, args.kind, max_n=max_n)
     if args.json:
         payload = {name: poly.to_json() for name, poly in results.items()}
         if args.method == "both":
@@ -133,19 +135,18 @@ def cmd_laplace(args: argparse.Namespace) -> int:
 
 
 def cmd_closed_form(args: argparse.Namespace) -> int:
-    fn, asym_key = _FORMULAS[args.formula]
     if args.asymptotic:
-        if asym_key is None:
+        if args.formula not in cf._VALID_ASYMPTOTIC:
             print(f"no asymptotic regime recorded for {args.formula}",
                   file=sys.stderr)
             return 2
-        report = cf.asymptotic_report(asym_key, args.n)
+        report = cf.asymptotic_report(args.formula, args.n)
         print(f"exact      {report.exact!r}")
         print(f"asymptote  {report.asymptotic!r}")
         print(f"difference {report.difference!r}")
         print(f"ratio      {report.ratio!r}")
         return 0
-    print(format_rational(fn(args.n)))
+    print(format_rational(_FORMULAS[args.formula](args.n)))
     return 0
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Union
 
 from .stats import SecondKindInput
+from .tree import FULL, _radix
 
 Rational = Union[int, Fraction]
 
@@ -155,13 +156,13 @@ def total_area(n: int) -> Fraction:
 
 
 def expectation_recursion_step(law: SecondKindInput, prev: Rational, n: int,
-                               kind: str = "full") -> Fraction:
+                               kind: str = FULL) -> Fraction:
     """One mean-update step of a second-kind statistic from level n-1 to
     n: scale by (A + alpha - beta)/A and add the insertion average,
-    where A is the child arity n+1 (full) or 2n-1 (pair)."""
+    where A is the child arity of level n-1: n+1 (full) or 2n-1 (pair)."""
     if n < 2:
         raise OutOfValidity("recursion step needs n >= 2")
-    arity = (n + 1) if kind == "full" else (2 * n - 1)
+    arity = _radix(n - 1, kind)
     prev = Fraction(prev)
     gain = Fraction(law.alpha * law.q + law.beta * (arity - law.q), arity)
     return Fraction(arity + law.alpha - law.beta, arity) * prev + gain

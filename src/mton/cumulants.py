@@ -1,11 +1,14 @@
 """Monotone moment-cumulant calculus and the ordered-count triangle.
 
-The weight of a non-crossing partition is its number of monotonic
-labellings divided by the factorial of its block count.  Moments expand
-over all non-crossing partitions with those weights; cumulants come back
-by triangular inversion.  The triangle J[n][k] counts ordered partitions
-of {1..n} with exactly k blocks and admits three independent builders
-whose agreement is part of the verification surface.
+Moments come from the monotone convolution semigroup: the moments m_n(t)
+of the law at time t satisfy dm_n/dt = sum_{k=1..n} (n-k+1) kappa_k
+m_{n-k}(t) with m_0 = 1, and the law itself sits at t = 1.  Each m_n(t)
+is a polynomial in t, so the conversion costs O(n^3) exact operations,
+and cumulants come back by the same recurrence solved for kappa_n.  The
+weighted sum over all non-crossing partitions is kept in ``reference``
+as the independent oracle.  The triangle J[n][k] counts ordered
+partitions of {1..n} with exactly k blocks and admits three independent
+builders whose agreement is part of the verification surface.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from . import laplace, reference
-from .partitions import NcPartition, nesting_parents
+from . import laplace
+from .partitions import NcPartition
 from .stats import BLOCKS
 
 Rational = Union[int, Fraction]
@@ -60,49 +63,49 @@ def ordering_count(p: NcPartition) -> int:
     return _ordering_count_blocks(p.blocks)
 
 
-def _weight(blocks) -> Fraction:
-    return Fraction(_ordering_count_blocks(blocks),
-                    math.factorial(len(blocks)))
+def _moment_polynomial(polys: Sequence[list], cums: Sequence[Fraction]) -> list:
+    """Coefficients in t of m_n(t) - kappa_n*t for n = len(polys), from
+    m_0..m_{n-1} and kappa_1..kappa_{n-1}: the integral from 0 to t of
+    sum_{k=1..n-1} (n-k+1) kappa_k m_{n-k}."""
+    n = len(polys)
+    rate = [Fraction(0)] * n
+    for k in range(1, n):
+        scale = (n - k + 1) * cums[k - 1]
+        for power, c in enumerate(polys[n - k]):
+            rate[power] += scale * c
+    return [Fraction(0)] + [c / (power + 1) for power, c in enumerate(rate)]
 
 
 def moments_from_cumulants(cumulants: Sequence[Rational],
                            upto: Optional[int] = None) -> tuple[Fraction, ...]:
-    """Moments 1..upto from cumulants, summing the weighted products
-    over all non-crossing partitions."""
+    """Moments 1..upto from cumulants, through the semigroup recurrence."""
     cums = [Fraction(c) for c in cumulants]
     upto = len(cums) if upto is None else upto
     if upto > len(cums):
         raise InsufficientCumulants(f"need {upto} cumulants, got {len(cums)}")
-    moments = []
+    polys = [[Fraction(1)]]
     for n in range(1, upto + 1):
-        total = Fraction(0)
-        for blocks in reference.noncrossing_partitions(n):
-            term = _weight(blocks)
-            for b in blocks:
-                term *= cums[len(b) - 1]
-            total += term
-        moments.append(total)
-    return tuple(moments)
+        poly = _moment_polynomial(polys, cums)
+        poly[1] += cums[n - 1]
+        polys.append(poly)
+    return tuple(sum(poly) for poly in polys[1:])
 
 
 def cumulants_from_moments(moments: Sequence[Rational],
                            upto: Optional[int] = None) -> tuple[Fraction, ...]:
-    """Cumulants 1..upto by triangular inversion of the moment expansion."""
+    """Cumulants 1..upto: moment n is kappa_n plus a polynomial in the
+    lower cumulants, so each step solves the recurrence for kappa_n."""
     moms = [Fraction(m) for m in moments]
     upto = len(moms) if upto is None else upto
     if upto > len(moms):
         raise InsufficientMoments(f"need {upto} moments, got {len(moms)}")
+    polys = [[Fraction(1)]]
     cums: list[Fraction] = []
     for n in range(1, upto + 1):
-        rest = Fraction(0)
-        for blocks in reference.noncrossing_partitions(n):
-            if len(blocks) == 1:
-                continue  # the full block carries the unknown cumulant
-            term = _weight(blocks)
-            for b in blocks:
-                term *= cums[len(b) - 1]
-            rest += term
-        cums.append(moms[n - 1] - rest)
+        poly = _moment_polynomial(polys, cums)
+        cums.append(moms[n - 1] - sum(poly))
+        poly[1] += cums[-1]
+        polys.append(poly)
     return tuple(cums)
 
 

@@ -396,10 +396,14 @@ def _triangle_row(n: int) -> tuple[int, ...]:
     return cm.stirling_by_recursion(n).row(n)
 
 
-def _k_roundtrip(index: int) -> Optional[dict]:
+def _seeded_sequence(index: int, length: int) -> list[Fraction]:
     rng = random.Random(20260823 + index)
-    seq = [Fraction(rng.randint(-50, 50), rng.randint(1, 30))
-           for _ in range(8)]
+    return [Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+            for _ in range(length)]
+
+
+def _k_roundtrip(index: int) -> Optional[dict]:
+    seq = _seeded_sequence(index, 8)
     back = cm.cumulants_from_moments(cm.moments_from_cumulants(seq))
     fwd = cm.moments_from_cumulants(cm.cumulants_from_moments(seq))
     if list(back) != seq or list(fwd) != seq:
@@ -424,14 +428,15 @@ _POISSON_ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1))
 def _poisson_kernel(triangle_moments: Callable[[Fraction, int], tuple]):
     def kernel(index: int) -> Optional[dict]:
         alpha = _POISSON_ALPHAS[index - 1]
-        direct = triangle_moments(alpha, 8)
-        viaset = cm.moments_from_cumulants([alpha] * 8)
-        if direct != viaset:
+        direct = triangle_moments(alpha, 20)
+        recurred = cm.moments_from_cumulants([alpha] * 20)
+        if direct != recurred:
             return {"n": index, "alpha": format_rational(alpha),
                     "triangle": [format_rational(v) for v in direct],
-                    "partition_sum": [format_rational(v) for v in viaset]}
+                    "recurrence": [format_rational(v) for v in recurred]}
         return None
     return kernel
+
 
 
 def _k_hook_vs_filter(n: int) -> Optional[dict]:
@@ -629,7 +634,7 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
         mk("small-identities", "frozen order-3 moment/cumulant identities",
            [3], _k_small_identities),
         mk("poisson-constant",
-           "triangle moments equal constant-cumulant moments to order 8",
+           "triangle moments equal constant-cumulant moments to order 20",
            range(1, 5), _poisson_kernel(cm.poisson_moments)),
         mk("hook-vs-filter",
            "forest hook-length ordering count vs permutation filter",
@@ -640,6 +645,14 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
         mk("ordering-sum", "ordering counts over NC(n) sum to (n+1)!/2",
            range(1, 10), _factorial_sum_kernel("sum", lambda n: map(
                cm._ordering_count_blocks, reference.noncrossing_partitions(n)))),
+        mk("moments-partition-sum",
+           "semigroup-recurrence moment n equals the weighted NC(n) sum",
+           range(1, 9), _forms_kernel(
+               "recurrence",
+               lambda n: cm.moments_from_cumulants(_seeded_sequence(n, n))[-1],
+               "partition_sum",
+               lambda n: reference.moments_by_partition_sum(
+                   _seeded_sequence(n, n))[-1])),
 
         mk("harness-selftest",
            "every suite's corrupted twin fails and minimizes",
@@ -668,7 +681,8 @@ SUITES: dict[str, tuple[str, ...]] = {
                  "triangle-recursion-closed", "triangle-row-sums",
                  "triangle-poly-identity"),
     "cumulants": ("roundtrip-random", "small-identities", "poisson-constant",
-                  "hook-vs-filter", "ordering-ratio", "ordering-sum"),
+                  "hook-vs-filter", "ordering-ratio", "ordering-sum",
+                  "moments-partition-sum"),
     "selftest": ("harness-selftest",),
 }
 

@@ -206,8 +206,8 @@ def recurse_second_kind(law: SecondKindInput, seed: ExactPolynomial,
 
     ``seed`` is the level-1 transform.  The step multiplies by
     q*t^alpha + (children - q)*t^beta and adds (t^(alpha+1) -
-    t^(beta+1)) times the derivative, where children counts the level's
-    child arity (m+1 on the full tree, 2m-1 on the pair tree).
+    t^(beta+1)) times the derivative, where children is the child count
+    of a level m-1 node (m+1 on the full tree, 2m-1 on the pair tree).
     """
     if n < 1:
         raise ValueError("level must be >= 1")
@@ -217,7 +217,7 @@ def recurse_second_kind(law: SecondKindInput, seed: ExactPolynomial,
     deriv_factor = (ExactPolynomial.monomial(law.alpha + 1)
                     - ExactPolynomial.monomial(law.beta + 1))
     for m in range(2, n + 1):
-        arity = (m + 1) if kind == FULL else (2 * m - 1)
+        arity = tree._radix(m - 1, kind)
         mult = t_a.scaled(law.q) + t_b.scaled(arity - law.q)
         cur = mult * cur + deriv_factor * cur.derivative()
     return cur

@@ -3,15 +3,20 @@
 Nothing here touches the tree walk: non-crossing partitions come from an
 interval-splitting recursion on the block of 1, pair-partitions from a
 first-point pairing recursion, and monotonic labellings from filtering
-all label permutations against the nesting condition.  Deliberately
-separate code paths so agreement with the tree enumeration is evidence,
-not tautology.
+all label permutations against the nesting condition.  Moments of given
+monotone cumulants come from the Catalan-time weighted sum over all
+non-crossing partitions, a second route to the library's semigroup
+recurrence.  Deliberately separate code paths so agreement with the
+library is evidence, not tautology.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from typing import Optional, Sequence
 
 Blocks = tuple[tuple[int, ...], ...]
 
@@ -99,6 +104,27 @@ def monotonic_orderings(blocks: Blocks) -> list[Blocks]:
 def ordering_count(blocks: Blocks) -> int:
     """Number of monotonic label orders, by the permutation filter."""
     return len(monotonic_orderings(blocks))
+
+
+def moments_by_partition_sum(cumulants: Sequence, upto: Optional[int] = None
+                             ) -> tuple[Fraction, ...]:
+    """Moments 1..upto of the given monotone cumulants: the sum over
+    NC(n) of the products of block cumulants, each partition weighted
+    by its filtered ordering count over k! for its k blocks."""
+    cums = [Fraction(c) for c in cumulants]
+    upto = len(cums) if upto is None else upto
+    if upto > len(cums):
+        raise ValueError(f"need {upto} cumulants, got {len(cums)}")
+    moments = []
+    for n in range(1, upto + 1):
+        total = Fraction(0)
+        for blocks in noncrossing_partitions(n):
+            term = Fraction(ordering_count(blocks), math.factorial(len(blocks)))
+            for b in blocks:
+                term *= cums[len(b) - 1]
+            total += term
+        moments.append(total)
+    return tuple(moments)
 
 
 def ordered_partitions_by_filter(n: int) -> set[Blocks]:

@@ -81,7 +81,7 @@ def test_criterion_09_triangle_cumulants(registry):
             "triangle-recursion-closed", "triangle-row-sums",
             "triangle-poly-identity", "hook-vs-filter", "ordering-ratio",
             "ordering-sum", "roundtrip-random", "small-identities",
-            "poisson-constant")
+            "poisson-constant", "moments-partition-sum")
 
 
 @pytest.mark.criterion(10, "large-n regimes within stated tolerances")

@@ -8,6 +8,7 @@ from mton import cumulants as cm
 from mton import laplace
 from mton.harness import SUITES
 from mton.cli import main
+from mton.polynomials import format_rational
 
 
 def run(capsys, *argv):
@@ -69,6 +70,20 @@ def test_laplace_json(capsys):
     assert payload["brute"] == {"coeffs": {"2": "2", "4": "1"}}
 
 
+def test_laplace_recursion_is_not_held_to_the_enumeration_bound(capsys):
+    code, out, err = run(capsys, "laplace", "--stat", "Y", "--n", "50",
+                         "--method", "recursion")
+    assert code == 0, err
+    code, forced, _ = run(capsys, "laplace", "--stat", "Y", "--n", "50",
+                          "--method", "recursion", "--force")
+    assert out == forced
+    # the seeds of Y12 reach level 13, past the library bound of 10
+    code, _, err = run(capsys, "laplace", "--stat", "Y12", "--n", "13",
+                       "--method", "recursion")
+    assert code == 2
+    assert "13" in err
+
+
 def test_laplace_rejects_mismatched_stat_kind(capsys):
     code, _, err = run(capsys, "laplace", "--stat", "Area", "--n", "3")
     assert code == 2
@@ -86,6 +101,11 @@ def test_closed_form_asymptotic(capsys):
                        "--n", "10000", "--asymptotic")
     assert code == 0
     assert "difference" in out
+    code, out, err = run(capsys, "closed-form", "--formula", "EOut",
+                         "--n", "200", "--asymptotic")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "no asymptotic regime recorded for EOut"
 
 
 def test_closed_form_out_of_validity(capsys):
@@ -101,6 +121,11 @@ def test_cumulants_round_trip(capsys):
     code, out, _ = run(capsys, "cumulants", "--from-cumulants", "1,1,3/2")
     assert code == 0
     assert out.strip() == "moments 1,2,5"
+    code, out, _ = run(capsys, "cumulants", "--from-cumulants",
+                       ",".join("1" * 30))
+    assert code == 0
+    assert out.strip() == "moments " + ",".join(
+        format_rational(v) for v in cm.poisson_moments(1, 30))
 
 
 def test_stirling_rows(capsys):
