@@ -438,7 +438,6 @@ def _poisson_kernel(triangle_moments: Callable[[Fraction, int], tuple]):
     return kernel
 
 
-
 def _k_hook_vs_filter(n: int) -> Optional[dict]:
     for blocks in reference.noncrossing_partitions(n):
         fast = cm._ordering_count_blocks(blocks)

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import Optional, Sequence
+from typing import Sequence
 
 Blocks = tuple[tuple[int, ...], ...]
 
@@ -106,17 +106,13 @@ def ordering_count(blocks: Blocks) -> int:
     return len(monotonic_orderings(blocks))
 
 
-def moments_by_partition_sum(cumulants: Sequence, upto: Optional[int] = None
-                             ) -> tuple[Fraction, ...]:
-    """Moments 1..upto of the given monotone cumulants: the sum over
-    NC(n) of the products of block cumulants, each partition weighted
+def moments_by_partition_sum(cumulants: Sequence) -> tuple[Fraction, ...]:
+    """Moments 1..len(cumulants) of the given monotone cumulants: the sum
+    over NC(n) of the products of block cumulants, each partition weighted
     by its filtered ordering count over k! for its k blocks."""
     cums = [Fraction(c) for c in cumulants]
-    upto = len(cums) if upto is None else upto
-    if upto > len(cums):
-        raise ValueError(f"need {upto} cumulants, got {len(cums)}")
     moments = []
-    for n in range(1, upto + 1):
+    for n in range(1, len(cums) + 1):
         total = Fraction(0)
         for blocks in noncrossing_partitions(n):
             term = Fraction(ordering_count(blocks), math.factorial(len(blocks)))
