@@ -112,7 +112,7 @@ def cmd_laplace(args: argparse.Namespace) -> int:
             print(msg, file=sys.stderr)
             return 2
         results["brute"] = laplace.bruteforce_transform(
-            stat, args.n, args.kind, max_n=max_n, workers=args.workers)
+            stat, args.n, args.kind, max_n=max_n)
     if args.method in ("recursion", "both"):
         results["recursion"] = laplace.recursion_transform(
             stat, args.n, args.kind, max_n=max_n)
@@ -194,8 +194,7 @@ def cmd_poisson(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    reports = harness.run_suite(args.suite, deep=args.deep,
-                                workers=args.threads)
+    reports = harness.run_suite(args.suite, deep=args.deep)
     if args.json:
         print(harness.reports_to_jsonl(reports))
     else:
@@ -237,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--method", choices=("brute", "recursion", "both"),
                    default="both")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_laplace)
 
@@ -273,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=harness.suite_names(), default="all")
     p.add_argument("--deep", action="store_true",
                    help="raise the enumeration bounds by one level")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for the big scans")
     p.add_argument("--json", action="store_true",
                    help="print reports as JSON lines")
     p.add_argument("--out", default=None, help="also write JSON lines here")

@@ -81,6 +81,8 @@ def moments_from_cumulants(cumulants: Sequence[Rational],
     """Moments 1..upto from cumulants, through the semigroup recurrence."""
     cums = [Fraction(c) for c in cumulants]
     upto = len(cums) if upto is None else upto
+    if upto < 0:
+        raise ValueError(f"upto must be >= 0, got {upto}")
     if upto > len(cums):
         raise InsufficientCumulants(f"need {upto} cumulants, got {len(cums)}")
     polys = [[Fraction(1)]]
@@ -97,6 +99,8 @@ def cumulants_from_moments(moments: Sequence[Rational],
     lower cumulants, so each step solves the recurrence for kappa_n."""
     moms = [Fraction(m) for m in moments]
     upto = len(moms) if upto is None else upto
+    if upto < 0:
+        raise ValueError(f"upto must be >= 0, got {upto}")
     if upto > len(moms):
         raise InsufficientMoments(f"need {upto} moments, got {len(moms)}")
     polys = [[Fraction(1)]]
@@ -164,15 +168,14 @@ def stirling_by_closed_form(n_max: int) -> StirlingTable:
     return StirlingTable(tuple(rows))
 
 
-def stirling_by_tree_count(n_max: int, max_n: Optional[int] = None,
-                           workers: int = 1) -> StirlingTable:
+def stirling_by_tree_count(n_max: int,
+                           max_n: Optional[int] = None) -> StirlingTable:
     """J[n][k] read off the enumerated block-count transforms."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rows = []
     for n in range(1, n_max + 1):
-        poly = laplace.bruteforce_transform(BLOCKS, n, max_n=max_n,
-                                            workers=workers)
+        poly = laplace.bruteforce_transform(BLOCKS, n, max_n=max_n)
         rows.append(tuple(int(poly.coefficient(k)) for k in range(1, n + 1)))
     return StirlingTable(tuple(rows))
 

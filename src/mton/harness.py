@@ -115,9 +115,9 @@ def _poly_diff_witness(n: int, got: ExactPolynomial,
             "want": format_rational(want.coefficient(bad)), **extra}
 
 
-def _mean_kernel(stat: Statistic, kind: str, closed, workers: int):
+def _mean_kernel(stat: Statistic, kind: str, closed):
     def kernel(n: int) -> Optional[dict]:
-        poly = laplace.bruteforce_transform(stat, n, kind, workers=workers)
+        poly = laplace.bruteforce_transform(stat, n, kind)
         brute = laplace.expectation_from_laplace(poly)
         want = closed(n)
         if brute != want:
@@ -128,11 +128,10 @@ def _mean_kernel(stat: Statistic, kind: str, closed, workers: int):
     return kernel
 
 
-def _recursion_kernel(chosen: Sequence[Statistic], kind: str, workers: int):
+def _recursion_kernel(chosen: Sequence[Statistic], kind: str):
     def kernel(n: int) -> Optional[dict]:
         for stat in chosen:
-            brute = laplace.bruteforce_transform(stat, n, kind,
-                                                 workers=workers)
+            brute = laplace.bruteforce_transform(stat, n, kind)
             rec = laplace.recursion_transform(stat, n, kind)
             if brute != rec:
                 return _poly_diff_witness(n, rec, brute, stat=stat.name)
@@ -281,10 +280,10 @@ def _total(poly: ExactPolynomial) -> Fraction:
 
 def _readout_kernel(stat: Statistic, kind: str,
                     readout: Callable[[ExactPolynomial], Fraction],
-                    closed, alt, workers: int):
+                    closed, alt):
     # a readout of the enumerated transform vs two closed forms of it
     def kernel(n: int) -> Optional[dict]:
-        poly = laplace.bruteforce_transform(stat, n, kind, workers=workers)
+        poly = laplace.bruteforce_transform(stat, n, kind)
         got, want = readout(poly), closed(n)
         if got != want or got != alt(n):
             return {"n": n, "enumerated": format_rational(got),
@@ -462,7 +461,7 @@ def _k_ordering_ratio(n: int) -> Optional[dict]:
 # ---------------------------------------------------------------------------
 # registry
 
-def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
+def build_checks(deep: bool = False) -> dict[str, Check]:
     b_full = 10 if deep else 9
     b_pair = 8 if deep else 7
     b_outer = 9 if deep else 8
@@ -481,23 +480,23 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
 
         mk("block-count-mean", "enumerated mean block count vs closed form",
            range(2, b_full + 1),
-           _mean_kernel(BLOCKS, FULL, cf.expected_block_count, workers)),
+           _mean_kernel(BLOCKS, FULL, cf.expected_block_count)),
         mk("block-count-variance",
            "enumerated block-count variance vs both closed forms",
            range(2, b_full + 1), _readout_kernel(
                BLOCKS, FULL, laplace.variance_from_laplace,
-               cf.variance_block_count, cf.variance_block_count_alt, workers)),
+               cf.variance_block_count, cf.variance_block_count_alt)),
         mk("block-count-spot", "frozen level-3 mean 29/12 and variance 59/144",
            [3], _spot_kernel(BLOCKS, FULL, "variance",
                              laplace.variance_from_laplace,
                              (Fraction(29, 12), Fraction(59, 144)))),
         mk("product-form",
            "block-count transform equals t(1+2t)...(1+nt)",
-           range(1, b_full + 1), _product_kernel(partial(
-               laplace.bruteforce_transform, BLOCKS, workers=workers))),
+           range(1, b_full + 1), _product_kernel(
+               partial(laplace.bruteforce_transform, BLOCKS))),
         mk("block-count-recursion",
            "block-count transform recursion vs enumeration",
-           range(1, b_full + 1), _recursion_kernel((BLOCKS,), FULL, workers)),
+           range(1, b_full + 1), _recursion_kernel((BLOCKS,), FULL)),
         mk("variance-forms", "the two printed variance forms agree",
            range(2, 10001), _forms_kernel(
                "direct", cf.variance_block_count,
@@ -510,16 +509,13 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
 
         mk("size1-mean", "enumerated mean singleton count vs closed form",
            range(3, b_full + 1),
-           _mean_kernel(blocks_of_size(1), FULL, cf.expected_size1_blocks,
-                        workers)),
+           _mean_kernel(blocks_of_size(1), FULL, cf.expected_size1_blocks)),
         mk("size2-mean", "enumerated mean two-block count vs closed form",
            range(4, b_full + 1),
-           _mean_kernel(blocks_of_size(2), FULL, cf.expected_size2_blocks,
-                        workers)),
+           _mean_kernel(blocks_of_size(2), FULL, cf.expected_size2_blocks)),
         mk("size3plus-mean", "enumerated mean of >=3 blocks vs closed form",
            range(4, b_full + 1),
-           _mean_kernel(LARGE_BLOCKS, FULL, cf.expected_size3plus_blocks,
-                        workers)),
+           _mean_kernel(LARGE_BLOCKS, FULL, cf.expected_size3plus_blocks)),
         mk("size-decomposition",
            "closed forms: whole mean equals sum of size parts",
            range(4, 1001), _forms_kernel(
@@ -528,7 +524,7 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
                           + cf.expected_size3plus_blocks(n)))),
         mk("tally-recursions",
            "size-count transform recursions vs enumeration",
-           range(1, b_full + 1), _recursion_kernel(_SIX[1:], FULL, workers)),
+           range(1, b_full + 1), _recursion_kernel(_SIX[1:], FULL)),
         mk("seed-resolution",
            "level-3 singleton transform settles to 6t^3 + 5t + 1",
            [3], _k_seed_resolution),
@@ -550,32 +546,31 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
 
         mk("outer-full-mean", "enumerated mean outer count vs (2n+1)/3",
            range(1, b_outer + 1),
-           _mean_kernel(OUTER, FULL, cf.expected_outer_blocks, workers)),
+           _mean_kernel(OUTER, FULL, cf.expected_outer_blocks)),
         mk("outer-full-recursion",
            "outer-count transform recursion vs enumeration (full tree)",
-           range(1, b_outer + 1), _recursion_kernel((OUTER,), FULL, workers)),
+           range(1, b_outer + 1), _recursion_kernel((OUTER,), FULL)),
         mk("outer-full-subsets",
            "outer-count insertion law clauses on every full-tree parent",
            range(2, b_outer + 1), _subset_kernel(OUTER, FULL)),
         mk("interval-pair-mean",
            "enumerated mean interval-pair count vs (2n+1)/3",
            range(1, b_pair + 1),
-           _mean_kernel(INTERVAL_PAIRS, PAIR, cf.expected_interval_pairs,
-                        workers)),
+           _mean_kernel(INTERVAL_PAIRS, PAIR, cf.expected_interval_pairs)),
         mk("interval-pair-recursion",
            "interval-pair transform recursion vs enumeration",
            range(1, b_pair + 1),
-           _recursion_kernel((INTERVAL_PAIRS,), PAIR, workers)),
+           _recursion_kernel((INTERVAL_PAIRS,), PAIR)),
         mk("interval-pair-subsets",
            "interval-pair insertion law clauses on every pair-tree parent",
            range(2, b_pair + 1), _subset_kernel(INTERVAL_PAIRS, PAIR)),
         mk("outer-pair-mean",
            "enumerated mean outer count vs 2^n n!/(2n-1)!! - 1",
            range(1, b_pair + 1),
-           _mean_kernel(OUTER, PAIR, cf.expected_outer_pairs, workers)),
+           _mean_kernel(OUTER, PAIR, cf.expected_outer_pairs)),
         mk("outer-pair-recursion",
            "outer-count transform recursion vs enumeration (pair tree)",
-           range(1, b_pair + 1), _recursion_kernel((OUTER,), PAIR, workers)),
+           range(1, b_pair + 1), _recursion_kernel((OUTER,), PAIR)),
         mk("outer-pair-subsets",
            "outer-count insertion law clauses on every pair-tree parent",
            range(2, b_pair + 1), _subset_kernel(OUTER, PAIR)),
@@ -597,12 +592,11 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
         mk("area-mean",
            "enumerated mean area vs (2n+1) sum 1/(2k+1)",
            range(1, b_pair + 1),
-           _mean_kernel(AREA, PAIR, cf.expected_area, workers)),
+           _mean_kernel(AREA, PAIR, cf.expected_area)),
         mk("area-total", "summed area vs (2n+1)!! partial odd harmonic",
            range(1, b_pair + 1), _readout_kernel(
                AREA, PAIR, _total, cf.total_area,
-               lambda n: cf.expected_area(n) * cf.double_factorial_odd(n),
-               workers)),
+               lambda n: cf.expected_area(n) * cf.double_factorial_odd(n))),
         mk("area-spot", "frozen pair level 2: mean 8/3, total 8",
            [2], _spot_kernel(AREA, PAIR, "total", _total, (Fraction(8, 3), 8))),
         mk("area-asymptote",
@@ -614,7 +608,7 @@ def build_checks(deep: bool = False, workers: int = 1) -> dict[str, Check]:
         mk("triangle-tree-recursion",
            "triangle from enumeration vs recursion",
            range(1, 10), _row_kernel(
-               "tree", partial(cm.stirling_by_tree_count, workers=workers),
+               "tree", cm.stirling_by_tree_count,
                "recursion", cm.stirling_by_recursion)),
         mk("triangle-recursion-closed",
            "triangle recursion vs increasing-products closed form",
@@ -690,8 +684,8 @@ def suite_names() -> list[str]:
     return ["all"] + list(SUITES)
 
 
-def run_suite(name: str, deep: bool = False, workers: int = 1) -> list[CheckReport]:
-    checks = build_checks(deep, workers)
+def run_suite(name: str, deep: bool = False) -> list[CheckReport]:
+    checks = build_checks(deep)
     if name == "all":
         ids = [i for ids in SUITES.values() for i in ids]
     elif name in SUITES:
@@ -726,19 +720,19 @@ def corrupted_checks() -> dict[str, tuple[Check, int]]:
         "thm16": ("corrupt-mean", range(2, 6), 2, _mean_kernel(
             BLOCKS, FULL,  # harmonic index off by one
             lambda n: (n - cf.harmonic(n - 1) + Fraction(3, 2)
-                       - Fraction(1, n + 1)), 1)),
+                       - Fraction(1, n + 1)))),
         "thm17": ("corrupt-size1", range(3, 7), 3, _mean_kernel(
             blocks_of_size(1), FULL,
             lambda n: (n - 3 * cf.harmonic(n) + Fraction(10, 3)
-                       - Fraction(3, n + 1)), 1)),
+                       - Fraction(3, n + 1)))),
         "lemmas": ("corrupt-split", range(2, 6), 2, _area_split_kernel(
             lambda n, area: 2 * n + (2 * n + 1) * area)),
         "thm110": ("corrupt-outer", range(1, 6), 1, _mean_kernel(
-            OUTER, FULL, lambda n: Fraction(2 * n + 2, 3), 1)),
+            OUTER, FULL, lambda n: Fraction(2 * n + 2, 3))),
         "thm111": ("corrupt-area", range(1, 6), 1, _mean_kernel(
             AREA, PAIR,
             lambda n: (2 * n + 1) * sum(Fraction(1, 2 * k - 1)
-                                        for k in range(1, n + 1)), 1)),
+                                        for k in range(1, n + 1)))),
         "stirling": ("corrupt-triangle", range(1, 6), 2, _row_kernel(
             "corrupted", wrong_triangle, "tree", cm.stirling_by_tree_count)),
         "cumulants": ("corrupt-poisson", range(1, 5), 1,

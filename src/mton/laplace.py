@@ -8,14 +8,13 @@ The recursions rebuild the same polynomials from small seeds through the
 certified transition laws; agreement between the two routes is what the
 verification suites check.
 
-Scans can be sharded by leaf-rank ranges: an interior node is tallied by
-the shard owning its leftmost descendant leaf, so shard results merge by
-plain addition and the totals are independent of the shard layout.
+The scan never consults the counting formula: the walk stops when every
+digit is exhausted, so its per-level totals are independent evidence for
+:func:`tree.level_count`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -56,49 +55,30 @@ def _pair_key(blocks):
     return (len(outer), ints, area)
 
 
-def scan_chunk(kind: str, depth: int, lo: int, hi: int) -> dict[int, Counter]:
-    """Tally composite statistic keys for all walk nodes owned by the
-    leaf-rank range [lo, hi); keyed by level."""
+def scan_chunk(kind: str, depth: int) -> dict[int, Counter]:
+    """Tally composite statistic keys for every walk node down to depth,
+    keyed by level: each node is tallied once, at its leftmost leaf."""
     key_of = _full_key if kind == FULL else _pair_key
     hist: dict[int, Counter] = {level: Counter() for level in range(1, depth + 1)}
-    if lo >= hi:
-        return hist
-    tallies = [hist[level] for level in range(1, depth + 1)]
+    tallies = list(hist.values())
     path: list = []
-    for fresh in _walk(path, depth, kind, lo, hi - lo):
+    for fresh in _walk(path, depth, kind):
         for i in range(fresh, depth):
             tallies[i][key_of(path[i])] += 1
     return hist
 
 
-def _merge(parts: Sequence[dict[int, Counter]]) -> dict[int, Counter]:
-    out: dict[int, Counter] = {}
-    for part in parts:
-        for level, counter in part.items():
-            if level in out:
-                out[level].update(counter)
-            else:
-                out[level] = Counter(counter)
-    return out
-
-
 _scan_cache: dict[str, tuple[int, dict[int, Counter]]] = {}
 
 
-def level_histograms(kind: str, depth: int, workers: int = 1) -> dict[int, Counter]:
+def level_histograms(kind: str, depth: int) -> dict[int, Counter]:
     """Composite-key histograms for every level <= depth, cached per kind."""
+    if depth < 1:  # a warm cache would otherwise answer with no levels
+        raise ValueError(f"depth must be >= 1, got {depth}")
     cached = _scan_cache.get(kind)
     if cached and cached[0] >= depth:
         return {level: cached[1][level] for level in range(1, depth + 1)}
-    total = tree.level_count(depth, kind)
-    if workers <= 1 or total < 10000:
-        hist = scan_chunk(kind, depth, 0, total)
-    else:
-        shards = workers * 4
-        bounds = [total * i // shards for i in range(shards + 1)]
-        jobs = [(kind, depth, bounds[i], bounds[i + 1]) for i in range(shards)]
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            hist = _merge(pool.starmap(scan_chunk, jobs))
+    hist = scan_chunk(kind, depth)
     _scan_cache[kind] = (depth, hist)
     return hist
 
@@ -144,11 +124,10 @@ def _guard(n: int, kind: str, max_n: Optional[int]) -> None:
 
 
 def bruteforce_transform(stat: Statistic, n: int, kind: str = FULL,
-                         max_n: Optional[int] = None,
-                         workers: int = 1) -> ExactPolynomial:
+                         max_n: Optional[int] = None) -> ExactPolynomial:
     """Exact level-n transform by exhaustive enumeration."""
     _guard(n, kind, max_n)
-    hist = level_histograms(kind, n, workers)[n]
+    hist = level_histograms(kind, n)[n]
     counts: Counter = Counter()
     for key, mult in hist.items():
         counts[_stat_from_key(stat, kind, n, key)] += mult

@@ -19,7 +19,10 @@ class NegativeExponent(ValueError):
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or plain integer strings."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
 def format_rational(value: Rational) -> str:

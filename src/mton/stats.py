@@ -268,15 +268,15 @@ def write_stats_csv(out: TextIO, n: int, kind: str,
                     stats: Iterable[Statistic]) -> None:
     """One row per ordered partition in rank order, then an exact-mean row."""
     stats = list(stats)
+    # rejects a bad depth or kind before any output is written
+    count = tree.level_count(n, kind)
     writer = csv.writer(out)
     writer.writerow(["rank", "n"] + [s.name for s in stats])
     totals = [0] * len(stats)
-    count = 0
     for rank, op in enumerate(tree.iter_level(n, kind)):
         values = [evaluate(s, op) for s in stats]
         for i, v in enumerate(values):
             totals[i] += v
-        count += 1
         writer.writerow([rank, n] + values)
     means = [format_rational(Fraction(t, count)) for t in totals]
     writer.writerow(["mean", n] + means)

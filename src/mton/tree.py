@@ -310,6 +310,9 @@ def _walk(path: list, n: int, kind: str, start: int = 0,
     ``count`` nodes, or, when ``count`` is None, once every digit is at
     its maximum.
     """
+    _require_kind(kind)
+    if n < 1:
+        raise ValueError(f"depth must be >= 1, got {n}")
     digits = _digits_from_rank(start, n, kind)
     path[:] = [((1,),) if kind == FULL else ((1, 2),)]
     for depth, d in enumerate(digits, start=1):
@@ -342,7 +345,6 @@ def iter_level(n: int, kind: str = FULL, start: int = 0,
     Iterative depth-first walk over the digit word; memory stays O(n)
     beyond the yielded element, and each yield costs amortized O(n).
     """
-    _require_kind(kind)
     total = level_count(n, kind)
     stop = total if stop is None else stop
     if not 0 <= start <= stop <= total:
@@ -362,7 +364,6 @@ def stream_level(n: int, kind: str = FULL) -> Iterator[OrderedNcPartition]:
     the walk ends when every digit sits at its maximum, so the number of
     nodes produced is independent evidence for :func:`level_count`.
     """
-    _require_kind(kind)
     ground = n if kind == FULL else 2 * n
     path: list = []
     for _ in _walk(path, n, kind):

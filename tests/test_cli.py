@@ -138,7 +138,7 @@ def test_stirling_check_caps_the_exponential_tables(capsys, monkeypatch):
     asked = {}
 
     def recording(name):
-        def table(n_max, workers=1):
+        def table(n_max):
             asked[name] = n_max
             return cm.stirling_by_recursion(n_max)
         return table
@@ -185,6 +185,24 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["laplace", "--n", "3"])
     assert exc.value.code == 2
+
+
+def test_depth_below_one_is_a_usage_error(capsys):
+    for argv in (("enumerate", "--n", "0", "--format", "count"),
+                 ("enumerate", "--n", "0", "--kind", "pair", "--format", "count"),
+                 ("stats", "--n", "0")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: depth must be >= 1"), argv
+
+
+def test_bad_rational_or_negative_upto_is_a_usage_error(capsys):
+    for argv in (("cumulants", "--from-moments", "1,1/0"),
+                 ("poisson", "--alpha", "1/0", "--upto", "3"),
+                 ("cumulants", "--from-moments", "1,2", "--upto", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
 
 
 def test_env_override_of_size_guard(capsys, monkeypatch):

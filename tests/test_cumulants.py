@@ -112,6 +112,10 @@ def test_upto_truncation():
         cm.moments_from_cumulants([Fraction(1)], upto=3)
     with pytest.raises(cm.InsufficientMoments):
         cm.cumulants_from_moments([Fraction(1)], upto=2)
+    assert cm.moments_from_cumulants(seq, upto=0) == ()
+    for convert in (cm.moments_from_cumulants, cm.cumulants_from_moments):
+        with pytest.raises(ValueError, match="upto must be >= 0"):
+            convert(seq, upto=-1)
 
 
 def test_triangle_frozen_rows():

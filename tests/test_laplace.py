@@ -1,6 +1,8 @@
-"""Level transforms: enumeration, recursions, caches, sharding."""
+"""Level transforms: enumeration, recursions, caches."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ from mton.laplace import (InsufficientSeed, SizeBoundExceeded, ZeroPolynomial,
 from mton.polynomials import ExactPolynomial, NegativeExponent
 from mton.stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
                         SecondKindInput, blocks_of_size)
-from mton.tree import FULL, PAIR, encode, level_count, unrank
+from mton.tree import FULL, PAIR, level_count
 
 
 def test_frozen_block_count_transforms():
@@ -87,6 +89,10 @@ def test_size_guard():
     # explicit override allows it (kept tiny here)
     poly = bruteforce_transform(BLOCKS, 4, max_n=4)
     assert poly.evaluate(1) == level_count(4, FULL)
+    # a warm scan cache must not answer depth 0 with a missing level
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            bruteforce_transform(BLOCKS, n)
 
 
 def test_zero_polynomial_moments():
@@ -101,21 +107,27 @@ def test_variance_from_frozen_transform():
     assert variance_from_laplace(poly) == Fraction(59, 144)
 
 
-def test_shard_merge_equals_full_scan():
+def test_scan_tallies_every_node_once():
     for kind, depth in ((FULL, 6), (PAIR, 5)):
-        laplace.clear_scan_cache()
-        whole = level_histograms(kind, depth)
+        whole = scan_chunk(kind, depth)
+        assert set(whole) == set(range(1, depth + 1))
         for level, counter in whole.items():
+            # the walk stops on digit exhaustion, so these totals are
+            # evidence for the counting formula, not read from it
             assert sum(counter.values()) == level_count(level, kind)
-        total = level_count(depth, kind)
-        ragged = 2 * total // 3 + 5
-        # a shard starting mid-sibling-run owns none of its seed path's
-        # interior nodes; one-leaf shards own at most their own path
-        assert encode(unrank(ragged, depth, kind), kind).digits[-1] != 0
-        cuts = [0, 1, total // 3, ragged, ragged + 1, total - 1, total]
-        parts = [scan_chunk(kind, depth, cuts[i], cuts[i + 1])
-                 for i in range(len(cuts) - 1)]
-        assert laplace._merge(parts) == whole, kind
+            if level < depth:
+                assert counter == scan_chunk(kind, level)[level], (kind, level)
+
+
+def test_scan_is_one_serial_walk():
+    imported = set()
+    for node in ast.walk(ast.parse(Path(laplace.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.update(alias.name.split("."))
+    assert not imported & {"multiprocessing", "concurrent"}
 
 
 def test_scan_cache_serves_shallower_depths():

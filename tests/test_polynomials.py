@@ -74,6 +74,8 @@ def test_json_round_trip():
 def test_rational_text_helpers():
     assert parse_rational("5/3") == Fraction(5, 3)
     assert parse_rational("-2") == Fraction(-2)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
     assert format_rational(Fraction(8, 4)) == "2"
     assert format_rational(Fraction(23, 12)) == "23/12"
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mton import reference
+from mton import reference, tree
 from mton.tree import (FULL, PAIR, DigitOutOfRange, OrderedNcPartition,
                        RankOutOfRange, RootHasNoParent, TreeCode, children,
                        decode, encode, full_root, iter_level, level_count,
@@ -127,6 +127,15 @@ def test_stream_level_terminates_without_formula():
         assert sum(1 for _ in stream_level(n, FULL)) == level_count(n, FULL)
     for n in range(1, 6):
         assert sum(1 for _ in stream_level(n, PAIR)) == level_count(n, PAIR)
+
+
+def test_stream_level_rejects_depths_below_one(monkeypatch):
+    # the check must not come from the counting formula
+    monkeypatch.setattr(tree, "level_count", None)
+    for kind in (FULL, PAIR):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="depth must be >= 1"):
+                next(stream_level(n, kind))
 
 
 def test_rank_out_of_range():
