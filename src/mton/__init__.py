@@ -26,7 +26,8 @@ from .stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
                     SecondKindInput, Statistic, VerificationFailed, area,
                     blocks_of_size, certify_first_kind, certify_second_kind,
                     core_child_digits, dyck_path, evaluate, first_kind_input,
-                    path_area, second_kind_input, write_stats_csv)
+                    path_area, second_kind_input, stats_table,
+                    write_stats_csv)
 from .laplace import (InsufficientSeed, SizeBoundExceeded, ZeroPolynomial,
                       bruteforce_transform, expectation_from_laplace,
                       level_histograms, recurse_first_kind,
@@ -39,9 +40,9 @@ from .closed_forms import (EULER_GAMMA, AsymptoticReport, OutOfValidity,
                            expected_outer_blocks, expected_outer_pairs,
                            expected_size1_blocks, expected_size2_blocks,
                            expected_size3plus_blocks, harmonic, harmonic2,
-                           size_count_increment, telescoped_size3_expectation,
-                           total_area, variance_block_count,
-                           variance_block_count_alt)
+                           harmonic_difference, size_count_increment,
+                           telescoped_size3_expectation, total_area,
+                           variance_block_count, variance_block_count_alt)
 from .cumulants import (InsufficientCumulants, InsufficientMoments,
                         StirlingTable, cumulants_from_moments,
                         moments_from_cumulants, ordering_count,

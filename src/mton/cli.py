@@ -11,6 +11,7 @@ Exit codes: 0 on success, 1 when a verification or comparison fails,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -92,11 +93,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
                   stats.LARGE_BLOCKS, stats.OUTER, stats.INTERVAL_PAIRS]
     else:
         chosen = [stats.OUTER, stats.INTERVAL_PAIRS, stats.AREA]
+    # rejects a bad depth or a statistic off its tree before --out is opened
+    rows = stats.stats_table(args.n, args.kind, chosen)
     if args.out == "-":
-        stats.write_stats_csv(sys.stdout, args.n, args.kind, chosen)
+        csv.writer(sys.stdout).writerows(rows)
     else:
         with open(args.out, "w", newline="") as handle:
-            stats.write_stats_csv(handle, args.n, args.kind, chosen)
+            csv.writer(handle).writerows(rows)
     return 0
 
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import tree
 from .partitions import _span_sweep
-from .polynomials import ExactPolynomial
+from .polynomials import ExactPolynomial, NegativeExponent
 from .stats import (AreaRequiresPairPartition, SecondKindInput, Statistic,
                     first_kind_input, second_kind_input)
 from .tree import FULL, _walk
@@ -137,14 +137,31 @@ def bruteforce_transform(stat: Statistic, n: int, kind: str = FULL,
 # ---------------------------------------------------------------------------
 # recursions
 
+def _int_coeffs(poly: ExactPolynomial) -> dict:
+    """{exponent: coefficient} with the integral coefficients as ints, so
+    the recursion steps below do integer arithmetic when they can."""
+    return {e: c.numerator if c.denominator == 1 else c
+            for e, c in poly.items()}
+
+
+def _checked_level(coeffs: dict) -> dict:
+    """Drop zero coefficients, then reject a negative exponent that
+    survives, as :class:`ExactPolynomial` does on construction."""
+    level = {e: c for e, c in coeffs.items() if c}
+    low = min(level, default=0)
+    if low < 0:
+        raise NegativeExponent(f"exponent {low} with coefficient {level[low]}")
+    return level
+
+
 def recurse_first_kind(r: Sequence[int], seeds: Sequence[ExactPolynomial],
                        n: int) -> ExactPolynomial:
     """Level-n transform from the per-edge increment vector r.
 
     Seeds are the transforms at levels 1..len(seeds) with len(seeds) >=
     len(r) (r is padded to length two if needed).  Intermediate monomial
-    shifts may dip below exponent zero; the final polynomial is checked
-    to be a genuine polynomial on construction.
+    shifts may dip below exponent zero; each level is checked to be a
+    genuine polynomial once its shifted terms are summed.
     """
     r = tuple(int(x) for x in r)
     if not r:
@@ -158,15 +175,15 @@ def recurse_first_kind(r: Sequence[int], seeds: Sequence[ExactPolynomial],
         raise ValueError("level must be >= 1")
     if n <= len(seeds):
         return seeds[n - 1]
-    levels = list(seeds)
+    levels = [_int_coeffs(seed) for seed in seeds]
     prefix = [sum(r[:j]) for j in range(k)]  # prefix[j] = r_1 + ... + r_j
     for m in range(len(seeds) + 1, n + 1):
-        acc: dict[int, Fraction] = {}
+        acc: dict = {}
 
-        def add(poly: ExactPolynomial, shift: int, scale: int):
-            for e, c in poly.items():
+        def add(level: dict, shift: int, scale: int):
+            for e, c in level.items():
                 key = e + shift
-                acc[key] = acc.get(key, Fraction(0)) + scale * c
+                acc[key] = acc.get(key, 0) + scale * c
 
         add(levels[m - 2], 0, 1)
         add(levels[m - 2], r[0], m)
@@ -175,8 +192,8 @@ def recurse_first_kind(r: Sequence[int], seeds: Sequence[ExactPolynomial],
                 continue
             add(levels[m - j - 1], r[j - 1] + prefix[j - 1], m - j + 1)
             add(levels[m - j - 1], prefix[j - 1], -(m - j + 1))
-        levels.append(ExactPolynomial(acc))
-    return levels[n - 1]
+        levels.append(_checked_level(acc))
+    return ExactPolynomial(levels[n - 1])
 
 
 def recurse_second_kind(law: SecondKindInput, seed: ExactPolynomial,
@@ -187,19 +204,21 @@ def recurse_second_kind(law: SecondKindInput, seed: ExactPolynomial,
     q*t^alpha + (children - q)*t^beta and adds (t^(alpha+1) -
     t^(beta+1)) times the derivative, where children is the child count
     of a level m-1 node (m+1 on the full tree, 2m-1 on the pair tree).
+    Term by term, c*t^e steps to (q+e)*c*t^(e+alpha) +
+    (children-q-e)*c*t^(e+beta), which is what the loop computes.
     """
     if n < 1:
         raise ValueError("level must be >= 1")
-    cur = seed
-    t_a = ExactPolynomial.monomial(law.alpha)
-    t_b = ExactPolynomial.monomial(law.beta)
-    deriv_factor = (ExactPolynomial.monomial(law.alpha + 1)
-                    - ExactPolynomial.monomial(law.beta + 1))
+    alpha, beta, q = law.alpha, law.beta, law.q
+    cur = _int_coeffs(seed)
     for m in range(2, n + 1):
-        arity = tree._radix(m - 1, kind)
-        mult = t_a.scaled(law.q) + t_b.scaled(arity - law.q)
-        cur = mult * cur + deriv_factor * cur.derivative()
-    return cur
+        rest = tree._radix(m - 1, kind) - q
+        nxt: dict = {}
+        for e, c in cur.items():
+            nxt[e + alpha] = nxt.get(e + alpha, 0) + (q + e) * c
+            nxt[e + beta] = nxt.get(e + beta, 0) + (rest - e) * c
+        cur = _checked_level(nxt)
+    return ExactPolynomial(cur)
 
 
 def recursion_transform(stat: Statistic, n: int, kind: str = FULL,

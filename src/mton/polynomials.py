@@ -25,10 +25,31 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
+# str() of an int below 10**1000 stays under the interpreter's default
+# sys.get_int_max_str_digits() limit of 4300 digits
+_CHUNK = 10 ** 1000
+
+
+def _decimal(k: int) -> str:
+    """Decimal text of an integer of any length (str() refuses past the
+    interpreter's digit limit), written 1000 digits at a time."""
+    if -_CHUNK < k < _CHUNK:
+        return str(k)
+    if k < 0:
+        return "-" + _decimal(-k)
+    chunks = []
+    while k >= _CHUNK:
+        k, low = divmod(k, _CHUNK)
+        chunks.append(f"{low:01000d}")
+    return str(k) + "".join(reversed(chunks))
+
+
 def format_rational(value: Rational) -> str:
     """Render exactly: integers bare, otherwise "p/q"."""
     f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    if f.denominator == 1:
+        return _decimal(f.numerator)
+    return f"{_decimal(f.numerator)}/{_decimal(f.denominator)}"
 
 
 class ExactPolynomial:

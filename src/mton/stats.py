@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import tree
 from .partitions import NcPartition, NotPairPartition, _span_sweep
@@ -264,19 +264,36 @@ def certify_second_kind(stat: Statistic, kind: str, bound: int = 7,
 # ---------------------------------------------------------------------------
 # tables
 
-def write_stats_csv(out: TextIO, n: int, kind: str,
-                    stats: Iterable[Statistic]) -> None:
-    """One row per ordered partition in rank order, then an exact-mean row."""
+def stats_table(n: int, kind: str,
+                stats: Iterable[Statistic]) -> Iterator[list]:
+    """Rows of the statistics table: a header, one row per ordered
+    partition in rank order, then an exact-mean row.
+
+    A bad depth or kind, or the area statistic off the pair tree, raises
+    here, before the first row is produced.
+    """
     stats = list(stats)
-    # rejects a bad depth or kind before any output is written
     count = tree.level_count(n, kind)
-    writer = csv.writer(out)
-    writer.writerow(["rank", "n"] + [s.name for s in stats])
+    for s in stats:
+        if s.family == "area" and kind != PAIR:
+            raise AreaRequiresPairPartition(
+                f"{s.name} needs the pair tree, not the {kind} tree")
+    return _table_rows(n, kind, stats, count)
+
+
+def _table_rows(n: int, kind: str, stats: list[Statistic],
+                count: int) -> Iterator[list]:
+    yield ["rank", "n"] + [s.name for s in stats]
     totals = [0] * len(stats)
     for rank, op in enumerate(tree.iter_level(n, kind)):
         values = [evaluate(s, op) for s in stats]
         for i, v in enumerate(values):
             totals[i] += v
-        writer.writerow([rank, n] + values)
-    means = [format_rational(Fraction(t, count)) for t in totals]
-    writer.writerow(["mean", n] + means)
+        yield [rank, n] + values
+    yield ["mean", n] + [format_rational(Fraction(t, count)) for t in totals]
+
+
+def write_stats_csv(out: TextIO, n: int, kind: str,
+                    stats: Iterable[Statistic]) -> None:
+    """Write :func:`stats_table` as CSV."""
+    csv.writer(out).writerows(stats_table(n, kind, stats))

@@ -54,6 +54,20 @@ def test_stats_csv_file(tmp_path, capsys):
     assert len(lines) == 14  # 12 nodes + header + mean row
 
 
+def test_stats_refuses_before_any_output(tmp_path, capsys):
+    # a statistic off its tree, or a bad depth, leaves stdout empty and
+    # an existing --out file untouched
+    target = tmp_path / "table.csv"
+    target.write_bytes(b"kept,1\r\n")
+    for argv in (("stats", "--kind", "full", "--stat", "Area", "--n", "2"),
+                 ("stats", "--n", "0")):
+        for extra in ((), ("--out", str(target))):
+            code, out, err = run(capsys, *argv, *extra)
+            assert (code, out) == (2, ""), argv + extra
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert target.read_bytes() == b"kept,1\r\n"
+
+
 def test_laplace_both_methods_agree(capsys):
     code, out, _ = run(capsys, "laplace", "--stat", "Y1", "--n", "3")
     assert code == 0

@@ -20,6 +20,17 @@ def test_harmonic_helpers():
     assert cf.double_factorial_odd(1) == 1
 
 
+def test_running_difference_matches_the_harmonic_sums():
+    # an ascending pass, then descending, so the cursor restarts from 0
+    ns = (0, 1, 2, 3, 50, 999, 10001)
+    cache = cf.HarmonicCache()
+    for n in ns + ns[::-1]:
+        assert cache.harmonic_difference(n) \
+            == cache.harmonic(n) - cache.harmonic2(n), n
+    with pytest.raises(ValueError):
+        cache.harmonic_difference(-1)
+
+
 def test_block_count_mean_and_variance_vs_enumeration():
     for n in range(2, 8):
         poly = laplace.bruteforce_transform(BLOCKS, n)

@@ -126,6 +126,18 @@ def test_corrupted_twins_run_their_suites_kernels():
         assert twin.kernel.__code__ in codes, suite
 
 
+def test_variance_forms_catch_a_wrong_running_difference(monkeypatch):
+    # the direct form reads D_n, the shifted form the harmonic caches
+    from mton import closed_forms
+
+    real = closed_forms.harmonic_difference
+    monkeypatch.setattr(closed_forms, "harmonic_difference",
+                        lambda n: real(n) + (n == 5000))
+    report = build_checks()["variance-forms"].run()
+    assert report.status == "fail"
+    assert report.witness["n"] == 5000
+
+
 def test_selftest_suite_passes():
     reports = run_suite("selftest")
     assert [r.status for r in reports] == ["pass"]

@@ -14,7 +14,8 @@ from mton.laplace import (InsufficientSeed, SizeBoundExceeded, ZeroPolynomial,
                           scan_chunk, variance_from_laplace)
 from mton.polynomials import ExactPolynomial, NegativeExponent
 from mton.stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
-                        SecondKindInput, blocks_of_size)
+                        NotSecondKind, SecondKindInput, blocks_of_size,
+                        first_kind_input, second_kind_input)
 from mton.tree import FULL, PAIR, level_count
 
 
@@ -79,6 +80,91 @@ def test_second_kind_seeded_recursion_direct():
     seed = ExactPolynomial({1: 1})
     assert recurse_second_kind(law, seed, 3, FULL) \
         == bruteforce_transform(OUTER, 3)
+
+
+# The polynomial-arithmetic steps that the fused integer loops replaced,
+# kept as the reference for them; each returns levels 1..top.
+
+def _oracle_first_kind(r, seeds, top):
+    r = tuple(r) + (0,) * (2 - len(r))
+    k = len(r)
+    levels = list(seeds)
+    prefix = [sum(r[:j]) for j in range(k)]
+    for m in range(len(seeds) + 1, top + 1):
+        acc = {}
+
+        def add(poly, shift, scale):
+            for e, c in poly.items():
+                acc[e + shift] = acc.get(e + shift, Fraction(0)) + scale * c
+
+        add(levels[m - 2], 0, 1)
+        add(levels[m - 2], r[0], m)
+        for j in range(2, k + 1):
+            if r[j - 1]:
+                add(levels[m - j - 1], r[j - 1] + prefix[j - 1], m - j + 1)
+                add(levels[m - j - 1], prefix[j - 1], -(m - j + 1))
+        levels.append(ExactPolynomial(acc))
+    return levels[:top]
+
+
+def _oracle_second_kind(law, seed, top, kind):
+    levels = [seed]
+    t_a = ExactPolynomial.monomial(law.alpha)
+    t_b = ExactPolynomial.monomial(law.beta)
+    deriv_factor = (ExactPolynomial.monomial(law.alpha + 1)
+                    - ExactPolynomial.monomial(law.beta + 1))
+    for m in range(2, top + 1):
+        arity = m + 1 if kind == FULL else 2 * m - 1
+        mult = t_a.scaled(law.q) + t_b.scaled(arity - law.q)
+        cur = levels[-1]
+        levels.append(mult * cur + deriv_factor * cur.derivative())
+    return levels
+
+
+_FRACTIONAL = ExactPolynomial({0: Fraction(1, 3), 1: -2, 3: Fraction(5, 2)})
+
+
+def test_second_kind_steps_match_polynomial_arithmetic():
+    for stat in (OUTER, INTERVAL_PAIRS):
+        for kind in (FULL, PAIR):
+            try:
+                law = second_kind_input(stat, kind)
+            except NotSecondKind:
+                continue
+            for seed in (bruteforce_transform(stat, 1, kind), _FRACTIONAL):
+                want = _oracle_second_kind(law, seed, 40, kind)
+                for n in range(1, 41):
+                    assert recurse_second_kind(law, seed, n, kind) \
+                        == want[n - 1], (stat.name, kind, seed, n)
+
+
+def test_first_kind_steps_match_polynomial_arithmetic():
+    for stat in (BLOCKS, blocks_of_size(1), blocks_of_size(2),
+                 blocks_of_size(3), blocks_of_size(4), LARGE_BLOCKS):
+        r = first_kind_input(stat)
+        k = max(len(r), 2)
+        seeds = [bruteforce_transform(stat, m) for m in range(1, k + 1)]
+        fractional = [ExactPolynomial({0: Fraction(1, 7)})] + seeds[1:]
+        for start in (seeds, fractional):
+            want = _oracle_first_kind(r, start, 40)
+            for n in range(1, 41):
+                assert recurse_first_kind(r, start, n) == want[n - 1], \
+                    (stat.name, n)
+
+
+def test_second_kind_step_rejects_a_surviving_negative_exponent():
+    seed = ExactPolynomial({0: 1})
+    with pytest.raises(NegativeExponent):
+        recurse_second_kind(SecondKindInput(-1, 0, 1), seed, 2, FULL)
+    # level 2 is t^-1 - 3 and level 3 is -6: the t^-1 term cancels, so
+    # only the check on every level catches it
+    with pytest.raises(NegativeExponent, match="exponent -1 with coefficient 1"):
+        recurse_second_kind(SecondKindInput(-1, 0, 1),
+                            ExactPolynomial({0: 1, 1: -2}), 3, FULL)
+    # with q = 0 the t^-1 coefficient q*c_0 is zero, and a zero
+    # coefficient is dropped, as ExactPolynomial drops it
+    assert recurse_second_kind(SecondKindInput(-1, 0, 0), seed, 2, FULL) \
+        == ExactPolynomial({0: 3})
 
 
 def test_size_guard():

@@ -1,5 +1,6 @@
 """Exact polynomial ring over Fraction coefficients."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,18 @@ def test_rational_text_helpers():
         parse_rational("1/0")
     assert format_rational(Fraction(8, 4)) == "2"
     assert format_rational(Fraction(23, 12)) == "23/12"
+
+
+def test_format_rational_past_the_int_digit_limit():
+    assert format_rational(10 ** 5000 + 7) == "1" + "0" * 4999 + "7"
+    value = Fraction(-(3 ** 20000), 2 ** 20000 + 1)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"{value.numerator}/{value.denominator}"
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert format_rational(value) == want
 
 
 @settings(max_examples=80, deadline=None)
