@@ -189,15 +189,18 @@ def _count_kernel(kind: str, formula: Callable[[int, str], int]):
     return kernel
 
 
-def _k_enum_cross(n: int) -> Optional[dict]:
-    walked = {op.blocks_by_label for op in tree.iter_level(n, FULL)}
-    filtered = reference.ordered_partitions_by_filter(n)
-    if walked != filtered:
-        missing = [list(map(list, b)) for b in list(filtered - walked)[:3]]
-        extra = [list(map(list, b)) for b in list(walked - filtered)[:3]]
-        return {"n": n, "walked": len(walked), "filtered": len(filtered),
-                "missing_sample": missing, "extra_sample": extra}
-    return None
+def _enum_cross_kernel(kind: str, by_filter: Callable[[int], set]):
+    # the tree level against an independent construction of the same set
+    def kernel(n: int) -> Optional[dict]:
+        walked = {op.blocks_by_label for op in tree.iter_level(n, kind)}
+        filtered = by_filter(n)
+        if walked != filtered:
+            missing = [list(map(list, b)) for b in list(filtered - walked)[:3]]
+            extra = [list(map(list, b)) for b in list(walked - filtered)[:3]]
+            return {"n": n, "walked": len(walked), "filtered": len(filtered),
+                    "missing_sample": missing, "extra_sample": extra}
+        return None
+    return kernel
 
 
 def _k_parent_chain(m: int) -> Optional[dict]:
@@ -476,7 +479,12 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
            range(1, b_pair + 1), _count_kernel(PAIR, tree.level_count)),
         mk("enum-cross-check",
            "tree enumeration equals the permutation-filter construction",
-           range(1, 8), _k_enum_cross),
+           range(1, 8), _enum_cross_kernel(
+               FULL, reference.ordered_partitions_by_filter)),
+        mk("pair-enum-cross-check",
+           "pair-tree enumeration equals the permutation-filter construction",
+           range(1, 7), _enum_cross_kernel(
+               PAIR, reference.ordered_pair_partitions_by_filter)),
 
         mk("block-count-mean", "enumerated mean block count vs closed form",
            range(2, b_full + 1),
@@ -655,7 +663,8 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
 
 
 SUITES: dict[str, tuple[str, ...]] = {
-    "cardinality": ("count-full", "count-pair", "enum-cross-check"),
+    "cardinality": ("count-full", "count-pair", "enum-cross-check",
+                    "pair-enum-cross-check"),
     "thm16": ("block-count-mean", "block-count-variance", "block-count-spot",
               "product-form", "block-count-recursion", "variance-forms",
               "mean-asymptote", "variance-asymptote"),

@@ -47,7 +47,7 @@ class ZeroPolynomial(ValueError):
 
 def _full_key(blocks):
     outer, ints, _ = _span_sweep(blocks)
-    return (tuple(sorted(len(b) for b in blocks)), len(outer), ints)
+    return (tuple(sorted(map(len, blocks))), len(outer), ints)
 
 
 def _pair_key(blocks):

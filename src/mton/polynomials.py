@@ -7,6 +7,7 @@ exponents, so any sequence of ring operations stays in normal form.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -15,14 +16,6 @@ Rational = Union[int, Fraction]
 
 class NegativeExponent(ValueError):
     """A monomial with a negative exponent survived into a polynomial."""
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or plain integer strings."""
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
 # str() of an int below 10**1000 stays under the interpreter's default
@@ -42,6 +35,37 @@ def _decimal(k: int) -> str:
         k, low = divmod(k, _CHUNK)
         chunks.append(f"{low:01000d}")
     return str(k) + "".join(reversed(chunks))
+
+
+def _integer(digits: str) -> int:
+    """Value of a run of decimal digits of any length, read 1000 digits
+    at a time: the inverse of :func:`_decimal`."""
+    head = len(digits) % 1000 or 1000
+    value = int(digits[:head])
+    for i in range(head, len(digits), 1000):
+        value = value * _CHUNK + int(digits[i:i + 1000])
+    return value
+
+
+_INTEGER_RATIO = re.compile(r"\s*([-+]?)(\d+)(?:/(\d+))?\s*")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p/q" or plain integer strings of any length, as
+    :func:`format_rational` writes them; other forms that ``Fraction``
+    reads, such as "0.5", go to it."""
+    match = _INTEGER_RATIO.fullmatch(text)
+    try:
+        if match is None:
+            return Fraction(text.strip())
+        sign, num, den = match.groups()
+        den = _integer(den or "1")
+        if den == 0:  # Fraction's own error would print the numerator
+            raise ZeroDivisionError
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+    value = Fraction(_integer(num), den)
+    return -value if sign == "-" else value
 
 
 def format_rational(value: Rational) -> str:

@@ -93,9 +93,10 @@ def evaluate(stat: Statistic, op: OrderedNcPartition) -> int:
     if stat.family == "blocks":
         return len(blocks)
     if stat.family == "blocks_of_size":
-        return sum(1 for b in blocks if len(b) == stat.size)
+        return list(map(len, blocks)).count(stat.size)
     if stat.family == "blocks_at_least3":
-        return sum(1 for b in blocks if len(b) >= 3)
+        sizes = list(map(len, blocks))
+        return len(sizes) - sizes.count(1) - sizes.count(2)
     if stat.family == "outer":
         return len(_span_sweep(blocks)[0])
     if stat.family == "intervals":

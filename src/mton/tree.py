@@ -11,11 +11,19 @@ Deleting the last point (or pair) of the maximal-label block recovers
 the parent, so every node has a unique digit word recording the child
 index chosen at each depth.  The digit words give ranking, unranking and
 O(depth)-memory enumeration in rank order.
+
+All children of one node are built in one batch: each block of the node
+is raised once, and each child reuses the blocks that lie wholly below
+its new point, takes the raised copies of those wholly above it, and
+splits only the block that straddles it.  The level walk runs its
+odometer above the leaf level and takes each parent's leaves from one
+such batch.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -115,22 +123,67 @@ class OrderedNcPartition:
 # ---------------------------------------------------------------------------
 # raw-tuple child/parent steps (hot path: no wrapper objects, no validation)
 
+def _rows(blocks, shift, marks):
+    """For each m in ``marks`` (ascending), the blocks with every point
+    >= m raised by ``shift``.
+
+    Each block is raised once per call.  Against a given m, a block
+    wholly below m is reused as is, a block wholly at or above m takes its
+    raised copy, and only a block that straddles m is split, keeping its
+    points below m and the raised rest.
+    """
+    low = marks[0]
+    pairs = [(b, b if b[-1] < low else tuple([x + shift for x in b]))
+             for b in blocks]
+    rows = []
+    for m in marks:
+        row = []
+        for b, raised in pairs:
+            if b[-1] < m:
+                row.append(b)
+            elif b[0] >= m:
+                row.append(raised)
+            else:
+                j = bisect_left(b, m)
+                row.append(b[:j] + raised[j:])
+        rows.append(tuple(row))
+    return rows
+
+
+def _kids_full(blocks, n):
+    """All n+2 children of a full-tree node in digit order.  The
+    elongation child is the insertion child at the gap after the last
+    point q of the maximal-label block, with the new point q+1 joined to
+    that block instead of standing alone."""
+    rows = _rows(blocks, 1, range(1, n + 2))
+    kids = [row + ((m,),) for m, row in enumerate(rows, 1)]
+    q = blocks[-1][-1]
+    kids.append(rows[q][:-1] + (blocks[-1] + (q + 1,),))
+    return kids
+
+
+def _kids_pair(blocks, n):
+    """All n+1 children of a node on {1..n}: the pair {m, m+1} spliced in
+    at every gap m = 1..n+1, in digit order."""
+    rows = _rows(blocks, 2, range(1, n + 2))
+    return [row + ((m, m + 1),) for m, row in enumerate(rows, 1)]
+
+
 def _child_full(blocks, n, d):
     if d < 0 or d > n + 1:
         raise DigitOutOfRange(f"digit {d} not in 0..{n + 1}")
     if d <= n:
         m = d + 1
-        return tuple(tuple(x + 1 if x >= m else x for x in b) for b in blocks) + ((m,),)
+        return _rows(blocks, 1, (m,))[0] + ((m,),)
     q = blocks[-1][-1]
-    return (tuple(tuple(x + 1 if x > q else x for x in b) for b in blocks[:-1])
-            + (blocks[-1] + (q + 1,),))
+    return _rows(blocks, 1, (q + 1,))[0][:-1] + (blocks[-1] + (q + 1,),)
 
 
 def _child_pair(blocks, n, d):
     if d < 0 or d > n:
         raise DigitOutOfRange(f"digit {d} not in 0..{n}")
     m = d + 1
-    return tuple(tuple(x + 2 if x >= m else x for x in b) for b in blocks) + ((m, m + 1),)
+    return _rows(blocks, 2, (m,))[0] + ((m, m + 1),)
 
 
 def _parent_full(blocks):
@@ -145,11 +198,13 @@ def _parent_pair(blocks):
     return tuple(tuple(x - 2 if x > m + 1 else x for x in b) for b in blocks[:-1])
 
 
-def _step(kind, blocks, depth, digit):
-    """One child step at the given depth, on raw block tuples."""
+def _steps(kind):
+    """The single child step, the sibling batch and the ground size per
+    depth of one tree."""
+    _require_kind(kind)
     if kind == FULL:
-        return _child_full(blocks, depth, digit)
-    return _child_pair(blocks, 2 * depth, digit)
+        return _child_full, _kids_full, 1
+    return _child_pair, _kids_pair, 2
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +228,7 @@ def children(op: OrderedNcPartition) -> list[OrderedNcPartition]:
     """All n+2 children in digit order: insertions at gaps 1..n+1, then
     the elongation of the maximal-label block."""
     n = op.n
-    return [OrderedNcPartition(n + 1, _child_full(op.blocks_by_label, n, d))
-            for d in range(n + 2)]
+    return [OrderedNcPartition(n + 1, kid) for kid in _kids_full(op.blocks_by_label, n)]
 
 
 def pair_parent(op: OrderedNcPartition) -> OrderedNcPartition:
@@ -190,8 +244,7 @@ def pair_parent(op: OrderedNcPartition) -> OrderedNcPartition:
 def pair_children(op: OrderedNcPartition) -> list[OrderedNcPartition]:
     """All 2n+1 children in digit order: pair spliced in at gaps 1..2n+1."""
     n = op.n
-    return [OrderedNcPartition(n + 2, _child_pair(op.blocks_by_label, n, d))
-            for d in range(n + 1)]
+    return [OrderedNcPartition(n + 2, kid) for kid in _kids_pair(op.blocks_by_label, n)]
 
 
 def child_at(op: OrderedNcPartition, digit: int, kind: str = FULL) -> OrderedNcPartition:
@@ -248,10 +301,10 @@ def level_count(n: int, kind: str = FULL) -> int:
 
 def decode(code: TreeCode) -> OrderedNcPartition:
     """Walk the digit word from the root down to its node."""
-    _require_kind(code.kind)
+    child, _, scale = _steps(code.kind)
     blocks = ((1,),) if code.kind == FULL else ((1, 2),)
     for depth, d in enumerate(code.digits, start=1):
-        blocks = _step(code.kind, blocks, depth, d)
+        blocks = child(blocks, scale * depth, d)
     n = len(code.digits) + 1
     return OrderedNcPartition(n if code.kind == FULL else 2 * n, blocks)
 
@@ -308,33 +361,46 @@ def _walk(path: list, n: int, kind: str, start: int = 0,
     is the node itself) and yields ``fresh``: the first path index whose
     node has the current node as its leftmost descendant.  Stops after
     ``count`` nodes, or, when ``count`` is None, once every digit is at
-    its maximum.
+    its maximum.  The odometer runs above the leaf level only: the
+    leaves under one parent come from one sibling batch.
     """
-    _require_kind(kind)
+    child, kids, scale = _steps(kind)
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
     digits = _digits_from_rank(start, n, kind)
     path[:] = [((1,),) if kind == FULL else ((1, 2),)]
     for depth, d in enumerate(digits, start=1):
-        path.append(_step(kind, path[-1], depth, d))
+        path.append(child(path[-1], scale * depth, d))
     fresh = n - 1
     while fresh > 0 and digits[fresh - 1] == 0:
         fresh -= 1
     yield fresh
-    radii = [_radix(depth, kind) for depth in range(1, n)]
+    if n == 1:
+        return
+    leaf, d = n - 1, digits[-1]
+    batch = kids(path[-2], scale * leaf)
+    radii = [_radix(depth, kind) for depth in range(1, leaf)]
     remaining = -1 if count is None else count - 1
     while remaining:
-        i = n - 1
-        while i > 0 and digits[i - 1] == radii[i - 1] - 1:
-            i -= 1
-        if i == 0:
-            return
-        digits[i - 1] += 1
-        path[i] = _step(kind, path[i - 1], i, digits[i - 1])
-        for j in range(i + 1, n):
-            digits[j - 1] = 0
-            path[j] = _step(kind, path[j - 1], j, 0)
-        yield i
+        d += 1
+        if d < len(batch):
+            path[leaf] = batch[d]
+            yield leaf
+        else:
+            i = leaf - 1
+            while i > 0 and digits[i - 1] == radii[i - 1] - 1:
+                i -= 1
+            if i == 0:
+                return
+            digits[i - 1] += 1
+            path[i] = child(path[i - 1], scale * i, digits[i - 1])
+            for j in range(i + 1, leaf):
+                digits[j - 1] = 0
+                path[j] = child(path[j - 1], scale * j, 0)
+            batch = kids(path[leaf - 1], scale * leaf)
+            d = 0
+            path[leaf] = batch[0]
+            yield i
         remaining -= 1
 
 
@@ -342,8 +408,10 @@ def iter_level(n: int, kind: str = FULL, start: int = 0,
                stop: Optional[int] = None) -> Iterator[OrderedNcPartition]:
     """Yield the depth-n nodes with ranks in [start, stop) in rank order.
 
-    Iterative depth-first walk over the digit word; memory stays O(n)
-    beyond the yielded element, and each yield costs amortized O(n).
+    Iterative depth-first walk over the digit word.  Beyond the yielded
+    element, memory holds the O(n) ancestors and one parent's batch of at
+    most n+2 leaves.  Each yield costs amortized O(n), and a leaf shares
+    with its parent every block that lies wholly below its new point.
     """
     total = level_count(n, kind)
     stop = total if stop is None else stop

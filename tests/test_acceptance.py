@@ -34,7 +34,7 @@ def test_criterion_01_cardinalities(registry):
 
 @pytest.mark.criterion(2, "tree walk equals the order-filter construction")
 def test_criterion_02_cross_construction(registry):
-    run_ids(registry, "enum-cross-check")
+    run_ids(registry, "enum-cross-check", "pair-enum-cross-check")
 
 
 @pytest.mark.criterion(3, "block-count mean and variance closed forms")

@@ -93,6 +93,17 @@ def test_format_rational_past_the_int_digit_limit():
     assert format_rational(value) == want
 
 
+def test_parse_rational_reads_back_past_the_int_digit_limit():
+    big = 10 ** 5000 + 7
+    for value in (big, -big, Fraction(3, 2 ** 16610 + 1),
+                  Fraction(-(3 ** 10000), big), Fraction(big, 3)):
+        assert parse_rational(format_rational(value)) == value
+    poly = ExactPolynomial({0: big, 2: Fraction(-1, big)})
+    assert ExactPolynomial.from_json(poly.to_json()) == poly
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational(format_rational(big) + "/0")
+
+
 @settings(max_examples=80, deadline=None)
 @given(polys, polys, polys)
 def test_ring_laws(a, b, c):

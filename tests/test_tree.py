@@ -66,6 +66,77 @@ def test_children_count_and_parent_inverse_pair():
                 assert kid.is_pair_partition()
 
 
+def _relabel_full(blocks, n, d):
+    # the per-digit relabel that the sibling batches replaced
+    if d <= n:
+        m = d + 1
+        return tuple(tuple(x + 1 if x >= m else x for x in b) for b in blocks) + ((m,),)
+    q = blocks[-1][-1]
+    return (tuple(tuple(x + 1 if x > q else x for x in b) for b in blocks[:-1])
+            + (blocks[-1] + (q + 1,),))
+
+
+def _relabel_pair(blocks, n, d):
+    m = d + 1
+    return tuple(tuple(x + 2 if x >= m else x for x in b) for b in blocks) + ((m, m + 1),)
+
+
+def test_sibling_batches_match_the_single_step_and_the_old_relabel():
+    for kind, top, batch, step, oracle in (
+            (FULL, 7, tree._kids_full, tree._child_full, _relabel_full),
+            (PAIR, 5, tree._kids_pair, tree._child_pair, _relabel_pair)):
+        for depth in range(1, top + 1):
+            for op in iter_level(depth, kind):
+                blocks = op.blocks_by_label
+                kids = batch(blocks, op.n)
+                assert len(kids) == tree._radix(depth, kind)
+                for d, kid in enumerate(kids):
+                    assert kid == step(blocks, op.n, d) == oracle(blocks, op.n, d)
+
+
+def test_pair_children_relabel_blocks_of_any_size():
+    # a pair spliced into a full-tree node splits blocks of three or more
+    op = decode(TreeCode(FULL, (2, 3, 4, 3, 2, 7, 0, 9)))
+    assert op.blocks_by_label[0] == (3, 4, 7, 9)
+    nodes = [op] + [node for node in iter_level(6, FULL)
+                    if max(map(len, node.blocks_by_label)) >= 3]
+    assert len(nodes) > 400
+    for node in nodes:
+        kids = pair_children(node)
+        assert [kid.blocks_by_label for kid in kids] == [
+            _relabel_pair(node.blocks_by_label, node.n, d) for d in range(node.n + 1)]
+        assert {kid.n for kid in kids} == {node.n + 2}
+
+
+def _walk_reference(n, kind):
+    # (fresh, path) of every rank from unrank and the digit words: path i
+    # holds the node of the first i digits, and fresh is the index just
+    # past the last non-zero digit
+    rows = []
+    for k in range(level_count(n, kind)):
+        digits = encode(unrank(k, n, kind), kind).digits
+        fresh = len(digits)
+        while fresh and digits[fresh - 1] == 0:
+            fresh -= 1
+        path = tuple(decode(TreeCode(kind, digits[:i])).blocks_by_label
+                     for i in range(n))
+        rows.append((fresh, path))
+    return rows
+
+
+def test_walk_matches_unrank_from_every_start():
+    for kind, depths in ((FULL, (1, 2, 5)), (PAIR, (1, 2, 4))):
+        for n in depths:
+            want = _walk_reference(n, kind)
+            for start in range(len(want)):
+                for count in (None, 1, 3):
+                    path: list = []
+                    got = [(fresh, tuple(path)) for fresh
+                           in tree._walk(path, n, kind, start, count)]
+                    stop = None if count is None else start + count
+                    assert got == want[start:stop], (kind, n, start, count)
+
+
 def test_elongation_child_grows_max_block():
     op = decode(TreeCode(FULL, (2, 1)))
     last = children(op)[-1]
