@@ -10,10 +10,9 @@ in moment/cumulant conversion, and a verification harness that checks
 all of it against independent constructions.
 """
 
-from .partitions import (Crossing, EmptyKeep, NcPartition, NotAPartition,
-                         NotPairPartition, interval_pairs, is_nested,
-                         nesting_parents, outer_blocks, restrict_relabel,
-                         validate_noncrossing)
+from .partitions import (Crossing, NcPartition, NotAPartition,
+                         NotPairPartition, interval_pairs, nesting_parents,
+                         outer_blocks, validate_noncrossing)
 from .tree import (FULL, KINDS, PAIR, DigitOutOfRange, OrderedNcPartition,
                    RankOutOfRange, RootHasNoParent, TreeCode, children, decode,
                    encode, full_root, iter_level, level_count, pair_children,

@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import nullcontext
 from typing import Optional
 
 from . import closed_forms as cf
@@ -197,17 +198,18 @@ def cmd_poisson(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    reports = harness.run_suite(args.suite, deep=args.deep)
-    if args.json:
-        print(harness.reports_to_jsonl(reports))
-    else:
-        print(harness.summary_table(reports))
-        for report in reports:
-            if report.status != "pass":
-                print(f"witness {report.id}: "
-                      f"{json.dumps(report.witness, sort_keys=True)}")
-    if args.out:
-        with open(args.out, "w") as handle:
+    # --out is opened before any check runs, so a bad path costs no run
+    with open(args.out, "w") if args.out else nullcontext() as handle:
+        reports = harness.run_suite(args.suite, deep=args.deep)
+        if args.json:
+            print(harness.reports_to_jsonl(reports))
+        else:
+            print(harness.summary_table(reports))
+            for report in reports:
+                if report.status != "pass":
+                    print(f"witness {report.id}: "
+                          f"{json.dumps(report.witness, sort_keys=True)}")
+        if handle:
             handle.write(harness.reports_to_jsonl(reports) + "\n")
     return 0 if all(r.status == "pass" for r in reports) else 1
 
@@ -288,7 +290,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except (stats.NotFirstKind, stats.NotSecondKind, laplace.SizeBoundExceeded,
-            cf.OutOfValidity, ValueError) as exc:
+            cf.OutOfValidity, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

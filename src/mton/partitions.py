@@ -27,10 +27,6 @@ class Crossing(ValueError):
         super().__init__(f"blocks cross at {self.witness}")
 
 
-class EmptyKeep(ValueError):
-    """restrict_relabel needs a non-empty keep set."""
-
-
 class NotPairPartition(ValueError):
     """All blocks must have exactly two elements for this operation."""
 
@@ -108,17 +104,6 @@ def validate_noncrossing(blocks: Iterable[Iterable[int]], n: int) -> NcPartition
     return NcPartition(n, tuple(cleaned))
 
 
-def is_nested(p: NcPartition, inner: int, outer: int) -> bool:
-    """Whether block ``inner`` sits strictly inside block ``outer``.
-
-    Both arguments are indices into ``p.blocks``; they must be distinct.
-    """
-    if inner == outer:
-        raise ValueError("block references must be distinct")
-    a, b = p.blocks[inner], p.blocks[outer]
-    return a[0] > b[0] and a[-1] < b[-1]
-
-
 def nesting_parents(p: NcPartition) -> tuple[Optional[int], ...]:
     """For each block, the index of the innermost block containing it.
 
@@ -175,23 +160,3 @@ def interval_pairs(p: NcPartition) -> list[int]:
     """
     return [i for i, b in enumerate(p.blocks) if len(b) == 2 and b[1] == b[0] + 1]
 
-
-def restrict_relabel(p: NcPartition, keep: Iterable[int]) -> NcPartition:
-    """Restrict to the points in ``keep`` and renumber them as 1..|keep|.
-
-    The order-preserving renumbering keeps the non-crossing property, so
-    the result is built directly.
-    """
-    kept = sorted(set(keep))
-    if not kept:
-        raise EmptyKeep("keep set is empty")
-    if kept[0] < 1 or kept[-1] > p.n:
-        raise ValueError(f"keep must be a subset of 1..{p.n}")
-    pos = {x: i + 1 for i, x in enumerate(kept)}
-    new_blocks = []
-    for b in p.blocks:
-        nb = tuple(pos[x] for x in b if x in pos)
-        if nb:
-            new_blocks.append(nb)
-    new_blocks.sort()
-    return NcPartition(len(kept), tuple(new_blocks))

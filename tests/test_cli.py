@@ -5,7 +5,7 @@ import json
 import pytest
 
 from mton import cumulants as cm
-from mton import laplace
+from mton import harness, laplace
 from mton.harness import SUITES
 from mton.cli import main
 from mton.polynomials import format_rational
@@ -190,6 +190,25 @@ def test_verify_suite_jsonl(tmp_path, capsys):
     assert all(set(r) == {"id", "status", "witness", "elapsed"} for r in rows)
     saved = [json.loads(line) for line in target.read_text().splitlines()]
     assert saved == rows
+
+
+def test_unopenable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("checks ran before --out was opened")
+    monkeypatch.setattr(harness, "run_suite", no_run)
+    missing = tmp_path / "missing"
+    for argv in (("verify", "--suite", "selftest", "--out",
+                  f"{missing}/x.jsonl"),
+                 ("stats", "--n", "2", "--out", f"{missing}/x.csv")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "missing" in err, err
+    # stats still validates its depth before it opens --out
+    code, out, err = run(capsys, "stats", "--n", "0",
+                         "--out", f"{missing}/x.csv")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: depth must be >= 1"), err
 
 
 def test_usage_error_exit_code():

@@ -4,10 +4,14 @@ import json
 
 import pytest
 
+from mton import laplace, tree
 from mton.harness import (Check, CheckReport, CheckSpec, NotMinimizable,
-                          SUITES, build_checks, corrupted_checks,
-                          counterexample_minimize, reports_to_jsonl,
-                          run_checks, run_suite, suite_names, summary_table)
+                          SUITES, _count_kernel, build_checks,
+                          corrupted_checks, counterexample_minimize,
+                          reports_to_jsonl, run_checks, run_suite,
+                          suite_names, summary_table)
+from mton.stats import BLOCKS
+from mton.tree import FULL, PAIR
 
 
 def make_check(threshold):
@@ -148,3 +152,74 @@ def test_run_is_deterministic():
     second = run_suite("thm111")
     assert [r.status for r in first] == [r.status for r in second]
     assert [r.witness for r in first] == [r.witness for r in second]
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    # a cold scan cache whose walks are recorded; the warm cache of the
+    # earlier tests comes back afterwards
+    calls = []
+    real = laplace.scan_chunk
+
+    def counted(kind, depth):
+        calls.append((kind, depth))
+        return real(kind, depth)
+
+    monkeypatch.setattr(laplace, "_scan_cache", {})
+    monkeypatch.setattr(laplace, "scan_chunk", counted)
+    return calls
+
+
+def test_scan_reader_asks_for_its_deepest_level_once(scan_calls):
+    totals = []
+
+    def kernel(n):
+        totals.append(laplace.bruteforce_transform(BLOCKS, n).evaluate(1))
+        return None
+    check = Check(CheckSpec("reader", "reads the full-tree scan"),
+                  tuple(range(1, 6)), kernel, FULL)
+    assert check.run().status == "pass"
+    assert scan_calls == [(FULL, 5)]
+    assert totals == [tree.level_count(n) for n in range(1, 6)]
+
+
+def test_a_suite_scans_each_tree_it_reads_once(scan_calls):
+    assert [r.status for r in run_suite("thm111")] == ["pass"] * 4
+    assert scan_calls == [(PAIR, 7)]
+
+
+def test_a_scan_past_the_guard_is_an_error_report(scan_calls):
+    def kernel(n):
+        raise AssertionError("the kernel ran")
+    too_deep = laplace.DEFAULT_MAX_FULL + 1
+    check = Check(CheckSpec("too-deep", "asks past the guard"),
+                  (1, too_deep), kernel, FULL)
+    report = check.run()
+    assert report.status == "error"
+    assert report.witness["n"] == too_deep
+    assert report.witness["error"].startswith("SizeBoundExceeded")
+    assert scan_calls == []
+
+
+def test_declared_scans_stay_within_the_library_guard():
+    limits = {FULL: laplace.DEFAULT_MAX_FULL, PAIR: laplace.DEFAULT_MAX_PAIR}
+    for deep in (False, True):
+        declared = {i: c for i, c in build_checks(deep).items() if c.scan}
+        assert {"count-full", "count-pair", "product-form", "seed-resolution",
+                "triangle-tree-recursion"} <= set(declared)
+        for check_id, check in declared.items():
+            assert max(check.sizes) <= limits[check.scan], (deep, check_id)
+
+
+def test_count_kernel_reads_the_scan_not_a_stream(monkeypatch):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("stream_level was called")
+    monkeypatch.setattr(tree, "stream_level", no_stream)
+    assert _count_kernel(FULL, tree.level_count)(6) is None
+    wrong = _count_kernel(FULL, lambda n, kind: tree.level_count(n, kind) + 1)
+    assert wrong(6) == {"n": 6, "streamed": 2520, "formula": 2521}
+    real_rank = tree.rank_of
+    monkeypatch.setattr(tree, "rank_of",
+                        lambda op, kind=FULL: real_rank(op, kind) + 1)
+    assert _count_kernel(FULL, tree.level_count)(6) == {
+        "n": 6, "position": 0, "rank": 1}

@@ -1,12 +1,11 @@
-"""Partition container, crossing detection, nesting, restriction."""
+"""Partition container, crossing detection, nesting."""
 
 import itertools
 
 import pytest
 
-from mton.partitions import (Crossing, EmptyKeep, NcPartition, NotAPartition,
-                             interval_pairs, is_nested, nesting_parents,
-                             outer_blocks, restrict_relabel,
+from mton.partitions import (Crossing, NcPartition, NotAPartition,
+                             interval_pairs, nesting_parents, outer_blocks,
                              validate_noncrossing)
 from mton.reference import has_crossing_naive, noncrossing_partitions
 
@@ -100,25 +99,6 @@ def test_nesting_parents_small():
     assert parents[idx[(1, 6)]] is None
 
 
-def test_is_nested_agrees_with_parent_chain():
-    for blocks in noncrossing_partitions(6):
-        p = NcPartition(6, blocks)
-        parents = nesting_parents(p)
-
-        def chain(i):
-            seen = []
-            while parents[i] is not None:
-                i = parents[i]
-                seen.append(i)
-            return seen
-
-        for i in range(p.size):
-            for j in range(p.size):
-                if i == j:
-                    continue
-                assert is_nested(p, i, j) == (j in chain(i))
-
-
 def test_outer_blocks_have_no_parent():
     for blocks in noncrossing_partitions(7):
         p = NcPartition(7, blocks)
@@ -134,31 +114,6 @@ def test_interval_pairs_finds_adjacent_two_blocks():
     assert found == {(2, 3), (4, 5)}
     q = validate_noncrossing([[1, 3], [2], [4]], 4)
     assert interval_pairs(q) == []
-
-
-def test_restrict_relabel_exhaustive():
-    for blocks in noncrossing_partitions(6):
-        p = NcPartition(6, blocks)
-        support = [x for x in range(1, 7)]
-        for r in range(1, 7):
-            for keep in itertools.combinations(support, r):
-                q = restrict_relabel(p, keep)
-                assert q.n == len(keep)
-                # order-preserving relabeling of the kept points
-                relabel = {x: i + 1 for i, x in enumerate(sorted(keep))}
-                expected = set()
-                for blk in blocks:
-                    shrunk = tuple(relabel[x] for x in blk if x in keep)
-                    if shrunk:
-                        expected.add(shrunk)
-                assert set(q.blocks) == expected
-                validate_noncrossing(q.blocks, q.n)
-
-
-def test_restrict_relabel_empty_keep():
-    p = validate_noncrossing([[1, 2, 3]], 3)
-    with pytest.raises(EmptyKeep):
-        restrict_relabel(p, ())
 
 
 def test_json_round_trip():
