@@ -1,0 +1,8 @@
+"""``python -m mton``: the command line of :mod:`mton.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -66,6 +66,8 @@ def _add_common(p: argparse.ArgumentParser, kinds: bool = True) -> None:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"limit must be >= 0, got {args.limit}")
     msg = _guard(args.n, args.kind, args.force)
     if msg:
         print(msg, file=sys.stderr)

@@ -34,7 +34,8 @@ from . import cumulants as cm
 from . import laplace, reference, stats, tree
 from .polynomials import ExactPolynomial, format_rational
 from .stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
-                    Statistic, blocks_of_size, evaluate)
+                    SIZE_STATS, Statistic, blocks_of_size, evaluate,
+                    size_profile)
 from .tree import FULL, PAIR
 
 
@@ -66,6 +67,7 @@ class Check:
     sizes: tuple[int, ...]
     kernel: Callable[[int], Optional[dict]]
     scan: Optional[str] = None  # the tree whose scan the kernel reads
+    scan_depth: Optional[int] = None  # its deepest scanned level, if not max(sizes)
 
     def run(self) -> CheckReport:
         start = time.perf_counter()
@@ -73,7 +75,7 @@ class Check:
         try:
             if self.scan is not None:
                 # scan once to the deepest level, so every size hits the cache
-                n = max(self.sizes)
+                n = self.scan_depth or max(self.sizes)
                 laplace._guard(n, self.scan, None)
                 laplace.level_histograms(self.scan, n)
             for n in self.sizes:
@@ -110,10 +112,6 @@ def run_checks(checks: Iterable[Check]) -> list[CheckReport]:
 
 # ---------------------------------------------------------------------------
 # kernels and kernel factories
-
-_SIX = (BLOCKS, blocks_of_size(1), blocks_of_size(2), blocks_of_size(3),
-        blocks_of_size(4), LARGE_BLOCKS)
-
 
 def _poly_diff_witness(n: int, got: ExactPolynomial,
                        want: ExactPolynomial, **extra) -> dict:
@@ -211,6 +209,35 @@ def _enum_cross_kernel(kind: str, by_filter: Callable[[int], set]):
     return kernel
 
 
+# per tree: the deepest level compared, the filter construction, and the
+# reference evaluator of each statistic that the scan keys carry
+_REFERENCE_STATS = (
+    (FULL, 7, reference.ordered_partitions_by_filter,
+     ((OUTER, reference.outer_count),
+      (INTERVAL_PAIRS, reference.interval_pair_count))),
+    (PAIR, 6, reference.ordered_pair_partitions_by_filter,
+     ((OUTER, reference.outer_count),
+      (INTERVAL_PAIRS, reference.interval_pair_count),
+      (AREA, reference.pair_area))),
+)
+
+
+def _k_stat_cross(n: int) -> Optional[dict]:
+    # the scanned transform against a histogram of the reference
+    # evaluator over the independently constructed level
+    for kind, top, by_filter, evaluators in _REFERENCE_STATS:
+        if n > top:
+            continue
+        level = by_filter(n)
+        for stat, value in evaluators:
+            want = ExactPolynomial.from_counts(Counter(map(value, level)))
+            got = laplace.bruteforce_transform(stat, n, kind)
+            if got != want:
+                return _poly_diff_witness(n, got, want, stat=stat.name,
+                                          kind=kind)
+    return None
+
+
 def _k_parent_chain(m: int) -> Optional[dict]:
     ells = [ell for ell in (2, 3, 4) if ell <= m]
     buckets: dict[int, list] = {ell: [] for ell in ells}
@@ -223,7 +250,7 @@ def _k_parent_chain(m: int) -> Optional[dict]:
         target = {op.blocks_by_label for op in tree.iter_level(target_level, FULL)
                   if len(op.max_label_block()) == 1}
         # r_2 + ... + r_ell, with r_j = 0 past the increment vector
-        shifts = [sum(stats.first_kind_input(s)[1:ell]) for s in _SIX]
+        shifts = [sum(stats.first_kind_input(s)[1:ell]) for s in SIZE_STATS]
         images = set()
         for op in buckets[ell]:
             cur = op
@@ -233,12 +260,12 @@ def _k_parent_chain(m: int) -> Optional[dict]:
                 return {"n": m, "ell": ell, "node": op.to_json(),
                         "image_max_block": list(cur.max_label_block())}
             images.add(cur.blocks_by_label)
-            for s, shift in zip(_SIX, shifts):
-                delta = evaluate(s, op) - evaluate(s, cur)
-                if delta != shift:
-                    return {"n": m, "ell": ell, "stat": s.name,
-                            "node": op.to_json(), "delta": delta,
-                            "want": shift}
+            deltas = [a - b for a, b in zip(size_profile(op), size_profile(cur))]
+            if deltas != shifts:
+                i = next(i for i, d in enumerate(deltas) if d != shifts[i])
+                return {"n": m, "ell": ell, "stat": SIZE_STATS[i].name,
+                        "node": op.to_json(), "delta": deltas[i],
+                        "want": shifts[i]}
         if len(images) != len(buckets[ell]) or images != target:
             return {"n": m, "ell": ell, "bucket": len(buckets[ell]),
                     "distinct_images": len(images), "target": len(target)}
@@ -246,12 +273,13 @@ def _k_parent_chain(m: int) -> Optional[dict]:
 
 
 def _k_singleton_slice(m: int) -> Optional[dict]:
-    counters = [Counter() for _ in _SIX]  # by position: no Statistic hashing
-    for op in tree.iter_level(m, FULL):
-        if len(op.max_label_block()) == 1:
-            for s, counter in zip(_SIX, counters):
-                counter[evaluate(s, op)] += 1
-    for s, counter in zip(_SIX, counters):
+    profiles = Counter(size_profile(op) for op in tree.iter_level(m, FULL)
+                       if len(op.max_label_block()) == 1)
+    counters = [Counter() for _ in SIZE_STATS]  # by position: no Statistic hashing
+    for profile, mult in profiles.items():
+        for counter, value in zip(counters, profile):
+            counter[value] += mult
+    for s, counter in zip(SIZE_STATS, counters):
         lhs = ExactPolynomial.from_counts(counter)
         r1 = stats.first_kind_input(s)[0]
         rhs = laplace.bruteforce_transform(s, m - 1, FULL).shifted(r1).scaled(m)
@@ -477,8 +505,9 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
     b_pair = 8 if deep else 7
     b_outer = 9 if deep else 8
 
-    def mk(id_, desc, sizes, kernel, scan=None):
-        return Check(CheckSpec(id_, desc), tuple(sizes), kernel, scan)
+    def mk(id_, desc, sizes, kernel, scan=None, scan_depth=None):
+        return Check(CheckSpec(id_, desc), tuple(sizes), kernel, scan,
+                     scan_depth)
 
     checks = [
         mk("count-full", "scanned full-tree level sizes equal (n+1)!/2",
@@ -495,6 +524,11 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
            "pair-tree enumeration equals the permutation-filter construction",
            range(1, 7), _enum_cross_kernel(
                PAIR, reference.ordered_pair_partitions_by_filter)),
+        mk("stat-cross-check",
+           "scanned outer, interval-pair and area transforms equal "
+           "reference evaluators over the filter construction",
+           range(1, 8), _k_stat_cross,
+           scan=FULL),
 
         mk("block-count-mean", "enumerated mean block count vs closed form",
            range(2, b_full + 1),
@@ -550,7 +584,7 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
                           + cf.expected_size3plus_blocks(n)))),
         mk("tally-recursions",
            "size-count transform recursions vs enumeration",
-           range(1, b_full + 1), _recursion_kernel(_SIX[1:], FULL),
+           range(1, b_full + 1), _recursion_kernel(SIZE_STATS[1:], FULL),
            scan=FULL),
         mk("seed-resolution",
            "level-3 singleton transform settles to 6t^3 + 5t + 1",
@@ -566,7 +600,8 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
         mk("singleton-slice",
            "singleton-max-block slice transform equals m t^r1 times the "
            "previous level",
-           range(2, 9), _k_singleton_slice),
+           range(2, 9), _k_singleton_slice,
+           scan=FULL, scan_depth=7),
         mk("area-child-split",
            "pair children areas sum to (2n-1) + (2n+1) parent area",
            range(2, 8), _area_split_kernel(
@@ -694,7 +729,7 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
 
 SUITES: dict[str, tuple[str, ...]] = {
     "cardinality": ("count-full", "count-pair", "enum-cross-check",
-                    "pair-enum-cross-check"),
+                    "pair-enum-cross-check", "stat-cross-check"),
     "thm16": ("block-count-mean", "block-count-variance", "block-count-spot",
               "product-form", "block-count-recursion", "variance-forms",
               "mean-asymptote", "variance-asymptote"),

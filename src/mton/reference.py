@@ -6,8 +6,10 @@ first-point pairing recursion, and monotonic labellings from filtering
 all label permutations against the nesting condition.  Moments of given
 monotone cumulants come from the Catalan-time weighted sum over all
 non-crossing partitions, a second route to the library's semigroup
-recurrence.  Deliberately separate code paths so agreement with the
-library is evidence, not tautology.
+recurrence.  The outer-block, interval-pair and area evaluators read a
+partition through pairwise nesting, point adjacency and the Dyck path,
+not through the library's span sweep.  Deliberately separate code paths
+so agreement with the library is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Sequence
+
+from .partitions import NcPartition
+from .stats import dyck_path, path_area
 
 Blocks = tuple[tuple[int, ...], ...]
 
@@ -81,6 +86,25 @@ def _nesting_pairs(blocks: Blocks) -> list[tuple[int, int]]:
             if i != j and a[0] > b[0] and a[-1] < b[-1]:
                 pairs.append((i, j))
     return pairs
+
+
+def outer_count(blocks: Blocks) -> int:
+    """Blocks nested inside no other block, by the pairwise nesting test."""
+    return len(blocks) - len({inner for inner, _ in _nesting_pairs(blocks)})
+
+
+def interval_pair_count(blocks: Blocks) -> int:
+    """Blocks {m, m+1}: adjacent points m, m+1 whose shared block holds
+    no other point."""
+    owner = {x: b for b in blocks for x in b}
+    return sum(1 for m, b in owner.items()
+               if owner.get(m + 1) == b and len(b) == 2)
+
+
+def pair_area(blocks: Blocks) -> int:
+    """Area under the Dyck path of a pair-partition, in any block order."""
+    part = NcPartition(2 * len(blocks), tuple(sorted(blocks)))
+    return path_area(dyck_path(part))
 
 
 def monotonic_orderings(blocks: Blocks) -> list[Blocks]:

@@ -2,7 +2,11 @@
 
 Every statistic is evaluated from scratch off the block structure, never
 incrementally along tree edges, so the certified transition laws below
-are genuine cross-checks and not restatements of the evaluator.
+are genuine cross-checks and not restatements of the evaluator.  The
+block-size statistics (Y, Y1, Y2, ..., Yge3) and the pair test of the
+area are read off the node's list of block sizes, built by one helper:
+:func:`size_profile` builds it once per node and reads all of Y, Y1-Y4
+and Yge3 from it, :func:`evaluate` builds it for one statistic.
 
 Two transition shapes appear.  A statistic of the first kind changes by
 a fixed amount r_j on any edge whose child has a maximal-label block of
@@ -87,24 +91,44 @@ def blocks_of_size(size: int) -> Statistic:
     return Statistic("blocks_of_size", size)
 
 
+# Y, Y1, ..., Y4, Yge3: the statistics that size_profile reads at once
+SIZE_STATS = (BLOCKS, blocks_of_size(1), blocks_of_size(2), blocks_of_size(3),
+              blocks_of_size(4), LARGE_BLOCKS)
+
+
+def _block_sizes(blocks) -> list[int]:
+    """The node's block sizes, in label order."""
+    return list(map(len, blocks))
+
+
+def size_profile(op: OrderedNcPartition) -> tuple[int, ...]:
+    """The values of :data:`SIZE_STATS` on one node, read off one
+    block-size list; each equals :func:`evaluate` of that statistic."""
+    sizes = _block_sizes(op.blocks_by_label)
+    total, ones, twos = len(sizes), sizes.count(1), sizes.count(2)
+    return (total, ones, twos, sizes.count(3), sizes.count(4),
+            total - ones - twos)
+
+
 def evaluate(stat: Statistic, op: OrderedNcPartition) -> int:
     """Value of the statistic on one ordered partition."""
     blocks = op.blocks_by_label
     if stat.family == "blocks":
         return len(blocks)
     if stat.family == "blocks_of_size":
-        return list(map(len, blocks)).count(stat.size)
+        return _block_sizes(blocks).count(stat.size)
     if stat.family == "blocks_at_least3":
-        sizes = list(map(len, blocks))
+        sizes = _block_sizes(blocks)
         return len(sizes) - sizes.count(1) - sizes.count(2)
     if stat.family == "outer":
         return len(_span_sweep(blocks)[0])
     if stat.family == "intervals":
         return sum(1 for b in blocks if len(b) == 2 and b[1] == b[0] + 1)
     if stat.family == "area":
-        if not op.is_pair_partition():
+        if _block_sizes(blocks).count(2) != len(blocks):
             raise AreaRequiresPairPartition(f"n={op.n} partition has a non-pair block")
-        return sum(b[1] - b[0] for b in blocks)
+        lows, highs = zip(*blocks)
+        return sum(highs) - sum(lows)
     raise ValueError(f"unknown statistic family {stat.family!r}")
 
 

@@ -12,12 +12,15 @@ the parent, so every node has a unique digit word recording the child
 index chosen at each depth.  The digit words give ranking, unranking and
 O(depth)-memory enumeration in rank order.
 
-All children of one node are built in one batch: each block of the node
-is raised once, and each child reuses the blocks that lie wholly below
-its new point, takes the raised copies of those wholly above it, and
-splits only the block that straddles it.  The level walk runs its
-odometer above the leaf level and takes each parent's leaves from one
-such batch.
+All children of one node are built in one batch by a stepping row.  At
+the last gap the row is the node itself.  Each step moves the new point
+one place left, past one old point, so only the block holding that point
+changes: the point is raised into the block's tail.  Each child is a
+copy of the row with the new block in its last slot.  A single child
+step is the same row over one gap: every block is classified once,
+reused as is below the new point and split into its points below it and
+a raised tail otherwise.  The level walk runs its odometer above the
+leaf level and takes each parent's leaves from one batch.
 """
 
 from __future__ import annotations
@@ -124,30 +127,56 @@ class OrderedNcPartition:
 # raw-tuple child/parent steps (hot path: no wrapper objects, no validation)
 
 def _rows(blocks, shift, marks):
-    """For each m in ``marks`` (ascending), the blocks with every point
-    >= m raised by ``shift``.
+    """The children that insert a new block of ``shift`` points
+    m, ..., m+shift-1 at each mark m of the range ``marks``, in order:
+    every old point >= m is raised by ``shift``, and the new block takes
+    the last label.
 
-    Each block is raised once per call.  Against a given m, a block
-    wholly below m is reused as is, a block wholly at or above m takes its
-    raised copy, and only a block that straddles m is split, keeping its
-    points below m and the raised rest.
+    One row steps along the marks, from the last down to the first.  At
+    the last mark every block is classified: a block wholly below it is
+    reused as is, a block wholly at or above it is raised whole, and a
+    block that straddles it keeps its points below the mark and takes
+    the raised rest.  The raised part of a block is its tail.  Stepping
+    from mark m+1 down to m raises only point m, so only the block that
+    holds it changes: its tail gains m+shift at the front, and the block
+    becomes its points below m followed by the tail.  The new block sits
+    in the row's last slot, so each further child costs one block update
+    and one copy of the row.  When the range ends past every point, as
+    for a whole sibling batch, the starting row is the node itself and
+    nothing is raised up front.
     """
-    low = marks[0]
-    pairs = [(b, b if b[-1] < low else tuple([x + shift for x in b]))
-             for b in blocks]
-    rows = []
-    for m in marks:
-        row = []
-        for b, raised in pairs:
-            if b[-1] < m:
-                row.append(b)
-            elif b[0] >= m:
-                row.append(raised)
-            else:
-                j = bisect_left(b, m)
-                row.append(b[:j] + raised[j:])
-        rows.append(tuple(row))
-    return rows
+    first, last = marks[0], marks[-1]
+    row = []
+    tails = []
+    for b in blocks:
+        if b[-1] < last:
+            row.append(b)
+            tails.append(())
+        elif b[0] >= last:
+            tail = tuple([x + shift for x in b])
+            row.append(tail)
+            tails.append(tail)
+        else:
+            j = bisect_left(b, last)
+            tail = tuple([x + shift for x in b[j:]])
+            row.append(b[:j] + tail)
+            tails.append(tail)
+    row.append(tuple(range(last, last + shift)))
+    kids = [tuple(row)]
+    if last == first:
+        return kids
+    slot = {x: i for i, b in enumerate(blocks) for x in b}
+    # the new block at each mark m = last-1, ..., first: m, ..., m+shift-1
+    news = zip(*[range(last - 1 + k, first - 1 + k, -1) for k in range(shift)])
+    for m, new in zip(range(last - 1, first - 1, -1), news):
+        i = slot[m]
+        b = blocks[i]
+        tail = tails[i] = (m + shift,) + tails[i]
+        row[i] = b[:b.index(m)] + tail
+        row[-1] = new
+        kids.append(tuple(row))
+    kids.reverse()
+    return kids
 
 
 def _kids_full(blocks, n):
@@ -155,35 +184,32 @@ def _kids_full(blocks, n):
     elongation child is the insertion child at the gap after the last
     point q of the maximal-label block, with the new point q+1 joined to
     that block instead of standing alone."""
-    rows = _rows(blocks, 1, range(1, n + 2))
-    kids = [row + ((m,),) for m, row in enumerate(rows, 1)]
+    kids = _rows(blocks, 1, range(1, n + 2))
     q = blocks[-1][-1]
-    kids.append(rows[q][:-1] + (blocks[-1] + (q + 1,),))
+    kids.append(kids[q][:-2] + (blocks[-1] + (q + 1,),))
     return kids
 
 
 def _kids_pair(blocks, n):
     """All n+1 children of a node on {1..n}: the pair {m, m+1} spliced in
     at every gap m = 1..n+1, in digit order."""
-    rows = _rows(blocks, 2, range(1, n + 2))
-    return [row + ((m, m + 1),) for m, row in enumerate(rows, 1)]
+    return _rows(blocks, 2, range(1, n + 2))
 
 
 def _child_full(blocks, n, d):
     if d < 0 or d > n + 1:
         raise DigitOutOfRange(f"digit {d} not in 0..{n + 1}")
     if d <= n:
-        m = d + 1
-        return _rows(blocks, 1, (m,))[0] + ((m,),)
+        return _rows(blocks, 1, range(d + 1, d + 2))[0]
     q = blocks[-1][-1]
-    return _rows(blocks, 1, (q + 1,))[0][:-1] + (blocks[-1] + (q + 1,),)
+    return (_rows(blocks, 1, range(q + 1, q + 2))[0][:-2]
+            + (blocks[-1] + (q + 1,),))
 
 
 def _child_pair(blocks, n, d):
     if d < 0 or d > n:
         raise DigitOutOfRange(f"digit {d} not in 0..{n}")
-    m = d + 1
-    return _rows(blocks, 2, (m,))[0] + ((m, m + 1),)
+    return _rows(blocks, 2, range(d + 1, d + 2))[0]
 
 
 def _parent_full(blocks):
@@ -410,8 +436,10 @@ def iter_level(n: int, kind: str = FULL, start: int = 0,
 
     Iterative depth-first walk over the digit word.  Beyond the yielded
     element, memory holds the O(n) ancestors and one parent's batch of at
-    most n+2 leaves.  Each yield costs amortized O(n), and a leaf shares
-    with its parent every block that lies wholly below its new point.
+    most n+2 leaves.  A batch starts from the parent's own row and costs
+    one block update and one C-level copy of the row per leaf; a leaf
+    shares with its parent every block that lies wholly below its new
+    point.
     """
     total = level_count(n, kind)
     stop = total if stop is None else stop

@@ -1,6 +1,10 @@
 """Command-line surface, exercised through main() with captured output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,6 +240,23 @@ def test_bad_rational_or_negative_upto_is_a_usage_error(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: "), argv
+
+
+def test_negative_limit_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "enumerate", "--n", "3", "--limit", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    code, out, _ = run(capsys, "enumerate", "--n", "3", "--limit", "0")
+    assert (code, out) == (0, "")
+
+
+def test_python_dash_m_runs_the_cli_without_an_install():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "mton", "closed-form", "--formula", "EY",
+         "--n", "2"], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "5/3\n", "")
 
 
 def test_env_override_of_size_guard(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mton import laplace, tree
+from mton import laplace, partitions, tree
 from mton.harness import (Check, CheckReport, CheckSpec, NotMinimizable,
                           SUITES, _count_kernel, build_checks,
                           corrupted_checks, counterexample_minimize,
@@ -186,6 +186,25 @@ def test_scan_reader_asks_for_its_deepest_level_once(scan_calls):
 def test_a_suite_scans_each_tree_it_reads_once(scan_calls):
     assert [r.status for r in run_suite("thm111")] == ["pass"] * 4
     assert scan_calls == [(PAIR, 7)]
+
+
+def test_the_lemmas_suite_scans_the_full_tree_once(scan_calls):
+    assert [r.status for r in run_suite("lemmas")] == ["pass"] * 3
+    assert scan_calls == [(FULL, 7)]
+
+
+def test_stat_cross_check_catches_a_wrong_span_sweep(scan_calls, monkeypatch):
+    # the scan keys read the sweep through laplace's import of it
+    real = partitions._span_sweep
+
+    def wrong(blocks):
+        outer, ints, summed = real(blocks)
+        return outer[:2], ints, summed  # at most two outer blocks
+    monkeypatch.setattr(laplace, "_span_sweep", wrong)
+    report = build_checks()["stat-cross-check"].run()
+    assert report.status == "fail"
+    assert report.witness["n"] == 3
+    assert (report.witness["stat"], report.witness["kind"]) == ("Out", FULL)
 
 
 def test_a_scan_past_the_guard_is_an_error_report(scan_calls):

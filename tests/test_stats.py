@@ -16,7 +16,8 @@ from mton.stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
                         certify_second_kind, dyck_path, evaluate,
                         first_kind_input, path_area, second_kind_input,
                         write_stats_csv)
-from mton.tree import FULL, PAIR, decode, iter_level, TreeCode
+from mton.tree import (FULL, PAIR, OrderedNcPartition, TreeCode, decode,
+                       iter_level)
 
 
 def test_statistic_names_and_parse():
@@ -57,6 +58,21 @@ def test_block_size_statistics_decompose_pointwise():
                     == evaluate(BLOCKS, op)
                     - evaluate(blocks_of_size(1), op)
                     - evaluate(blocks_of_size(2), op))
+
+
+def test_size_profile_equals_the_six_evaluations():
+    assert [s.name for s in stats.SIZE_STATS] == ["Y", "Y1", "Y2", "Y3", "Y4", "Yge3"]
+    for n in range(1, 8):
+        for op in iter_level(n, FULL):
+            assert stats.size_profile(op) == tuple(
+                evaluate(s, op) for s in stats.SIZE_STATS), op
+
+
+def test_area_evaluation_refuses_a_non_pair_block():
+    for n, blocks in ((3, ((1, 2), (3,))), (4, ((1, 2, 3, 4),))):
+        with pytest.raises(AreaRequiresPairPartition):
+            evaluate(AREA, OrderedNcPartition(n, blocks))
+    assert evaluate(AREA, OrderedNcPartition(4, ((1, 4), (2, 3)))) == 4
 
 
 def test_area_only_on_pair_partitions():

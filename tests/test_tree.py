@@ -94,6 +94,20 @@ def test_sibling_batches_match_the_single_step_and_the_old_relabel():
                     assert kid == step(blocks, op.n, d) == oracle(blocks, op.n, d)
 
 
+def test_a_row_range_past_the_first_mark_matches_the_old_relabel():
+    # the stepping row started mid-node: each insertion child of the range
+    for kind, top, shift, oracle in ((FULL, 5, 1, _relabel_full),
+                                     (PAIR, 4, 2, _relabel_pair)):
+        for depth in range(1, top + 1):
+            for op in iter_level(depth, kind):
+                blocks, n = op.blocks_by_label, op.n
+                for lo in range(2, n + 2):
+                    for hi in range(lo, n + 2):
+                        marks = range(lo, hi + 1)
+                        assert tree._rows(blocks, shift, marks) == [
+                            oracle(blocks, n, m - 1) for m in marks], (blocks, lo, hi)
+
+
 def test_pair_children_relabel_blocks_of_any_size():
     # a pair spliced into a full-tree node splits blocks of three or more
     op = decode(TreeCode(FULL, (2, 3, 4, 3, 2, 7, 0, 9)))
