@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from itertools import islice
 from typing import Optional
 
 from . import closed_forms as cf
@@ -56,11 +57,10 @@ def _guard(n: int, kind: str, force: bool) -> Optional[str]:
     return None
 
 
-def _add_common(p: argparse.ArgumentParser, kinds: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="tree depth")
-    if kinds:
-        p.add_argument("--kind", choices=KINDS, default=FULL,
-                       help="which tree (default full)")
+    p.add_argument("--kind", choices=KINDS, default=FULL,
+                   help="which tree (default full)")
     p.add_argument("--force", action="store_true",
                    help="ignore the enumeration size guard")
 
@@ -73,11 +73,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         print(msg, file=sys.stderr)
         return 2
     if args.format == "count":
-        print(sum(1 for _ in tree.stream_level(args.n, args.kind)))
+        nodes = islice(tree.stream_level(args.n, args.kind), args.limit)
+        print(sum(1 for _ in nodes))
         return 0
-    for rank, op in enumerate(tree.iter_level(args.n, args.kind)):
-        if args.limit is not None and rank >= args.limit:
-            break
+    nodes = islice(tree.iter_level(args.n, args.kind), args.limit)
+    for rank, op in enumerate(nodes):
         record = {"rank": rank}
         record.update(op.to_json())
         print(json.dumps(record))

@@ -168,14 +168,13 @@ def stirling_by_closed_form(n_max: int) -> StirlingTable:
     return StirlingTable(tuple(rows))
 
 
-def stirling_by_tree_count(n_max: int,
-                           max_n: Optional[int] = None) -> StirlingTable:
+def stirling_by_tree_count(n_max: int) -> StirlingTable:
     """J[n][k] read off the enumerated block-count transforms."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rows = []
     for n in range(1, n_max + 1):
-        poly = laplace.bruteforce_transform(BLOCKS, n, max_n=max_n)
+        poly = laplace.bruteforce_transform(BLOCKS, n)
         rows.append(tuple(int(poly.coefficient(k)) for k in range(1, n + 1)))
     return StirlingTable(tuple(rows))
 

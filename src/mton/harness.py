@@ -8,9 +8,10 @@ re-derives it from scratch.  A kernel that raises yields an "error"
 report with a traceback excerpt, and the checks after it still run.  The
 self-test feeds one wrong formula per suite to that suite's own kernels.
 
-A check whose kernel reads the brute-force scan names that tree and asks
-for its deepest size once, up front; under "all" the count checks lead
-with the deepest sizes, so each tree is scanned once per run.
+A check whose kernel reads the brute-force scan declares each tree it
+reads with the deepest level it reads there, and asks for that once, up
+front; under "all" the count checks lead with the deepest sizes, so each
+tree is scanned once per run.
 
 Exact values inside witnesses are serialized as integer or "p/q"
 strings; only checks in float mode carry floats, and they say so.
@@ -66,18 +67,17 @@ class Check:
     spec: CheckSpec
     sizes: tuple[int, ...]
     kernel: Callable[[int], Optional[dict]]
-    scan: Optional[str] = None  # the tree whose scan the kernel reads
-    scan_depth: Optional[int] = None  # its deepest scanned level, if not max(sizes)
+    # each (tree, deepest level) whose brute-force scan the kernel reads
+    scans: tuple[tuple[str, int], ...] = ()
 
     def run(self) -> CheckReport:
         start = time.perf_counter()
         status, witness = "pass", None
         try:
-            if self.scan is not None:
-                # scan once to the deepest level, so every size hits the cache
-                n = self.scan_depth or max(self.sizes)
-                laplace._guard(n, self.scan, None)
-                laplace.level_histograms(self.scan, n)
+            # scan once to the deepest level, so every size hits the cache
+            for kind, n in self.scans:
+                laplace._guard(n, kind, None)
+                laplace.level_histograms(kind, n)
             for n in self.sizes:
                 witness = self.kernel(n)
                 if witness is not None:
@@ -505,17 +505,16 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
     b_pair = 8 if deep else 7
     b_outer = 9 if deep else 8
 
-    def mk(id_, desc, sizes, kernel, scan=None, scan_depth=None):
-        return Check(CheckSpec(id_, desc), tuple(sizes), kernel, scan,
-                     scan_depth)
+    def mk(id_, desc, sizes, kernel, scans=()):
+        return Check(CheckSpec(id_, desc), tuple(sizes), kernel, scans)
 
     checks = [
         mk("count-full", "scanned full-tree level sizes equal (n+1)!/2",
            range(1, b_full + 1), _count_kernel(FULL, tree.level_count),
-           scan=FULL),
+           scans=((FULL, b_full),)),
         mk("count-pair", "scanned pair-tree level sizes equal (2n-1)!!",
            range(1, b_pair + 1), _count_kernel(PAIR, tree.level_count),
-           scan=PAIR),
+           scans=((PAIR, b_pair),)),
         mk("enum-cross-check",
            "tree enumeration equals the permutation-filter construction",
            range(1, 8), _enum_cross_kernel(
@@ -528,32 +527,32 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
            "scanned outer, interval-pair and area transforms equal "
            "reference evaluators over the filter construction",
            range(1, 8), _k_stat_cross,
-           scan=FULL),
+           scans=((FULL, 7), (PAIR, 6))),
 
         mk("block-count-mean", "enumerated mean block count vs closed form",
            range(2, b_full + 1),
            _mean_kernel(BLOCKS, FULL, cf.expected_block_count),
-           scan=FULL),
+           scans=((FULL, b_full),)),
         mk("block-count-variance",
            "enumerated block-count variance vs both closed forms",
            range(2, b_full + 1), _readout_kernel(
                BLOCKS, FULL, laplace.variance_from_laplace,
                cf.variance_block_count, cf.variance_block_count_alt),
-           scan=FULL),
+           scans=((FULL, b_full),)),
         mk("block-count-spot", "frozen level-3 mean 29/12 and variance 59/144",
            [3], _spot_kernel(BLOCKS, FULL, "variance",
                              laplace.variance_from_laplace,
                              (Fraction(29, 12), Fraction(59, 144))),
-           scan=FULL),
+           scans=((FULL, 3),)),
         mk("product-form",
            "block-count transform equals t(1+2t)...(1+nt)",
            range(1, b_full + 1), _product_kernel(
                partial(laplace.bruteforce_transform, BLOCKS)),
-           scan=FULL),
+           scans=((FULL, b_full),)),
         mk("block-count-recursion",
            "block-count transform recursion vs enumeration",
            range(1, b_full + 1), _recursion_kernel((BLOCKS,), FULL),
-           scan=FULL),
+           scans=((FULL, b_full),)),
         mk("variance-forms", "the two printed variance forms agree",
            range(2, 10001), _forms_kernel(
                "direct", cf.variance_block_count,
@@ -567,15 +566,15 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
         mk("size1-mean", "enumerated mean singleton count vs closed form",
            range(3, b_full + 1),
            _mean_kernel(blocks_of_size(1), FULL, cf.expected_size1_blocks),
-           scan=FULL),
+           scans=((FULL, b_full),)),
         mk("size2-mean", "enumerated mean two-block count vs closed form",
            range(4, b_full + 1),
            _mean_kernel(blocks_of_size(2), FULL, cf.expected_size2_blocks),
-           scan=FULL),
+           scans=((FULL, b_full),)),
         mk("size3plus-mean", "enumerated mean of >=3 blocks vs closed form",
            range(4, b_full + 1),
            _mean_kernel(LARGE_BLOCKS, FULL, cf.expected_size3plus_blocks),
-           scan=FULL),
+           scans=((FULL, b_full),)),
         mk("size-decomposition",
            "closed forms: whole mean equals sum of size parts",
            range(4, 1001), _forms_kernel(
@@ -585,11 +584,11 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
         mk("tally-recursions",
            "size-count transform recursions vs enumeration",
            range(1, b_full + 1), _recursion_kernel(SIZE_STATS[1:], FULL),
-           scan=FULL),
+           scans=((FULL, b_full),)),
         mk("seed-resolution",
            "level-3 singleton transform settles to 6t^3 + 5t + 1",
            [3], _k_seed_resolution,
-           scan=FULL),
+           scans=((FULL, 3),)),
         mk("size3-limit", "telescoped three-block mean approaches 23/90",
            [1000], _float_kernel("EY3", 1e-2)),
 
@@ -601,7 +600,7 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
            "singleton-max-block slice transform equals m t^r1 times the "
            "previous level",
            range(2, 9), _k_singleton_slice,
-           scan=FULL, scan_depth=7),
+           scans=((FULL, 7),)),
         mk("area-child-split",
            "pair children areas sum to (2n-1) + (2n+1) parent area",
            range(2, 8), _area_split_kernel(
@@ -610,11 +609,11 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
         mk("outer-full-mean", "enumerated mean outer count vs (2n+1)/3",
            range(1, b_outer + 1),
            _mean_kernel(OUTER, FULL, cf.expected_outer_blocks),
-           scan=FULL),
+           scans=((FULL, b_outer),)),
         mk("outer-full-recursion",
            "outer-count transform recursion vs enumeration (full tree)",
            range(1, b_outer + 1), _recursion_kernel((OUTER,), FULL),
-           scan=FULL),
+           scans=((FULL, b_outer),)),
         mk("outer-full-subsets",
            "outer-count insertion law clauses on every full-tree parent",
            range(2, b_outer + 1), _subset_kernel(OUTER, FULL)),
@@ -622,12 +621,12 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
            "enumerated mean interval-pair count vs (2n+1)/3",
            range(1, b_pair + 1),
            _mean_kernel(INTERVAL_PAIRS, PAIR, cf.expected_interval_pairs),
-           scan=PAIR),
+           scans=((PAIR, b_pair),)),
         mk("interval-pair-recursion",
            "interval-pair transform recursion vs enumeration",
            range(1, b_pair + 1),
            _recursion_kernel((INTERVAL_PAIRS,), PAIR),
-           scan=PAIR),
+           scans=((PAIR, b_pair),)),
         mk("interval-pair-subsets",
            "interval-pair insertion law clauses on every pair-tree parent",
            range(2, b_pair + 1), _subset_kernel(INTERVAL_PAIRS, PAIR)),
@@ -635,11 +634,11 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
            "enumerated mean outer count vs 2^n n!/(2n-1)!! - 1",
            range(1, b_pair + 1),
            _mean_kernel(OUTER, PAIR, cf.expected_outer_pairs),
-           scan=PAIR),
+           scans=((PAIR, b_pair),)),
         mk("outer-pair-recursion",
            "outer-count transform recursion vs enumeration (pair tree)",
            range(1, b_pair + 1), _recursion_kernel((OUTER,), PAIR),
-           scan=PAIR),
+           scans=((PAIR, b_pair),)),
         mk("outer-pair-subsets",
            "outer-count insertion law clauses on every pair-tree parent",
            range(2, b_pair + 1), _subset_kernel(OUTER, PAIR)),
@@ -662,15 +661,15 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
            "enumerated mean area vs (2n+1) sum 1/(2k+1)",
            range(1, b_pair + 1),
            _mean_kernel(AREA, PAIR, cf.expected_area),
-           scan=PAIR),
+           scans=((PAIR, b_pair),)),
         mk("area-total", "summed area vs (2n+1)!! partial odd harmonic",
            range(1, b_pair + 1), _readout_kernel(
                AREA, PAIR, _total, cf.total_area,
                lambda n: cf.expected_area(n) * cf.double_factorial_odd(n)),
-           scan=PAIR),
+           scans=((PAIR, b_pair),)),
         mk("area-spot", "frozen pair level 2: mean 8/3, total 8",
            [2], _spot_kernel(AREA, PAIR, "total", _total, (Fraction(8, 3), 8)),
-           scan=PAIR),
+           scans=((PAIR, 2),)),
         mk("area-asymptote",
            "mean area over n log n enters [0.9, 1.1] and tightens",
            [10 ** 6], _k_area_ratio_shrinks),
@@ -682,7 +681,7 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
            range(1, 10), _row_kernel(
                "tree", cm.stirling_by_tree_count,
                "recursion", cm.stirling_by_recursion),
-           scan=FULL),
+           scans=((FULL, 9),)),
         mk("triangle-recursion-closed",
            "triangle recursion vs increasing-products closed form",
            range(1, 21), _row_kernel("closed_form", cm.stirling_by_closed_form,

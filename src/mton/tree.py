@@ -1,11 +1,13 @@
 """Rooted trees on monotonically ordered non-crossing partitions.
 
-Two trees share one node type.  In the "full" tree the nodes at depth n
-are the ordered partitions of {1..n}: a child either inserts a new
-maximal-label singleton at one of n+1 gaps or extends the current
-maximal-label block by one point on its right.  In the "pair" tree the
-nodes at depth n are the ordered pair-partitions of {1..2n}: a child
-splices a new maximal-label pair {m, m+1} into one of 2n+1 gaps.
+Two trees share one node type and one step rule, and differ only in the
+number of points a step adds: one in the "full" tree, two in the "pair"
+tree.  A child inserts a new maximal-label block of that many
+consecutive points at one of the gaps.  The nodes at depth n of the full
+tree are the ordered partitions of {1..n}; a full-tree node has one more
+child, the elongation, which extends the maximal-label block by one
+point on its right.  The nodes at depth n of the pair tree are the
+ordered pair-partitions of {1..2n}.
 
 Deleting the last point (or pair) of the maximal-label block recovers
 the parent, so every node has a unique digit word recording the child
@@ -19,8 +21,8 @@ changes: the point is raised into the block's tail.  Each child is a
 copy of the row with the new block in its last slot.  A single child
 step is the same row over one gap: every block is classified once,
 reused as is below the new point and split into its points below it and
-a raised tail otherwise.  The level walk runs its odometer above the
-leaf level and takes each parent's leaves from one batch.
+a raised tail otherwise.  The level walk takes every node, inner or
+leaf, from its parent's batch.
 """
 
 from __future__ import annotations
@@ -179,82 +181,72 @@ def _rows(blocks, shift, marks):
     return kids
 
 
-def _kids_full(blocks, n):
-    """All n+2 children of a full-tree node in digit order.  The
-    elongation child is the insertion child at the gap after the last
-    point q of the maximal-label block, with the new point q+1 joined to
-    that block instead of standing alone."""
-    kids = _rows(blocks, 1, range(1, n + 2))
-    q = blocks[-1][-1]
-    kids.append(kids[q][:-2] + (blocks[-1] + (q + 1,),))
+def _kids(blocks, n, scale):
+    """All children of a node on {1..n} in digit order: a new block of
+    ``scale`` points inserted at every gap 1..n+1, then, in the full tree
+    only, the elongation child.  That is the insertion child at the gap
+    after the last point q of the maximal-label block, with the new point
+    q+1 joined to that block instead of standing alone."""
+    kids = _rows(blocks, scale, range(1, n + 2))
+    if scale == 1:
+        q = blocks[-1][-1]
+        kids.append(kids[q][:-2] + (blocks[-1] + (q + 1,),))
     return kids
 
 
-def _kids_pair(blocks, n):
-    """All n+1 children of a node on {1..n}: the pair {m, m+1} spliced in
-    at every gap m = 1..n+1, in digit order."""
-    return _rows(blocks, 2, range(1, n + 2))
-
-
-def _child_full(blocks, n, d):
-    if d < 0 or d > n + 1:
-        raise DigitOutOfRange(f"digit {d} not in 0..{n + 1}")
+def _child(blocks, n, d, scale):
+    """The child of digit d alone; digit n+1 is the full tree's elongation."""
+    top = n + 2 - scale
+    if d < 0 or d > top:
+        raise DigitOutOfRange(f"digit {d} not in 0..{top}")
     if d <= n:
-        return _rows(blocks, 1, range(d + 1, d + 2))[0]
+        return _rows(blocks, scale, range(d + 1, d + 2))[0]
     q = blocks[-1][-1]
     return (_rows(blocks, 1, range(q + 1, q + 2))[0][:-2]
             + (blocks[-1] + (q + 1,),))
 
 
-def _child_pair(blocks, n, d):
-    if d < 0 or d > n:
-        raise DigitOutOfRange(f"digit {d} not in 0..{n}")
-    return _rows(blocks, 2, range(d + 1, d + 2))[0]
-
-
-def _parent_full(blocks):
+def _parent(blocks, scale):
+    """Delete the last ``scale`` points of the maximal-label block, or the
+    whole block when that is all of it, and close the gap they leave."""
     j = blocks[-1]
-    m = j[-1]
-    rest = blocks[:-1] if len(j) == 1 else blocks[:-1] + (j[:-1],)
-    return tuple(tuple(x - 1 if x > m else x for x in b) for b in rest)
+    q = j[-1]
+    rest = blocks[:-1] if len(j) <= scale else blocks[:-1] + (j[:-scale],)
+    return tuple(tuple(x - scale if x > q else x for x in b) for b in rest)
 
 
-def _parent_pair(blocks):
-    m = blocks[-1][0]
-    return tuple(tuple(x - 2 if x > m + 1 else x for x in b) for b in blocks[:-1])
-
-
-def _steps(kind):
-    """The single child step, the sibling batch and the ground size per
-    depth of one tree."""
+def _scale(kind):
+    """Points a child step adds: 1 in the full tree, 2 in the pair tree."""
     _require_kind(kind)
-    if kind == FULL:
-        return _child_full, _kids_full, 1
-    return _child_pair, _kids_pair, 2
+    return 1 if kind == FULL else 2
+
+
+def _root(scale):
+    return (tuple(range(1, scale + 1)),)
 
 
 # ---------------------------------------------------------------------------
 # public node operations
 
 def full_root() -> OrderedNcPartition:
-    return OrderedNcPartition(1, ((1,),))
+    return OrderedNcPartition(1, _root(1))
 
 def pair_root() -> OrderedNcPartition:
-    return OrderedNcPartition(2, ((1, 2),))
+    return OrderedNcPartition(2, _root(2))
 
 
 def parent(op: OrderedNcPartition) -> OrderedNcPartition:
     """Delete the last point of the maximal-label block."""
     if op.n <= 1:
         raise RootHasNoParent("already at the one-point partition")
-    return OrderedNcPartition(op.n - 1, _parent_full(op.blocks_by_label))
+    return OrderedNcPartition(op.n - 1, _parent(op.blocks_by_label, 1))
 
 
 def children(op: OrderedNcPartition) -> list[OrderedNcPartition]:
     """All n+2 children in digit order: insertions at gaps 1..n+1, then
     the elongation of the maximal-label block."""
     n = op.n
-    return [OrderedNcPartition(n + 1, kid) for kid in _kids_full(op.blocks_by_label, n)]
+    return [OrderedNcPartition(n + 1, kid) for kid in _kids(op.blocks_by_label, n, 1)]
 
 
 def pair_parent(op: OrderedNcPartition) -> OrderedNcPartition:
@@ -264,21 +256,20 @@ def pair_parent(op: OrderedNcPartition) -> OrderedNcPartition:
     j = op.blocks_by_label[-1]
     if len(j) != 2 or j[1] != j[0] + 1:
         raise ValueError(f"maximal-label block {j} is not an interval pair")
-    return OrderedNcPartition(op.n - 2, _parent_pair(op.blocks_by_label))
+    return OrderedNcPartition(op.n - 2, _parent(op.blocks_by_label, 2))
 
 
 def pair_children(op: OrderedNcPartition) -> list[OrderedNcPartition]:
     """All 2n+1 children in digit order: pair spliced in at gaps 1..2n+1."""
     n = op.n
-    return [OrderedNcPartition(n + 2, kid) for kid in _kids_pair(op.blocks_by_label, n)]
+    return [OrderedNcPartition(n + 2, kid) for kid in _kids(op.blocks_by_label, n, 2)]
 
 
 def child_at(op: OrderedNcPartition, digit: int, kind: str = FULL) -> OrderedNcPartition:
     """The single child selected by ``digit``, without building siblings."""
-    _require_kind(kind)
-    if kind == FULL:
-        return OrderedNcPartition(op.n + 1, _child_full(op.blocks_by_label, op.n, digit))
-    return OrderedNcPartition(op.n + 2, _child_pair(op.blocks_by_label, op.n, digit))
+    scale = _scale(kind)
+    return OrderedNcPartition(op.n + scale,
+                              _child(op.blocks_by_label, op.n, digit, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -327,28 +318,22 @@ def level_count(n: int, kind: str = FULL) -> int:
 
 def decode(code: TreeCode) -> OrderedNcPartition:
     """Walk the digit word from the root down to its node."""
-    child, _, scale = _steps(code.kind)
-    blocks = ((1,),) if code.kind == FULL else ((1, 2),)
+    scale = _scale(code.kind)
+    blocks = _root(scale)
     for depth, d in enumerate(code.digits, start=1):
-        blocks = child(blocks, scale * depth, d)
-    n = len(code.digits) + 1
-    return OrderedNcPartition(n if code.kind == FULL else 2 * n, blocks)
+        blocks = _child(blocks, scale * depth, d, scale)
+    return OrderedNcPartition(scale * (len(code.digits) + 1), blocks)
 
 
 def encode(op: OrderedNcPartition, kind: str = FULL) -> TreeCode:
     """Recover the digit word by walking parents up to the root."""
-    _require_kind(kind)
+    scale = _scale(kind)
     digits = []
     cur = op
-    if kind == FULL:
-        while cur.n > 1:
-            j = cur.max_label_block()
-            digits.append(j[0] - 1 if len(j) == 1 else cur.n)
-            cur = parent(cur)
-    else:
-        while cur.n > 2:
-            digits.append(cur.max_label_block()[0] - 1)
-            cur = pair_parent(cur)
+    while cur.n > scale:
+        j = cur.max_label_block()
+        digits.append(j[0] - 1 if len(j) == scale else cur.n)
+        cur = parent(cur) if scale == 1 else pair_parent(cur)
     digits.reverse()
     return TreeCode(kind, tuple(digits))
 
@@ -387,46 +372,39 @@ def _walk(path: list, n: int, kind: str, start: int = 0,
     is the node itself) and yields ``fresh``: the first path index whose
     node has the current node as its leftmost descendant.  Stops after
     ``count`` nodes, or, when ``count`` is None, once every digit is at
-    its maximum.  The odometer runs above the leaf level only: the
-    leaves under one parent come from one sibling batch.
+    its maximum.  Every path node is taken from its parent's sibling
+    batch: ``rest[i]`` iterates over the siblings of ``path[i]`` still to
+    come, and is rebuilt only when ``path[i-1]`` changes.
     """
-    child, kids, scale = _steps(kind)
+    scale = _scale(kind)
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
     digits = _digits_from_rank(start, n, kind)
-    path[:] = [((1,),) if kind == FULL else ((1, 2),)]
+    path[:] = [_root(scale)]
+    rest = [iter(())]  # the root has no siblings
     for depth, d in enumerate(digits, start=1):
-        path.append(child(path[-1], scale * depth, d))
+        batch = _kids(path[-1], scale * depth, scale)
+        rest.append(iter(batch[d + 1:]))
+        path.append(batch[d])
     fresh = n - 1
     while fresh > 0 and digits[fresh - 1] == 0:
         fresh -= 1
     yield fresh
-    if n == 1:
-        return
-    leaf, d = n - 1, digits[-1]
-    batch = kids(path[-2], scale * leaf)
-    radii = [_radix(depth, kind) for depth in range(1, leaf)]
+    leaf = n - 1
     remaining = -1 if count is None else count - 1
     while remaining:
-        d += 1
-        if d < len(batch):
-            path[leaf] = batch[d]
-            yield leaf
-        else:
-            i = leaf - 1
-            while i > 0 and digits[i - 1] == radii[i - 1] - 1:
-                i -= 1
-            if i == 0:
+        i = leaf
+        while (node := next(rest[i], None)) is None:
+            if not i:
                 return
-            digits[i - 1] += 1
-            path[i] = child(path[i - 1], scale * i, digits[i - 1])
-            for j in range(i + 1, leaf):
-                digits[j - 1] = 0
-                path[j] = child(path[j - 1], scale * j, 0)
-            batch = kids(path[leaf - 1], scale * leaf)
-            d = 0
-            path[leaf] = batch[0]
-            yield i
+            i -= 1
+        path[i] = node
+        fresh = i
+        while i < leaf:
+            i += 1
+            siblings = rest[i] = iter(_kids(path[i - 1], scale * i, scale))
+            path[i] = next(siblings)
+        yield fresh
         remaining -= 1
 
 
@@ -435,11 +413,11 @@ def iter_level(n: int, kind: str = FULL, start: int = 0,
     """Yield the depth-n nodes with ranks in [start, stop) in rank order.
 
     Iterative depth-first walk over the digit word.  Beyond the yielded
-    element, memory holds the O(n) ancestors and one parent's batch of at
-    most n+2 leaves.  A batch starts from the parent's own row and costs
-    one block update and one C-level copy of the row per leaf; a leaf
-    shares with its parent every block that lies wholly below its new
-    point.
+    element, memory holds the O(n) ancestors and the sibling batch of
+    each, at most n+2 nodes apiece.  A batch starts from the parent's own
+    row and costs one block update and one C-level copy of the row per
+    child; a child shares with its parent every block that lies wholly
+    below its new point.
     """
     total = level_count(n, kind)
     stop = total if stop is None else stop
@@ -447,7 +425,7 @@ def iter_level(n: int, kind: str = FULL, start: int = 0,
         raise RankOutOfRange(f"range [{start}, {stop}) not within [0, {total})")
     if start == stop:
         return
-    ground = n if kind == FULL else 2 * n
+    ground = _scale(kind) * n
     path: list = []
     for _ in _walk(path, n, kind, start, stop - start):
         yield OrderedNcPartition(ground, path[-1])
@@ -460,7 +438,7 @@ def stream_level(n: int, kind: str = FULL) -> Iterator[OrderedNcPartition]:
     the walk ends when every digit sits at its maximum, so the number of
     nodes produced is independent evidence for :func:`level_count`.
     """
-    ground = n if kind == FULL else 2 * n
+    ground = _scale(kind) * n
     path: list = []
     for _ in _walk(path, n, kind):
         yield OrderedNcPartition(ground, path[-1])

@@ -35,6 +35,14 @@ def test_enumerate_count(capsys):
     assert out.strip() == "60"
 
 
+def test_enumerate_count_stops_at_the_limit(capsys):
+    for limit, want in (("2", "2"), ("0", "0"), (None, "12")):
+        extra = () if limit is None else ("--limit", limit)
+        code, out, _ = run(capsys, "enumerate", "--n", "3", "--format",
+                           "count", *extra)
+        assert (code, out.strip()) == (0, want), limit
+
+
 def test_enumerate_guard_refuses_big_levels(capsys):
     code, out, err = run(capsys, "enumerate", "--n", "11", "--format", "count")
     assert code == 2

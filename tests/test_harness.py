@@ -177,7 +177,7 @@ def test_scan_reader_asks_for_its_deepest_level_once(scan_calls):
         totals.append(laplace.bruteforce_transform(BLOCKS, n).evaluate(1))
         return None
     check = Check(CheckSpec("reader", "reads the full-tree scan"),
-                  tuple(range(1, 6)), kernel, FULL)
+                  tuple(range(1, 6)), kernel, ((FULL, 5),))
     assert check.run().status == "pass"
     assert scan_calls == [(FULL, 5)]
     assert totals == [tree.level_count(n) for n in range(1, 6)]
@@ -191,6 +191,11 @@ def test_a_suite_scans_each_tree_it_reads_once(scan_calls):
 def test_the_lemmas_suite_scans_the_full_tree_once(scan_calls):
     assert [r.status for r in run_suite("lemmas")] == ["pass"] * 3
     assert scan_calls == [(FULL, 7)]
+
+
+def test_stat_cross_check_scans_each_tree_once(scan_calls):
+    assert build_checks()["stat-cross-check"].run().status == "pass"
+    assert scan_calls == [(FULL, 7), (PAIR, 6)]
 
 
 def test_stat_cross_check_catches_a_wrong_span_sweep(scan_calls, monkeypatch):
@@ -212,7 +217,7 @@ def test_a_scan_past_the_guard_is_an_error_report(scan_calls):
         raise AssertionError("the kernel ran")
     too_deep = laplace.DEFAULT_MAX_FULL + 1
     check = Check(CheckSpec("too-deep", "asks past the guard"),
-                  (1, too_deep), kernel, FULL)
+                  (1, too_deep), kernel, ((FULL, too_deep),))
     report = check.run()
     assert report.status == "error"
     assert report.witness["n"] == too_deep
@@ -223,11 +228,12 @@ def test_a_scan_past_the_guard_is_an_error_report(scan_calls):
 def test_declared_scans_stay_within_the_library_guard():
     limits = {FULL: laplace.DEFAULT_MAX_FULL, PAIR: laplace.DEFAULT_MAX_PAIR}
     for deep in (False, True):
-        declared = {i: c for i, c in build_checks(deep).items() if c.scan}
+        declared = {i: c for i, c in build_checks(deep).items() if c.scans}
         assert {"count-full", "count-pair", "product-form", "seed-resolution",
                 "triangle-tree-recursion"} <= set(declared)
         for check_id, check in declared.items():
-            assert max(check.sizes) <= limits[check.scan], (deep, check_id)
+            for kind, depth in check.scans:
+                assert depth <= limits[kind], (deep, check_id)
 
 
 def test_count_kernel_reads_the_scan_not_a_stream(monkeypatch):

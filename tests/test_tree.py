@@ -82,16 +82,16 @@ def _relabel_pair(blocks, n, d):
 
 
 def test_sibling_batches_match_the_single_step_and_the_old_relabel():
-    for kind, top, batch, step, oracle in (
-            (FULL, 7, tree._kids_full, tree._child_full, _relabel_full),
-            (PAIR, 5, tree._kids_pair, tree._child_pair, _relabel_pair)):
+    for kind, top, scale, oracle in ((FULL, 7, 1, _relabel_full),
+                                     (PAIR, 5, 2, _relabel_pair)):
         for depth in range(1, top + 1):
             for op in iter_level(depth, kind):
                 blocks = op.blocks_by_label
-                kids = batch(blocks, op.n)
+                kids = tree._kids(blocks, op.n, scale)
                 assert len(kids) == tree._radix(depth, kind)
                 for d, kid in enumerate(kids):
-                    assert kid == step(blocks, op.n, d) == oracle(blocks, op.n, d)
+                    assert (kid == tree._child(blocks, op.n, d, scale)
+                            == oracle(blocks, op.n, d))
 
 
 def test_a_row_range_past_the_first_mark_matches_the_old_relabel():
@@ -149,6 +149,23 @@ def test_walk_matches_unrank_from_every_start():
                            in tree._walk(path, n, kind, start, count)]
                     stop = None if count is None else start + count
                     assert got == want[start:stop], (kind, n, start, count)
+
+
+def test_the_walk_builds_every_node_from_one_batch_per_parent(monkeypatch):
+    def no_single_step(*args):
+        raise AssertionError("the walk took a single child step")
+    real = tree._kids
+    calls = []
+
+    def counted(blocks, n, scale):
+        calls.append(n)
+        return real(blocks, n, scale)
+    monkeypatch.setattr(tree, "_child", no_single_step)
+    monkeypatch.setattr(tree, "_kids", counted)
+    for kind, n in ((FULL, 6), (PAIR, 4)):
+        calls.clear()
+        assert sum(1 for _ in stream_level(n, kind)) == level_count(n, kind)
+        assert len(calls) == sum(level_count(k, kind) for k in range(1, n))
 
 
 def test_elongation_child_grows_max_block():
