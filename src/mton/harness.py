@@ -195,6 +195,26 @@ def _count_kernel(kind: str, formula: Callable[[int, str], int]):
     return kernel
 
 
+def _multiplicity_kernel(b_pair: int):
+    # the scanned tally of each partition against its hook-length ordering
+    # count, and the number of distinct partitions against Catalan(n)
+    def kernel(n: int) -> Optional[dict]:
+        for kind in (FULL, PAIR) if n <= b_pair else (FULL,):
+            hist = laplace.level_histograms(kind, n)[n]
+            catalan = math.comb(2 * n, n) // (n + 1)
+            if len(hist) != catalan:
+                return {"n": n, "kind": kind, "distinct": len(hist),
+                        "catalan": catalan}
+            for blocks, tallied in sorted(hist.items()):
+                hook = cm._ordering_count_blocks(blocks)
+                if tallied != hook:
+                    return {"n": n, "kind": kind,
+                            "blocks": [list(b) for b in blocks],
+                            "tallied": tallied, "hook": hook}
+        return None
+    return kernel
+
+
 def _enum_cross_kernel(kind: str, by_filter: Callable[[int], set]):
     # the tree level against an independent construction of the same set
     def kernel(n: int) -> Optional[dict]:
@@ -210,7 +230,7 @@ def _enum_cross_kernel(kind: str, by_filter: Callable[[int], set]):
 
 
 # per tree: the deepest level compared, the filter construction, and the
-# reference evaluator of each statistic that the scan keys carry
+# reference evaluator of each statistic read off the block spans
 _REFERENCE_STATS = (
     (FULL, 7, reference.ordered_partitions_by_filter,
      ((OUTER, reference.outer_count),
@@ -515,6 +535,11 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
         mk("count-pair", "scanned pair-tree level sizes equal (2n-1)!!",
            range(1, b_pair + 1), _count_kernel(PAIR, tree.level_count),
            scans=((PAIR, b_pair),)),
+        mk("scan-multiplicities",
+           "scanned levels hold Catalan(n) partitions, each tallied "
+           "as often as its hook-length ordering count",
+           range(1, b_full + 1), _multiplicity_kernel(b_pair),
+           scans=((FULL, b_full), (PAIR, b_pair))),
         mk("enum-cross-check",
            "tree enumeration equals the permutation-filter construction",
            range(1, 8), _enum_cross_kernel(
@@ -727,8 +752,9 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
 
 
 SUITES: dict[str, tuple[str, ...]] = {
-    "cardinality": ("count-full", "count-pair", "enum-cross-check",
-                    "pair-enum-cross-check", "stat-cross-check"),
+    "cardinality": ("count-full", "count-pair", "scan-multiplicities",
+                    "enum-cross-check", "pair-enum-cross-check",
+                    "stat-cross-check"),
     "thm16": ("block-count-mean", "block-count-variance", "block-count-spot",
               "product-form", "block-count-recursion", "variance-forms",
               "mean-asymptote", "variance-asymptote"),

@@ -11,6 +11,14 @@ verification suites check.
 The scan never consults the counting formula: the walk stops when every
 digit is exhausted, so its per-level totals are independent evidence for
 :func:`tree.level_count`.
+
+The scan tallies unlabelled partitions: a level of (n+1)!/2 (or
+(2n-1)!!) ordered nodes carries only Catalan(n) distinct partitions, and
+each is evaluated once, through the one evaluator in :mod:`stats`, and
+weighted by its multiplicity.  This relies on every statistic ignoring
+the labels.  Each value is still computed from the partition's own
+blocks, never from a parent's, so the recursions stay independent of
+the scan.
 """
 
 from __future__ import annotations
@@ -20,10 +28,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import tree
-from .partitions import _span_sweep
 from .polynomials import ExactPolynomial, NegativeExponent
 from .stats import (AreaRequiresPairPartition, SecondKindInput, Statistic,
-                    first_kind_input, second_kind_input)
+                    _evaluate_blocks, first_kind_input, second_kind_input)
 from .tree import FULL, _walk
 
 DEFAULT_MAX_FULL = 10
@@ -45,26 +52,30 @@ class ZeroPolynomial(ValueError):
 # ---------------------------------------------------------------------------
 # brute-force scan
 
-def _full_key(blocks):
-    outer, ints, _ = _span_sweep(blocks)
-    return (tuple(sorted(map(len, blocks))), len(outer), ints)
-
-
-def _pair_key(blocks):
-    outer, ints, area = _span_sweep(blocks)
-    return (len(outer), ints, area)
-
-
 def scan_chunk(kind: str, depth: int) -> dict[int, Counter]:
-    """Tally composite statistic keys for every walk node down to depth,
-    keyed by level: each node is tallied once, at its leftmost leaf."""
-    key_of = _full_key if kind == FULL else _pair_key
-    hist: dict[int, Counter] = {level: Counter() for level in range(1, depth + 1)}
-    tallies = list(hist.values())
-    path: list = []
-    for fresh in _walk(path, depth, kind):
-        for i in range(fresh, depth):
-            tallies[i][key_of(path[i])] += 1
+    """Tally the unlabelled partition of every walk node down to depth,
+    keyed by level.  An inner node is tallied once, at its leftmost
+    leaf; the deepest level is tallied one sibling batch at a time.
+    Each level's keys are the canonical sorted block tuples."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    scale = tree._scale(kind)
+    tallies = [Counter() for _ in range(depth)]
+    if depth == 1:
+        tallies[0][frozenset(tree._root(scale))] += 1
+    else:
+        ground = scale * (depth - 1)
+        path: list = []
+        for fresh in _walk(path, depth - 1, kind):
+            for i in range(fresh, depth - 1):
+                tallies[i][frozenset(path[i])] += 1
+            tallies[-1].update(
+                map(frozenset, tree._kids(path[-1], ground, scale)))
+    hist: dict[int, Counter] = {}
+    for level in range(1, depth + 1):  # one level's two copies at a time
+        raw, tallies[level - 1] = tallies[level - 1], None
+        hist[level] = Counter({tuple(sorted(blocks)): mult
+                               for blocks, mult in raw.items()})
     return hist
 
 
@@ -72,7 +83,8 @@ _scan_cache: dict[str, tuple[int, dict[int, Counter]]] = {}
 
 
 def level_histograms(kind: str, depth: int) -> dict[int, Counter]:
-    """Composite-key histograms for every level <= depth, cached per kind."""
+    """Partition histograms for every level <= depth, cached per kind:
+    each canonical partition with the number of nodes that carry it."""
     if depth < 1:  # a warm cache would otherwise answer with no levels
         raise ValueError(f"depth must be >= 1, got {depth}")
     cached = _scan_cache.get(kind)
@@ -87,34 +99,6 @@ def clear_scan_cache() -> None:
     _scan_cache.clear()
 
 
-def _stat_from_key(stat: Statistic, kind: str, level: int, key) -> int:
-    if kind == FULL:
-        sizes, out, ints = key
-        if stat.family == "blocks":
-            return len(sizes)
-        if stat.family == "blocks_of_size":
-            return sizes.count(stat.size)
-        if stat.family == "blocks_at_least3":
-            return sum(1 for s in sizes if s >= 3)
-        if stat.family == "outer":
-            return out
-        if stat.family == "intervals":
-            return ints
-        raise AreaRequiresPairPartition("area needs the pair tree")
-    out, ints, area = key
-    if stat.family == "blocks":
-        return level
-    if stat.family == "blocks_of_size":
-        return level if stat.size == 2 else 0
-    if stat.family == "blocks_at_least3":
-        return 0
-    if stat.family == "outer":
-        return out
-    if stat.family == "intervals":
-        return ints
-    return area
-
-
 def _guard(n: int, kind: str, max_n: Optional[int]) -> None:
     limit = max_n if max_n is not None else (
         DEFAULT_MAX_FULL if kind == FULL else DEFAULT_MAX_PAIR)
@@ -125,12 +109,18 @@ def _guard(n: int, kind: str, max_n: Optional[int]) -> None:
 
 def bruteforce_transform(stat: Statistic, n: int, kind: str = FULL,
                          max_n: Optional[int] = None) -> ExactPolynomial:
-    """Exact level-n transform by exhaustive enumeration."""
+    """Exact level-n transform by exhaustive enumeration: the value of
+    each distinct partition, weighted by the number of nodes that carry
+    it."""
     _guard(n, kind, max_n)
+    if stat.family == "area" and kind == FULL:
+        raise AreaRequiresPairPartition(
+            f"{stat.name} needs the pair tree, not the {kind} tree")
     hist = level_histograms(kind, n)[n]
+    points = tree._scale(kind) * n
     counts: Counter = Counter()
-    for key, mult in hist.items():
-        counts[_stat_from_key(stat, kind, n, key)] += mult
+    for blocks, mult in hist.items():
+        counts[_evaluate_blocks(stat, blocks, points)] += mult
     return ExactPolynomial.from_counts(counts)
 
 

@@ -112,7 +112,12 @@ def size_profile(op: OrderedNcPartition) -> tuple[int, ...]:
 
 def evaluate(stat: Statistic, op: OrderedNcPartition) -> int:
     """Value of the statistic on one ordered partition."""
-    blocks = op.blocks_by_label
+    return _evaluate_blocks(stat, op.blocks_by_label, op.n)
+
+
+def _evaluate_blocks(stat: Statistic, blocks, n: int) -> int:
+    """Value of the statistic on the blocks of a partition of {1..n},
+    given in any order: no statistic reads the labels."""
     if stat.family == "blocks":
         return len(blocks)
     if stat.family == "blocks_of_size":
@@ -126,7 +131,7 @@ def evaluate(stat: Statistic, op: OrderedNcPartition) -> int:
         return sum(1 for b in blocks if len(b) == 2 and b[1] == b[0] + 1)
     if stat.family == "area":
         if _block_sizes(blocks).count(2) != len(blocks):
-            raise AreaRequiresPairPartition(f"n={op.n} partition has a non-pair block")
+            raise AreaRequiresPairPartition(f"n={n} partition has a non-pair block")
         lows, highs = zip(*blocks)
         return sum(highs) - sum(lows)
     raise ValueError(f"unknown statistic family {stat.family!r}")

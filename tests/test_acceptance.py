@@ -27,7 +27,7 @@ def run_ids(registry, *ids):
 
 @pytest.mark.criterion(1, "level sizes match (n+1)!/2 and (2n-1)!!")
 def test_criterion_01_cardinalities(registry):
-    run_ids(registry, "count-full", "count-pair")
+    run_ids(registry, "count-full", "count-pair", "scan-multiplicities")
     # one level past the pair-suite bound, streamed without the formula
     assert sum(1 for _ in tree.stream_level(8, PAIR)) == 2027025
 

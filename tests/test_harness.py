@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mton import laplace, partitions, tree
+from mton import laplace, partitions, stats, tree
 from mton.harness import (Check, CheckReport, CheckSpec, NotMinimizable,
                           SUITES, _count_kernel, build_checks,
                           corrupted_checks, counterexample_minimize,
@@ -199,17 +199,67 @@ def test_stat_cross_check_scans_each_tree_once(scan_calls):
 
 
 def test_stat_cross_check_catches_a_wrong_span_sweep(scan_calls, monkeypatch):
-    # the scan keys read the sweep through laplace's import of it
+    # the scanned values read the sweep through the evaluator in stats
     real = partitions._span_sweep
 
     def wrong(blocks):
         outer, ints, summed = real(blocks)
         return outer[:2], ints, summed  # at most two outer blocks
-    monkeypatch.setattr(laplace, "_span_sweep", wrong)
+    monkeypatch.setattr(stats, "_span_sweep", wrong)
     report = build_checks()["stat-cross-check"].run()
     assert report.status == "fail"
     assert report.witness["n"] == 3
     assert (report.witness["stat"], report.witness["kind"]) == ("Out", FULL)
+
+
+def _small_multiplicity_check():
+    # the registered kernel, read to level 5 of each tree
+    kernel = build_checks()["scan-multiplicities"].kernel
+    return Check(CheckSpec("scan-multiplicities", "to level 5"),
+                 tuple(range(1, 6)), kernel, ((FULL, 5), (PAIR, 5)))
+
+
+def test_scan_multiplicities_catches_a_moved_tally(monkeypatch):
+    # one level-3 node tallied under another partition: every smaller
+    # level still passes, and the witness names the first partition off
+    real = laplace.scan_chunk
+
+    def moved(kind, depth):
+        hist = real(kind, depth)
+        if kind == FULL and depth >= 3:
+            level = hist[3]
+            level[((1,), (2,), (3,))] -= 1
+            level[((1, 2, 3),)] += 1
+        return hist
+    monkeypatch.setattr(laplace, "_scan_cache", {})
+    monkeypatch.setattr(laplace, "scan_chunk", moved)
+    check = _small_multiplicity_check()
+    report = check.run()
+    assert report.status == "fail"
+    assert report.witness == {"n": 3, "kind": FULL,
+                              "blocks": [[1], [2], [3]],
+                              "tallied": 5, "hook": 6}
+    minimized = counterexample_minimize(report, {check.spec.id: check})
+    assert minimized.witness == report.witness
+
+
+def test_scan_multiplicities_catches_a_missing_partition(monkeypatch):
+    # both level-2 pair partitions tallied as one: the totals still
+    # hold, the number of distinct partitions does not
+    real = laplace.scan_chunk
+
+    def merged(kind, depth):
+        hist = real(kind, depth)
+        if kind == PAIR and depth >= 2:
+            level = hist[2]
+            level[((1, 2), (3, 4))] += level.pop(((1, 4), (2, 3)))
+        return hist
+    monkeypatch.setattr(laplace, "_scan_cache", {})
+    monkeypatch.setattr(laplace, "scan_chunk", merged)
+    report = _small_multiplicity_check().run()
+    assert report.status == "fail"
+    assert report.witness == {"n": 2, "kind": PAIR, "distinct": 1,
+                              "catalan": 2}
 
 
 def test_a_scan_past_the_guard_is_an_error_report(scan_calls):

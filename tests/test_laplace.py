@@ -1,6 +1,7 @@
 """Level transforms: enumeration, recursions, caches."""
 
 import ast
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,11 +13,13 @@ from mton.laplace import (InsufficientSeed, SizeBoundExceeded, ZeroPolynomial,
                           level_histograms, recurse_first_kind,
                           recurse_second_kind, recursion_transform,
                           scan_chunk, variance_from_laplace)
+from mton.partitions import validate_noncrossing
 from mton.polynomials import ExactPolynomial, NegativeExponent
 from mton.stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
-                        NotSecondKind, SecondKindInput, blocks_of_size,
+                        AreaRequiresPairPartition, NotSecondKind,
+                        SecondKindInput, blocks_of_size, evaluate,
                         first_kind_input, second_kind_input)
-from mton.tree import FULL, PAIR, level_count
+from mton.tree import FULL, PAIR, level_count, stream_level
 
 
 def test_frozen_block_count_transforms():
@@ -223,3 +226,43 @@ def test_scan_cache_serves_shallower_depths():
     assert set(shallow) == set(range(1, 5))
     for level in shallow:
         assert shallow[level] == deep[level]
+
+
+def test_scan_keys_are_canonical_partitions():
+    for kind, depth, scale in ((FULL, 6, 1), (PAIR, 5, 2)):
+        for level, counter in scan_chunk(kind, depth).items():
+            for key in counter:
+                assert key == validate_noncrossing(key, scale * level).blocks
+
+
+def test_depth_one_scan_is_the_root_alone():
+    assert scan_chunk(FULL, 1) == {1: Counter({((1,),): 1})}
+    assert scan_chunk(PAIR, 1) == {1: Counter({((1, 2),): 1})}
+
+
+_ALL_STATS = (BLOCKS, blocks_of_size(1), blocks_of_size(2), blocks_of_size(3),
+              blocks_of_size(4), LARGE_BLOCKS, OUTER, INTERVAL_PAIRS)
+
+
+def test_weighted_partitions_equal_a_per_node_tally():
+    # the oracle evaluates every node and never reads a multiplicity
+    for kind, top, stats in ((FULL, 6, _ALL_STATS),
+                             (PAIR, 5, _ALL_STATS + (AREA,))):
+        for n in range(1, top + 1):
+            nodes = list(stream_level(n, kind))
+            for stat in stats:
+                want = ExactPolynomial.from_counts(
+                    Counter(evaluate(stat, op) for op in nodes))
+                assert bruteforce_transform(stat, n, kind) == want, \
+                    (kind, n, stat.name)
+
+
+def test_area_is_refused_on_the_full_tree_before_the_scan(monkeypatch):
+    # full level 2 holds the pair partition ((1, 2),), so only an
+    # explicit refusal keeps every full level out
+    def no_scan(kind, depth):
+        raise AssertionError("the scan was read")
+    monkeypatch.setattr(laplace, "level_histograms", no_scan)
+    for n in (1, 2, 3):
+        with pytest.raises(AreaRequiresPairPartition):
+            bruteforce_transform(AREA, n, FULL)
