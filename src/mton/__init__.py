@@ -23,10 +23,9 @@ from .polynomials import (ExactPolynomial, NegativeExponent, format_rational,
 from .stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
                     AreaRequiresPairPartition, NotFirstKind, NotSecondKind,
                     SecondKindInput, Statistic, VerificationFailed, area,
-                    blocks_of_size, certify_first_kind, certify_second_kind,
-                    core_child_digits, dyck_path, evaluate, first_kind_input,
-                    path_area, second_kind_input, stats_table,
-                    write_stats_csv)
+                    blocks_of_size, certify_first_kind, core_child_digits,
+                    dyck_path, evaluate, first_kind_input, path_area,
+                    second_kind_input, stats_table, write_stats_csv)
 from .laplace import (InsufficientSeed, SizeBoundExceeded, ZeroPolynomial,
                       bruteforce_transform, expectation_from_laplace,
                       level_histograms, recurse_first_kind,

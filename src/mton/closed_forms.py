@@ -10,9 +10,9 @@ The direct variance form reads the running difference D_n = H_n - H_n^(2),
 stepped by (m-1)/m^2, rather than subtracting the two harmonic sums: the
 sums' denominators run to thousands of digits, and their difference costs
 a gcd between two of them at every n, while each step of D_n meets only
-the small denominator m^2.  The shifted form still subtracts the cached
+the small denominator m^2.  The shifted form still subtracts the two
 sums, so comparing the two forms checks the running difference against
-the harmonic caches.
+them.  All three are forward cursors that hold one value each.
 """
 
 from __future__ import annotations
@@ -36,50 +36,44 @@ class OutOfValidity(ValueError):
     """The requested n lies outside the formula's proven range."""
 
 
-class HarmonicCache:
-    """Grow-on-demand exact harmonic numbers H_n and H_n^(2), and the
-    running difference D_n = H_n - H_n^(2).
+def _advance(cursor: tuple[int, Fraction], n: int,
+             term) -> tuple[int, Fraction]:
+    """Step a running sum (m, S_m) forward to (n, S_n), adding term(k)
+    for k = m+1..n; restart from (0, 0) when n < m."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    m, total = cursor
+    if n < m:
+        m, total = 0, Fraction(0)
+    while m < n:
+        m += 1
+        total += term(m)
+    return m, total
 
-    D_n is a single forward cursor (n, D_n), stepped by (m-1)/m^2 and
-    restarted from D_0 = 0 when a smaller n is asked for: keeping every
-    D_n would hold another list of thousand-digit fractions.
+
+class HarmonicCache:
+    """Exact harmonic numbers H_n and H_n^(2), and the running difference
+    D_n = H_n - H_n^(2) = Sum_{m=1..n} (m-1)/m^2.
+
+    Each is a single forward cursor (n, value), stepped one term at a
+    time and restarted from 0 when a smaller n is asked for: keeping
+    every value would hold a list of thousand-digit fractions per sum.
     """
 
     def __init__(self):
-        self._h = [Fraction(0)]
-        self._h2 = [Fraction(0)]
-        self._d = (0, Fraction(0))
-
-    def _grow(self, n: int) -> None:
-        while len(self._h) <= n:
-            m = len(self._h)
-            self._h.append(self._h[-1] + Fraction(1, m))
-            self._h2.append(self._h2[-1] + Fraction(1, m * m))
+        self._h = self._h2 = self._d = (0, Fraction(0))
 
     def harmonic(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        self._grow(n)
-        return self._h[n]
+        self._h = _advance(self._h, n, lambda m: Fraction(1, m))
+        return self._h[1]
 
     def harmonic2(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        self._grow(n)
-        return self._h2[n]
+        self._h2 = _advance(self._h2, n, lambda m: Fraction(1, m * m))
+        return self._h2[1]
 
     def harmonic_difference(self, n: int) -> Fraction:
-        """D_n = H_n - H_n^(2) = Sum_{m=1..n} (m-1)/m^2."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        m, d = self._d
-        if n < m:
-            m, d = 0, Fraction(0)
-        while m < n:
-            m += 1
-            d += Fraction(m - 1, m * m)
-        self._d = (m, d)
-        return d
+        self._d = _advance(self._d, n, lambda m: Fraction(m - 1, m * m))
+        return self._d[1]
 
 
 _cache = HarmonicCache()
@@ -166,9 +160,9 @@ def expected_interval_pairs(n: int) -> Fraction:
 
 def expected_outer_pairs(n: int) -> Fraction:
     """Mean number of outer blocks on the pair tree:
-    2^n n!/(2n-1)!! - 1."""
+    2^n n!/(2n-1)!! - 1, computed as the equal 4^n / C(2n, n) - 1."""
     _require(n, 1, "expected_outer_pairs")
-    return Fraction(2 ** n * math.factorial(n), double_factorial_odd(n)) - 1
+    return Fraction(4 ** n, math.comb(2 * n, n)) - 1
 
 
 def expected_area(n: int) -> Fraction:

@@ -35,8 +35,7 @@ from . import cumulants as cm
 from . import laplace, reference, stats, tree
 from .polynomials import ExactPolynomial, format_rational
 from .stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
-                    SIZE_STATS, Statistic, blocks_of_size, evaluate,
-                    size_profile)
+                    SIZE_STATS, Statistic, blocks_of_size, size_profile)
 from .tree import FULL, PAIR
 
 
@@ -148,7 +147,7 @@ def _recursion_kernel(chosen: Sequence[Statistic], kind: str):
 
 def _subset_kernel(stat: Statistic, kind: str):
     law = stats.second_kind_input(stat, kind)
-    return lambda n: stats.second_kind_witness(stat, kind, n, law)
+    return lambda n: laplace.second_kind_witness(stat, kind, n, law)
 
 
 def _mean_step_kernel(stat: Statistic, kind: str, closed):
@@ -309,14 +308,22 @@ def _k_singleton_slice(m: int) -> Optional[dict]:
 
 
 def _area_split_kernel(split: Callable[[int, int], int]):
-    # split(n, parent area) is the claimed sum of the children's areas
+    # split(n, parent area) is the claimed sum of the children's areas;
+    # the rank-r parent's children are the level-n nodes at ranks
+    # r*A .. r*A + A - 1 of the scan's record
     def kernel(n: int) -> Optional[dict]:
-        for parent_op in tree.iter_level(n - 1, PAIR):
-            child_sum = sum(evaluate(AREA, c)
-                            for c in tree.pair_children(parent_op))
-            want = split(n, evaluate(AREA, parent_op))
+        record = laplace.scan_record(PAIR, n)
+        width = tree._radix(n - 1, PAIR)
+        wants = {i: split(n, area)
+                 for i, area in record.level_values(AREA, n - 1).items()}
+        area_of = record.level_values(AREA, n).__getitem__
+        kids = record.ranked[n]
+        for r, i in enumerate(record.ranked[n - 1]):
+            child_sum = sum(map(area_of, kids[r * width:(r + 1) * width]))
+            want = wants[i]
             if child_sum != want:
-                return {"n": n, "parent": parent_op.to_json(),
+                return {"n": n,
+                        "parent": tree.unrank(r, n - 1, PAIR).to_json(),
                         "child_sum": child_sum, "want": want}
         return None
     return kernel
@@ -629,7 +636,8 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
         mk("area-child-split",
            "pair children areas sum to (2n-1) + (2n+1) parent area",
            range(2, 8), _area_split_kernel(
-               lambda n, area: (2 * n - 1) + (2 * n + 1) * area)),
+               lambda n, area: (2 * n - 1) + (2 * n + 1) * area),
+           scans=((PAIR, 7),)),
 
         mk("outer-full-mean", "enumerated mean outer count vs (2n+1)/3",
            range(1, b_outer + 1),
@@ -641,7 +649,8 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
            scans=((FULL, b_outer),)),
         mk("outer-full-subsets",
            "outer-count insertion law clauses on every full-tree parent",
-           range(2, b_outer + 1), _subset_kernel(OUTER, FULL)),
+           range(2, b_outer + 1), _subset_kernel(OUTER, FULL),
+           scans=((FULL, b_outer),)),
         mk("interval-pair-mean",
            "enumerated mean interval-pair count vs (2n+1)/3",
            range(1, b_pair + 1),
@@ -654,7 +663,8 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
            scans=((PAIR, b_pair),)),
         mk("interval-pair-subsets",
            "interval-pair insertion law clauses on every pair-tree parent",
-           range(2, b_pair + 1), _subset_kernel(INTERVAL_PAIRS, PAIR)),
+           range(2, b_pair + 1), _subset_kernel(INTERVAL_PAIRS, PAIR),
+           scans=((PAIR, b_pair),)),
         mk("outer-pair-mean",
            "enumerated mean outer count vs 2^n n!/(2n-1)!! - 1",
            range(1, b_pair + 1),
@@ -666,7 +676,8 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
            scans=((PAIR, b_pair),)),
         mk("outer-pair-subsets",
            "outer-count insertion law clauses on every pair-tree parent",
-           range(2, b_pair + 1), _subset_kernel(OUTER, PAIR)),
+           range(2, b_pair + 1), _subset_kernel(OUTER, PAIR),
+           scans=((PAIR, b_pair),)),
         mk("outer-full-mean-recursion",
            "stepped outer mean reproduces (2n+1)/3",
            range(2, 1001),

@@ -19,10 +19,21 @@ weighted by its multiplicity.  This relies on every statistic ignoring
 the labels.  Each value is still computed from the partition's own
 blocks, never from a parent's, so the recursions stay independent of
 the scan.
+
+The scan keeps a rank-ordered record (:class:`ScanRecord`): for each
+level, the partition id of every node in rank order, and each level's
+histogram is derived from those ids.  The children of the rank-r node
+at level n-1 are the level-n nodes at ranks r*A .. r*A + A - 1, where A
+is its child count (n+1 on the full tree, 2n-1 on the pair tree), so the
+edge-law checks read every edge off the record instead of rebuilding the
+sibling batches: the insertion laws through :func:`second_kind_witness`
+and the harness's area split.  An id takes 2 bytes per node: about 4 MB
+for the full tree to depth 9, about 44 MB to depth 10.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -30,7 +41,8 @@ from typing import Optional, Sequence
 from . import tree
 from .polynomials import ExactPolynomial, NegativeExponent
 from .stats import (AreaRequiresPairPartition, SecondKindInput, Statistic,
-                    _evaluate_blocks, first_kind_input, second_kind_input)
+                    _core_digits, _evaluate_blocks, first_kind_input,
+                    second_kind_input)
 from .tree import FULL, _walk
 
 DEFAULT_MAX_FULL = 10
@@ -52,34 +64,70 @@ class ZeroPolynomial(ValueError):
 # ---------------------------------------------------------------------------
 # brute-force scan
 
-def scan_chunk(kind: str, depth: int) -> dict[int, Counter]:
-    """Tally the unlabelled partition of every walk node down to depth,
-    keyed by level.  An inner node is tallied once, at its leftmost
-    leaf; the deepest level is tallied one sibling batch at a time.
-    Each level's keys are the canonical sorted block tuples."""
+class _Ids(dict):
+    """Hands each new key the next id, up to what a record cell holds."""
+
+    capacity = 1 << 16  # ids are stored as array("H") items
+
+    def __missing__(self, key):
+        i = len(self)
+        if i >= self.capacity:
+            raise SizeBoundExceeded(
+                f"more than {self.capacity} distinct partitions: the scan "
+                f"record stores each id in 2 bytes")
+        self[key] = i
+        return i
+
+
+class ScanRecord(dict):
+    """The scan of one tree: ``{level: Counter}`` of canonical partitions,
+    as :func:`level_histograms` returns it, and the rank-ordered record
+    it is derived from.  ``ranked[level]`` holds the partition id of
+    every node at that level in rank order, and ``partitions[id]`` is
+    that partition's canonical sorted block tuple."""
+
+    def __init__(self, kind: str, partitions: list, ranked: dict):
+        super().__init__()
+        self.kind = kind
+        self.partitions = partitions
+        self.ranked = ranked
+        for level, row in ranked.items():
+            self[level] = Counter({partitions[i]: mult
+                                   for i, mult in Counter(row).items()})
+
+    def level_values(self, stat: Statistic, level: int) -> dict[int, int]:
+        """The statistic on each distinct partition of one level, by id,
+        each evaluated once from its own blocks."""
+        points = tree._scale(self.kind) * level
+        return {i: _evaluate_blocks(stat, self.partitions[i], points)
+                for i in set(self.ranked[level])}
+
+
+def scan_chunk(kind: str, depth: int) -> ScanRecord:
+    """Record the unlabelled partition of every walk node down to depth,
+    level by level in rank order.  An inner node is recorded once, at
+    its leftmost leaf; the deepest level one sibling batch at a time."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     scale = tree._scale(kind)
-    tallies = [Counter() for _ in range(depth)]
+    ids = _Ids()
+    ranked = [array("H") for _ in range(depth)]
     if depth == 1:
-        tallies[0][frozenset(tree._root(scale))] += 1
+        ranked[0].append(ids[frozenset(tree._root(scale))])
     else:
         ground = scale * (depth - 1)
+        deepest = ranked[-1]
         path: list = []
         for fresh in _walk(path, depth - 1, kind):
             for i in range(fresh, depth - 1):
-                tallies[i][frozenset(path[i])] += 1
-            tallies[-1].update(
-                map(frozenset, tree._kids(path[-1], ground, scale)))
-    hist: dict[int, Counter] = {}
-    for level in range(1, depth + 1):  # one level's two copies at a time
-        raw, tallies[level - 1] = tallies[level - 1], None
-        hist[level] = Counter({tuple(sorted(blocks)): mult
-                               for blocks, mult in raw.items()})
-    return hist
+                ranked[i].append(ids[frozenset(path[i])])
+            deepest.extend(map(ids.__getitem__, map(
+                frozenset, tree._kids(path[-1], ground, scale))))
+    partitions = [tuple(sorted(blocks)) for blocks in ids]
+    return ScanRecord(kind, partitions, dict(enumerate(ranked, start=1)))
 
 
-_scan_cache: dict[str, tuple[int, dict[int, Counter]]] = {}
+_scan_cache: dict[str, tuple[int, ScanRecord]] = {}
 
 
 def level_histograms(kind: str, depth: int) -> dict[int, Counter]:
@@ -93,6 +141,12 @@ def level_histograms(kind: str, depth: int) -> dict[int, Counter]:
     hist = scan_chunk(kind, depth)
     _scan_cache[kind] = (depth, hist)
     return hist
+
+
+def scan_record(kind: str, depth: int) -> ScanRecord:
+    """The cached scan of the tree, reaching at least level ``depth``."""
+    level_histograms(kind, depth)
+    return _scan_cache[kind][1]
 
 
 def clear_scan_cache() -> None:
@@ -122,6 +176,55 @@ def bruteforce_transform(stat: Statistic, n: int, kind: str = FULL,
     for blocks, mult in hist.items():
         counts[_evaluate_blocks(stat, blocks, points)] += mult
     return ExactPolynomial.from_counts(counts)
+
+
+# ---------------------------------------------------------------------------
+# edge laws, read off the rank-ordered record
+
+def second_kind_witness(stat: Statistic, kind: str, n: int,
+                        law: Optional[SecondKindInput] = None) -> Optional[dict]:
+    """First violation of the (alpha, beta; q) law on the edges into
+    level n, in rank order, or None when all three clauses hold: the
+    alpha jump on the distinguished children, the beta jump elsewhere,
+    and the subset size Z + q.  ``law`` defaults to the built-in one.
+
+    The children of the rank-r parent are the level-n nodes at ranks
+    r*A .. r*A + A - 1 of the scan's record, A being the parent's child
+    count.  Each distinct partition of the two levels is evaluated once,
+    and each distinct parent's core digits are found once.
+    """
+    if n < 2:
+        raise ValueError(f"the edges into level {n} need n >= 2")
+    _guard(n, kind, None)
+    law = second_kind_input(stat, kind) if law is None else law
+    record = scan_record(kind, n)
+    width = tree._radix(n - 1, kind)
+    points = tree._scale(kind) * (n - 1)
+    # per distinct parent: its value, its core size and the children's
+    # values the law asks for, None when the core has the wrong size
+    expected: dict = {}
+    for i, z in record.level_values(stat, n - 1).items():
+        core = _core_digits(stat, kind, record.partitions[i], points)
+        want = None
+        if len(core) == z + law.q:
+            want = tuple(z + (law.alpha if d in core else law.beta)
+                         for d in range(width))
+        expected[i] = z, len(core), want
+    value = record.level_values(stat, n).__getitem__
+    kids = record.ranked[n]
+    for r, i in enumerate(record.ranked[n - 1]):
+        z, core_size, want = expected[i]
+        if want is None:
+            return {"n": n, "stat": stat.name,
+                    "parent": tree.unrank(r, n - 1, kind).to_json(),
+                    "core_size": core_size, "want": z + law.q}
+        got = tuple(map(value, kids[r * width:(r + 1) * width]))
+        if got != want:
+            digit = next(d for d in range(width) if got[d] != want[d])
+            return {"n": n, "stat": stat.name, "digit": digit,
+                    "parent": tree.unrank(r, n - 1, kind).to_json(),
+                    "increment": got[digit] - z, "want": want[digit] - z}
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -218,10 +218,15 @@ def core_child_digits(stat: Statistic, kind: str,
     Interval pairs: the new pair splits an existing interval pair exactly
     when inserted between its two points.
     """
-    blocks = parent_op.blocks_by_label
+    return _core_digits(stat, kind, parent_op.blocks_by_label, parent_op.n)
+
+
+def _core_digits(stat: Statistic, kind: str, blocks, n: int) -> set[int]:
+    """:func:`core_child_digits` of the parent with these blocks on
+    {1..n}, given in any order."""
     if stat.family == "outer":
         minima = _span_sweep(blocks)[0]
-        return {m - 1 for m in minima} | {parent_op.n}
+        return {m - 1 for m in minima} | {n}
     if stat.family == "intervals" and kind == PAIR:
         return {b[0] for b in blocks if len(b) == 2 and b[1] == b[0] + 1}
     raise NotSecondKind(f"{stat.name} on the {kind} tree")
@@ -241,54 +246,6 @@ def certify_first_kind(stat: Statistic, bound: int = 7,
                 raise VerificationFailed(
                     f"{stat.name} edge increment != {expected}", op)
     return r
-
-
-def second_kind_witness(stat: Statistic, kind: str, n: int,
-                        law: Optional[SecondKindInput] = None) -> Optional[dict]:
-    """First violation of the (alpha, beta; q) law on the edges into
-    level n, in rank order, or None when all three clauses hold: the
-    alpha jump on the distinguished children, the beta jump elsewhere,
-    and the subset size Z + q.  ``law`` defaults to the built-in one."""
-    law = second_kind_input(stat, kind) if law is None else law
-    for parent_op in tree.iter_level(n - 1, kind):
-        kids = (tree.children(parent_op) if kind == FULL
-                else tree.pair_children(parent_op))
-        core = core_child_digits(stat, kind, parent_op)
-        z = evaluate(stat, parent_op)
-        if len(core) != z + law.q:
-            return {"n": n, "stat": stat.name,
-                    "parent": parent_op.to_json(),
-                    "core_size": len(core), "want": z + law.q}
-        for digit, child in enumerate(kids):
-            jump = law.alpha if digit in core else law.beta
-            increment = evaluate(stat, child) - z
-            if increment != jump:
-                return {"n": n, "stat": stat.name, "digit": digit,
-                        "parent": parent_op.to_json(),
-                        "increment": increment, "want": jump}
-    return None
-
-
-def certify_second_kind(stat: Statistic, kind: str, bound: int = 7,
-                        law: Optional[SecondKindInput] = None) -> SecondKindInput:
-    """Return (alpha, beta; q) after re-verifying, for every parent with
-    depth <= bound, the three clauses of :func:`second_kind_witness`.
-    Pass ``law`` to certify a claimed triple instead of the built-in one."""
-    law = second_kind_input(stat, kind) if law is None else law
-    for n in range(2, bound + 2):
-        witness = second_kind_witness(stat, kind, n, law)
-        if witness is None:
-            continue
-        parent_op = OrderedNcPartition.from_json(witness["parent"])
-        if "digit" in witness:
-            raise VerificationFailed(
-                f"{stat.name} child digit {witness['digit']} increment "
-                f"!= {witness['want']}",
-                tree.child_at(parent_op, witness["digit"], kind))
-        raise VerificationFailed(
-            f"core subset size {witness['core_size']} != {witness['want']}",
-            parent_op)
-    return law
 
 
 # ---------------------------------------------------------------------------

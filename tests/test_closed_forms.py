@@ -94,7 +94,8 @@ def test_outer_and_interval_means():
 
 
 def test_outer_pair_closed_form_shape():
-    for n in range(1, 30):
+    # the library reads 4^n / C(2n, n) - 1; the printed form is a product
+    for n in range(1, 301):
         want = (Fraction(2 ** n * math.factorial(n),
                          cf.double_factorial_odd(n)) - 1)
         assert cf.expected_outer_pairs(n) == want

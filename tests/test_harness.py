@@ -188,9 +188,9 @@ def test_a_suite_scans_each_tree_it_reads_once(scan_calls):
     assert scan_calls == [(PAIR, 7)]
 
 
-def test_the_lemmas_suite_scans_the_full_tree_once(scan_calls):
+def test_the_lemmas_suite_scans_each_tree_once(scan_calls):
     assert [r.status for r in run_suite("lemmas")] == ["pass"] * 3
-    assert scan_calls == [(FULL, 7)]
+    assert scan_calls == [(FULL, 7), (PAIR, 7)]
 
 
 def test_stat_cross_check_scans_each_tree_once(scan_calls):

@@ -7,19 +7,20 @@ from pathlib import Path
 
 import pytest
 
-from mton import laplace
+from mton import laplace, stats, tree
 from mton.laplace import (InsufficientSeed, SizeBoundExceeded, ZeroPolynomial,
                           bruteforce_transform, expectation_from_laplace,
                           level_histograms, recurse_first_kind,
                           recurse_second_kind, recursion_transform,
-                          scan_chunk, variance_from_laplace)
+                          scan_chunk, second_kind_witness,
+                          variance_from_laplace)
 from mton.partitions import validate_noncrossing
 from mton.polynomials import ExactPolynomial, NegativeExponent
 from mton.stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
                         AreaRequiresPairPartition, NotSecondKind,
                         SecondKindInput, blocks_of_size, evaluate,
                         first_kind_input, second_kind_input)
-from mton.tree import FULL, PAIR, level_count, stream_level
+from mton.tree import FULL, PAIR, iter_level, level_count, stream_level
 
 
 def test_frozen_block_count_transforms():
@@ -238,6 +239,108 @@ def test_scan_keys_are_canonical_partitions():
 def test_depth_one_scan_is_the_root_alone():
     assert scan_chunk(FULL, 1) == {1: Counter({((1,),): 1})}
     assert scan_chunk(PAIR, 1) == {1: Counter({((1, 2),): 1})}
+
+
+def test_the_record_lists_every_level_in_rank_order():
+    for kind, depth in ((FULL, 6), (PAIR, 5)):
+        record = scan_chunk(kind, depth)
+        laplace.clear_scan_cache()
+        hist = level_histograms(kind, depth)
+        for n in range(1, depth + 1):
+            ranked = [record.partitions[i] for i in record.ranked[n]]
+            walked = [op.partition().blocks for op in iter_level(n, kind)]
+            assert ranked == walked, (kind, n)
+            assert record[n] == hist[n] == Counter(walked), (kind, n)
+
+
+def test_a_scan_with_more_partitions_than_ids_raises(monkeypatch):
+    # levels 1..4 of the full tree hold 1 + 2 + 5 + 14 partitions
+    monkeypatch.setattr(laplace._Ids, "capacity", 21)
+    with pytest.raises(SizeBoundExceeded):
+        scan_chunk(FULL, 4)
+    monkeypatch.setattr(laplace._Ids, "capacity", 22)
+    assert sum(scan_chunk(FULL, 4)[4].values()) == level_count(4)
+
+
+_PARENTS = {3: [[3, 4], [1, 2]], 4: [[5, 6], [3, 4], [1, 2]]}
+
+# the witnesses of two wrong laws per law, as the walk over every parent
+# and its children found them
+_FROZEN_WITNESSES = [
+    (OUTER, FULL, (1, 0, 2), 3,
+     {"n": 3, "stat": "Out", "core_size": 3, "want": 4,
+      "parent": {"n": 2, "blocks_by_label": [[2], [1]]}}),
+    (OUTER, FULL, (1, 1, 1), 4,
+     {"n": 4, "stat": "Out", "digit": 4, "increment": 0, "want": 1,
+      "parent": {"n": 3, "blocks_by_label": [[3], [2], [1]]}}),
+    (OUTER, PAIR, (1, 0, 0), 3,
+     {"n": 3, "stat": "Out", "core_size": 3, "want": 2,
+      "parent": {"n": 4, "blocks_by_label": _PARENTS[3]}}),
+    (OUTER, PAIR, (1, 1, 1), 4,
+     {"n": 4, "stat": "Out", "digit": 1, "increment": 0, "want": 1,
+      "parent": {"n": 6, "blocks_by_label": _PARENTS[4]}}),
+    (INTERVAL_PAIRS, PAIR, (1, 1, 0), 3,
+     {"n": 3, "stat": "Int", "digit": 1, "increment": 0, "want": 1,
+      "parent": {"n": 4, "blocks_by_label": _PARENTS[3]}}),
+    (INTERVAL_PAIRS, PAIR, (0, 1, 1), 4,
+     {"n": 4, "stat": "Int", "core_size": 3, "want": 4,
+      "parent": {"n": 6, "blocks_by_label": _PARENTS[4]}}),
+]
+
+
+@pytest.mark.parametrize("stat, kind, law, n, want", _FROZEN_WITNESSES)
+def test_second_kind_witness_of_a_wrong_law_is_frozen(stat, kind, law, n,
+                                                      want):
+    assert second_kind_witness(stat, kind, n, SecondKindInput(*law)) == want
+    assert second_kind_witness(stat, kind, n) is None
+
+
+def _walked_witness(stat, kind, n, law):
+    # the oracle: every parent in rank order, each child built and
+    # evaluated on its own
+    for parent in iter_level(n - 1, kind):
+        z = evaluate(stat, parent)
+        core = stats.core_child_digits(stat, kind, parent)
+        if len(core) != z + law.q:
+            return {"n": n, "stat": stat.name, "parent": parent.to_json(),
+                    "core_size": len(core), "want": z + law.q}
+        kids = (tree.children(parent) if kind == FULL
+                else tree.pair_children(parent))
+        for digit, child in enumerate(kids):
+            jump = law.alpha if digit in core else law.beta
+            increment = evaluate(stat, child) - z
+            if increment != jump:
+                return {"n": n, "stat": stat.name, "digit": digit,
+                        "parent": parent.to_json(),
+                        "increment": increment, "want": jump}
+    return None
+
+
+_NESTED = ((1, 10), (2, 9), (3, 8), (4, 7), (5, 6))
+
+
+@pytest.mark.parametrize("stat, kind, n, target", [
+    (OUTER, FULL, 6, ((1, 2, 3, 4, 5, 6),)),
+    (OUTER, PAIR, 5, _NESTED), (INTERVAL_PAIRS, PAIR, 5, _NESTED)])
+def test_second_kind_witness_finds_a_child_deep_in_the_level(
+        stat, kind, n, target, monkeypatch):
+    # one partition, carried by a single level-n node, is evaluated one
+    # too high: that node's parent is the witness, and the walk over
+    # every parent and child finds the same one
+    assert level_histograms(kind, n)[n][target] == 1
+    real = stats._evaluate_blocks
+
+    def off_by_one(s, blocks, points):
+        hit = tuple(sorted(blocks)) == target
+        return real(s, blocks, points) + hit
+    monkeypatch.setattr(laplace, "_evaluate_blocks", off_by_one)
+    monkeypatch.setattr(stats, "_evaluate_blocks", off_by_one)
+    law = stats.second_kind_input(stat, kind)
+    got = second_kind_witness(stat, kind, n, law)
+    assert got is not None and "digit" in got
+    assert got == _walked_witness(stat, kind, n, law)
+    parent = tree.OrderedNcPartition.from_json(got["parent"])
+    assert tree.rank_of(parent, kind) > 0
 
 
 _ALL_STATS = (BLOCKS, blocks_of_size(1), blocks_of_size(2), blocks_of_size(3),

@@ -12,12 +12,11 @@ from mton.polynomials import ExactPolynomial
 from mton.stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
                         AreaRequiresPairPartition, NotFirstKind, NotSecondKind,
                         SecondKindInput, Statistic, VerificationFailed, area,
-                        blocks_of_size, certify_first_kind,
-                        certify_second_kind, dyck_path, evaluate,
-                        first_kind_input, path_area, second_kind_input,
-                        write_stats_csv)
-from mton.tree import (FULL, PAIR, OrderedNcPartition, TreeCode, decode,
-                       iter_level)
+                        blocks_of_size, certify_first_kind, dyck_path,
+                        evaluate, first_kind_input, path_area,
+                        second_kind_input, write_stats_csv)
+from mton.tree import (FULL, PAIR, OrderedNcPartition, TreeCode, child_at,
+                       decode, iter_level)
 
 
 def test_statistic_names_and_parse():
@@ -128,26 +127,37 @@ def test_second_kind_inputs():
         second_kind_input(BLOCKS, FULL)
 
 
+def _first_second_kind_witness(stat, kind, bound, law=None):
+    # the clauses on every parent with depth <= bound, smallest first
+    for n in range(2, bound + 2):
+        witness = laplace.second_kind_witness(stat, kind, n, law)
+        if witness is not None:
+            return witness
+    return None
+
+
 def test_certificates_pass_at_small_bounds():
     certify_first_kind(BLOCKS, bound=5)
     certify_first_kind(blocks_of_size(1), bound=5)
     certify_first_kind(LARGE_BLOCKS, bound=5)
-    certify_second_kind(OUTER, FULL, bound=5)
-    certify_second_kind(OUTER, PAIR, bound=4)
-    certify_second_kind(INTERVAL_PAIRS, PAIR, bound=4)
+    assert _first_second_kind_witness(OUTER, FULL, 5) is None
+    assert _first_second_kind_witness(OUTER, PAIR, 4) is None
+    assert _first_second_kind_witness(INTERVAL_PAIRS, PAIR, 4) is None
 
 
 def test_certificate_rejects_wrong_vector():
     with pytest.raises(VerificationFailed):
         certify_first_kind(BLOCKS, bound=4, vector=(1, 1))
-    with pytest.raises(VerificationFailed):
-        certify_second_kind(OUTER, FULL, bound=4,
-                            law=SecondKindInput(1, 0, 2))
+    # a wrong q: the root's core subset has the wrong size
+    witness = _first_second_kind_witness(OUTER, FULL, 4,
+                                         SecondKindInput(1, 0, 2))
+    assert (witness["core_size"], witness["want"]) == (2, 3)
     # a wrong alpha: the witness is the first child whose jump is off
-    with pytest.raises(VerificationFailed) as exc:
-        certify_second_kind(INTERVAL_PAIRS, PAIR, bound=3,
-                            law=SecondKindInput(1, 1, 0))
-    assert exc.value.witness.blocks_by_label == ((1, 4), (2, 3))
+    witness = _first_second_kind_witness(INTERVAL_PAIRS, PAIR, 3,
+                                         SecondKindInput(1, 1, 0))
+    parent = OrderedNcPartition.from_json(witness["parent"])
+    child = child_at(parent, witness["digit"], PAIR)
+    assert child.blocks_by_label == ((1, 4), (2, 3))
 
 
 def test_joint_distribution_streaming_pass():
