@@ -12,7 +12,7 @@ all of it against independent constructions.
 
 from .partitions import (Crossing, NcPartition, NotAPartition,
                          NotPairPartition, interval_pairs, nesting_parents,
-                         outer_blocks, validate_noncrossing)
+                         validate_noncrossing)
 from .tree import (FULL, KINDS, PAIR, DigitOutOfRange, OrderedNcPartition,
                    RankOutOfRange, RootHasNoParent, TreeCode, children, decode,
                    encode, full_root, iter_level, level_count, pair_children,
@@ -22,10 +22,10 @@ from .polynomials import (ExactPolynomial, NegativeExponent, format_rational,
                           parse_rational)
 from .stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
                     AreaRequiresPairPartition, NotFirstKind, NotSecondKind,
-                    SecondKindInput, Statistic, VerificationFailed, area,
-                    blocks_of_size, certify_first_kind, core_child_digits,
-                    dyck_path, evaluate, first_kind_input, path_area,
-                    second_kind_input, stats_table, write_stats_csv)
+                    SecondKindInput, Statistic, area, blocks_of_size,
+                    core_child_digits, dyck_path, evaluate, first_kind_input,
+                    path_area, second_kind_input, stats_table,
+                    write_stats_csv)
 from .laplace import (InsufficientSeed, SizeBoundExceeded, ZeroPolynomial,
                       bruteforce_transform, expectation_from_laplace,
                       level_histograms, recurse_first_kind,

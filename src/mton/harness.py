@@ -27,7 +27,8 @@ import traceback
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
+from itertools import compress
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import closed_forms as cf
@@ -35,7 +36,7 @@ from . import cumulants as cm
 from . import laplace, reference, stats, tree
 from .polynomials import ExactPolynomial, format_rational
 from .stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
-                    SIZE_STATS, Statistic, blocks_of_size, size_profile)
+                    SIZE_STATS, Statistic, blocks_of_size)
 from .tree import FULL, PAIR
 
 
@@ -142,6 +143,17 @@ def _recursion_kernel(chosen: Sequence[Statistic], kind: str):
             if brute != rec:
                 return _poly_diff_witness(n, rec, brute, stat=stat.name)
         return None
+    return kernel
+
+
+def _first_kind_kernel(chosen: Sequence[Statistic]):
+    # each statistic's increment law on the edges into full level n; the
+    # digit-derived block sizes it reads are tied to the labels first
+    def kernel(n: int) -> Optional[dict]:
+        witness = _labelled_tie(n, tree.max_label_block_sizes(n))
+        for stat in chosen:
+            witness = witness or laplace.first_kind_witness(stat, n)
+        return witness
     return kernel
 
 
@@ -257,46 +269,99 @@ def _k_stat_cross(n: int) -> Optional[dict]:
     return None
 
 
+def _chain_divisor(m: int, ell: int) -> int:
+    # the (ell-1)-fold ancestor of the rank-r level-m node has rank
+    # r // this: the product of the child counts of the levels between
+    return math.prod(tree._radix(d, FULL) for d in range(m - ell + 1, m))
+
+
+def _labelled_tie(m: int, sizes, ells: Sequence[int] = ()) -> Optional[dict]:
+    # a stride of ranks, as in the count checks, ties the digit-derived
+    # block sizes, and the rank quotients of the iterated parents for
+    # each (ascending) ell, to the labelled nodes
+    for k in range(0, len(sizes), 1009):
+        op = tree.unrank(k, m, FULL)
+        block = op.max_label_block()
+        if len(block) != sizes[k]:
+            return {"n": m, "node": op.to_json(), "max_block": list(block),
+                    "digit_size": sizes[k]}
+        cur = op
+        for ell in ells:
+            cur = tree.parent(cur)
+            got, quotient = tree.rank_of(cur), k // _chain_divisor(m, ell)
+            if got != quotient:
+                return {"n": m, "ell": ell, "node": op.to_json(),
+                        "ancestor_rank": got, "quotient": quotient}
+    return None
+
+
+def _of_size(sizes, j: int) -> bytes:
+    # a selector over the ranks: 1 where the maximal-label block has j points
+    hit = bytearray(256)
+    hit[j] = 1
+    return sizes.tobytes().translate(hit)
+
+
+def _ranks_of_size(sizes, j: int) -> list[int]:
+    return list(compress(range(len(sizes)), _of_size(sizes, j)))
+
+
 def _k_parent_chain(m: int) -> Optional[dict]:
+    # the level-m nodes whose digit-derived block size is ell, their
+    # (ell-1)-fold ancestors found by rank quotient, and each distinct
+    # (node, ancestor) pair of partitions compared once
     ells = [ell for ell in (2, 3, 4) if ell <= m]
-    buckets: dict[int, list] = {ell: [] for ell in ells}
-    for op in tree.iter_level(m, FULL):
-        size_j = len(op.max_label_block())
-        if size_j in buckets:
-            buckets[size_j].append(op)
+    sizes = tree.max_label_block_sizes(m)
+    witness = _labelled_tie(m, sizes, ells)
+    if witness is not None:
+        return witness
+    record = laplace.scan_record(FULL, m)
+    ids = record.ranked[m]
+    profile = cache(lambda i: stats._size_profile(record.partitions[i]))
     for ell in ells:
-        target_level = m - ell + 1
-        target = {op.blocks_by_label for op in tree.iter_level(target_level, FULL)
-                  if len(op.max_label_block()) == 1}
+        low = m - ell + 1
+        low_sizes, low_ids = tree.max_label_block_sizes(low), record.ranked[low]
+        divisor = _chain_divisor(m, ell)
         # r_2 + ... + r_ell, with r_j = 0 past the increment vector
         shifts = [sum(stats.first_kind_input(s)[1:ell]) for s in SIZE_STATS]
-        images = set()
-        for op in buckets[ell]:
-            cur = op
-            for _ in range(ell - 1):
-                cur = tree.parent(cur)
-            if len(cur.max_label_block()) != 1:
-                return {"n": m, "ell": ell, "node": op.to_json(),
-                        "image_max_block": list(cur.max_label_block())}
-            images.add(cur.blocks_by_label)
-            deltas = [a - b for a, b in zip(size_profile(op), size_profile(cur))]
-            if deltas != shifts:
-                i = next(i for i, d in enumerate(deltas) if d != shifts[i])
+        bucket = _ranks_of_size(sizes, ell)
+        images = [r // divisor for r in bucket]
+        deltas: dict[tuple, list] = {}
+        for r, k in zip(bucket, images):
+            if low_sizes[k] != 1:
+                image = tree.unrank(k, low, FULL)
+                return {"n": m, "ell": ell,
+                        "node": tree.unrank(r, m, FULL).to_json(),
+                        "image_max_block": list(image.max_label_block())}
+            pair = ids[r], low_ids[k]
+            if pair not in deltas:
+                deltas[pair] = [a - b for a, b in zip(*map(profile, pair))]
+            delta = deltas[pair]
+            if delta != shifts:
+                i = next(i for i, d in enumerate(delta) if d != shifts[i])
                 return {"n": m, "ell": ell, "stat": SIZE_STATS[i].name,
-                        "node": op.to_json(), "delta": deltas[i],
-                        "want": shifts[i]}
-        if len(images) != len(buckets[ell]) or images != target:
-            return {"n": m, "ell": ell, "bucket": len(buckets[ell]),
-                    "distinct_images": len(images), "target": len(target)}
+                        "node": tree.unrank(r, m, FULL).to_json(),
+                        "delta": delta[i], "want": shifts[i]}
+        distinct, target = set(images), set(_ranks_of_size(low_sizes, 1))
+        if len(distinct) != len(bucket) or distinct != target:
+            return {"n": m, "ell": ell, "bucket": len(bucket),
+                    "distinct_images": len(distinct), "target": len(target)}
     return None
 
 
 def _k_singleton_slice(m: int) -> Optional[dict]:
-    profiles = Counter(size_profile(op) for op in tree.iter_level(m, FULL)
-                       if len(op.max_label_block()) == 1)
+    # the partitions of the level-m nodes whose digit-derived block size
+    # is 1, each profiled once and weighted by its multiplicity
+    sizes = tree.max_label_block_sizes(m)
+    witness = _labelled_tie(m, sizes)
+    if witness is not None:
+        return witness
+    record = laplace.scan_record(FULL, m)
+    singletons = compress(record.ranked[m], _of_size(sizes, 1))
     counters = [Counter() for _ in SIZE_STATS]  # by position: no Statistic hashing
-    for profile, mult in profiles.items():
-        for counter, value in zip(counters, profile):
+    for i, mult in Counter(singletons).items():
+        for counter, value in zip(counters,
+                                  stats._size_profile(record.partitions[i])):
             counter[value] += mult
     for s, counter in zip(SIZE_STATS, counters):
         lhs = ExactPolynomial.from_counts(counter)
@@ -617,6 +682,11 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
            "size-count transform recursions vs enumeration",
            range(1, b_full + 1), _recursion_kernel(SIZE_STATS[1:], FULL),
            scans=((FULL, b_full),)),
+        mk("first-kind-edges",
+           "block-size counts change by r_j on every full-tree edge whose "
+           "child has a maximal-label block of j points",
+           range(2, 9), _first_kind_kernel(SIZE_STATS),
+           scans=((FULL, 8),)),
         mk("seed-resolution",
            "level-3 singleton transform settles to 6t^3 + 5t + 1",
            [3], _k_seed_resolution,
@@ -627,12 +697,13 @@ def build_checks(deep: bool = False) -> dict[str, Check]:
         mk("parent-chain-bijection",
            "iterated parents biject big-max-block slices onto singleton "
            "slices with the padded value shift",
-           range(2, 9), _k_parent_chain),
+           range(2, 9), _k_parent_chain,
+           scans=((FULL, 8),)),
         mk("singleton-slice",
            "singleton-max-block slice transform equals m t^r1 times the "
            "previous level",
            range(2, 9), _k_singleton_slice,
-           scans=((FULL, 7),)),
+           scans=((FULL, 8),)),
         mk("area-child-split",
            "pair children areas sum to (2n-1) + (2n+1) parent area",
            range(2, 8), _area_split_kernel(
@@ -770,8 +841,8 @@ SUITES: dict[str, tuple[str, ...]] = {
               "product-form", "block-count-recursion", "variance-forms",
               "mean-asymptote", "variance-asymptote"),
     "thm17": ("size1-mean", "size2-mean", "size3plus-mean",
-              "size-decomposition", "tally-recursions", "seed-resolution",
-              "size3-limit"),
+              "size-decomposition", "tally-recursions", "first-kind-edges",
+              "seed-resolution", "size3-limit"),
     "lemmas": ("parent-chain-bijection", "singleton-slice", "area-child-split"),
     "thm110": ("outer-full-mean", "outer-full-recursion", "outer-full-subsets",
                "interval-pair-mean", "interval-pair-recursion",

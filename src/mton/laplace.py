@@ -26,9 +26,13 @@ histogram is derived from those ids.  The children of the rank-r node
 at level n-1 are the level-n nodes at ranks r*A .. r*A + A - 1, where A
 is its child count (n+1 on the full tree, 2n-1 on the pair tree), so the
 edge-law checks read every edge off the record instead of rebuilding the
-sibling batches: the insertion laws through :func:`second_kind_witness`
-and the harness's area split.  An id takes 2 bytes per node: about 4 MB
-for the full tree to depth 9, about 44 MB to depth 10.
+sibling batches: the insertion laws through :func:`second_kind_witness`,
+the increment laws through :func:`first_kind_witness` and the harness's
+area split.  The record keeps no labels; a full-tree node's
+maximal-label block size, which the increment laws and the tree lemmas
+read, comes from its digit word (:func:`tree.max_label_block_sizes`).
+An id takes 2 bytes per node: about 4 MB for the full tree to depth 9,
+about 44 MB to depth 10.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 from . import tree
@@ -225,6 +230,47 @@ def second_kind_witness(stat: Statistic, kind: str, n: int,
                     "parent": tree.unrank(r, n - 1, kind).to_json(),
                     "increment": got[digit] - z, "want": want[digit] - z}
     return None
+
+
+def first_kind_witness(stat: Statistic, n: int,
+                       r: Optional[Sequence[int]] = None) -> Optional[dict]:
+    """First violation of the increment vector on the edges into full
+    level n, in rank order, or None when every edge whose child has a
+    maximal-label block of size j changes the statistic by r_j (0 past
+    the vector).  ``r`` defaults to the built-in vector.
+
+    The rank-c child of the record sits under the rank c // A parent, A
+    being the parent's child count, and its block size comes from its
+    digit word (:func:`tree.max_label_block_sizes`), not from its labels.
+    The law reads only the two partitions and that size, so each
+    distinct (parent, child, size) triple is checked once, and the rank
+    order is walked again only to name the first failure.
+    """
+    if n < 2:
+        raise ValueError(f"the edges into level {n} need n >= 2")
+    _guard(n, FULL, None)
+    r = first_kind_input(stat) if r is None else r
+    step = (0, *r) + (0,) * (n - len(r))  # step[j] is r_j
+    record = scan_record(FULL, n)
+    width = tree._radix(n - 1, FULL)
+    parent_value = record.level_values(stat, n - 1)
+    child_value = record.level_values(stat, n)
+
+    def edges():
+        parents = chain.from_iterable(
+            map(repeat, record.ranked[n - 1], repeat(width)))
+        return zip(parents, record.ranked[n], tree.max_label_block_sizes(n))
+
+    bad = {(i, k, j) for i, k, j in set(edges())
+           if child_value[k] - parent_value[i] != step[j]}
+    if not bad:
+        return None
+    c, (i, k, j) = next(e for e in enumerate(edges()) if e[1] in bad)
+    rank, digit = divmod(c, width)
+    return {"n": n, "stat": stat.name, "digit": digit,
+            "parent": tree.unrank(rank, n - 1, FULL).to_json(),
+            "size": j, "increment": child_value[k] - parent_value[i],
+            "want": step[j]}
 
 
 # ---------------------------------------------------------------------------

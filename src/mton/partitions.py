@@ -147,12 +147,6 @@ def _span_sweep(blocks: Iterable[tuple[int, ...]]) -> tuple[list[int], int, int]
     return outer, ints, summed
 
 
-def outer_blocks(p: NcPartition) -> list[int]:
-    """Indices of blocks not nested inside any other block, in min order."""
-    minima = set(_span_sweep(p.blocks)[0])
-    return [idx for idx, b in enumerate(p.blocks) if b[0] in minima]
-
-
 def interval_pairs(p: NcPartition) -> list[int]:
     """Indices of blocks of the form {m, m+1}.
 

@@ -5,14 +5,17 @@ incrementally along tree edges, so the certified transition laws below
 are genuine cross-checks and not restatements of the evaluator.  The
 block-size statistics (Y, Y1, Y2, ..., Yge3) and the pair test of the
 area are read off the node's list of block sizes, built by one helper:
-:func:`size_profile` builds it once per node and reads all of Y, Y1-Y4
-and Yge3 from it, :func:`evaluate` builds it for one statistic.
+:func:`size_profile` builds it once per node (or per partition, from raw
+blocks) and reads all of Y, Y1-Y4 and Yge3 from it, :func:`evaluate`
+builds it for one statistic.
 
 Two transition shapes appear.  A statistic of the first kind changes by
 a fixed amount r_j on any edge whose child has a maximal-label block of
 size j.  A statistic of the second kind changes by alpha on a
 distinguished subset of insertion children, by beta on every other
-child, where the distinguished subset has size Z(parent) + q.
+child, where the distinguished subset has size Z(parent) + q.  The
+witnesses that check both laws on every edge of a level read the scan's
+rank-ordered record, in :mod:`laplace`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import tree
 from .partitions import NcPartition, NotPairPartition, _span_sweep
@@ -38,14 +41,6 @@ class NotFirstKind(ValueError):
 
 class NotSecondKind(ValueError):
     """No insertion-subset transition law exists for this statistic."""
-
-
-class VerificationFailed(AssertionError):
-    """A certified transition law failed; carries the witness node."""
-
-    def __init__(self, message: str, witness: OrderedNcPartition):
-        self.witness = witness
-        super().__init__(f"{message} at {witness!r}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +99,13 @@ def _block_sizes(blocks) -> list[int]:
 def size_profile(op: OrderedNcPartition) -> tuple[int, ...]:
     """The values of :data:`SIZE_STATS` on one node, read off one
     block-size list; each equals :func:`evaluate` of that statistic."""
-    sizes = _block_sizes(op.blocks_by_label)
+    return _size_profile(op.blocks_by_label)
+
+
+def _size_profile(blocks) -> tuple[int, ...]:
+    """:func:`size_profile` of a partition with these blocks, given in
+    any order."""
+    sizes = _block_sizes(blocks)
     total, ones, twos = len(sizes), sizes.count(1), sizes.count(2)
     return (total, ones, twos, sizes.count(3), sizes.count(4),
             total - ones - twos)
@@ -230,22 +231,6 @@ def _core_digits(stat: Statistic, kind: str, blocks, n: int) -> set[int]:
     if stat.family == "intervals" and kind == PAIR:
         return {b[0] for b in blocks if len(b) == 2 and b[1] == b[0] + 1}
     raise NotSecondKind(f"{stat.name} on the {kind} tree")
-
-
-def certify_first_kind(stat: Statistic, bound: int = 7,
-                       vector: Optional[tuple[int, ...]] = None) -> tuple[int, ...]:
-    """Return the increment vector after re-verifying it on every edge
-    with child depth <= bound.  Pass ``vector`` to certify a claimed
-    vector instead of the built-in one."""
-    r = first_kind_input(stat) if vector is None else tuple(vector)
-    for n in range(2, bound + 1):
-        for op in tree.iter_level(n):
-            j = len(op.max_label_block())
-            expected = r[j - 1] if j <= len(r) else 0
-            if evaluate(stat, op) - evaluate(stat, tree.parent(op)) != expected:
-                raise VerificationFailed(
-                    f"{stat.name} edge increment != {expected}", op)
-    return r
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Check runner: pass/fail reports, witnesses, minimization."""
 
 import json
+from array import array
 
 import pytest
 
@@ -190,7 +191,86 @@ def test_a_suite_scans_each_tree_it_reads_once(scan_calls):
 
 def test_the_lemmas_suite_scans_each_tree_once(scan_calls):
     assert [r.status for r in run_suite("lemmas")] == ["pass"] * 3
-    assert scan_calls == [(FULL, 7), (PAIR, 7)]
+    assert scan_calls == [(FULL, 8), (PAIR, 7)]
+
+
+def test_the_benchmarked_suites_share_one_scan_per_tree(scan_calls,
+                                                         monkeypatch):
+    # one process, as one verify run after another: no later suite
+    # rescans a tree, and no check walks a level of its own
+    def no_walk(*args, **kwargs):
+        raise AssertionError("iter_level was called")
+    monkeypatch.setattr(tree, "iter_level", no_walk)
+    for suite in ("lemmas", "thm110", "thm111", "selftest"):
+        reports = run_suite(suite)
+        assert [r.status for r in reports] == ["pass"] * len(reports), suite
+    assert scan_calls == [(FULL, 8), (PAIR, 7)]
+
+
+def _report(check_id):
+    return build_checks()[check_id].run()
+
+
+def test_parent_chain_catches_a_wrong_second_increment(monkeypatch):
+    # r_2 one too high: the elongation children of level 2 are the first
+    # whose parent step breaks the padded shift
+    real = stats.first_kind_input
+
+    def wrong(stat):
+        r = real(stat) + (0,)
+        return r[:1] + (r[1] + 1,) + r[2:]
+    monkeypatch.setattr(stats, "first_kind_input", wrong)
+    report = _report("parent-chain-bijection")
+    assert report.status == "fail"
+    assert report.witness == {"n": 2, "ell": 2, "stat": "Y",
+                              "node": {"n": 2, "blocks_by_label": [[1, 2]]},
+                              "delta": 0, "want": 1}
+
+
+def test_singleton_slice_catches_a_moved_record_id(monkeypatch):
+    # a copy of the full-tree record in which one level-5 node of the
+    # singleton slice carries the one-block partition instead of its own
+    warm = laplace.scan_record(FULL, 8)
+    ranked = {level: array("H", warm.ranked[level]) for level in range(1, 9)}
+    moved = laplace.ScanRecord(FULL, list(warm.partitions), ranked)
+    k = tree.max_label_block_sizes(5).index(1, 100)  # past the first batches
+    ranked[5][k] = moved.partitions.index(((1, 2, 3, 4, 5),))
+    monkeypatch.setattr(laplace, "_scan_cache", {FULL: (8, moved)})
+    report = _report("singleton-slice")
+    assert report.status == "fail"
+    assert report.witness["n"] == 5
+    assert report.witness["stat"] == "Y"
+
+
+def test_first_kind_edges_pass_and_catch_a_wrong_vector(monkeypatch):
+    assert _report("first-kind-edges").status == "pass"
+    real = laplace.first_kind_input
+    monkeypatch.setattr(laplace, "first_kind_input",
+                        lambda s: (1, 1) if s == BLOCKS else real(s))
+    report = _report("first-kind-edges")
+    assert report.status == "fail"
+    assert report.witness == {"n": 2, "stat": "Y", "digit": 2,
+                              "parent": {"n": 1, "blocks_by_label": [[1]]},
+                              "size": 2, "increment": 0, "want": 1}
+
+
+def test_a_misplaced_elongation_column_fails_both_lemmas(monkeypatch):
+    # sizes built as if the elongation were digit 0: the labelled tie at
+    # rank 0 of level 2 sees a singleton where the digits claim two points
+    def elongation_first(n):
+        sizes = array("B", [1])
+        for m in range(2, n + 1):
+            longer = array("B", [s + 1 for s in sizes])
+            sizes = array("B", [1]) * (len(sizes) * (m + 1))
+            sizes[0::m + 1] = longer
+        return sizes
+    monkeypatch.setattr(tree, "max_label_block_sizes", elongation_first)
+    for check_id in ("parent-chain-bijection", "singleton-slice"):
+        report = _report(check_id)
+        assert report.status == "fail", check_id
+        assert report.witness == {
+            "n": 2, "node": {"n": 2, "blocks_by_label": [[2], [1]]},
+            "max_block": [1], "digit_size": 2}, check_id
 
 
 def test_stat_cross_check_scans_each_tree_once(scan_calls):

@@ -10,10 +10,10 @@ import pytest
 from mton import laplace, stats, tree
 from mton.laplace import (InsufficientSeed, SizeBoundExceeded, ZeroPolynomial,
                           bruteforce_transform, expectation_from_laplace,
-                          level_histograms, recurse_first_kind,
-                          recurse_second_kind, recursion_transform,
-                          scan_chunk, second_kind_witness,
-                          variance_from_laplace)
+                          first_kind_witness, level_histograms,
+                          recurse_first_kind, recurse_second_kind,
+                          recursion_transform, scan_chunk,
+                          second_kind_witness, variance_from_laplace)
 from mton.partitions import validate_noncrossing
 from mton.polynomials import ExactPolynomial, NegativeExponent
 from mton.stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
@@ -341,6 +341,45 @@ def test_second_kind_witness_finds_a_child_deep_in_the_level(
     assert got == _walked_witness(stat, kind, n, law)
     parent = tree.OrderedNcPartition.from_json(got["parent"])
     assert tree.rank_of(parent, kind) > 0
+
+
+def _walked_first_kind_witness(stat, n, r):
+    # the oracle: every parent in rank order, each child built, evaluated
+    # and its labelled maximal-label block measured on its own
+    step = (0,) + r + (0,) * n
+    for parent in iter_level(n - 1, FULL):
+        z = evaluate(stat, parent)
+        for digit, child in enumerate(tree.children(parent)):
+            size = len(child.max_label_block())
+            increment = evaluate(stat, child) - z
+            if increment != step[size]:
+                return {"n": n, "stat": stat.name, "digit": digit,
+                        "parent": parent.to_json(), "size": size,
+                        "increment": increment, "want": step[size]}
+    return None
+
+
+@pytest.mark.parametrize("stat", [BLOCKS, blocks_of_size(2), LARGE_BLOCKS])
+def test_first_kind_witness_finds_a_child_deep_in_the_level(stat,
+                                                            monkeypatch):
+    # the one-block partition of level 6 is carried by a single node,
+    # the end of the elongation chain; evaluated one too high, its edge
+    # is the first that breaks the law, as the labelled walk finds too
+    target = ((1, 2, 3, 4, 5, 6),)
+    assert level_histograms(FULL, 6)[6][target] == 1
+    real = stats._evaluate_blocks
+
+    def off_by_one(s, blocks, points):
+        return real(s, blocks, points) + (tuple(sorted(blocks)) == target)
+    r = first_kind_input(stat)
+    assert first_kind_witness(stat, 6) is None
+    monkeypatch.setattr(laplace, "_evaluate_blocks", off_by_one)
+    monkeypatch.setattr(stats, "_evaluate_blocks", off_by_one)
+    got = first_kind_witness(stat, 6)
+    assert got is not None and got["size"] == 6
+    assert got == _walked_first_kind_witness(stat, 6, r)
+    with pytest.raises(ValueError):
+        first_kind_witness(stat, 1)
 
 
 _ALL_STATS = (BLOCKS, blocks_of_size(1), blocks_of_size(2), blocks_of_size(3),

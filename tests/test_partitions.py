@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from mton.partitions import (Crossing, NcPartition, NotAPartition,
-                             interval_pairs, nesting_parents, outer_blocks,
+                             _span_sweep, interval_pairs, nesting_parents,
                              validate_noncrossing)
 from mton.reference import has_crossing_naive, noncrossing_partitions
 
@@ -103,8 +103,9 @@ def test_outer_blocks_have_no_parent():
     for blocks in noncrossing_partitions(7):
         p = NcPartition(7, blocks)
         parents = nesting_parents(p)
-        outs = set(outer_blocks(p))
-        assert outs == {i for i in range(p.size) if parents[i] is None}
+        # the sweep's outer minima, in min order, are the parentless blocks
+        assert _span_sweep(p.blocks)[0] == [
+            b[0] for b, par in zip(p.blocks, parents) if par is None]
 
 
 def test_interval_pairs_finds_adjacent_two_blocks():

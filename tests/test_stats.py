@@ -11,9 +11,8 @@ from mton.partitions import validate_noncrossing
 from mton.polynomials import ExactPolynomial
 from mton.stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
                         AreaRequiresPairPartition, NotFirstKind, NotSecondKind,
-                        SecondKindInput, Statistic, VerificationFailed, area,
-                        blocks_of_size, certify_first_kind, dyck_path,
-                        evaluate, first_kind_input, path_area,
+                        SecondKindInput, Statistic, area, blocks_of_size,
+                        dyck_path, evaluate, first_kind_input, path_area,
                         second_kind_input, write_stats_csv)
 from mton.tree import (FULL, PAIR, OrderedNcPartition, TreeCode, child_at,
                        decode, iter_level)
@@ -136,18 +135,33 @@ def _first_second_kind_witness(stat, kind, bound, law=None):
     return None
 
 
+def _first_first_kind_witness(stat, bound, r=None):
+    # the increments on every edge with child depth <= bound, smallest first
+    for n in range(2, bound + 1):
+        witness = laplace.first_kind_witness(stat, n, r)
+        if witness is not None:
+            return witness
+    return None
+
+
 def test_certificates_pass_at_small_bounds():
-    certify_first_kind(BLOCKS, bound=5)
-    certify_first_kind(blocks_of_size(1), bound=5)
-    certify_first_kind(LARGE_BLOCKS, bound=5)
+    assert _first_first_kind_witness(BLOCKS, 5) is None
+    assert _first_first_kind_witness(blocks_of_size(1), 5) is None
+    assert _first_first_kind_witness(LARGE_BLOCKS, 5) is None
     assert _first_second_kind_witness(OUTER, FULL, 5) is None
     assert _first_second_kind_witness(OUTER, PAIR, 4) is None
     assert _first_second_kind_witness(INTERVAL_PAIRS, PAIR, 4) is None
 
 
 def test_certificate_rejects_wrong_vector():
-    with pytest.raises(VerificationFailed):
-        certify_first_kind(BLOCKS, bound=4, vector=(1, 1))
+    # r_2 = 1 where the elongation keeps the block count: the root's
+    # elongation child, whose maximal-label block has two points
+    witness = _first_first_kind_witness(BLOCKS, 4, (1, 1))
+    assert witness == {"n": 2, "stat": "Y", "digit": 2,
+                       "parent": {"n": 1, "blocks_by_label": [[1]]},
+                       "size": 2, "increment": 0, "want": 1}
+    parent = OrderedNcPartition.from_json(witness["parent"])
+    assert len(child_at(parent, witness["digit"]).max_label_block()) == 2
     # a wrong q: the root's core subset has the wrong size
     witness = _first_second_kind_witness(OUTER, FULL, 4,
                                          SecondKindInput(1, 0, 2))
