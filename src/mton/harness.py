@@ -27,7 +27,7 @@ import traceback
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from itertools import compress
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -306,6 +306,12 @@ def _ranks_of_size(sizes, j: int) -> list[int]:
     return list(compress(range(len(sizes)), _of_size(sizes, j)))
 
 
+def _size_values(record: laplace.ScanRecord,
+                 level: int) -> list[dict[int, int]]:
+    # the value of each of SIZE_STATS on each distinct partition of a level
+    return [record.level_values(s, level) for s in SIZE_STATS]
+
+
 def _k_parent_chain(m: int) -> Optional[dict]:
     # the level-m nodes whose digit-derived block size is ell, their
     # (ell-1)-fold ancestors found by rank quotient, and each distinct
@@ -317,10 +323,11 @@ def _k_parent_chain(m: int) -> Optional[dict]:
         return witness
     record = laplace.scan_record(FULL, m)
     ids = record.ranked[m]
-    profile = cache(lambda i: stats._size_profile(record.partitions[i]))
+    values = _size_values(record, m)
     for ell in ells:
         low = m - ell + 1
         low_sizes, low_ids = tree.max_label_block_sizes(low), record.ranked[low]
+        low_values = _size_values(record, low)
         divisor = _chain_divisor(m, ell)
         # r_2 + ... + r_ell, with r_j = 0 past the increment vector
         shifts = [sum(stats.first_kind_input(s)[1:ell]) for s in SIZE_STATS]
@@ -335,7 +342,9 @@ def _k_parent_chain(m: int) -> Optional[dict]:
                         "image_max_block": list(image.max_label_block())}
             pair = ids[r], low_ids[k]
             if pair not in deltas:
-                deltas[pair] = [a - b for a, b in zip(*map(profile, pair))]
+                a, b = pair
+                deltas[pair] = [hi[a] - lo[b]
+                                for hi, lo in zip(values, low_values)]
             delta = deltas[pair]
             if delta != shifts:
                 i = next(i for i, d in enumerate(delta) if d != shifts[i])
@@ -351,19 +360,17 @@ def _k_parent_chain(m: int) -> Optional[dict]:
 
 def _k_singleton_slice(m: int) -> Optional[dict]:
     # the partitions of the level-m nodes whose digit-derived block size
-    # is 1, each profiled once and weighted by its multiplicity
+    # is 1, each evaluated once and weighted by its multiplicity
     sizes = tree.max_label_block_sizes(m)
     witness = _labelled_tie(m, sizes)
     if witness is not None:
         return witness
     record = laplace.scan_record(FULL, m)
-    singletons = compress(record.ranked[m], _of_size(sizes, 1))
-    counters = [Counter() for _ in SIZE_STATS]  # by position: no Statistic hashing
-    for i, mult in Counter(singletons).items():
-        for counter, value in zip(counters,
-                                  stats._size_profile(record.partitions[i])):
-            counter[value] += mult
-    for s, counter in zip(SIZE_STATS, counters):
+    singletons = Counter(compress(record.ranked[m], _of_size(sizes, 1)))
+    for s, value in zip(SIZE_STATS, _size_values(record, m)):
+        counter: Counter = Counter()
+        for i, mult in singletons.items():
+            counter[value[i]] += mult
         lhs = ExactPolynomial.from_counts(counter)
         r1 = stats.first_kind_input(s)[0]
         rhs = laplace.bruteforce_transform(s, m - 1, FULL).shifted(r1).scaled(m)
@@ -373,18 +380,14 @@ def _k_singleton_slice(m: int) -> Optional[dict]:
 
 
 def _area_split_kernel(split: Callable[[int, int], int]):
-    # split(n, parent area) is the claimed sum of the children's areas;
-    # the rank-r parent's children are the level-n nodes at ranks
-    # r*A .. r*A + A - 1 of the scan's record
+    # split(n, parent area) is the claimed sum of the children's areas
     def kernel(n: int) -> Optional[dict]:
         record = laplace.scan_record(PAIR, n)
-        width = tree._radix(n - 1, PAIR)
         wants = {i: split(n, area)
                  for i, area in record.level_values(AREA, n - 1).items()}
         area_of = record.level_values(AREA, n).__getitem__
-        kids = record.ranked[n]
-        for r, i in enumerate(record.ranked[n - 1]):
-            child_sum = sum(map(area_of, kids[r * width:(r + 1) * width]))
+        for r, i, kids in record.batches(n):
+            child_sum = sum(map(area_of, kids))
             want = wants[i]
             if child_sum != want:
                 return {"n": n,
@@ -590,293 +593,6 @@ def _k_ordering_ratio(n: int) -> Optional[dict]:
 
 
 # ---------------------------------------------------------------------------
-# registry
-
-def build_checks(deep: bool = False) -> dict[str, Check]:
-    b_full = 10 if deep else 9
-    b_pair = 8 if deep else 7
-    b_outer = 9 if deep else 8
-
-    def mk(id_, desc, sizes, kernel, scans=()):
-        return Check(CheckSpec(id_, desc), tuple(sizes), kernel, scans)
-
-    checks = [
-        mk("count-full", "scanned full-tree level sizes equal (n+1)!/2",
-           range(1, b_full + 1), _count_kernel(FULL, tree.level_count),
-           scans=((FULL, b_full),)),
-        mk("count-pair", "scanned pair-tree level sizes equal (2n-1)!!",
-           range(1, b_pair + 1), _count_kernel(PAIR, tree.level_count),
-           scans=((PAIR, b_pair),)),
-        mk("scan-multiplicities",
-           "scanned levels hold Catalan(n) partitions, each tallied "
-           "as often as its hook-length ordering count",
-           range(1, b_full + 1), _multiplicity_kernel(b_pair),
-           scans=((FULL, b_full), (PAIR, b_pair))),
-        mk("enum-cross-check",
-           "tree enumeration equals the permutation-filter construction",
-           range(1, 8), _enum_cross_kernel(
-               FULL, reference.ordered_partitions_by_filter)),
-        mk("pair-enum-cross-check",
-           "pair-tree enumeration equals the permutation-filter construction",
-           range(1, 7), _enum_cross_kernel(
-               PAIR, reference.ordered_pair_partitions_by_filter)),
-        mk("stat-cross-check",
-           "scanned outer, interval-pair and area transforms equal "
-           "reference evaluators over the filter construction",
-           range(1, 8), _k_stat_cross,
-           scans=((FULL, 7), (PAIR, 6))),
-
-        mk("block-count-mean", "enumerated mean block count vs closed form",
-           range(2, b_full + 1),
-           _mean_kernel(BLOCKS, FULL, cf.expected_block_count),
-           scans=((FULL, b_full),)),
-        mk("block-count-variance",
-           "enumerated block-count variance vs both closed forms",
-           range(2, b_full + 1), _readout_kernel(
-               BLOCKS, FULL, laplace.variance_from_laplace,
-               cf.variance_block_count, cf.variance_block_count_alt),
-           scans=((FULL, b_full),)),
-        mk("block-count-spot", "frozen level-3 mean 29/12 and variance 59/144",
-           [3], _spot_kernel(BLOCKS, FULL, "variance",
-                             laplace.variance_from_laplace,
-                             (Fraction(29, 12), Fraction(59, 144))),
-           scans=((FULL, 3),)),
-        mk("product-form",
-           "block-count transform equals t(1+2t)...(1+nt)",
-           range(1, b_full + 1), _product_kernel(
-               partial(laplace.bruteforce_transform, BLOCKS)),
-           scans=((FULL, b_full),)),
-        mk("block-count-recursion",
-           "block-count transform recursion vs enumeration",
-           range(1, b_full + 1), _recursion_kernel((BLOCKS,), FULL),
-           scans=((FULL, b_full),)),
-        mk("variance-forms", "the two printed variance forms agree",
-           range(2, 10001), _forms_kernel(
-               "direct", cf.variance_block_count,
-               "shifted", cf.variance_block_count_alt)),
-        mk("mean-asymptote", "mean block count approaches n - ln n + 3/2 - g",
-           [10000], _float_kernel("EY", 1e-3)),
-        mk("variance-asymptote",
-           "block-count variance approaches ln n - (pi^2/6 + 1/4 - g)",
-           [10000], _float_kernel("VarY", 1e-3)),
-
-        mk("size1-mean", "enumerated mean singleton count vs closed form",
-           range(3, b_full + 1),
-           _mean_kernel(blocks_of_size(1), FULL, cf.expected_size1_blocks),
-           scans=((FULL, b_full),)),
-        mk("size2-mean", "enumerated mean two-block count vs closed form",
-           range(4, b_full + 1),
-           _mean_kernel(blocks_of_size(2), FULL, cf.expected_size2_blocks),
-           scans=((FULL, b_full),)),
-        mk("size3plus-mean", "enumerated mean of >=3 blocks vs closed form",
-           range(4, b_full + 1),
-           _mean_kernel(LARGE_BLOCKS, FULL, cf.expected_size3plus_blocks),
-           scans=((FULL, b_full),)),
-        mk("size-decomposition",
-           "closed forms: whole mean equals sum of size parts",
-           range(4, 1001), _forms_kernel(
-               "whole", cf.expected_block_count, "sum_of_parts",
-               lambda n: (cf.expected_size1_blocks(n) + cf.expected_size2_blocks(n)
-                          + cf.expected_size3plus_blocks(n)))),
-        mk("tally-recursions",
-           "size-count transform recursions vs enumeration",
-           range(1, b_full + 1), _recursion_kernel(SIZE_STATS[1:], FULL),
-           scans=((FULL, b_full),)),
-        mk("first-kind-edges",
-           "block-size counts change by r_j on every full-tree edge whose "
-           "child has a maximal-label block of j points",
-           range(2, 9), _first_kind_kernel(SIZE_STATS),
-           scans=((FULL, 8),)),
-        mk("seed-resolution",
-           "level-3 singleton transform settles to 6t^3 + 5t + 1",
-           [3], _k_seed_resolution,
-           scans=((FULL, 3),)),
-        mk("size3-limit", "telescoped three-block mean approaches 23/90",
-           [1000], _float_kernel("EY3", 1e-2)),
-
-        mk("parent-chain-bijection",
-           "iterated parents biject big-max-block slices onto singleton "
-           "slices with the padded value shift",
-           range(2, 9), _k_parent_chain,
-           scans=((FULL, 8),)),
-        mk("singleton-slice",
-           "singleton-max-block slice transform equals m t^r1 times the "
-           "previous level",
-           range(2, 9), _k_singleton_slice,
-           scans=((FULL, 8),)),
-        mk("area-child-split",
-           "pair children areas sum to (2n-1) + (2n+1) parent area",
-           range(2, 8), _area_split_kernel(
-               lambda n, area: (2 * n - 1) + (2 * n + 1) * area),
-           scans=((PAIR, 7),)),
-
-        mk("outer-full-mean", "enumerated mean outer count vs (2n+1)/3",
-           range(1, b_outer + 1),
-           _mean_kernel(OUTER, FULL, cf.expected_outer_blocks),
-           scans=((FULL, b_outer),)),
-        mk("outer-full-recursion",
-           "outer-count transform recursion vs enumeration (full tree)",
-           range(1, b_outer + 1), _recursion_kernel((OUTER,), FULL),
-           scans=((FULL, b_outer),)),
-        mk("outer-full-subsets",
-           "outer-count insertion law clauses on every full-tree parent",
-           range(2, b_outer + 1), _subset_kernel(OUTER, FULL),
-           scans=((FULL, b_outer),)),
-        mk("interval-pair-mean",
-           "enumerated mean interval-pair count vs (2n+1)/3",
-           range(1, b_pair + 1),
-           _mean_kernel(INTERVAL_PAIRS, PAIR, cf.expected_interval_pairs),
-           scans=((PAIR, b_pair),)),
-        mk("interval-pair-recursion",
-           "interval-pair transform recursion vs enumeration",
-           range(1, b_pair + 1),
-           _recursion_kernel((INTERVAL_PAIRS,), PAIR),
-           scans=((PAIR, b_pair),)),
-        mk("interval-pair-subsets",
-           "interval-pair insertion law clauses on every pair-tree parent",
-           range(2, b_pair + 1), _subset_kernel(INTERVAL_PAIRS, PAIR),
-           scans=((PAIR, b_pair),)),
-        mk("outer-pair-mean",
-           "enumerated mean outer count vs 2^n n!/(2n-1)!! - 1",
-           range(1, b_pair + 1),
-           _mean_kernel(OUTER, PAIR, cf.expected_outer_pairs),
-           scans=((PAIR, b_pair),)),
-        mk("outer-pair-recursion",
-           "outer-count transform recursion vs enumeration (pair tree)",
-           range(1, b_pair + 1), _recursion_kernel((OUTER,), PAIR),
-           scans=((PAIR, b_pair),)),
-        mk("outer-pair-subsets",
-           "outer-count insertion law clauses on every pair-tree parent",
-           range(2, b_pair + 1), _subset_kernel(OUTER, PAIR),
-           scans=((PAIR, b_pair),)),
-        mk("outer-full-mean-recursion",
-           "stepped outer mean reproduces (2n+1)/3",
-           range(2, 1001),
-           _mean_step_kernel(OUTER, FULL, cf.expected_outer_blocks)),
-        mk("interval-mean-recursion",
-           "stepped interval-pair mean reproduces (2n+1)/3",
-           range(2, 1001),
-           _mean_step_kernel(INTERVAL_PAIRS, PAIR, cf.expected_interval_pairs)),
-        mk("outer-pair-mean-recursion",
-           "stepped pair-tree outer mean reproduces 2^n n!/(2n-1)!! - 1",
-           range(2, 1001),
-           _mean_step_kernel(OUTER, PAIR, cf.expected_outer_pairs)),
-        mk("outer-pair-asymptote", "pair-tree outer mean approaches sqrt(pi n)",
-           [10000], _ratio_kernel("EOutPair", 0.01)),
-
-        mk("area-mean",
-           "enumerated mean area vs (2n+1) sum 1/(2k+1)",
-           range(1, b_pair + 1),
-           _mean_kernel(AREA, PAIR, cf.expected_area),
-           scans=((PAIR, b_pair),)),
-        mk("area-total", "summed area vs (2n+1)!! partial odd harmonic",
-           range(1, b_pair + 1), _readout_kernel(
-               AREA, PAIR, _total, cf.total_area,
-               lambda n: cf.expected_area(n) * cf.double_factorial_odd(n)),
-           scans=((PAIR, b_pair),)),
-        mk("area-spot", "frozen pair level 2: mean 8/3, total 8",
-           [2], _spot_kernel(AREA, PAIR, "total", _total, (Fraction(8, 3), 8)),
-           scans=((PAIR, 2),)),
-        mk("area-asymptote",
-           "mean area over n log n enters [0.9, 1.1] and tightens",
-           [10 ** 6], _k_area_ratio_shrinks),
-
-        mk("triangle-frozen", "ordered-count triangle rows 1..6 are frozen",
-           range(1, 7), _k_triangle_frozen),
-        mk("triangle-tree-recursion",
-           "triangle from enumeration vs recursion",
-           range(1, 10), _row_kernel(
-               "tree", cm.stirling_by_tree_count,
-               "recursion", cm.stirling_by_recursion),
-           scans=((FULL, 9),)),
-        mk("triangle-recursion-closed",
-           "triangle recursion vs increasing-products closed form",
-           range(1, 21), _row_kernel("closed_form", cm.stirling_by_closed_form,
-                                     "recursion", cm.stirling_by_recursion)),
-        mk("triangle-row-sums", "triangle rows sum to (n+1)!/2",
-           range(1, 21), _factorial_sum_kernel("row_sum", _triangle_row)),
-        mk("triangle-poly-identity",
-           "triangle generating polynomial equals t(1+2t)...(1+nt)",
-           range(1, 10), _product_kernel(
-               lambda n: ExactPolynomial(dict(enumerate(_triangle_row(n), 1))))),
-
-        mk("roundtrip-random",
-           "seeded random sequences round-trip moments <-> cumulants",
-           range(1, 101), _k_roundtrip),
-        mk("small-identities", "frozen order-3 moment/cumulant identities",
-           [3], _k_small_identities),
-        mk("poisson-constant",
-           "triangle moments equal constant-cumulant moments to order 20",
-           range(1, 5), _poisson_kernel(cm.poisson_moments)),
-        mk("hook-vs-filter",
-           "forest hook-length ordering count vs permutation filter",
-           range(1, 9), _k_hook_vs_filter),
-        mk("ordering-ratio",
-           "ordering count <= k! with equality iff interval partition",
-           range(1, 9), _k_ordering_ratio),
-        mk("ordering-sum", "ordering counts over NC(n) sum to (n+1)!/2",
-           range(1, 10), _factorial_sum_kernel("sum", lambda n: map(
-               cm._ordering_count_blocks, reference.noncrossing_partitions(n)))),
-        mk("moments-partition-sum",
-           "semigroup-recurrence moment n equals the weighted NC(n) sum",
-           range(1, 9), _forms_kernel(
-               "recurrence",
-               lambda n: cm.moments_from_cumulants(_seeded_sequence(n, n))[-1],
-               "partition_sum",
-               lambda n: reference.moments_by_partition_sum(
-                   _seeded_sequence(n, n))[-1])),
-
-        mk("harness-selftest",
-           "every suite's corrupted twin fails and minimizes",
-           [0], _k_selftest),
-    ]
-    return {c.spec.id: c for c in checks}
-
-
-SUITES: dict[str, tuple[str, ...]] = {
-    "cardinality": ("count-full", "count-pair", "scan-multiplicities",
-                    "enum-cross-check", "pair-enum-cross-check",
-                    "stat-cross-check"),
-    "thm16": ("block-count-mean", "block-count-variance", "block-count-spot",
-              "product-form", "block-count-recursion", "variance-forms",
-              "mean-asymptote", "variance-asymptote"),
-    "thm17": ("size1-mean", "size2-mean", "size3plus-mean",
-              "size-decomposition", "tally-recursions", "first-kind-edges",
-              "seed-resolution", "size3-limit"),
-    "lemmas": ("parent-chain-bijection", "singleton-slice", "area-child-split"),
-    "thm110": ("outer-full-mean", "outer-full-recursion", "outer-full-subsets",
-               "interval-pair-mean", "interval-pair-recursion",
-               "interval-pair-subsets", "outer-pair-mean",
-               "outer-pair-recursion", "outer-pair-subsets",
-               "outer-full-mean-recursion", "interval-mean-recursion",
-               "outer-pair-mean-recursion", "outer-pair-asymptote"),
-    "thm111": ("area-mean", "area-total", "area-spot", "area-asymptote"),
-    "stirling": ("triangle-frozen", "triangle-tree-recursion",
-                 "triangle-recursion-closed", "triangle-row-sums",
-                 "triangle-poly-identity"),
-    "cumulants": ("roundtrip-random", "small-identities", "poisson-constant",
-                  "hook-vs-filter", "ordering-ratio", "ordering-sum",
-                  "moments-partition-sum"),
-    "selftest": ("harness-selftest",),
-}
-
-
-def suite_names() -> list[str]:
-    return ["all"] + list(SUITES)
-
-
-def run_suite(name: str, deep: bool = False) -> list[CheckReport]:
-    checks = build_checks(deep)
-    if name == "all":
-        ids = [i for ids in SUITES.values() for i in ids]
-    elif name in SUITES:
-        ids = list(SUITES[name])
-    else:
-        raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
-    return run_checks([checks[i] for i in ids])
-
-
-# ---------------------------------------------------------------------------
 # deliberately corrupted twins, exercised by the self-test
 
 def corrupted_checks() -> dict[str, tuple[Check, int]]:
@@ -939,6 +655,290 @@ def _k_selftest(_: int) -> Optional[dict]:
             return {**where, "problem": f"minimal witness not n={minimal}",
                     "witness": minimized.witness}
     return None
+
+
+# ---------------------------------------------------------------------------
+# registry
+
+def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
+    """Every registered check, listed under its suite."""
+    b_full = 10 if deep else 9
+    b_pair = 8 if deep else 7
+    b_outer = 9 if deep else 8
+
+    def mk(id_, desc, sizes, kernel, scans=()):
+        return Check(CheckSpec(id_, desc), tuple(sizes), kernel, scans)
+
+    return {
+        "cardinality": [
+            mk("count-full", "scanned full-tree level sizes equal (n+1)!/2",
+               range(1, b_full + 1), _count_kernel(FULL, tree.level_count),
+               scans=((FULL, b_full),)),
+            mk("count-pair", "scanned pair-tree level sizes equal (2n-1)!!",
+               range(1, b_pair + 1), _count_kernel(PAIR, tree.level_count),
+               scans=((PAIR, b_pair),)),
+            mk("scan-multiplicities",
+               "scanned levels hold Catalan(n) partitions, each tallied "
+               "as often as its hook-length ordering count",
+               range(1, b_full + 1), _multiplicity_kernel(b_pair),
+               scans=((FULL, b_full), (PAIR, b_pair))),
+            mk("enum-cross-check",
+               "tree enumeration equals the permutation-filter construction",
+               range(1, 8), _enum_cross_kernel(
+                   FULL, reference.ordered_partitions_by_filter)),
+            mk("pair-enum-cross-check",
+               "pair-tree enumeration equals the permutation-filter construction",
+               range(1, 7), _enum_cross_kernel(
+                   PAIR, reference.ordered_pair_partitions_by_filter)),
+            mk("stat-cross-check",
+               "scanned outer, interval-pair and area transforms equal "
+               "reference evaluators over the filter construction",
+               range(1, 8), _k_stat_cross,
+               scans=((FULL, 7), (PAIR, 6))),
+        ],
+        "thm16": [
+            mk("block-count-mean", "enumerated mean block count vs closed form",
+               range(2, b_full + 1),
+               _mean_kernel(BLOCKS, FULL, cf.expected_block_count),
+               scans=((FULL, b_full),)),
+            mk("block-count-variance",
+               "enumerated block-count variance vs both closed forms",
+               range(2, b_full + 1), _readout_kernel(
+                   BLOCKS, FULL, laplace.variance_from_laplace,
+                   cf.variance_block_count, cf.variance_block_count_alt),
+               scans=((FULL, b_full),)),
+            mk("block-count-spot",
+               "frozen level-3 mean 29/12 and variance 59/144",
+               [3], _spot_kernel(BLOCKS, FULL, "variance",
+                                 laplace.variance_from_laplace,
+                                 (Fraction(29, 12), Fraction(59, 144))),
+               scans=((FULL, 3),)),
+            mk("product-form",
+               "block-count transform equals t(1+2t)...(1+nt)",
+               range(1, b_full + 1), _product_kernel(
+                   partial(laplace.bruteforce_transform, BLOCKS)),
+               scans=((FULL, b_full),)),
+            mk("block-count-recursion",
+               "block-count transform recursion vs enumeration",
+               range(1, b_full + 1), _recursion_kernel((BLOCKS,), FULL),
+               scans=((FULL, b_full),)),
+            mk("variance-forms", "the two printed variance forms agree",
+               range(2, 10001), _forms_kernel(
+                   "direct", cf.variance_block_count,
+                   "shifted", cf.variance_block_count_alt)),
+            mk("mean-asymptote",
+               "mean block count approaches n - ln n + 3/2 - g",
+               [10000], _float_kernel("EY", 1e-3)),
+            mk("variance-asymptote",
+               "block-count variance approaches ln n - (pi^2/6 + 1/4 - g)",
+               [10000], _float_kernel("VarY", 1e-3)),
+        ],
+        "thm17": [
+            mk("size1-mean", "enumerated mean singleton count vs closed form",
+               range(3, b_full + 1),
+               _mean_kernel(blocks_of_size(1), FULL, cf.expected_size1_blocks),
+               scans=((FULL, b_full),)),
+            mk("size2-mean", "enumerated mean two-block count vs closed form",
+               range(4, b_full + 1),
+               _mean_kernel(blocks_of_size(2), FULL, cf.expected_size2_blocks),
+               scans=((FULL, b_full),)),
+            mk("size3plus-mean", "enumerated mean of >=3 blocks vs closed form",
+               range(4, b_full + 1),
+               _mean_kernel(LARGE_BLOCKS, FULL, cf.expected_size3plus_blocks),
+               scans=((FULL, b_full),)),
+            mk("size-decomposition",
+               "closed forms: whole mean equals sum of size parts",
+               range(4, 1001), _forms_kernel(
+                   "whole", cf.expected_block_count, "sum_of_parts",
+                   lambda n: (cf.expected_size1_blocks(n)
+                              + cf.expected_size2_blocks(n)
+                              + cf.expected_size3plus_blocks(n)))),
+            mk("tally-recursions",
+               "size-count transform recursions vs enumeration",
+               range(1, b_full + 1), _recursion_kernel(SIZE_STATS[1:], FULL),
+               scans=((FULL, b_full),)),
+            mk("first-kind-edges",
+               "block-size counts change by r_j on every full-tree edge whose "
+               "child has a maximal-label block of j points",
+               range(2, 9), _first_kind_kernel(SIZE_STATS),
+               scans=((FULL, 8),)),
+            mk("seed-resolution",
+               "level-3 singleton transform settles to 6t^3 + 5t + 1",
+               [3], _k_seed_resolution,
+               scans=((FULL, 3),)),
+            mk("size3-limit", "telescoped three-block mean approaches 23/90",
+               [1000], _float_kernel("EY3", 1e-2)),
+        ],
+        "lemmas": [
+            mk("parent-chain-bijection",
+               "iterated parents biject big-max-block slices onto singleton "
+               "slices with the padded value shift",
+               range(2, 9), _k_parent_chain,
+               scans=((FULL, 8),)),
+            mk("singleton-slice",
+               "singleton-max-block slice transform equals m t^r1 times the "
+               "previous level",
+               range(2, 9), _k_singleton_slice,
+               scans=((FULL, 8),)),
+            mk("area-child-split",
+               "pair children areas sum to (2n-1) + (2n+1) parent area",
+               range(2, 8), _area_split_kernel(
+                   lambda n, area: (2 * n - 1) + (2 * n + 1) * area),
+               scans=((PAIR, 7),)),
+        ],
+        "thm110": [
+            mk("outer-full-mean", "enumerated mean outer count vs (2n+1)/3",
+               range(1, b_outer + 1),
+               _mean_kernel(OUTER, FULL, cf.expected_outer_blocks),
+               scans=((FULL, b_outer),)),
+            mk("outer-full-recursion",
+               "outer-count transform recursion vs enumeration (full tree)",
+               range(1, b_outer + 1), _recursion_kernel((OUTER,), FULL),
+               scans=((FULL, b_outer),)),
+            mk("outer-full-subsets",
+               "outer-count insertion law clauses on every full-tree parent",
+               range(2, b_outer + 1), _subset_kernel(OUTER, FULL),
+               scans=((FULL, b_outer),)),
+            mk("interval-pair-mean",
+               "enumerated mean interval-pair count vs (2n+1)/3",
+               range(1, b_pair + 1),
+               _mean_kernel(INTERVAL_PAIRS, PAIR, cf.expected_interval_pairs),
+               scans=((PAIR, b_pair),)),
+            mk("interval-pair-recursion",
+               "interval-pair transform recursion vs enumeration",
+               range(1, b_pair + 1),
+               _recursion_kernel((INTERVAL_PAIRS,), PAIR),
+               scans=((PAIR, b_pair),)),
+            mk("interval-pair-subsets",
+               "interval-pair insertion law clauses on every pair-tree parent",
+               range(2, b_pair + 1), _subset_kernel(INTERVAL_PAIRS, PAIR),
+               scans=((PAIR, b_pair),)),
+            mk("outer-pair-mean",
+               "enumerated mean outer count vs 2^n n!/(2n-1)!! - 1",
+               range(1, b_pair + 1),
+               _mean_kernel(OUTER, PAIR, cf.expected_outer_pairs),
+               scans=((PAIR, b_pair),)),
+            mk("outer-pair-recursion",
+               "outer-count transform recursion vs enumeration (pair tree)",
+               range(1, b_pair + 1), _recursion_kernel((OUTER,), PAIR),
+               scans=((PAIR, b_pair),)),
+            mk("outer-pair-subsets",
+               "outer-count insertion law clauses on every pair-tree parent",
+               range(2, b_pair + 1), _subset_kernel(OUTER, PAIR),
+               scans=((PAIR, b_pair),)),
+            mk("outer-full-mean-recursion",
+               "stepped outer mean reproduces (2n+1)/3",
+               range(2, 1001),
+               _mean_step_kernel(OUTER, FULL, cf.expected_outer_blocks)),
+            mk("interval-mean-recursion",
+               "stepped interval-pair mean reproduces (2n+1)/3",
+               range(2, 1001),
+               _mean_step_kernel(INTERVAL_PAIRS, PAIR,
+                                 cf.expected_interval_pairs)),
+            mk("outer-pair-mean-recursion",
+               "stepped pair-tree outer mean reproduces 2^n n!/(2n-1)!! - 1",
+               range(2, 1001),
+               _mean_step_kernel(OUTER, PAIR, cf.expected_outer_pairs)),
+            mk("outer-pair-asymptote",
+               "pair-tree outer mean approaches sqrt(pi n)",
+               [10000], _ratio_kernel("EOutPair", 0.01)),
+        ],
+        "thm111": [
+            mk("area-mean",
+               "enumerated mean area vs (2n+1) sum 1/(2k+1)",
+               range(1, b_pair + 1),
+               _mean_kernel(AREA, PAIR, cf.expected_area),
+               scans=((PAIR, b_pair),)),
+            mk("area-total", "summed area vs (2n+1)!! partial odd harmonic",
+               range(1, b_pair + 1), _readout_kernel(
+                   AREA, PAIR, _total, cf.total_area,
+                   lambda n: cf.expected_area(n) * cf.double_factorial_odd(n)),
+               scans=((PAIR, b_pair),)),
+            mk("area-spot", "frozen pair level 2: mean 8/3, total 8",
+               [2], _spot_kernel(AREA, PAIR, "total", _total,
+                                 (Fraction(8, 3), 8)),
+               scans=((PAIR, 2),)),
+            mk("area-asymptote",
+               "mean area over n log n enters [0.9, 1.1] and tightens",
+               [10 ** 6], _k_area_ratio_shrinks),
+        ],
+        "stirling": [
+            mk("triangle-frozen", "ordered-count triangle rows 1..6 are frozen",
+               range(1, 7), _k_triangle_frozen),
+            mk("triangle-tree-recursion",
+               "triangle from enumeration vs recursion",
+               range(1, 10), _row_kernel(
+                   "tree", cm.stirling_by_tree_count,
+                   "recursion", cm.stirling_by_recursion),
+               scans=((FULL, 9),)),
+            mk("triangle-recursion-closed",
+               "triangle recursion vs increasing-products closed form",
+               range(1, 21), _row_kernel(
+                   "closed_form", cm.stirling_by_closed_form,
+                   "recursion", cm.stirling_by_recursion)),
+            mk("triangle-row-sums", "triangle rows sum to (n+1)!/2",
+               range(1, 21), _factorial_sum_kernel("row_sum", _triangle_row)),
+            mk("triangle-poly-identity",
+               "triangle generating polynomial equals t(1+2t)...(1+nt)",
+               range(1, 10), _product_kernel(
+                   lambda n: ExactPolynomial(
+                       dict(enumerate(_triangle_row(n), 1))))),
+        ],
+        "cumulants": [
+            mk("roundtrip-random",
+               "seeded random sequences round-trip moments <-> cumulants",
+               range(1, 101), _k_roundtrip),
+            mk("small-identities", "frozen order-3 moment/cumulant identities",
+               [3], _k_small_identities),
+            mk("poisson-constant",
+               "triangle moments equal constant-cumulant moments to order 20",
+               range(1, 5), _poisson_kernel(cm.poisson_moments)),
+            mk("hook-vs-filter",
+               "forest hook-length ordering count vs permutation filter",
+               range(1, 9), _k_hook_vs_filter),
+            mk("ordering-ratio",
+               "ordering count <= k! with equality iff interval partition",
+               range(1, 9), _k_ordering_ratio),
+            mk("ordering-sum", "ordering counts over NC(n) sum to (n+1)!/2",
+               range(1, 10), _factorial_sum_kernel("sum", lambda n: map(
+                   cm._ordering_count_blocks, reference.noncrossing_partitions(n)))),
+            mk("moments-partition-sum",
+               "semigroup-recurrence moment n equals the weighted NC(n) sum",
+               range(1, 9), _forms_kernel(
+                   "recurrence",
+                   lambda n: cm.moments_from_cumulants(_seeded_sequence(n, n))[-1],
+                   "partition_sum",
+                   lambda n: reference.moments_by_partition_sum(
+                       _seeded_sequence(n, n))[-1])),
+        ],
+        "selftest": [
+            mk("harness-selftest",
+               "every suite's corrupted twin fails and minimizes",
+               [0], _k_selftest),
+        ],
+    }
+
+
+def build_checks(deep: bool = False) -> dict[str, Check]:
+    return {c.spec.id: c for checks in _suite_checks(deep).values()
+            for c in checks}
+
+
+SUITES: dict[str, tuple[str, ...]] = {
+    suite: tuple(c.spec.id for c in checks)
+    for suite, checks in _suite_checks().items()}
+
+
+def suite_names() -> list[str]:
+    return ["all"] + list(SUITES)
+
+
+def run_suite(name: str, deep: bool = False) -> list[CheckReport]:
+    if name == "all":
+        return run_checks(build_checks(deep).values())
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
+    return run_checks(_suite_checks(deep)[name])
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,14 @@ the scan.
 
 The scan keeps a rank-ordered record (:class:`ScanRecord`): for each
 level, the partition id of every node in rank order, and each level's
-histogram is derived from those ids.  The children of the rank-r node
-at level n-1 are the level-n nodes at ranks r*A .. r*A + A - 1, where A
-is its child count (n+1 on the full tree, 2n-1 on the pair tree), so the
-edge-law checks read every edge off the record instead of rebuilding the
-sibling batches: the insertion laws through :func:`second_kind_witness`,
-the increment laws through :func:`first_kind_witness` and the harness's
-area split.  The record keeps no labels; a full-tree node's
+histogram is derived from those ids.  Two methods serve the checks.
+``level_values`` evaluates a statistic once on each distinct partition
+of a level.  ``batches`` yields each level-(n-1) node's children on
+level n; it alone turns the layout into edges, knowing that they sit at
+ranks r*A .. r*A + A - 1.  Every edge-law check reads its edges from
+``batches``: both law shapes, through one per-batch comparison
+(:func:`second_kind_witness`, :func:`first_kind_witness`), and the
+harness's area split.  The record keeps no labels; a full-tree node's
 maximal-label block size, which the increment laws and the tree lemmas
 read, comes from its digit word (:func:`tree.max_label_block_sizes`).
 An id takes 2 bytes per node: about 4 MB for the full tree to depth 9,
@@ -40,8 +41,8 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, repeat
-from typing import Optional, Sequence
+from functools import cache
+from typing import Iterator, Optional, Sequence
 
 from . import tree
 from .polynomials import ExactPolynomial, NegativeExponent
@@ -96,16 +97,27 @@ class ScanRecord(dict):
         self.kind = kind
         self.partitions = partitions
         self.ranked = ranked
-        for level, row in ranked.items():
+        self._tallies = {level: Counter(row) for level, row in ranked.items()}
+        for level, tally in self._tallies.items():
             self[level] = Counter({partitions[i]: mult
-                                   for i, mult in Counter(row).items()})
+                                   for i, mult in tally.items()})
 
     def level_values(self, stat: Statistic, level: int) -> dict[int, int]:
         """The statistic on each distinct partition of one level, by id,
         each evaluated once from its own blocks."""
         points = tree._scale(self.kind) * level
         return {i: _evaluate_blocks(stat, self.partitions[i], points)
-                for i in set(self.ranked[level])}
+                for i in self._tallies[level]}
+
+    def batches(self, n: int) -> Iterator[tuple[int, int, array]]:
+        """``(rank, parent id, child ids)`` for every level-(n-1) node in
+        rank order, its children on level n in digit order.  The rank-r
+        parent's children sit at ranks r*A .. r*A + A - 1, A being its
+        child count (n+1 on the full tree, 2n-1 on the pair tree)."""
+        width = tree._radix(n - 1, self.kind)
+        kids = self.ranked[n]
+        for rank, parent in enumerate(self.ranked[n - 1]):
+            yield rank, parent, kids[rank * width:(rank + 1) * width]
 
 
 def scan_chunk(kind: str, depth: int) -> ScanRecord:
@@ -186,50 +198,61 @@ def bruteforce_transform(stat: Statistic, n: int, kind: str = FULL,
 # ---------------------------------------------------------------------------
 # edge laws, read off the rank-ordered record
 
+def _check_edge_level(kind: str, n: int) -> None:
+    if n < 2:
+        raise ValueError(f"the edges into level {n} need n >= 2")
+    _guard(n, kind, None)
+
+
+def _batch_witness(stat: Statistic, record: ScanRecord, n: int, want_of,
+                   edge_fields=lambda rank, digit: {}) -> Optional[dict]:
+    """First level-(n-1) parent, in rank order, whose children do not
+    read what the law asks, as a witness; None when every batch holds.
+
+    ``want_of(rank, parent id, z)`` is the law at the parent whose value
+    is z: its children's values in digit order, or a dict saying why
+    the parent itself breaks the law.  ``edge_fields(rank, digit)`` adds
+    the law's own fields to a wrong edge's witness.
+    """
+    parent_value = record.level_values(stat, n - 1)
+    value = record.level_values(stat, n).__getitem__
+    for rank, i, kids in record.batches(n):
+        z = parent_value[i]
+        want = want_of(rank, i, z)
+        if isinstance(want, tuple):
+            got = tuple(map(value, kids))
+            if got == want:
+                continue
+            digit = next(d for d, v in enumerate(got) if v != want[d])
+            want = {"digit": digit, "increment": got[digit] - z,
+                    "want": want[digit] - z, **edge_fields(rank, digit)}
+        return {"n": n, "stat": stat.name, **want,
+                "parent": tree.unrank(rank, n - 1, record.kind).to_json()}
+    return None
+
+
 def second_kind_witness(stat: Statistic, kind: str, n: int,
                         law: Optional[SecondKindInput] = None) -> Optional[dict]:
     """First violation of the (alpha, beta; q) law on the edges into
     level n, in rank order, or None when all three clauses hold: the
     alpha jump on the distinguished children, the beta jump elsewhere,
     and the subset size Z + q.  ``law`` defaults to the built-in one.
-
-    The children of the rank-r parent are the level-n nodes at ranks
-    r*A .. r*A + A - 1 of the scan's record, A being the parent's child
-    count.  Each distinct partition of the two levels is evaluated once,
-    and each distinct parent's core digits are found once.
+    Each distinct parent's core digits are found once.
     """
-    if n < 2:
-        raise ValueError(f"the edges into level {n} need n >= 2")
-    _guard(n, kind, None)
+    _check_edge_level(kind, n)
     law = second_kind_input(stat, kind) if law is None else law
     record = scan_record(kind, n)
     width = tree._radix(n - 1, kind)
     points = tree._scale(kind) * (n - 1)
-    # per distinct parent: its value, its core size and the children's
-    # values the law asks for, None when the core has the wrong size
-    expected: dict = {}
-    for i, z in record.level_values(stat, n - 1).items():
+
+    @cache
+    def want_of(i: int, z: int):
         core = _core_digits(stat, kind, record.partitions[i], points)
-        want = None
-        if len(core) == z + law.q:
-            want = tuple(z + (law.alpha if d in core else law.beta)
-                         for d in range(width))
-        expected[i] = z, len(core), want
-    value = record.level_values(stat, n).__getitem__
-    kids = record.ranked[n]
-    for r, i in enumerate(record.ranked[n - 1]):
-        z, core_size, want = expected[i]
-        if want is None:
-            return {"n": n, "stat": stat.name,
-                    "parent": tree.unrank(r, n - 1, kind).to_json(),
-                    "core_size": core_size, "want": z + law.q}
-        got = tuple(map(value, kids[r * width:(r + 1) * width]))
-        if got != want:
-            digit = next(d for d in range(width) if got[d] != want[d])
-            return {"n": n, "stat": stat.name, "digit": digit,
-                    "parent": tree.unrank(r, n - 1, kind).to_json(),
-                    "increment": got[digit] - z, "want": want[digit] - z}
-    return None
+        if len(core) != z + law.q:
+            return {"core_size": len(core), "want": z + law.q}
+        return tuple(z + (law.alpha if d in core else law.beta)
+                     for d in range(width))
+    return _batch_witness(stat, record, n, lambda rank, i, z: want_of(i, z))
 
 
 def first_kind_witness(stat: Statistic, n: int,
@@ -237,40 +260,24 @@ def first_kind_witness(stat: Statistic, n: int,
     """First violation of the increment vector on the edges into full
     level n, in rank order, or None when every edge whose child has a
     maximal-label block of size j changes the statistic by r_j (0 past
-    the vector).  ``r`` defaults to the built-in vector.
-
-    The rank-c child of the record sits under the rank c // A parent, A
-    being the parent's child count, and its block size comes from its
-    digit word (:func:`tree.max_label_block_sizes`), not from its labels.
-    The law reads only the two partitions and that size, so each
-    distinct (parent, child, size) triple is checked once, and the rank
-    order is walked again only to name the first failure.
+    the vector).  ``r`` defaults to the built-in vector.  The child's
+    block size comes from its digit word
+    (:func:`tree.max_label_block_sizes`), not from its labels.
     """
-    if n < 2:
-        raise ValueError(f"the edges into level {n} need n >= 2")
-    _guard(n, FULL, None)
+    _check_edge_level(FULL, n)
     r = first_kind_input(stat) if r is None else r
-    step = (0, *r) + (0,) * (n - len(r))  # step[j] is r_j
     record = scan_record(FULL, n)
+    step = (0, *r) + (0,) * (n - len(r))  # step[j] is r_j
     width = tree._radix(n - 1, FULL)
-    parent_value = record.level_values(stat, n - 1)
-    child_value = record.level_values(stat, n)
+    sizes = tree.max_label_block_sizes(n).tobytes()
 
-    def edges():
-        parents = chain.from_iterable(
-            map(repeat, record.ranked[n - 1], repeat(width)))
-        return zip(parents, record.ranked[n], tree.max_label_block_sizes(n))
-
-    bad = {(i, k, j) for i, k, j in set(edges())
-           if child_value[k] - parent_value[i] != step[j]}
-    if not bad:
-        return None
-    c, (i, k, j) = next(e for e in enumerate(edges()) if e[1] in bad)
-    rank, digit = divmod(c, width)
-    return {"n": n, "stat": stat.name, "digit": digit,
-            "parent": tree.unrank(rank, n - 1, FULL).to_json(),
-            "size": j, "increment": child_value[k] - parent_value[i],
-            "want": step[j]}
+    @cache
+    def want_at(z: int, batch_sizes: bytes) -> tuple:
+        return tuple(z + step[j] for j in batch_sizes)
+    return _batch_witness(
+        stat, record, n,
+        lambda rank, i, z: want_at(z, sizes[rank * width:(rank + 1) * width]),
+        lambda rank, digit: {"size": sizes[rank * width + digit]})
 
 
 # ---------------------------------------------------------------------------

@@ -120,31 +120,23 @@ def nesting_parents(p: NcPartition) -> tuple[Optional[int], ...]:
     return tuple(parents)
 
 
-def _span_sweep(blocks: Iterable[tuple[int, ...]]) -> tuple[list[int], int, int]:
-    """One left-to-right pass over the spans of a non-crossing partition.
+def _span_sweep(blocks: Iterable[tuple[int, ...]]) -> list[int]:
+    """The minima of the outer blocks of a non-crossing partition, in
+    one left-to-right pass over the spans.
 
     ``blocks`` are sorted tuples in any order; only each block's min and
     max are read, and sorting the tuples orders them by min because the
-    minima are distinct.  Returns the minima of the outer blocks, the
-    number of two-point interval blocks (max == min + 1), and the summed
-    span sum(max - min).  Without crossings a block is outer exactly when
-    its min lies past the max of the last outer block, and only outer
-    blocks extend the reach.
+    minima are distinct.  Without crossings a block is outer exactly
+    when its min lies past the max of the last outer block, and only
+    outer blocks extend the reach.
     """
     outer = []
-    ints = 0
-    summed = 0
     reach = 0
     for b in sorted(blocks):
-        lo = b[0]
-        hi = b[-1]
-        if lo > reach:
-            outer.append(lo)
-            reach = hi
-        if hi == lo + 1:
-            ints += 1
-        summed += hi - lo
-    return outer, ints, summed
+        if b[0] > reach:
+            outer.append(b[0])
+            reach = b[-1]
+    return outer
 
 
 def interval_pairs(p: NcPartition) -> list[int]:

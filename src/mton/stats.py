@@ -2,12 +2,12 @@
 
 Every statistic is evaluated from scratch off the block structure, never
 incrementally along tree edges, so the certified transition laws below
-are genuine cross-checks and not restatements of the evaluator.  The
-block-size statistics (Y, Y1, Y2, ..., Yge3) and the pair test of the
-area are read off the node's list of block sizes, built by one helper:
-:func:`size_profile` builds it once per node (or per partition, from raw
-blocks) and reads all of Y, Y1-Y4 and Yge3 from it, :func:`evaluate`
-builds it for one statistic.
+are genuine cross-checks and not restatements of the evaluator.  One
+evaluator reads every statistic off a partition's blocks, given in any
+order: :func:`evaluate` calls it on a node, and the scan's
+``ScanRecord.level_values`` (in :mod:`laplace`) on each distinct
+partition of a level, which is how the brute-force transforms, the edge
+laws and the tree lemmas read the statistics.
 
 Two transition shapes appear.  A statistic of the first kind changes by
 a fixed amount r_j on any edge whose child has a maximal-label block of
@@ -86,7 +86,7 @@ def blocks_of_size(size: int) -> Statistic:
     return Statistic("blocks_of_size", size)
 
 
-# Y, Y1, ..., Y4, Yge3: the statistics that size_profile reads at once
+# Y, Y1, ..., Y4, Yge3: the block-size statistics the tree lemmas check
 SIZE_STATS = (BLOCKS, blocks_of_size(1), blocks_of_size(2), blocks_of_size(3),
               blocks_of_size(4), LARGE_BLOCKS)
 
@@ -94,21 +94,6 @@ SIZE_STATS = (BLOCKS, blocks_of_size(1), blocks_of_size(2), blocks_of_size(3),
 def _block_sizes(blocks) -> list[int]:
     """The node's block sizes, in label order."""
     return list(map(len, blocks))
-
-
-def size_profile(op: OrderedNcPartition) -> tuple[int, ...]:
-    """The values of :data:`SIZE_STATS` on one node, read off one
-    block-size list; each equals :func:`evaluate` of that statistic."""
-    return _size_profile(op.blocks_by_label)
-
-
-def _size_profile(blocks) -> tuple[int, ...]:
-    """:func:`size_profile` of a partition with these blocks, given in
-    any order."""
-    sizes = _block_sizes(blocks)
-    total, ones, twos = len(sizes), sizes.count(1), sizes.count(2)
-    return (total, ones, twos, sizes.count(3), sizes.count(4),
-            total - ones - twos)
 
 
 def evaluate(stat: Statistic, op: OrderedNcPartition) -> int:
@@ -127,7 +112,7 @@ def _evaluate_blocks(stat: Statistic, blocks, n: int) -> int:
         sizes = _block_sizes(blocks)
         return len(sizes) - sizes.count(1) - sizes.count(2)
     if stat.family == "outer":
-        return len(_span_sweep(blocks)[0])
+        return len(_span_sweep(blocks))
     if stat.family == "intervals":
         return sum(1 for b in blocks if len(b) == 2 and b[1] == b[0] + 1)
     if stat.family == "area":
@@ -182,9 +167,6 @@ class SecondKindInput:
     q: int
 
 
-_FIRST_KIND: dict[Statistic, tuple[int, ...]] = {}
-
-
 def first_kind_input(stat: Statistic) -> tuple[int, ...]:
     """Increment vector (r_1, ..., r_k): an edge whose child has a
     maximal-label block of size j changes the statistic by r_j (0 for
@@ -226,8 +208,7 @@ def _core_digits(stat: Statistic, kind: str, blocks, n: int) -> set[int]:
     """:func:`core_child_digits` of the parent with these blocks on
     {1..n}, given in any order."""
     if stat.family == "outer":
-        minima = _span_sweep(blocks)[0]
-        return {m - 1 for m in minima} | {n}
+        return {m - 1 for m in _span_sweep(blocks)} | {n}
     if stat.family == "intervals" and kind == PAIR:
         return {b[0] for b in blocks if len(b) == 2 and b[1] == b[0] + 1}
     raise NotSecondKind(f"{stat.name} on the {kind} tree")

@@ -242,6 +242,21 @@ def test_singleton_slice_catches_a_moved_record_id(monkeypatch):
     assert report.witness["stat"] == "Y"
 
 
+def test_singleton_slice_reads_the_one_evaluator(monkeypatch):
+    # one level-5 partition of the singleton slice evaluated one too
+    # high: the lemma reads it through ScanRecord.level_values, so every
+    # level below passes and level 5 fails
+    target = ((1,), (2,), (3,), (4,), (5,))
+    real = stats._evaluate_blocks
+
+    def off_by_one(s, blocks, points):
+        return real(s, blocks, points) + (tuple(sorted(blocks)) == target)
+    monkeypatch.setattr(laplace, "_evaluate_blocks", off_by_one)
+    report = _report("singleton-slice")
+    assert report.status == "fail"
+    assert report.witness["n"] == 5
+
+
 def test_first_kind_edges_pass_and_catch_a_wrong_vector(monkeypatch):
     assert _report("first-kind-edges").status == "pass"
     real = laplace.first_kind_input
@@ -283,8 +298,7 @@ def test_stat_cross_check_catches_a_wrong_span_sweep(scan_calls, monkeypatch):
     real = partitions._span_sweep
 
     def wrong(blocks):
-        outer, ints, summed = real(blocks)
-        return outer[:2], ints, summed  # at most two outer blocks
+        return real(blocks)[:2]  # at most two outer blocks
     monkeypatch.setattr(stats, "_span_sweep", wrong)
     report = build_checks()["stat-cross-check"].run()
     assert report.status == "fail"

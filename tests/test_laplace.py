@@ -253,6 +253,22 @@ def test_the_record_lists_every_level_in_rank_order():
             assert record[n] == hist[n] == Counter(walked), (kind, n)
 
 
+def test_batches_are_each_parents_children_in_digit_order():
+    for kind, depth, children in ((FULL, 6, tree.children),
+                                  (PAIR, 5, tree.pair_children)):
+        record = scan_chunk(kind, depth)
+        blocks = record.partitions.__getitem__
+        for n in range(2, depth + 1):
+            ranks = []
+            for rank, parent, kids in record.batches(n):
+                op = tree.unrank(rank, n - 1, kind)
+                assert blocks(parent) == op.partition().blocks, (kind, n)
+                assert list(map(blocks, kids)) == [
+                    kid.partition().blocks for kid in children(op)], (kind, n)
+                ranks.append(rank)
+            assert ranks == list(range(level_count(n - 1, kind))), (kind, n)
+
+
 def test_a_scan_with_more_partitions_than_ids_raises(monkeypatch):
     # levels 1..4 of the full tree hold 1 + 2 + 5 + 14 partitions
     monkeypatch.setattr(laplace._Ids, "capacity", 21)

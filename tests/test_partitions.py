@@ -104,7 +104,7 @@ def test_outer_blocks_have_no_parent():
         p = NcPartition(7, blocks)
         parents = nesting_parents(p)
         # the sweep's outer minima, in min order, are the parentless blocks
-        assert _span_sweep(p.blocks)[0] == [
+        assert _span_sweep(p.blocks) == [
             b[0] for b, par in zip(p.blocks, parents) if par is None]
 
 
