@@ -44,17 +44,23 @@ _FORMULAS = {
 def _ceiling(kind: str) -> int:
     env = os.environ.get("MTON_MAX_N")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(
+                f"MTON_MAX_N must be an integer, got {env!r}") from None
     return laplace.DEFAULT_MAX_FULL if kind == FULL else laplace.DEFAULT_MAX_PAIR
 
 
-def _guard(n: int, kind: str, force: bool) -> Optional[str]:
-    limit = _ceiling(kind)
-    if n > limit and not force:
-        scale = tree.level_count(n, kind)
-        return (f"level {n} of the {kind} tree holds {scale} nodes, over the "
-                f"default bound {limit}; pass --force or set MTON_MAX_N")
-    return None
+def _refused(args: argparse.Namespace) -> bool:
+    limit = _ceiling(args.kind)
+    if args.n > limit and not args.force:
+        scale = tree.level_count(args.n, args.kind)
+        print(f"level {args.n} of the {args.kind} tree holds {scale} nodes, "
+              f"over the default bound {limit}; pass --force or set "
+              f"MTON_MAX_N", file=sys.stderr)
+        return True
+    return False
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -68,9 +74,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"limit must be >= 0, got {args.limit}")
-    msg = _guard(args.n, args.kind, args.force)
-    if msg:
-        print(msg, file=sys.stderr)
+    if _refused(args):
         return 2
     if args.format == "count":
         nodes = islice(tree.stream_level(args.n, args.kind), args.limit)
@@ -85,9 +89,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    msg = _guard(args.n, args.kind, args.force)
-    if msg:
-        print(msg, file=sys.stderr)
+    if _refused(args):
         return 2
     if args.stat:
         chosen = [Statistic.parse(s) for s in args.stat]
@@ -113,9 +115,7 @@ def cmd_laplace(args: argparse.Namespace) -> int:
     max_n = args.n if args.force else _ceiling(args.kind)
     results = {}
     if args.method in ("brute", "both"):
-        msg = _guard(args.n, args.kind, args.force)
-        if msg:
-            print(msg, file=sys.stderr)
+        if _refused(args):
             return 2
         results["brute"] = laplace.bruteforce_transform(
             stat, args.n, args.kind, max_n=max_n)

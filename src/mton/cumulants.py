@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import laplace
-from .partitions import NcPartition
+from .partitions import NcPartition, _nesting_sweep
 from .stats import BLOCKS
 
 Rational = Union[int, Fraction]
@@ -36,23 +36,13 @@ class InsufficientMoments(ValueError):
 def _ordering_count_blocks(blocks) -> int:
     """Monotonic labelling count via subtree products on the nesting
     forest: k! divided by the product of subtree sizes."""
-    k = len(blocks)
-    if k == 0:
-        return 1
-    order = sorted(range(k), key=lambda i: blocks[i][0])
-    subtree = [1] * k
-    stack: list[int] = []
-    for pos in order:
-        b = blocks[pos]
-        while stack and blocks[stack[-1]][-1] < b[0]:
-            top = stack.pop()
-            if stack:
-                subtree[stack[-1]] += subtree[top]
-        stack.append(pos)
-    while len(stack) > 1:
-        top = stack.pop()
-        subtree[stack[-1]] += subtree[top]
-    total = math.factorial(k)
+    subtree = [1] * len(blocks)
+    # a block comes after its parent in the sweep, so the reversed sweep
+    # completes each subtree before adding it to its parent's
+    for idx, parent in reversed(_nesting_sweep(blocks)):
+        if parent is not None:
+            subtree[parent] += subtree[idx]
+    total = math.factorial(len(blocks))
     den = math.prod(subtree)
     assert total % den == 0
     return total // den

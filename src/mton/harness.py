@@ -76,7 +76,6 @@ class Check:
         try:
             # scan once to the deepest level, so every size hits the cache
             for kind, n in self.scans:
-                laplace._guard(n, kind, None)
                 laplace.level_histograms(kind, n)
             for n in self.sizes:
                 witness = self.kernel(n)
@@ -306,12 +305,6 @@ def _ranks_of_size(sizes, j: int) -> list[int]:
     return list(compress(range(len(sizes)), _of_size(sizes, j)))
 
 
-def _size_values(record: laplace.ScanRecord,
-                 level: int) -> list[dict[int, int]]:
-    # the value of each of SIZE_STATS on each distinct partition of a level
-    return [record.level_values(s, level) for s in SIZE_STATS]
-
-
 def _k_parent_chain(m: int) -> Optional[dict]:
     # the level-m nodes whose digit-derived block size is ell, their
     # (ell-1)-fold ancestors found by rank quotient, and each distinct
@@ -323,11 +316,11 @@ def _k_parent_chain(m: int) -> Optional[dict]:
         return witness
     record = laplace.scan_record(FULL, m)
     ids = record.ranked[m]
-    values = _size_values(record, m)
+    values = [record.level_values(s, m) for s in SIZE_STATS]
     for ell in ells:
         low = m - ell + 1
         low_sizes, low_ids = tree.max_label_block_sizes(low), record.ranked[low]
-        low_values = _size_values(record, low)
+        low_values = [record.level_values(s, low) for s in SIZE_STATS]
         divisor = _chain_divisor(m, ell)
         # r_2 + ... + r_ell, with r_j = 0 past the increment vector
         shifts = [sum(stats.first_kind_input(s)[1:ell]) for s in SIZE_STATS]
@@ -359,19 +352,16 @@ def _k_parent_chain(m: int) -> Optional[dict]:
 
 
 def _k_singleton_slice(m: int) -> Optional[dict]:
-    # the partitions of the level-m nodes whose digit-derived block size
-    # is 1, each evaluated once and weighted by its multiplicity
+    # the transform over the level-m nodes whose digit-derived block size
+    # is 1, read off the record with their id tally
     sizes = tree.max_label_block_sizes(m)
     witness = _labelled_tie(m, sizes)
     if witness is not None:
         return witness
     record = laplace.scan_record(FULL, m)
     singletons = Counter(compress(record.ranked[m], _of_size(sizes, 1)))
-    for s, value in zip(SIZE_STATS, _size_values(record, m)):
-        counter: Counter = Counter()
-        for i, mult in singletons.items():
-            counter[value[i]] += mult
-        lhs = ExactPolynomial.from_counts(counter)
+    for s in SIZE_STATS:
+        lhs = record.transform(s, m, singletons)
         r1 = stats.first_kind_input(s)[0]
         rhs = laplace.bruteforce_transform(s, m - 1, FULL).shifted(r1).scaled(m)
         if lhs != rhs:
@@ -418,10 +408,11 @@ def _readout_kernel(stat: Statistic, kind: str,
     # a readout of the enumerated transform vs two closed forms of it
     def kernel(n: int) -> Optional[dict]:
         poly = laplace.bruteforce_transform(stat, n, kind)
-        got, want = readout(poly), closed(n)
-        if got != want or got != alt(n):
+        got, want, other = readout(poly), closed(n), alt(n)
+        if got != want or got != other:
             return {"n": n, "enumerated": format_rational(got),
-                    "closed_form": format_rational(want)}
+                    "closed_form": format_rational(want),
+                    "alt_form": format_rational(other)}
         return None
     return kernel
 

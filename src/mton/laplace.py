@@ -20,13 +20,19 @@ the labels.  Each value is still computed from the partition's own
 blocks, never from a parent's, so the recursions stay independent of
 the scan.
 
+Every scan enters through one door, :func:`level_histograms`, which
+alone applies the size guard, reads the cache and calls
+:func:`scan_chunk`; the fresh mapping it returns holds the cache's
+Counters, which are read-only.
+
 The scan keeps a rank-ordered record (:class:`ScanRecord`): for each
 level, the partition id of every node in rank order, and each level's
-histogram is derived from those ids.  Two methods serve the checks.
-``level_values`` evaluates a statistic once on each distinct partition
-of a level.  ``batches`` yields each level-(n-1) node's children on
-level n; it alone turns the layout into edges, knowing that they sit at
-ranks r*A .. r*A + A - 1.  Every edge-law check reads its edges from
+histogram is derived from those ids.  ``level_values`` evaluates a
+statistic once on each distinct partition of a level; ``transform``
+alone weights such values, by the level's id tally or a given one.
+``batches`` yields each level-(n-1) node's children on level n; it
+alone turns the layout into edges, knowing that they sit at ranks
+r*A .. r*A + A - 1.  Every edge-law check reads its edges from
 ``batches``: both law shapes, through one per-batch comparison
 (:func:`second_kind_witness`, :func:`first_kind_witness`), and the
 harness's area split.  The record keeps no labels; a full-tree node's
@@ -109,6 +115,17 @@ class ScanRecord(dict):
         return {i: _evaluate_blocks(stat, self.partitions[i], points)
                 for i in self._tallies[level]}
 
+    def transform(self, stat: Statistic, level: int,
+                  tally: Optional[Counter] = None) -> ExactPolynomial:
+        """The level's transform: each distinct partition evaluated once
+        and weighted by its count in the id tally, or in ``tally``."""
+        tally = self._tallies[level] if tally is None else tally
+        points = tree._scale(self.kind) * level
+        counts: Counter = Counter()
+        for i, mult in tally.items():
+            counts[_evaluate_blocks(stat, self.partitions[i], points)] += mult
+        return ExactPolynomial.from_counts(counts)
+
     def batches(self, n: int) -> Iterator[tuple[int, int, array]]:
         """``(rank, parent id, child ids)`` for every level-(n-1) node in
         rank order, its children on level n in digit order.  The rank-r
@@ -147,17 +164,28 @@ def scan_chunk(kind: str, depth: int) -> ScanRecord:
 _scan_cache: dict[str, tuple[int, ScanRecord]] = {}
 
 
-def level_histograms(kind: str, depth: int) -> dict[int, Counter]:
+def _guard(n: int, kind: str, max_n: Optional[int]) -> None:
+    limit = max_n if max_n is not None else (
+        DEFAULT_MAX_FULL if kind == FULL else DEFAULT_MAX_PAIR)
+    if n > limit:
+        raise SizeBoundExceeded(
+            f"depth {n} exceeds the {kind}-tree guard of {limit}")
+
+
+def level_histograms(kind: str, depth: int,
+                     max_n: Optional[int] = None) -> dict[int, Counter]:
     """Partition histograms for every level <= depth, cached per kind:
-    each canonical partition with the number of nodes that carry it."""
+    each canonical partition with the number of nodes that carry it.
+    The door to the scan: a depth past ``max_n`` (by default the kind's
+    bound) is refused before the cache is read.  The mapping is fresh;
+    its Counters belong to the cache and are read-only."""
     if depth < 1:  # a warm cache would otherwise answer with no levels
         raise ValueError(f"depth must be >= 1, got {depth}")
+    _guard(depth, kind, max_n)
     cached = _scan_cache.get(kind)
-    if cached and cached[0] >= depth:
-        return {level: cached[1][level] for level in range(1, depth + 1)}
-    hist = scan_chunk(kind, depth)
-    _scan_cache[kind] = (depth, hist)
-    return hist
+    if not cached or cached[0] < depth:
+        cached = _scan_cache[kind] = (depth, scan_chunk(kind, depth))
+    return {level: cached[1][level] for level in range(1, depth + 1)}
 
 
 def scan_record(kind: str, depth: int) -> ScanRecord:
@@ -170,38 +198,24 @@ def clear_scan_cache() -> None:
     _scan_cache.clear()
 
 
-def _guard(n: int, kind: str, max_n: Optional[int]) -> None:
-    limit = max_n if max_n is not None else (
-        DEFAULT_MAX_FULL if kind == FULL else DEFAULT_MAX_PAIR)
-    if n > limit:
-        raise SizeBoundExceeded(
-            f"depth {n} exceeds the {kind}-tree guard of {limit}")
-
-
 def bruteforce_transform(stat: Statistic, n: int, kind: str = FULL,
                          max_n: Optional[int] = None) -> ExactPolynomial:
     """Exact level-n transform by exhaustive enumeration: the value of
     each distinct partition, weighted by the number of nodes that carry
     it."""
-    _guard(n, kind, max_n)
     if stat.family == "area" and kind == FULL:
         raise AreaRequiresPairPartition(
             f"{stat.name} needs the pair tree, not the {kind} tree")
-    hist = level_histograms(kind, n)[n]
-    points = tree._scale(kind) * n
-    counts: Counter = Counter()
-    for blocks, mult in hist.items():
-        counts[_evaluate_blocks(stat, blocks, points)] += mult
-    return ExactPolynomial.from_counts(counts)
+    level_histograms(kind, n, max_n)
+    return _scan_cache[kind][1].transform(stat, n)
 
 
 # ---------------------------------------------------------------------------
 # edge laws, read off the rank-ordered record
 
-def _check_edge_level(kind: str, n: int) -> None:
+def _check_edge_level(n: int) -> None:
     if n < 2:
         raise ValueError(f"the edges into level {n} need n >= 2")
-    _guard(n, kind, None)
 
 
 def _batch_witness(stat: Statistic, record: ScanRecord, n: int, want_of,
@@ -239,9 +253,9 @@ def second_kind_witness(stat: Statistic, kind: str, n: int,
     and the subset size Z + q.  ``law`` defaults to the built-in one.
     Each distinct parent's core digits are found once.
     """
-    _check_edge_level(kind, n)
-    law = second_kind_input(stat, kind) if law is None else law
+    _check_edge_level(n)
     record = scan_record(kind, n)
+    law = second_kind_input(stat, kind) if law is None else law
     width = tree._radix(n - 1, kind)
     points = tree._scale(kind) * (n - 1)
 
@@ -264,9 +278,9 @@ def first_kind_witness(stat: Statistic, n: int,
     block size comes from its digit word
     (:func:`tree.max_label_block_sizes`), not from its labels.
     """
-    _check_edge_level(FULL, n)
-    r = first_kind_input(stat) if r is None else r
+    _check_edge_level(n)
     record = scan_record(FULL, n)
+    r = first_kind_input(stat) if r is None else r
     step = (0, *r) + (0,) * (n - len(r))  # step[j] is r_j
     width = tree._radix(n - 1, FULL)
     sizes = tree.max_label_block_sizes(n).tobytes()

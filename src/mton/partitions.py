@@ -104,20 +104,24 @@ def validate_noncrossing(blocks: Iterable[Iterable[int]], n: int) -> NcPartition
     return NcPartition(n, tuple(cleaned))
 
 
-def nesting_parents(p: NcPartition) -> tuple[Optional[int], ...]:
-    """For each block, the index of the innermost block containing it.
-
-    Entries are ``None`` for outer blocks.  One stack sweep over the
-    canonical order suffices because mins are increasing.
-    """
-    parents: list[Optional[int]] = []
+def _nesting_sweep(blocks) -> list[tuple[int, Optional[int]]]:
+    """``(index, parent index)`` for each block in increasing order of
+    minima, in one stack sweep; ``blocks`` are sorted tuples in any
+    order."""
+    sweep = []
     stack: list[int] = []
-    for idx, b in enumerate(p.blocks):
-        while stack and p.blocks[stack[-1]][-1] < b[0]:
+    for idx in sorted(range(len(blocks)), key=lambda i: blocks[i][0]):
+        while stack and blocks[stack[-1]][-1] < blocks[idx][0]:
             stack.pop()
-        parents.append(stack[-1] if stack else None)
+        sweep.append((idx, stack[-1] if stack else None))
         stack.append(idx)
-    return tuple(parents)
+    return sweep
+
+
+def nesting_parents(p: NcPartition) -> tuple[Optional[int], ...]:
+    """For each block, the index of the innermost block containing it,
+    or ``None`` for an outer block."""
+    return tuple(parent for _, parent in _nesting_sweep(p.blocks))
 
 
 def _span_sweep(blocks: Iterable[tuple[int, ...]]) -> list[int]:

@@ -5,9 +5,9 @@ incrementally along tree edges, so the certified transition laws below
 are genuine cross-checks and not restatements of the evaluator.  One
 evaluator reads every statistic off a partition's blocks, given in any
 order: :func:`evaluate` calls it on a node, and the scan's
-``ScanRecord.level_values`` (in :mod:`laplace`) on each distinct
-partition of a level, which is how the brute-force transforms, the edge
-laws and the tree lemmas read the statistics.
+``ScanRecord`` (in :mod:`laplace`) on each distinct partition of a
+level, which is how the brute-force transforms, the edge laws and the
+tree lemmas read the statistics.
 
 Two transition shapes appear.  A statistic of the first kind changes by
 a fixed amount r_j on any edge whose child has a maximal-label block of

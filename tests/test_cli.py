@@ -282,3 +282,12 @@ def test_env_override_of_size_guard(capsys, monkeypatch):
     code, _, err = run(capsys, "laplace", "--stat", "Y", "--n", "5",
                        "--method", "brute")
     assert code == 0, err
+
+
+def test_a_non_integer_max_n_is_named_in_the_usage_error(capsys, monkeypatch):
+    for value in ("abc", ""):
+        monkeypatch.setenv("MTON_MAX_N", value)
+        code, out, err = run(capsys, "enumerate", "--n", "3",
+                             "--format", "count")
+        assert (code, out) == (2, "")
+        assert err == f"error: MTON_MAX_N must be an integer, got {value!r}\n"

@@ -313,6 +313,23 @@ def _small_multiplicity_check():
                  tuple(range(1, 6)), kernel, ((FULL, 5), (PAIR, 5)))
 
 
+def test_readout_witness_names_the_alt_form(monkeypatch):
+    # the shifted variance form one too high at n = 4: the enumerated
+    # value still equals the direct form, so only alt_form shows the fault
+    from mton import closed_forms
+
+    real = closed_forms.variance_block_count_alt
+    monkeypatch.setattr(closed_forms, "variance_block_count_alt",
+                        lambda n: real(n) + (n == 4))
+    kernel = build_checks()["block-count-variance"].kernel
+    report = Check(CheckSpec("block-count-variance", "to level 5"),
+                   tuple(range(2, 6)), kernel, ((FULL, 5),)).run()
+    assert report.status == "fail"
+    assert report.witness == {"n": 4, "enumerated": "2051/3600",
+                              "closed_form": "2051/3600",
+                              "alt_form": "5651/3600"}
+
+
 def test_scan_multiplicities_catches_a_moved_tally(monkeypatch):
     # one level-3 node tallied under another partition: every smaller
     # level still passes, and the witness names the first partition off

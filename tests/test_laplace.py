@@ -424,3 +424,46 @@ def test_area_is_refused_on_the_full_tree_before_the_scan(monkeypatch):
     for n in (1, 2, 3):
         with pytest.raises(AreaRequiresPairPartition):
             bruteforce_transform(AREA, n, FULL)
+
+
+def test_the_door_refuses_past_the_guard_before_any_scan(monkeypatch):
+    # both readers of the scan refuse a level past the bound before the
+    # cache is read or a walk starts
+    walks = []
+
+    def no_scan(kind, depth):
+        walks.append((kind, depth))
+        raise AssertionError("the scan was started")
+    monkeypatch.setattr(laplace, "scan_chunk", no_scan)
+    for kind, bound in ((FULL, laplace.DEFAULT_MAX_FULL),
+                        (PAIR, laplace.DEFAULT_MAX_PAIR)):
+        for read in (level_histograms, laplace.scan_record):
+            with pytest.raises(SizeBoundExceeded):
+                read(kind, bound + 1)
+    assert walks == []
+
+
+def test_the_door_holds_a_forwarded_bound_on_a_warm_cache():
+    level_histograms(FULL, 4)
+    with pytest.raises(SizeBoundExceeded):
+        level_histograms(FULL, 4, max_n=3)
+
+
+def test_clearing_the_returned_mapping_leaves_the_cache_whole(monkeypatch):
+    monkeypatch.setattr(laplace, "_scan_cache", {})
+    for cache in ("cold", "warm"):
+        level_histograms(FULL, 4).clear()
+        poly = bruteforce_transform(BLOCKS, 4)
+        assert poly.evaluate(1) == level_count(4, FULL), cache
+
+
+def test_record_transform_weights_a_given_tally_of_ids():
+    # the even ranks of full level 5 against an evaluation of each node
+    record = scan_chunk(FULL, 5)
+    even = Counter(record.ranked[5][::2])
+    nodes = list(stream_level(5, FULL))[::2]
+    for stat in _ALL_STATS:
+        want = ExactPolynomial.from_counts(
+            Counter(evaluate(stat, op) for op in nodes))
+        assert record.transform(stat, 5, even) == want, stat.name
+        assert record.transform(stat, 5) == bruteforce_transform(stat, 5)

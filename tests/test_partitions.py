@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from mton.partitions import (Crossing, NcPartition, NotAPartition,
-                             _span_sweep, interval_pairs, nesting_parents,
+                             _nesting_sweep, _span_sweep, interval_pairs,
+                             nesting_parents,
                              validate_noncrossing)
 from mton.reference import has_crossing_naive, noncrossing_partitions
 
@@ -106,6 +107,21 @@ def test_outer_blocks_have_no_parent():
         # the sweep's outer minima, in min order, are the parentless blocks
         assert _span_sweep(p.blocks) == [
             b[0] for b, par in zip(p.blocks, parents) if par is None]
+
+
+def test_the_nesting_sweep_reads_blocks_in_any_order():
+    # the innermost enclosing block of each block, found from a reversed
+    # and a rotated block list, is the one nesting_parents finds
+    for blocks in noncrossing_partitions(7):
+        p = NcPartition(7, blocks)
+        want = {b: (p.blocks[par] if par is not None else None)
+                for b, par in zip(p.blocks, nesting_parents(p))}
+        for order in (blocks[::-1], blocks[1:] + blocks[:1]):
+            sweep = _nesting_sweep(order)
+            assert [order[i][0] for i, _ in sweep] == sorted(
+                b[0] for b in blocks)
+            assert {order[i]: (order[par] if par is not None else None)
+                    for i, par in sweep} == want
 
 
 def test_interval_pairs_finds_adjacent_two_blocks():
