@@ -13,8 +13,11 @@ reads with the deepest level it reads there, and asks for that once, up
 front; under "all" the count checks lead with the deepest sizes, so each
 tree is scanned once per run.
 
-Exact values inside witnesses are serialized as integer or "p/q"
-strings; only checks in float mode carry floats, and they say so.
+Every exact comparison names its routes (say ``enumerated``,
+``closed_form`` and ``alt_form``), and a failing witness shows each
+route's value under its name.  Exact values inside witnesses are
+serialized as integer or "p/q" strings; only checks in float mode carry
+floats, and they say so.
 """
 
 from __future__ import annotations
@@ -121,17 +124,31 @@ def _poly_diff_witness(n: int, got: ExactPolynomial,
             "want": format_rational(want.coefficient(bad)), **extra}
 
 
-def _mean_kernel(stat: Statistic, kind: str, closed):
+def _agree(routes: dict[str, Callable[[int], Fraction]], **fields):
+    # every named route's exact value at n must be the same; a witness
+    # shows each route's value under its name
     def kernel(n: int) -> Optional[dict]:
-        poly = laplace.bruteforce_transform(stat, n, kind)
-        brute = laplace.expectation_from_laplace(poly)
-        want = closed(n)
-        if brute != want:
-            return {"n": n, "stat": stat.name,
-                    "enumerated": format_rational(brute),
-                    "closed_form": format_rational(want)}
+        values = {name: route(n) for name, route in routes.items()}
+        first, *rest = values.values()
+        if any(v != first for v in rest):
+            return {"n": n, **fields, **{name: format_rational(v)
+                                         for name, v in values.items()}}
         return None
     return kernel
+
+
+def _enumerated(stat: Statistic, kind: str,
+                readout: Optional[Callable[[ExactPolynomial], Fraction]]
+                = None):
+    # the readout (by default the mean) of the brute-force transform at
+    # n; the default is looked up here, so a replaced laplace readout holds
+    readout = readout or laplace.expectation_from_laplace
+    return lambda n: readout(laplace.bruteforce_transform(stat, n, kind))
+
+
+def _mean_kernel(stat: Statistic, kind: str, closed):
+    return _agree({"enumerated": _enumerated(stat, kind),
+                   "closed_form": closed}, stat=stat.name)
 
 
 def _recursion_kernel(chosen: Sequence[Statistic], kind: str):
@@ -163,16 +180,9 @@ def _subset_kernel(stat: Statistic, kind: str):
 
 def _mean_step_kernel(stat: Statistic, kind: str, closed):
     law = stats.second_kind_input(stat, kind)
-
-    def kernel(n: int) -> Optional[dict]:
-        stepped = cf.expectation_recursion_step(law, closed(n - 1), n, kind)
-        want = closed(n)
-        if stepped != want:
-            return {"n": n, "stat": stat.name,
-                    "stepped": format_rational(stepped),
-                    "closed_form": format_rational(want)}
-        return None
-    return kernel
+    return _agree({"stepped": lambda n: cf.expectation_recursion_step(
+                       law, closed(n - 1), n, kind),
+                   "closed_form": closed}, stat=stat.name)
 
 
 def _product_kernel(poly_of: Callable[[int], ExactPolynomial]):
@@ -387,34 +397,18 @@ def _area_split_kernel(split: Callable[[int, int], int]):
     return kernel
 
 
-def _forms_kernel(name_a: str, form_a: Callable[[int], Fraction],
-                  name_b: str, form_b: Callable[[int], Fraction]):
-    def kernel(n: int) -> Optional[dict]:
-        a, b = form_a(n), form_b(n)
-        if a != b:
-            return {"n": n, name_a: format_rational(a),
-                    name_b: format_rational(b)}
-        return None
-    return kernel
-
-
 def _total(poly: ExactPolynomial) -> Fraction:
     return poly.derivative().evaluate(1)
 
 
-def _readout_kernel(stat: Statistic, kind: str,
-                    readout: Callable[[ExactPolynomial], Fraction],
-                    closed, alt):
-    # a readout of the enumerated transform vs two closed forms of it
-    def kernel(n: int) -> Optional[dict]:
-        poly = laplace.bruteforce_transform(stat, n, kind)
-        got, want, other = readout(poly), closed(n), alt(n)
-        if got != want or got != other:
-            return {"n": n, "enumerated": format_rational(got),
-                    "closed_form": format_rational(want),
-                    "alt_form": format_rational(other)}
-        return None
-    return kernel
+def _area_total_by_levels(n: int) -> int:
+    # the level sums of the area-child-split lemma: T_1 = 1 and
+    # T_m = (2m-1) (2m-3)!! + (2m+1) T_(m-1)
+    total = 1
+    for m in range(2, n + 1):
+        total = ((2 * m - 1) * cf.double_factorial_odd(m - 1)
+                 + (2 * m + 1) * total)
+    return total
 
 
 def _spot_kernel(stat: Statistic, kind: str, name: str,
@@ -444,23 +438,17 @@ def _k_seed_resolution(n: int) -> Optional[dict]:
     return None
 
 
-def _float_kernel(formula: str, tolerance: float):
+def _asymptote_kernel(formula: str, field: str, tolerance: float):
+    # the report's difference must lie within tolerance of 0, its ratio
+    # within tolerance of 1
+    target = 1.0 if field == "ratio" else 0.0
+
     def kernel(n: int) -> Optional[dict]:
         report = cf.asymptotic_report(formula, n)
-        if abs(report.difference) >= tolerance:
+        value = getattr(report, field)
+        if abs(value - target) >= tolerance:
             return {"n": n, "mode": "float", "exact": report.exact,
-                    "asymptote": report.asymptotic,
-                    "difference": report.difference, "tolerance": tolerance}
-        return None
-    return kernel
-
-
-def _ratio_kernel(formula: str, tolerance: float):
-    def kernel(n: int) -> Optional[dict]:
-        report = cf.asymptotic_report(formula, n)
-        if abs(report.ratio - 1.0) > tolerance:
-            return {"n": n, "mode": "float", "exact": report.exact,
-                    "asymptote": report.asymptotic, "ratio": report.ratio,
+                    "asymptote": report.asymptotic, field: value,
                     "tolerance": tolerance}
         return None
     return kernel
@@ -694,9 +682,11 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
                scans=((FULL, b_full),)),
             mk("block-count-variance",
                "enumerated block-count variance vs both closed forms",
-               range(2, b_full + 1), _readout_kernel(
-                   BLOCKS, FULL, laplace.variance_from_laplace,
-                   cf.variance_block_count, cf.variance_block_count_alt),
+               range(2, b_full + 1), _agree({
+                   "enumerated": _enumerated(
+                       BLOCKS, FULL, laplace.variance_from_laplace),
+                   "closed_form": cf.variance_block_count,
+                   "alt_form": cf.variance_block_count_alt}),
                scans=((FULL, b_full),)),
             mk("block-count-spot",
                "frozen level-3 mean 29/12 and variance 59/144",
@@ -714,15 +704,15 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
                range(1, b_full + 1), _recursion_kernel((BLOCKS,), FULL),
                scans=((FULL, b_full),)),
             mk("variance-forms", "the two printed variance forms agree",
-               range(2, 10001), _forms_kernel(
-                   "direct", cf.variance_block_count,
-                   "shifted", cf.variance_block_count_alt)),
+               range(2, 10001), _agree({
+                   "direct": cf.variance_block_count,
+                   "shifted": cf.variance_block_count_alt})),
             mk("mean-asymptote",
                "mean block count approaches n - ln n + 3/2 - g",
-               [10000], _float_kernel("EY", 1e-3)),
+               [10000], _asymptote_kernel("EY", "difference", 1e-3)),
             mk("variance-asymptote",
                "block-count variance approaches ln n - (pi^2/6 + 1/4 - g)",
-               [10000], _float_kernel("VarY", 1e-3)),
+               [10000], _asymptote_kernel("VarY", "difference", 1e-3)),
         ],
         "thm17": [
             mk("size1-mean", "enumerated mean singleton count vs closed form",
@@ -739,11 +729,11 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
                scans=((FULL, b_full),)),
             mk("size-decomposition",
                "closed forms: whole mean equals sum of size parts",
-               range(4, 1001), _forms_kernel(
-                   "whole", cf.expected_block_count, "sum_of_parts",
-                   lambda n: (cf.expected_size1_blocks(n)
-                              + cf.expected_size2_blocks(n)
-                              + cf.expected_size3plus_blocks(n)))),
+               range(4, 1001), _agree({
+                   "whole": cf.expected_block_count,
+                   "sum_of_parts": lambda n: (
+                       cf.expected_size1_blocks(n) + cf.expected_size2_blocks(n)
+                       + cf.expected_size3plus_blocks(n))})),
             mk("tally-recursions",
                "size-count transform recursions vs enumeration",
                range(1, b_full + 1), _recursion_kernel(SIZE_STATS[1:], FULL),
@@ -758,7 +748,7 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
                [3], _k_seed_resolution,
                scans=((FULL, 3),)),
             mk("size3-limit", "telescoped three-block mean approaches 23/90",
-               [1000], _float_kernel("EY3", 1e-2)),
+               [1000], _asymptote_kernel("EY3", "difference", 1e-2)),
         ],
         "lemmas": [
             mk("parent-chain-bijection",
@@ -832,7 +822,7 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
                _mean_step_kernel(OUTER, PAIR, cf.expected_outer_pairs)),
             mk("outer-pair-asymptote",
                "pair-tree outer mean approaches sqrt(pi n)",
-               [10000], _ratio_kernel("EOutPair", 0.01)),
+               [10000], _asymptote_kernel("EOutPair", "ratio", 0.01)),
         ],
         "thm111": [
             mk("area-mean",
@@ -840,10 +830,12 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
                range(1, b_pair + 1),
                _mean_kernel(AREA, PAIR, cf.expected_area),
                scans=((PAIR, b_pair),)),
-            mk("area-total", "summed area vs (2n+1)!! partial odd harmonic",
-               range(1, b_pair + 1), _readout_kernel(
-                   AREA, PAIR, _total, cf.total_area,
-                   lambda n: cf.expected_area(n) * cf.double_factorial_odd(n)),
+            mk("area-total", "summed area vs (2n+1)!! partial odd harmonic "
+               "and vs the level sum of the area child split",
+               range(1, b_pair + 1), _agree({
+                   "enumerated": _enumerated(AREA, PAIR, _total),
+                   "closed_form": cf.total_area,
+                   "alt_form": _area_total_by_levels}),
                scans=((PAIR, b_pair),)),
             mk("area-spot", "frozen pair level 2: mean 8/3, total 8",
                [2], _spot_kernel(AREA, PAIR, "total", _total,
@@ -895,12 +887,12 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
                    cm._ordering_count_blocks, reference.noncrossing_partitions(n)))),
             mk("moments-partition-sum",
                "semigroup-recurrence moment n equals the weighted NC(n) sum",
-               range(1, 9), _forms_kernel(
-                   "recurrence",
-                   lambda n: cm.moments_from_cumulants(_seeded_sequence(n, n))[-1],
-                   "partition_sum",
-                   lambda n: reference.moments_by_partition_sum(
-                       _seeded_sequence(n, n))[-1])),
+               range(1, 9), _agree({
+                   "recurrence": lambda n: cm.moments_from_cumulants(
+                       _seeded_sequence(n, n))[-1],
+                   "partition_sum": lambda n: (
+                       reference.moments_by_partition_sum(
+                           _seeded_sequence(n, n))[-1])})),
         ],
         "selftest": [
             mk("harness-selftest",

@@ -52,9 +52,9 @@ from typing import Iterator, Optional, Sequence
 
 from . import tree
 from .polynomials import ExactPolynomial, NegativeExponent
-from .stats import (AreaRequiresPairPartition, SecondKindInput, Statistic,
-                    _core_digits, _evaluate_blocks, first_kind_input,
-                    second_kind_input)
+from .stats import (AreaRequiresPairPartition, NotFirstKind, SecondKindInput,
+                    Statistic, _core_digits, _evaluate_blocks,
+                    first_kind_input, second_kind_input)
 from .tree import FULL, _walk
 
 DEFAULT_MAX_FULL = 10
@@ -384,19 +384,23 @@ def recurse_second_kind(law: SecondKindInput, seed: ExactPolynomial,
 def recursion_transform(stat: Statistic, n: int, kind: str = FULL,
                         max_n: Optional[int] = None) -> ExactPolynomial:
     """Level-n transform via the statistic's transition law, seeded by
-    tiny brute-forced levels."""
-    if kind == FULL and stat.family in ("blocks", "blocks_of_size",
-                                        "blocks_at_least3"):
-        r = first_kind_input(stat)
-        k = max(len(r), 2)
-        if n <= k:
-            return bruteforce_transform(stat, n, kind, max_n)
-        seeds = [bruteforce_transform(stat, m, kind, max_n)
-                 for m in range(1, k + 1)]
-        return recurse_first_kind(r, seeds, n)
-    law = second_kind_input(stat, kind)
-    seed = bruteforce_transform(stat, 1, kind, max_n)
-    return recurse_second_kind(law, seed, n, kind)
+    tiny brute-forced levels: on the full tree, the increment vector of
+    :func:`first_kind_input` when the statistic has one; otherwise the
+    insertion law of :func:`second_kind_input`."""
+    try:
+        r = first_kind_input(stat) if kind == FULL else None
+    except NotFirstKind:
+        r = None
+    if r is None:
+        law = second_kind_input(stat, kind)
+        seed = bruteforce_transform(stat, 1, kind, max_n)
+        return recurse_second_kind(law, seed, n, kind)
+    k = max(len(r), 2)
+    if n <= k:
+        return bruteforce_transform(stat, n, kind, max_n)
+    seeds = [bruteforce_transform(stat, m, kind, max_n)
+             for m in range(1, k + 1)]
+    return recurse_first_kind(r, seeds, n)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ changes: the point is raised into the block's tail.  Each child is a
 copy of the row with the new block in its last slot.  A single child
 step is the same row over one gap: every block is classified once,
 reused as is below the new point and split into its points below it and
-a raised tail otherwise.  The level walk takes every node, inner or
-leaf, from its parent's batch.
+a raised tail otherwise.  The level walk always covers a whole level,
+in rank order from rank 0, and takes every node, inner or leaf, from
+its parent's batch.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .partitions import NcPartition, nesting_parents, validate_noncrossing
 
@@ -386,54 +387,41 @@ def unrank(k: int, n: int, kind: str = FULL) -> OrderedNcPartition:
     return decode(TreeCode(kind, tuple(_digits_from_rank(k, n, kind))))
 
 
-def _walk(path: list, n: int, kind: str, start: int = 0,
-          count: Optional[int] = None) -> Iterator[int]:
-    """Rank-order odometer over the depth-n nodes from rank ``start``.
+def _walk(path: list, n: int, kind: str) -> Iterator[int]:
+    """Rank-order odometer over the depth-n nodes.
 
     Keeps the caller-owned ``path`` filled with the raw blocks of the
     current node's ancestors (``path[i]`` sits at depth i+1, ``path[-1]``
     is the node itself) and yields ``fresh``: the first path index whose
-    node has the current node as its leftmost descendant.  Stops after
-    ``count`` nodes, or, when ``count`` is None, once every digit is at
-    its maximum.  Every path node is taken from its parent's sibling
-    batch: ``rest[i]`` iterates over the siblings of ``path[i]`` still to
-    come, and is rebuilt only when ``path[i-1]`` changes.
+    node has the current node as its leftmost descendant.  Stops once
+    every digit is at its maximum.  Every path node is taken from its
+    parent's sibling batch: ``rest[i]`` iterates over the siblings of
+    ``path[i]`` still to come, and is rebuilt only when ``path[i-1]``
+    changes.
     """
     scale = _scale(kind)
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
-    digits = _digits_from_rank(start, n, kind)
-    path[:] = [_root(scale)]
-    rest = [iter(())]  # the root has no siblings
-    for depth, d in enumerate(digits, start=1):
-        batch = _kids(path[-1], scale * depth, scale)
-        rest.append(iter(batch[d + 1:]))
-        path.append(batch[d])
-    fresh = n - 1
-    while fresh > 0 and digits[fresh - 1] == 0:
-        fresh -= 1
-    yield fresh
     leaf = n - 1
-    remaining = -1 if count is None else count - 1
-    while remaining:
-        i = leaf
-        while (node := next(rest[i], None)) is None:
-            if not i:
-                return
-            i -= 1
-        path[i] = node
+    path[:] = [_root(scale)] * n
+    rest = [iter(())] * n  # rest[0] stays empty: the root has no siblings
+    i = 0
+    while True:
         fresh = i
         while i < leaf:
             i += 1
             siblings = rest[i] = iter(_kids(path[i - 1], scale * i, scale))
             path[i] = next(siblings)
         yield fresh
-        remaining -= 1
+        while (node := next(rest[i], None)) is None:
+            if not i:
+                return
+            i -= 1
+        path[i] = node
 
 
-def iter_level(n: int, kind: str = FULL, start: int = 0,
-               stop: Optional[int] = None) -> Iterator[OrderedNcPartition]:
-    """Yield the depth-n nodes with ranks in [start, stop) in rank order.
+def iter_level(n: int, kind: str = FULL) -> Iterator[OrderedNcPartition]:
+    """Yield every depth-n node, walking the whole level in rank order.
 
     Iterative depth-first walk over the digit word.  Beyond the yielded
     element, memory holds the O(n) ancestors and the sibling batch of
@@ -442,22 +430,17 @@ def iter_level(n: int, kind: str = FULL, start: int = 0,
     child; a child shares with its parent every block that lies wholly
     below its new point.
     """
-    total = level_count(n, kind)
-    stop = total if stop is None else stop
-    if not 0 <= start <= stop <= total:
-        raise RankOutOfRange(f"range [{start}, {stop}) not within [0, {total})")
-    if start == stop:
-        return
     ground = _scale(kind) * n
     path: list = []
-    for _ in _walk(path, n, kind, start, stop - start):
+    for _ in _walk(path, n, kind):
         yield OrderedNcPartition(ground, path[-1])
 
 
 def stream_level(n: int, kind: str = FULL) -> Iterator[OrderedNcPartition]:
-    """Yield every depth-n node, stopping only when the walk is exhausted.
+    """Yield every depth-n node in rank order, stopping only when the
+    walk is exhausted.
 
-    Unlike :func:`iter_level` this never consults the counting formula:
+    Like :func:`iter_level`, this never consults the counting formula:
     the walk ends when every digit sits at its maximum, so the number of
     nodes produced is independent evidence for :func:`level_count`.
     """

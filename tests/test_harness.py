@@ -5,7 +5,8 @@ from array import array
 
 import pytest
 
-from mton import laplace, partitions, stats, tree
+from mton import closed_forms as cf
+from mton import laplace, partitions, reference, stats, tree
 from mton.harness import (Check, CheckReport, CheckSpec, NotMinimizable,
                           SUITES, _count_kernel, build_checks,
                           corrupted_checks, counterexample_minimize,
@@ -409,3 +410,70 @@ def test_count_kernel_reads_the_scan_not_a_stream(monkeypatch):
                         lambda op, kind=FULL: real_rank(op, kind) + 1)
     assert _count_kernel(FULL, tree.level_count)(6) == {
         "n": 6, "position": 0, "rank": 1}
+
+
+def test_area_total_alt_form_is_the_split_lemmas_level_sum(monkeypatch):
+    # the mean area one too high at n = 4 moves the closed total, while
+    # the level sum of the area-child-split lemma still matches the scan
+    from mton import closed_forms
+
+    real = closed_forms.expected_area
+    monkeypatch.setattr(closed_forms, "expected_area",
+                        lambda n: real(n) + (n == 4))
+    kernel = build_checks()["area-total"].kernel
+    report = Check(CheckSpec("area-total", "to level 5"),
+                   tuple(range(1, 6)), kernel, ((PAIR, 5),)).run()
+    assert report.status == "fail"
+    witness = report.witness
+    assert witness["n"] == 4
+    assert witness["alt_form"] == witness["enumerated"]
+    assert witness["closed_form"] != witness["enumerated"]
+
+
+def _off_at(name, n_bad):
+    # closed_forms.name one too high at n_bad
+    real = getattr(cf, name)
+    return cf, name, lambda n: real(n) + (n == n_bad)
+
+
+def _last_moment_off_at(n_bad):
+    real = reference.moments_by_partition_sum
+    return reference, "moments_by_partition_sum", lambda seq: (
+        *real(seq)[:-1], real(seq)[-1] + (len(seq) == n_bad))
+
+
+def _fixed_report(exact, asymptote):
+    return cf, "asymptotic_report", lambda formula, n: cf.AsymptoticReport(
+        formula, n, exact, asymptote, exact - asymptote, exact / asymptote)
+
+
+_PINNED = [
+    ("outer-full-mean", lambda: _off_at("expected_outer_blocks", 3),
+     {"n": 3, "stat": "Out", "enumerated": "7/3", "closed_form": "10/3"}),
+    ("outer-pair-mean-recursion", lambda: _off_at("expected_outer_pairs", 5),
+     {"n": 5, "stat": "Out", "stepped": "193/63", "closed_form": "256/63"}),
+    ("variance-forms", lambda: _off_at("variance_block_count_alt", 3),
+     {"n": 3, "direct": "59/144", "shifted": "203/144"}),
+    ("size-decomposition", lambda: _off_at("expected_size2_blocks", 5),
+     {"n": 5, "whole": "81/20", "sum_of_parts": "101/20"}),
+    ("moments-partition-sum", lambda: _last_moment_off_at(3),
+     {"n": 3, "recurrence": "346373/20412", "partition_sum": "366785/20412"}),
+    ("mean-asymptote", lambda: _fixed_report(10.5, 10.25),
+     {"n": 10000, "mode": "float", "exact": 10.5, "asymptote": 10.25,
+      "difference": 0.25, "tolerance": 1e-3}),
+    ("outer-pair-asymptote", lambda: _fixed_report(3.0, 2.0),
+     {"n": 10000, "mode": "float", "exact": 3.0, "asymptote": 2.0,
+      "ratio": 1.5, "tolerance": 0.01}),
+]
+
+
+@pytest.mark.parametrize("check_id, corrupt, witness", _PINNED,
+                         ids=[case[0] for case in _PINNED])
+def test_a_corrupted_route_gives_its_pinned_witness(monkeypatch, check_id,
+                                                    corrupt, witness):
+    # one route of each comparison shape made wrong: the witness names
+    # every route's value and the reported fields, exactly
+    monkeypatch.setattr(*corrupt())
+    report = build_checks()[check_id].run()
+    assert report.status == "fail"
+    assert report.witness == witness

@@ -141,14 +141,9 @@ def _walk_reference(n, kind):
 def test_walk_matches_unrank_from_every_start():
     for kind, depths in ((FULL, (1, 2, 5)), (PAIR, (1, 2, 4))):
         for n in depths:
-            want = _walk_reference(n, kind)
-            for start in range(len(want)):
-                for count in (None, 1, 3):
-                    path: list = []
-                    got = [(fresh, tuple(path)) for fresh
-                           in tree._walk(path, n, kind, start, count)]
-                    stop = None if count is None else start + count
-                    assert got == want[start:stop], (kind, n, start, count)
+            path: list = []
+            got = [(fresh, tuple(path)) for fresh in tree._walk(path, n, kind)]
+            assert got == _walk_reference(n, kind), (kind, n)
 
 
 def test_the_walk_builds_every_node_from_one_batch_per_parent(monkeypatch):
@@ -227,22 +222,6 @@ def test_rank_round_trip_exhaustive_small():
                 assert unrank(k, n, kind) == op
 
 
-def test_rank_windows():
-    mid = list(iter_level(5, FULL, start=100, stop=140))
-    assert len(mid) == 40
-    assert rank_of(mid[0]) == 100
-    assert rank_of(mid[-1]) == 139
-
-
-def test_iter_level_window_is_a_stream_slice():
-    for kind, n in ((FULL, 5), (PAIR, 4)):
-        streamed = list(stream_level(n, kind))
-        total = len(streamed)
-        for a, b in ((0, total), (0, 1), (7, 8), (13, total - 3),
-                     (total - 1, total), (5, 5)):
-            assert list(iter_level(n, kind, a, b)) == streamed[a:b], (kind, a, b)
-
-
 def test_stream_level_terminates_without_formula():
     for n in range(1, 7):
         assert sum(1 for _ in stream_level(n, FULL)) == level_count(n, FULL)
@@ -262,8 +241,6 @@ def test_stream_level_rejects_depths_below_one(monkeypatch):
 def test_rank_out_of_range():
     with pytest.raises(RankOutOfRange):
         unrank(level_count(4, FULL), 4, FULL)
-    with pytest.raises(RankOutOfRange):
-        list(iter_level(3, FULL, start=0, stop=level_count(3, FULL) + 1))
 
 
 def test_code_json_round_trip():
