@@ -2,15 +2,17 @@
 
 For a statistic Z the level-n transform is sum of t**Z(pi,u) over all
 ordered partitions at depth n.  Brute force computes it by a single
-depth-first scan that tallies every node of the walk (so one scan to
-depth N yields the transforms of every statistic at every level <= N).
+depth-first scan that tallies every node down to depth N (so one scan
+yields the transforms of every statistic at every level <= N).
 The recursions rebuild the same polynomials from small seeds through the
 certified transition laws; agreement between the two routes is what the
 verification suites check.
 
 The scan never consults the counting formula: the walk stops when every
 digit is exhausted, so its per-level totals are independent evidence for
-:func:`tree.level_count`.
+:func:`tree.level_count`.  The walk covers levels 1..N-1 node by node;
+the deepest level is recorded one sibling batch per level-(N-1) node,
+each batch built once per distinct parent state (see :func:`scan_chunk`).
 
 The scan tallies unlabelled partitions: a level of (n+1)!/2 (or
 (2n-1)!!) ordered nodes carries only Catalan(n) distinct partitions, and
@@ -39,11 +41,14 @@ harness's area split.  The record keeps no labels; a full-tree node's
 maximal-label block size, which the increment laws and the tree lemmas
 read, comes from its digit word (:func:`tree.max_label_block_sizes`).
 An id takes 2 bytes per node: about 4 MB for the full tree to depth 9,
-about 44 MB to depth 10.
+about 44 MB to depth 10.  Past depth 10 the levels hold more distinct
+partitions than 2-byte ids can name, and :func:`scan_chunk` refuses the
+scan before its walk starts, whatever the size guard allows.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import Counter
 from fractions import Fraction
@@ -55,7 +60,7 @@ from .polynomials import ExactPolynomial, NegativeExponent
 from .stats import (AreaRequiresPairPartition, NotFirstKind, SecondKindInput,
                     Statistic, _core_digits, _evaluate_blocks,
                     first_kind_input, second_kind_input)
-from .tree import FULL, _walk
+from .tree import FULL
 
 DEFAULT_MAX_FULL = 10
 DEFAULT_MAX_PAIR = 8
@@ -138,11 +143,27 @@ class ScanRecord(dict):
 
 
 def scan_chunk(kind: str, depth: int) -> ScanRecord:
-    """Record the unlabelled partition of every walk node down to depth,
-    level by level in rank order.  An inner node is recorded once, at
-    its leftmost leaf; the deepest level one sibling batch at a time."""
+    """Record the unlabelled partition of every node down to depth,
+    level by level in rank order.
+
+    Levels 1..depth-1 are walked node by node; an inner node is recorded
+    once, at its leftmost leaf.  The deepest level is recorded one
+    sibling batch per walked parent, and a batch's ids are built once
+    per distinct parent state: the parent's partition id and its
+    maximal-label block.  That state fixes the batch, because an
+    insertion child's partition depends only on the parent's partition
+    and the gap, and the full tree's elongation child also on which
+    block carries the maximal label.  A scan whose levels hold more
+    distinct partitions (Catalan(k) at level k, on both trees) than the
+    record has ids is refused before any walk.
+    """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+    distinct = sum(math.comb(2 * k, k) // (k + 1) for k in range(1, depth + 1))
+    if distinct > _Ids.capacity:
+        raise SizeBoundExceeded(
+            f"levels 1..{depth} hold {distinct} distinct partitions, more "
+            f"than the {_Ids.capacity} ids of a scan record")
     scale = tree._scale(kind)
     ids = _Ids()
     ranked = [array("H") for _ in range(depth)]
@@ -150,13 +171,19 @@ def scan_chunk(kind: str, depth: int) -> ScanRecord:
         ranked[0].append(ids[frozenset(tree._root(scale))])
     else:
         ground = scale * (depth - 1)
-        deepest = ranked[-1]
+        parents, deepest = ranked[-2:]
+        batch_of: dict = {}
         path: list = []
-        for fresh in _walk(path, depth - 1, kind):
+        for fresh in tree._walk(path, depth - 1, kind):
             for i in range(fresh, depth - 1):
                 ranked[i].append(ids[frozenset(path[i])])
-            deepest.extend(map(ids.__getitem__, map(
-                frozenset, tree._kids(path[-1], ground, scale))))
+            node = path[-1]
+            key = parents[-1], node[-1]
+            batch = batch_of.get(key)
+            if batch is None:
+                batch = batch_of[key] = array("H", map(ids.__getitem__, map(
+                    frozenset, tree._kids(node, ground, scale))))
+            deepest += batch
     partitions = [tuple(sorted(blocks)) for blocks in ids]
     return ScanRecord(kind, partitions, dict(enumerate(ranked, start=1)))
 

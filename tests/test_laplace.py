@@ -241,8 +241,13 @@ def test_depth_one_scan_is_the_root_alone():
     assert scan_chunk(PAIR, 1) == {1: Counter({((1, 2),): 1})}
 
 
+# the deepest level reuses each parent state's batch for many parents,
+# most of all at full depth 7 and pair depth 6
+_RECORD_DEPTHS = ((FULL, 6), (PAIR, 5), (FULL, 7), (PAIR, 6))
+
+
 def test_the_record_lists_every_level_in_rank_order():
-    for kind, depth in ((FULL, 6), (PAIR, 5)):
+    for kind, depth in _RECORD_DEPTHS:
         record = scan_chunk(kind, depth)
         laplace.clear_scan_cache()
         hist = level_histograms(kind, depth)
@@ -254,8 +259,8 @@ def test_the_record_lists_every_level_in_rank_order():
 
 
 def test_batches_are_each_parents_children_in_digit_order():
-    for kind, depth, children in ((FULL, 6, tree.children),
-                                  (PAIR, 5, tree.pair_children)):
+    for kind, depth in _RECORD_DEPTHS:
+        children = tree.children if kind == FULL else tree.pair_children
         record = scan_chunk(kind, depth)
         blocks = record.partitions.__getitem__
         for n in range(2, depth + 1):
@@ -276,6 +281,50 @@ def test_a_scan_with_more_partitions_than_ids_raises(monkeypatch):
         scan_chunk(FULL, 4)
     monkeypatch.setattr(laplace._Ids, "capacity", 22)
     assert sum(scan_chunk(FULL, 4)[4].values()) == level_count(4)
+
+
+def test_a_scan_past_the_id_capacity_is_refused_before_the_walk(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("the scan started a walk")
+    monkeypatch.setattr(tree, "_walk", no_walk)
+    # levels 1..d hold Catalan(1) + ... + Catalan(d) distinct partitions:
+    # 23,713 at d = 10 and 82,499 at d = 11, against 65,536 ids
+    for kind in (FULL, PAIR):
+        with pytest.raises(SizeBoundExceeded, match="82499"):
+            scan_chunk(kind, 11)
+        with pytest.raises(AssertionError, match="started a walk"):
+            scan_chunk(kind, 10)
+    monkeypatch.setattr(laplace._Ids, "capacity", 21)
+    with pytest.raises(SizeBoundExceeded):
+        scan_chunk(FULL, 4)
+
+
+def test_the_elongation_child_depends_on_the_maximal_label_block():
+    # one partition, two maximal-label blocks: the insertion children
+    # agree as partitions, the elongation children do not, so the scan's
+    # batch key carries the block
+    def partitions(blocks):
+        return [tuple(sorted(kid)) for kid in tree._kids(blocks, 2, 1)]
+    first, second = partitions(((1,), (2,))), partitions(((2,), (1,)))
+    assert first[:-1] == second[:-1]
+    assert first[-1] == ((1,), (2, 3)) and second[-1] == ((1, 2), (3,))
+
+
+def test_the_deepest_level_is_built_once_per_parent_state(monkeypatch):
+    real = tree._kids
+    calls = Counter()
+
+    def counted(blocks, n, scale):
+        calls[n] += 1
+        return real(blocks, n, scale)
+    monkeypatch.setattr(tree, "_kids", counted)
+    for kind, depth in ((FULL, 7), (PAIR, 6)):
+        ground = tree._scale(kind) * (depth - 1)
+        states = {(op.partition().blocks, op.max_label_block())
+                  for op in iter_level(depth - 1, kind)}
+        calls.clear()
+        scan_chunk(kind, depth)
+        assert calls[ground] == len(states) < level_count(depth - 1, kind)
 
 
 _PARENTS = {3: [[3, 4], [1, 2]], 4: [[5, 6], [3, 4], [1, 2]]}
