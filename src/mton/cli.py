@@ -49,13 +49,21 @@ def _ceiling(kind: str) -> int:
         except ValueError:
             raise ValueError(
                 f"MTON_MAX_N must be an integer, got {env!r}") from None
-    return laplace.DEFAULT_MAX_FULL if kind == FULL else laplace.DEFAULT_MAX_PAIR
+    return laplace._default_max(kind)
+
+
+# the deepest level whose node count a refusal prints: the count of a far
+# deeper level is a factorial too long to compute before refusing
+_COUNTED = 20
 
 
 def _refused(args: argparse.Namespace) -> bool:
     limit = _ceiling(args.kind)
     if args.n > limit and not args.force:
-        scale = tree.level_count(args.n, args.kind)
+        if args.n <= _COUNTED:
+            scale = tree.level_count(args.n, args.kind)
+        else:
+            scale = f"more than {tree.level_count(_COUNTED, args.kind)}"
         print(f"level {args.n} of the {args.kind} tree holds {scale} nodes, "
               f"over the default bound {limit}; pass --force or set "
               f"MTON_MAX_N", file=sys.stderr)
@@ -100,11 +108,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         chosen = [stats.OUTER, stats.INTERVAL_PAIRS, stats.AREA]
     # rejects a bad depth or a statistic off its tree before --out is opened
     rows = stats.stats_table(args.n, args.kind, chosen)
-    if args.out == "-":
-        csv.writer(sys.stdout).writerows(rows)
-    else:
-        with open(args.out, "w", newline="") as handle:
-            csv.writer(handle).writerows(rows)
+    with (open(args.out, "w", newline="") if args.out != "-"
+          else nullcontext(sys.stdout)) as handle:
+        csv.writer(handle).writerows(rows)
     return 0
 
 

@@ -8,16 +8,20 @@ re-derives it from scratch.  A kernel that raises yields an "error"
 report with a traceback excerpt, and the checks after it still run.  The
 self-test feeds one wrong formula per suite to that suite's own kernels.
 
-A check whose kernel reads the brute-force scan declares each tree it
-reads with the deepest level it reads there, and asks for that once, up
-front; under "all" the count checks lead with the deepest sizes, so each
-tree is scanned once per run.
+A check whose kernel reads the brute-force scan declares in ``scans``
+each tree it reads with the deepest level it reads there, and the check
+asks for those scans before its first size, so no kernel rescans a tree
+level by level; under "all" each tree is scanned once, by the first
+check that declares its deepest level.
 
 Every exact comparison names its routes (say ``enumerated``,
-``closed_form`` and ``alt_form``), and a failing witness shows each
-route's value under its name.  Exact values inside witnesses are
-serialized as integer or "p/q" strings; only checks in float mode carry
-floats, and they say so.
+``closed_form`` and ``alt_form``) and goes through one comparison,
+``_disagree``; a failing witness shows each route's value under its
+name.  Exact values inside witnesses are serialized by ``_render``: a
+rational as an integer or "p/q" string, a polynomial as its map from
+exponent to coefficient, a tuple element by element.  Checks that
+report a location (a rank, a partition, a parent) carry integer counts;
+only checks in float mode carry floats, and they say so.
 """
 
 from __future__ import annotations
@@ -115,30 +119,35 @@ def run_checks(checks: Iterable[Check]) -> list[CheckReport]:
 # ---------------------------------------------------------------------------
 # kernels and kernel factories
 
-def _poly_diff_witness(n: int, got: ExactPolynomial,
-                       want: ExactPolynomial, **extra) -> dict:
-    exps = sorted(set(dict(got.items())) | set(dict(want.items())))
-    bad = next(e for e in exps if got.coefficient(e) != want.coefficient(e))
-    return {"n": n, "exponent": bad,
-            "got": format_rational(got.coefficient(bad)),
-            "want": format_rational(want.coefficient(bad)), **extra}
+def _render(value):
+    # an exact value as JSON: a rational as an integer or "p/q" string, a
+    # polynomial as its coefficient map, a sequence element by element
+    if isinstance(value, ExactPolynomial):
+        return value.to_json()["coeffs"]
+    if isinstance(value, (tuple, list)):
+        return [_render(v) for v in value]
+    return format_rational(value)
 
 
-def _agree(routes: dict[str, Callable[[int], Fraction]], **fields):
-    # every named route's exact value at n must be the same; a witness
-    # shows each route's value under its name
+def _disagree(n: int, values: dict, **fields) -> Optional[dict]:
+    # every named value at n must be the same; a witness shows each
+    # value under its name
+    first, *rest = values.values()
+    if any(v != first for v in rest):
+        return {"n": n, **fields,
+                **{name: _render(v) for name, v in values.items()}}
+    return None
+
+
+def _agree(routes: dict[str, Callable[[int], object]], **fields):
     def kernel(n: int) -> Optional[dict]:
-        values = {name: route(n) for name, route in routes.items()}
-        first, *rest = values.values()
-        if any(v != first for v in rest):
-            return {"n": n, **fields, **{name: format_rational(v)
-                                         for name, v in values.items()}}
-        return None
+        return _disagree(n, {name: route(n) for name, route in routes.items()},
+                         **fields)
     return kernel
 
 
 def _enumerated(stat: Statistic, kind: str,
-                readout: Optional[Callable[[ExactPolynomial], Fraction]]
+                readout: Optional[Callable[[ExactPolynomial], object]]
                 = None):
     # the readout (by default the mean) of the brute-force transform at
     # n; the default is looked up here, so a replaced laplace readout holds
@@ -153,12 +162,13 @@ def _mean_kernel(stat: Statistic, kind: str, closed):
 
 def _recursion_kernel(chosen: Sequence[Statistic], kind: str):
     def kernel(n: int) -> Optional[dict]:
+        witness = None
         for stat in chosen:
-            brute = laplace.bruteforce_transform(stat, n, kind)
-            rec = laplace.recursion_transform(stat, n, kind)
-            if brute != rec:
-                return _poly_diff_witness(n, rec, brute, stat=stat.name)
-        return None
+            witness = witness or _disagree(n, {
+                "enumerated": laplace.bruteforce_transform(stat, n, kind),
+                "recursion": laplace.recursion_transform(stat, n, kind)},
+                stat=stat.name)
+        return witness
     return kernel
 
 
@@ -185,17 +195,10 @@ def _mean_step_kernel(stat: Statistic, kind: str, closed):
                    "closed_form": closed}, stat=stat.name)
 
 
-def _product_kernel(poly_of: Callable[[int], ExactPolynomial]):
-    # poly_of(n) must equal t(1+2t)...(1+nt)
-    def kernel(n: int) -> Optional[dict]:
-        want = ExactPolynomial.monomial(1)
-        for j in range(2, n + 1):
-            want = want * ExactPolynomial({0: 1, 1: j})
-        got = poly_of(n)
-        if got != want:
-            return _poly_diff_witness(n, got, want)
-        return None
-    return kernel
+def _product_form(n: int) -> ExactPolynomial:
+    # t(1+2t)...(1+nt)
+    return math.prod((ExactPolynomial({0: 1, 1: j}) for j in range(2, n + 1)),
+                     start=ExactPolynomial.monomial(1))
 
 
 def _count_kernel(kind: str, formula: Callable[[int, str], int]):
@@ -265,17 +268,17 @@ _REFERENCE_STATS = (
 def _k_stat_cross(n: int) -> Optional[dict]:
     # the scanned transform against a histogram of the reference
     # evaluator over the independently constructed level
+    witness = None
     for kind, top, by_filter, evaluators in _REFERENCE_STATS:
         if n > top:
             continue
         level = by_filter(n)
         for stat, value in evaluators:
-            want = ExactPolynomial.from_counts(Counter(map(value, level)))
-            got = laplace.bruteforce_transform(stat, n, kind)
-            if got != want:
-                return _poly_diff_witness(n, got, want, stat=stat.name,
-                                          kind=kind)
-    return None
+            witness = witness or _disagree(n, {
+                "enumerated": laplace.bruteforce_transform(stat, n, kind),
+                "reference": ExactPolynomial.from_counts(
+                    Counter(map(value, level)))}, stat=stat.name, kind=kind)
+    return witness
 
 
 def _chain_divisor(m: int, ell: int) -> int:
@@ -366,17 +369,15 @@ def _k_singleton_slice(m: int) -> Optional[dict]:
     # is 1, read off the record with their id tally
     sizes = tree.max_label_block_sizes(m)
     witness = _labelled_tie(m, sizes)
-    if witness is not None:
-        return witness
     record = laplace.scan_record(FULL, m)
     singletons = Counter(compress(record.ranked[m], _of_size(sizes, 1)))
     for s in SIZE_STATS:
-        lhs = record.transform(s, m, singletons)
         r1 = stats.first_kind_input(s)[0]
-        rhs = laplace.bruteforce_transform(s, m - 1, FULL).shifted(r1).scaled(m)
-        if lhs != rhs:
-            return _poly_diff_witness(m, lhs, rhs, stat=s.name)
-    return None
+        witness = witness or _disagree(m, {
+            "slice": record.transform(s, m, singletons),
+            "previous_level": laplace.bruteforce_transform(
+                s, m - 1, FULL).shifted(r1).scaled(m)}, stat=s.name)
+    return witness
 
 
 def _area_split_kernel(split: Callable[[int, int], int]):
@@ -401,6 +402,10 @@ def _total(poly: ExactPolynomial) -> Fraction:
     return poly.derivative().evaluate(1)
 
 
+def _with_mean(poly: ExactPolynomial) -> tuple[ExactPolynomial, Fraction]:
+    return poly, laplace.expectation_from_laplace(poly)
+
+
 def _area_total_by_levels(n: int) -> int:
     # the level sums of the area-child-split lemma: T_1 = 1 and
     # T_m = (2m-1) (2m-3)!! + (2m+1) T_(m-1)
@@ -411,31 +416,12 @@ def _area_total_by_levels(n: int) -> int:
     return total
 
 
-def _spot_kernel(stat: Statistic, kind: str, name: str,
-                 readout: Callable[[ExactPolynomial], Fraction], want: tuple):
+def _spot_kernel(stat: Statistic, kind: str,
+                 readout: Callable[[ExactPolynomial], object], want: tuple):
     # the frozen (mean, readout) pair of one small level
-    def kernel(n: int) -> Optional[dict]:
-        poly = laplace.bruteforce_transform(stat, n, kind)
-        mean, got = laplace.expectation_from_laplace(poly), readout(poly)
-        if (mean, got) != want:
-            return {"n": n, "mean": format_rational(mean),
-                    name: format_rational(got),
-                    "want": [format_rational(v) for v in want]}
-        return None
-    return kernel
-
-
-def _k_seed_resolution(n: int) -> Optional[dict]:
-    # the level-3 singleton transform: brute force settles its constant
-    frozen = ExactPolynomial({3: 6, 1: 5, 0: 1})
-    brute = laplace.bruteforce_transform(blocks_of_size(1), 3)
-    rec = laplace.recursion_transform(blocks_of_size(1), 3)
-    mean = laplace.expectation_from_laplace(brute)
-    if brute != frozen or rec != frozen or mean != Fraction(23, 12):
-        return {"n": n, "brute": brute.to_json(), "recursion": rec.to_json(),
-                "frozen": frozen.to_json(), "mean": format_rational(mean),
-                "want_mean": "23/12"}
-    return None
+    return _agree({"enumerated": _enumerated(stat, kind, lambda poly: (
+                       laplace.expectation_from_laplace(poly), readout(poly))),
+                   "frozen": lambda n: want})
 
 
 def _asymptote_kernel(formula: str, field: str, tolerance: float):
@@ -471,67 +457,22 @@ _FROZEN_TRIANGLE = {
 }
 
 
-def _k_triangle_frozen(n: int) -> Optional[dict]:
-    want = _FROZEN_TRIANGLE[n]
-    for builder in (cm.stirling_by_recursion, cm.stirling_by_closed_form,
-                    cm.stirling_by_tree_count):
-        got = builder(n).row(n)
-        if got != want:
-            return {"n": n, "builder": builder.__name__,
-                    "row": list(got), "want": list(want)}
-    return None
-
-
-def _row_kernel(name_a: str, table_a: Callable[[int], cm.StirlingTable],
-                name_b: str, table_b: Callable[[int], cm.StirlingTable]):
-    def kernel(n: int) -> Optional[dict]:
-        a, b = table_a(n).row(n), table_b(n).row(n)
-        if a != b:
-            k = next(i + 1 for i in range(n) if a[i] != b[i])
-            return {"n": n, "k": k, name_a: a[k - 1], name_b: b[k - 1]}
-        return None
-    return kernel
-
-
-def _factorial_sum_kernel(name: str, terms: Callable[[int], Iterable[int]]):
-    # the terms at size n must sum to (n+1)!/2
-    def kernel(n: int) -> Optional[dict]:
-        total = sum(terms(n))
-        want = math.factorial(n + 1) // 2
-        if total != want:
-            return {"n": n, name: total, "want": want}
-        return None
-    return kernel
+def _row(table: Callable[[int], cm.StirlingTable]):
+    return lambda n: table(n).row(n)
 
 
 def _triangle_row(n: int) -> tuple[int, ...]:
     return cm.stirling_by_recursion(n).row(n)
 
 
-def _seeded_sequence(index: int, length: int) -> list[Fraction]:
+def _half_factorial(n: int) -> int:
+    return math.factorial(n + 1) // 2
+
+
+def _seeded_sequence(index: int, length: int) -> tuple[Fraction, ...]:
     rng = random.Random(20260823 + index)
-    return [Fraction(rng.randint(-50, 50), rng.randint(1, 30))
-            for _ in range(length)]
-
-
-def _k_roundtrip(index: int) -> Optional[dict]:
-    seq = _seeded_sequence(index, 8)
-    back = cm.cumulants_from_moments(cm.moments_from_cumulants(seq))
-    fwd = cm.moments_from_cumulants(cm.cumulants_from_moments(seq))
-    if list(back) != seq or list(fwd) != seq:
-        return {"n": index, "sequence": [format_rational(v) for v in seq]}
-    return None
-
-
-def _k_small_identities(n: int) -> Optional[dict]:
-    # moment 3 of cumulants (2,3,5) and cumulant 3 of moments (1,2,5)
-    m3 = cm.moments_from_cumulants([Fraction(2), Fraction(3), Fraction(5)])[2]
-    c3 = cm.cumulants_from_moments([Fraction(1), Fraction(2), Fraction(5)])[2]
-    ok = (m3 == 5 + Fraction(5, 2) * 6 + 8 and c3 == Fraction(3, 2))
-    if not ok:
-        return {"n": n, "moment3": format_rational(m3),
-                "cumulant3": format_rational(c3)}
-    return None
+    return tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+                 for _ in range(length))
 
 
 _POISSON_ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1))
@@ -540,13 +481,10 @@ _POISSON_ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1))
 def _poisson_kernel(triangle_moments: Callable[[Fraction, int], tuple]):
     def kernel(index: int) -> Optional[dict]:
         alpha = _POISSON_ALPHAS[index - 1]
-        direct = triangle_moments(alpha, 20)
-        recurred = cm.moments_from_cumulants([alpha] * 20)
-        if direct != recurred:
-            return {"n": index, "alpha": format_rational(alpha),
-                    "triangle": [format_rational(v) for v in direct],
-                    "recurrence": [format_rational(v) for v in recurred]}
-        return None
+        return _disagree(index, {
+            "triangle": triangle_moments(alpha, 20),
+            "recurrence": cm.moments_from_cumulants([alpha] * 20)},
+            alpha=format_rational(alpha))
     return kernel
 
 
@@ -609,10 +547,13 @@ def corrupted_checks() -> dict[str, tuple[Check, int]]:
             AREA, PAIR,
             lambda n: (2 * n + 1) * sum(Fraction(1, 2 * k - 1)
                                         for k in range(1, n + 1)))),
-        "stirling": ("corrupt-triangle", range(1, 6), 2, _row_kernel(
-            "corrupted", wrong_triangle, "tree", cm.stirling_by_tree_count)),
-        "cumulants": ("corrupt-poisson", range(1, 5), 1,
-                      _poisson_kernel(wrong_poisson)),
+        "stirling": ("corrupt-triangle", range(1, 6), 2, _agree({
+            "corrupted": _row(wrong_triangle),
+            "tree": _row(cm.stirling_by_tree_count)})),
+        "cumulants": ("corrupt-poisson", range(1, 5), 1, _agree({
+            "corrupted": lambda i: wrong_poisson(_POISSON_ALPHAS[i - 1], 20),
+            "recurrence": lambda i: cm.moments_from_cumulants(
+                [_POISSON_ALPHAS[i - 1]] * 20)})),
     }
     return {suite: (Check(CheckSpec(id_, f"corrupted twin {id_}"),
                           tuple(sizes), kernel), minimal)
@@ -690,14 +631,14 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
                scans=((FULL, b_full),)),
             mk("block-count-spot",
                "frozen level-3 mean 29/12 and variance 59/144",
-               [3], _spot_kernel(BLOCKS, FULL, "variance",
-                                 laplace.variance_from_laplace,
+               [3], _spot_kernel(BLOCKS, FULL, laplace.variance_from_laplace,
                                  (Fraction(29, 12), Fraction(59, 144))),
                scans=((FULL, 3),)),
             mk("product-form",
                "block-count transform equals t(1+2t)...(1+nt)",
-               range(1, b_full + 1), _product_kernel(
-                   partial(laplace.bruteforce_transform, BLOCKS)),
+               range(1, b_full + 1), _agree({
+                   "enumerated": partial(laplace.bruteforce_transform, BLOCKS),
+                   "product_form": _product_form}),
                scans=((FULL, b_full),)),
             mk("block-count-recursion",
                "block-count transform recursion vs enumeration",
@@ -745,7 +686,13 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
                scans=((FULL, 8),)),
             mk("seed-resolution",
                "level-3 singleton transform settles to 6t^3 + 5t + 1",
-               [3], _k_seed_resolution,
+               [3], _agree({
+                   "enumerated": _enumerated(
+                       blocks_of_size(1), FULL, _with_mean),
+                   "recursion": lambda n: _with_mean(
+                       laplace.recursion_transform(blocks_of_size(1), n)),
+                   "frozen": lambda n: (ExactPolynomial({3: 6, 1: 5, 0: 1}),
+                                        Fraction(23, 12))}),
                scans=((FULL, 3),)),
             mk("size3-limit", "telescoped three-block mean approaches 23/90",
                [1000], _asymptote_kernel("EY3", "difference", 1e-2)),
@@ -838,7 +785,7 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
                    "alt_form": _area_total_by_levels}),
                scans=((PAIR, b_pair),)),
             mk("area-spot", "frozen pair level 2: mean 8/3, total 8",
-               [2], _spot_kernel(AREA, PAIR, "total", _total,
+               [2], _spot_kernel(AREA, PAIR, _total,
                                  (Fraction(8, 3), 8)),
                scans=((PAIR, 2),)),
             mk("area-asymptote",
@@ -847,32 +794,51 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
         ],
         "stirling": [
             mk("triangle-frozen", "ordered-count triangle rows 1..6 are frozen",
-               range(1, 7), _k_triangle_frozen),
+               range(1, 7), _agree({
+                   "recursion": _triangle_row,
+                   "closed_form": _row(cm.stirling_by_closed_form),
+                   "tree": _row(cm.stirling_by_tree_count),
+                   "frozen": _FROZEN_TRIANGLE.__getitem__})),
             mk("triangle-tree-recursion",
                "triangle from enumeration vs recursion",
-               range(1, 10), _row_kernel(
-                   "tree", cm.stirling_by_tree_count,
-                   "recursion", cm.stirling_by_recursion),
+               range(1, 10), _agree({
+                   "tree": _row(cm.stirling_by_tree_count),
+                   "recursion": _triangle_row}),
                scans=((FULL, 9),)),
             mk("triangle-recursion-closed",
                "triangle recursion vs increasing-products closed form",
-               range(1, 21), _row_kernel(
-                   "closed_form", cm.stirling_by_closed_form,
-                   "recursion", cm.stirling_by_recursion)),
+               range(1, 21), _agree({
+                   "closed_form": _row(cm.stirling_by_closed_form),
+                   "recursion": _triangle_row})),
             mk("triangle-row-sums", "triangle rows sum to (n+1)!/2",
-               range(1, 21), _factorial_sum_kernel("row_sum", _triangle_row)),
+               range(1, 21), _agree({
+                   "row_sum": lambda n: sum(_triangle_row(n)),
+                   "closed_form": _half_factorial})),
             mk("triangle-poly-identity",
                "triangle generating polynomial equals t(1+2t)...(1+nt)",
-               range(1, 10), _product_kernel(
-                   lambda n: ExactPolynomial(
-                       dict(enumerate(_triangle_row(n), 1))))),
+               range(1, 10), _agree({
+                   "triangle": lambda n: ExactPolynomial(
+                       dict(enumerate(_triangle_row(n), 1))),
+                   "product_form": _product_form})),
         ],
         "cumulants": [
             mk("roundtrip-random",
                "seeded random sequences round-trip moments <-> cumulants",
-               range(1, 101), _k_roundtrip),
+               range(1, 101), _agree({
+                   "seeded": lambda i: _seeded_sequence(i, 8),
+                   "via_moments": lambda i: cm.cumulants_from_moments(
+                       cm.moments_from_cumulants(_seeded_sequence(i, 8))),
+                   "via_cumulants": lambda i: cm.moments_from_cumulants(
+                       cm.cumulants_from_moments(_seeded_sequence(i, 8)))})),
             mk("small-identities", "frozen order-3 moment/cumulant identities",
-               [3], _k_small_identities),
+               [3], _agree({
+                   # moment 3 of cumulants (2,3,5), cumulant 3 of
+                   # moments (1,2,5)
+                   "conversions": lambda n: (
+                       cm.moments_from_cumulants([2, 3, 5])[n - 1],
+                       cm.cumulants_from_moments([1, 2, 5])[n - 1]),
+                   "frozen": lambda n: (5 + Fraction(5, 2) * 6 + 8,
+                                        Fraction(3, 2))})),
             mk("poisson-constant",
                "triangle moments equal constant-cumulant moments to order 20",
                range(1, 5), _poisson_kernel(cm.poisson_moments)),
@@ -883,8 +849,11 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
                "ordering count <= k! with equality iff interval partition",
                range(1, 9), _k_ordering_ratio),
             mk("ordering-sum", "ordering counts over NC(n) sum to (n+1)!/2",
-               range(1, 10), _factorial_sum_kernel("sum", lambda n: map(
-                   cm._ordering_count_blocks, reference.noncrossing_partitions(n)))),
+               range(1, 10), _agree({
+                   "ordering_sum": lambda n: sum(map(
+                       cm._ordering_count_blocks,
+                       reference.noncrossing_partitions(n))),
+                   "closed_form": _half_factorial})),
             mk("moments-partition-sum",
                "semigroup-recurrence moment n equals the weighted NC(n) sum",
                range(1, 9), _agree({

@@ -191,9 +191,13 @@ def scan_chunk(kind: str, depth: int) -> ScanRecord:
 _scan_cache: dict[str, tuple[int, ScanRecord]] = {}
 
 
+def _default_max(kind: str) -> int:
+    # the kind's bound, read when called so a changed setting holds
+    return DEFAULT_MAX_FULL if kind == FULL else DEFAULT_MAX_PAIR
+
+
 def _guard(n: int, kind: str, max_n: Optional[int]) -> None:
-    limit = max_n if max_n is not None else (
-        DEFAULT_MAX_FULL if kind == FULL else DEFAULT_MAX_PAIR)
+    limit = max_n if max_n is not None else _default_max(kind)
     if n > limit:
         raise SizeBoundExceeded(
             f"depth {n} exceeds the {kind}-tree guard of {limit}")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from mton import cumulants as cm
-from mton import harness, laplace
+from mton import harness, laplace, tree
 from mton.harness import SUITES
 from mton.cli import main
 from mton.polynomials import format_rational
@@ -47,6 +47,32 @@ def test_enumerate_guard_refuses_big_levels(capsys):
     code, out, err = run(capsys, "enumerate", "--n", "11", "--format", "count")
     assert code == 2
     assert "--force" in err
+
+
+_REFUSAL_TAIL = "over the default bound 10; pass --force or set MTON_MAX_N\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--n", "2000", "--format", "count"),
+    ("stats", "--n", str(10 ** 7))], ids=["n2000", "n1e7"])
+def test_a_refusal_far_past_the_bound_counts_no_deep_level(capsys, monkeypatch,
+                                                           argv):
+    # (n+1)!/2 at n = 2000 has 5,739 digits and at n = 10**7 is out of
+    # reach: the refusal reads the count of level 20 at most
+    real = tree.level_count
+
+    def shallow(n, kind="full"):
+        assert n <= 20, f"level_count({n}) evaluated"
+        return real(n, kind)
+    monkeypatch.setattr(tree, "level_count", shallow)
+    code, out, err = run(capsys, "enumerate", "--n", "11", "--format", "count")
+    assert (code, out) == (2, "")
+    assert err == ("level 11 of the full tree holds 239500800 nodes, "
+                   + _REFUSAL_TAIL)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"level {argv[2]} of the full tree holds more than "
+                   f"25545471085854720000 nodes, {_REFUSAL_TAIL}")
 
 
 def test_stats_csv_stdout(capsys):

@@ -5,13 +5,17 @@ from array import array
 
 import pytest
 
+from fractions import Fraction
+
 from mton import closed_forms as cf
+from mton import cumulants as cm
 from mton import laplace, partitions, reference, stats, tree
 from mton.harness import (Check, CheckReport, CheckSpec, NotMinimizable,
-                          SUITES, _count_kernel, build_checks,
+                          SUITES, _count_kernel, _disagree, build_checks,
                           corrupted_checks, counterexample_minimize,
                           reports_to_jsonl, run_checks, run_suite,
                           suite_names, summary_table)
+from mton.polynomials import ExactPolynomial, parse_rational
 from mton.stats import BLOCKS
 from mton.tree import FULL, PAIR
 
@@ -436,10 +440,33 @@ def _off_at(name, n_bad):
     return cf, name, lambda n: real(n) + (n == n_bad)
 
 
-def _last_moment_off_at(n_bad):
-    real = reference.moments_by_partition_sum
-    return reference, "moments_by_partition_sum", lambda seq: (
-        *real(seq)[:-1], real(seq)[-1] + (len(seq) == n_bad))
+def _last_value_off(module, name, where):
+    # module.name with its last value one too high where where(*args)
+    real = getattr(module, name)
+    return module, name, lambda *args: (
+        *real(*args)[:-1], real(*args)[-1] + where(*args))
+
+
+def _recursion_off_at(n_bad):
+    # laplace.recursion_transform with 1 added at level n_bad
+    real = laplace.recursion_transform
+    return laplace, "recursion_transform", lambda stat, n, *rest: (
+        real(stat, n, *rest) + ExactPolynomial({0: n == n_bad}))
+
+
+def _last_row_reversed():
+    real = cm.stirling_by_closed_form
+    return cm, "stirling_by_closed_form", lambda n_max: cm.StirlingTable(
+        real(n_max).rows[:-1] + (real(n_max).rows[-1][::-1],))
+
+
+# moments 1..20 of the Poisson law of rate -1
+_POISSON_MINUS_ONE = [
+    "-1", "0", "1/2", "1/6", "-5/12", "-11/30", "13/40", "1579/2520",
+    "-71/630", "-4663/5040", "-3379/10080", "1941803/1663200",
+    "11420461/9979200", "-458222/405405", "-124516999/51891840",
+    "21816971/55036800", "874646387/217945728", "24391178737/14472958500",
+    "-724713447847/132324192000", "-17394064193071/2933186256000"]
 
 
 def _fixed_report(exact, asymptote):
@@ -456,8 +483,25 @@ _PINNED = [
      {"n": 3, "direct": "59/144", "shifted": "203/144"}),
     ("size-decomposition", lambda: _off_at("expected_size2_blocks", 5),
      {"n": 5, "whole": "81/20", "sum_of_parts": "101/20"}),
-    ("moments-partition-sum", lambda: _last_moment_off_at(3),
+    ("moments-partition-sum",
+     lambda: _last_value_off(reference, "moments_by_partition_sum",
+                             lambda seq: len(seq) == 3),
      {"n": 3, "recurrence": "346373/20412", "partition_sum": "366785/20412"}),
+    ("block-count-recursion", lambda: _recursion_off_at(3),
+     {"n": 3, "stat": "Y", "enumerated": {"1": "1", "2": "5", "3": "6"},
+      "recursion": {"0": "1", "1": "1", "2": "5", "3": "6"}}),
+    ("triangle-recursion-closed", _last_row_reversed,
+     {"n": 2, "closed_form": ["2", "1"], "recursion": ["1", "2"]}),
+    ("seed-resolution", lambda: _recursion_off_at(3),
+     {"n": 3, "enumerated": [{"0": "1", "1": "5", "3": "6"}, "23/12"],
+      "recursion": [{"0": "2", "1": "5", "3": "6"}, "23/13"],
+      "frozen": [{"0": "1", "1": "5", "3": "6"}, "23/12"]}),
+    ("poisson-constant",
+     lambda: _last_value_off(cm, "poisson_moments",
+                             lambda alpha, upto: alpha == -1),
+     {"n": 4, "alpha": "-1",
+      "triangle": _POISSON_MINUS_ONE[:-1] + ["-14460877937071/2933186256000"],
+      "recurrence": _POISSON_MINUS_ONE}),
     ("mean-asymptote", lambda: _fixed_report(10.5, 10.25),
      {"n": 10000, "mode": "float", "exact": 10.5, "asymptote": 10.25,
       "difference": 0.25, "tolerance": 1e-3}),
@@ -477,3 +521,23 @@ def test_a_corrupted_route_gives_its_pinned_witness(monkeypatch, check_id,
     report = build_checks()[check_id].run()
     assert report.status == "fail"
     assert report.witness == witness
+
+
+def test_a_witness_of_any_exact_value_survives_json():
+    # an integer past str()'s default 4300-digit limit, a fraction, a
+    # polynomial and a nested tuple each read back exactly
+    big = 7 ** 6000
+    poly = ExactPolynomial({0: Fraction(-1, 3), 5: big})
+    witness = _disagree(4, {"integer": big, "fraction": Fraction(-5, 7),
+                            "polynomial": poly,
+                            "nested": ((big, Fraction(2, 3)), [poly])},
+                        stat="Y")
+    back = json.loads(json.dumps(witness))
+    assert (back["n"], back["stat"]) == (4, "Y")
+    assert parse_rational(back["integer"]) == big
+    assert parse_rational(back["fraction"]) == Fraction(-5, 7)
+    assert ExactPolynomial.from_json({"coeffs": back["polynomial"]}) == poly
+    (whole, part), [inner] = back["nested"]
+    assert (parse_rational(whole), parse_rational(part)) == (
+        big, Fraction(2, 3))
+    assert ExactPolynomial.from_json({"coeffs": inner}) == poly
