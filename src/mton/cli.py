@@ -114,8 +114,19 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+# the deepest level the recursion builds without --force: its
+# coefficients grow like n!, so a far deeper level can take the
+# machine's memory (level 1000 takes about 1.5 s and prints 1.5 MB)
+_RECURSION_BOUND = 1000
+
+
 def cmd_laplace(args: argparse.Namespace) -> int:
     stat = Statistic.parse(args.stat)
+    if (args.method != "brute" and args.n > _RECURSION_BOUND
+            and not args.force):
+        print(f"the recursion to level {args.n} is over the bound "
+              f"{_RECURSION_BOUND}; pass --force", file=sys.stderr)
+        return 2
     # only brute force enumerates level n; the recursion enumerates just
     # its seed levels, which the library bound still guards
     max_n = args.n if args.force else _ceiling(args.kind)

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import mul, truediv
 from typing import Union
 
 from .stats import SecondKindInput
@@ -204,17 +206,21 @@ class AsymptoticReport:
     ratio: float
 
 
+# each term is 1.0 / k for an int k, divided in C rather than in a
+# generator; math.fsum rounds the sum correctly
+
 def _float_harmonic(n: int) -> float:
-    return math.fsum(1.0 / k for k in range(1, n + 1))
+    return math.fsum(map(truediv, repeat(1.0), range(1, n + 1)))
 
 
 def _float_harmonic2(n: int) -> float:
-    return math.fsum(1.0 / (k * k) for k in range(1, n + 1))
+    ks = range(1, n + 1)
+    return math.fsum(map(truediv, repeat(1.0), map(mul, ks, ks)))
 
 
 def _float_odd_harmonic(n: int) -> float:
     """Sum_{k=1..n} 1/(2k+1)."""
-    return math.fsum(1.0 / (2 * k + 1) for k in range(1, n + 1))
+    return math.fsum(map(truediv, repeat(1.0), range(3, 2 * n + 2, 2)))
 
 
 def asymptotic_report(formula: str, n: int) -> AsymptoticReport:

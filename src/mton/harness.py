@@ -34,7 +34,7 @@ import traceback
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import compress
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -189,10 +189,13 @@ def _subset_kernel(stat: Statistic, kind: str):
 
 
 def _mean_step_kernel(stat: Statistic, kind: str, closed):
+    # the sizes ascend, so the closed form at n is kept for the step
+    # into n + 1; each size still evaluates it once, from scratch
     law = stats.second_kind_input(stat, kind)
+    closed_at = lru_cache(maxsize=1)(closed)
     return _agree({"stepped": lambda n: cf.expectation_recursion_step(
-                       law, closed(n - 1), n, kind),
-                   "closed_form": closed}, stat=stat.name)
+                       law, closed_at(n - 1), n, kind),
+                   "closed_form": closed_at}, stat=stat.name)
 
 
 def _product_form(n: int) -> ExactPolynomial:

@@ -2,17 +2,19 @@
 
 For a statistic Z the level-n transform is sum of t**Z(pi,u) over all
 ordered partitions at depth n.  Brute force computes it by a single
-depth-first scan that tallies every node down to depth N (so one scan
-yields the transforms of every statistic at every level <= N).
+scan that records every node down to depth N, level by level (so one
+scan yields the transforms of every statistic at every level <= N).
 The recursions rebuild the same polynomials from small seeds through the
 certified transition laws; agreement between the two routes is what the
 verification suites check.
 
-The scan never consults the counting formula: the walk stops when every
-digit is exhausted, so its per-level totals are independent evidence for
-:func:`tree.level_count`.  The walk covers levels 1..N-1 node by node;
-the deepest level is recorded one sibling batch per level-(N-1) node,
-each batch built once per distinct parent state (see :func:`scan_chunk`).
+The scan folds each level onto its distinct states, a partition with
+its maximal-label block, and builds every sibling batch once per state
+of the level above (see :func:`scan_chunk`).  It never consults the
+counting formula: each level's total is summed from the batches that
+the child step built, weighted by the node count of their parent
+states, so the totals are independent evidence for
+:func:`tree.level_count`.
 
 The scan tallies unlabelled partitions: a level of (n+1)!/2 (or
 (2n-1)!!) ordered nodes carries only Catalan(n) distinct partitions, and
@@ -29,7 +31,7 @@ Counters, which are read-only.
 
 The scan keeps a rank-ordered record (:class:`ScanRecord`): for each
 level, the partition id of every node in rank order, and each level's
-histogram is derived from those ids.  ``level_values`` evaluates a
+histogram is its tally of those ids.  ``level_values`` evaluates a
 statistic once on each distinct partition of a level; ``transform``
 alone weights such values, by the level's id tally or a given one.
 ``batches`` yields each level-(n-1) node's children on level n; it
@@ -43,7 +45,7 @@ read, comes from its digit word (:func:`tree.max_label_block_sizes`).
 An id takes 2 bytes per node: about 4 MB for the full tree to depth 9,
 about 44 MB to depth 10.  Past depth 10 the levels hold more distinct
 partitions than 2-byte ids can name, and :func:`scan_chunk` refuses the
-scan before its walk starts, whatever the size guard allows.
+scan before it builds a child, whatever the size guard allows.
 """
 
 from __future__ import annotations
@@ -99,16 +101,19 @@ class _Ids(dict):
 class ScanRecord(dict):
     """The scan of one tree: ``{level: Counter}`` of canonical partitions,
     as :func:`level_histograms` returns it, and the rank-ordered record
-    it is derived from.  ``ranked[level]`` holds the partition id of
-    every node at that level in rank order, and ``partitions[id]`` is
-    that partition's canonical sorted block tuple."""
+    behind it.  ``ranked[level]`` holds the partition id of every node
+    at that level in rank order, and ``partitions[id]`` is that
+    partition's canonical sorted block tuple.  ``tallies[level]``
+    counts each id of that level's row, as the scan sums it from its
+    states."""
 
-    def __init__(self, kind: str, partitions: list, ranked: dict):
+    def __init__(self, kind: str, partitions: list, ranked: dict,
+                 tallies: dict):
         super().__init__()
         self.kind = kind
         self.partitions = partitions
         self.ranked = ranked
-        self._tallies = {level: Counter(row) for level, row in ranked.items()}
+        self._tallies = tallies
         for level, tally in self._tallies.items():
             self[level] = Counter({partitions[i]: mult
                                    for i, mult in tally.items()})
@@ -142,20 +147,56 @@ class ScanRecord(dict):
             yield rank, parent, kids[rank * width:(rank + 1) * width]
 
 
+# parents whose batches one join concatenates
+_JOIN = 1 << 10
+
+
+def _joined(batches: list, row: array, size: int) -> array:
+    """The batches of the states in ``row``, in its order, as one row of
+    ``size`` ids.  The row is allocated once, at its size, and filled a
+    few thousand batches at a time, so no deep row is held twice."""
+    out = array("H", [0]) * size
+    cells = memoryview(out).cast("B")
+    end = 0
+    for start in range(0, len(row), _JOIN):
+        chunk = b"".join(map(batches.__getitem__, row[start:start + _JOIN]))
+        cells[end:end + len(chunk)] = chunk
+        end += len(chunk)
+    cells.release()
+    return out
+
+
+def _weighted(batches: list, mult: list) -> Counter:
+    """How often each id occurs in the row that joins these batches: a
+    state's batch once for each of its ``mult`` nodes."""
+    tally: Counter = Counter()
+    for batch, m in zip(batches, mult):
+        for i in batch:
+            tally[i] += m
+    return tally
+
+
 def scan_chunk(kind: str, depth: int) -> ScanRecord:
     """Record the unlabelled partition of every node down to depth,
     level by level in rank order.
 
-    Levels 1..depth-1 are walked node by node; an inner node is recorded
-    once, at its leftmost leaf.  The deepest level is recorded one
-    sibling batch per walked parent, and a batch's ids are built once
-    per distinct parent state: the parent's partition id and its
-    maximal-label block.  That state fixes the batch, because an
-    insertion child's partition depends only on the parent's partition
-    and the gap, and the full tree's elongation child also on which
-    block carries the maximal label.  A scan whose levels hold more
-    distinct partitions (Catalan(k) at level k, on both trees) than the
-    record has ids is refused before any walk.
+    The tree folds onto a graph of states: a node's children, as
+    partitions, depend only on its state, the pair of its partition id
+    and its maximal-label block.  An insertion child's partition depends
+    only on the parent's partition and the gap, and the full tree's
+    elongation child also on which block carries the maximal label; the
+    child's own maximal-label block is its new block or the elongated
+    one.  So each level keeps one node per state, builds that node's
+    children once, and writes the states' batches of child ids (and, but
+    on the deepest level, of child states) in the order of the level's
+    state row: the rank-r node's batch becomes ranks r*A .. r*A + A - 1
+    of the next row.  Each level's id tally, and the node count of each
+    state, is summed from the parent states' counts and their batches,
+    never read from :func:`tree.level_count`.  A scan whose levels hold
+    more distinct partitions (Catalan(k) at level k, on both trees) than
+    the record has ids is refused before any child is built.  States
+    are numbered on levels 1..depth-1 alone, at most Catalan(k) * k on
+    level k <= 9, so they fit the same 2-byte cells.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -166,26 +207,41 @@ def scan_chunk(kind: str, depth: int) -> ScanRecord:
             f"than the {_Ids.capacity} ids of a scan record")
     scale = tree._scale(kind)
     ids = _Ids()
-    ranked = [array("H") for _ in range(depth)]
-    if depth == 1:
-        ranked[0].append(ids[frozenset(tree._root(scale))])
-    else:
-        ground = scale * (depth - 1)
-        parents, deepest = ranked[-2:]
-        batch_of: dict = {}
-        path: list = []
-        for fresh in tree._walk(path, depth - 1, kind):
-            for i in range(fresh, depth - 1):
-                ranked[i].append(ids[frozenset(path[i])])
-            node = path[-1]
-            key = parents[-1], node[-1]
-            batch = batch_of.get(key)
-            if batch is None:
-                batch = batch_of[key] = array("H", map(ids.__getitem__, map(
-                    frozenset, tree._kids(node, ground, scale))))
-            deepest += batch
-    partitions = [tuple(sorted(blocks)) for blocks in ids]
-    return ScanRecord(kind, partitions, dict(enumerate(ranked, start=1)))
+    root = tree._root(scale)
+    ranked = {1: array("H", [ids[root]])}
+    tallies = {1: Counter(ranked[1])}
+    # one node of each state of the level, the state of every node in
+    # rank order, and the number of nodes in each state
+    nodes, row, mult = [root], array("H", [0]), [1]
+    for n in range(2, depth + 1):
+        ground = scale * (n - 1)
+        deepest = n == depth
+        id_batches, state_batches = [], []
+        state_of: dict = {}
+        next_nodes: list = []
+        for node in nodes:
+            kids = tree._kids(node, ground, scale)
+            batch = array("H", [ids[tuple(sorted(kid))] for kid in kids])
+            id_batches.append(batch)
+            if deepest:
+                continue
+            states = array("H")
+            for i, kid in zip(batch, kids):
+                key = i, kid[-1]
+                s = state_of.get(key)
+                if s is None:
+                    s = state_of[key] = len(next_nodes)
+                    next_nodes.append(kid)
+                states.append(s)
+            state_batches.append(states)
+        tallies[n] = _weighted(id_batches, mult)
+        size = sum(tallies[n].values())
+        ranked[n] = _joined(id_batches, row, size)
+        if not deepest:
+            counts = _weighted(state_batches, mult)
+            mult = [counts[s] for s in range(len(next_nodes))]
+            nodes, row = next_nodes, _joined(state_batches, row, size)
+    return ScanRecord(kind, list(ids), ranked, tallies)
 
 
 _scan_cache: dict[str, tuple[int, ScanRecord]] = {}
@@ -257,16 +313,23 @@ def _batch_witness(stat: Statistic, record: ScanRecord, n: int, want_of,
     ``want_of(rank, parent id, z)`` is the law at the parent whose value
     is z: its children's values in digit order, or a dict saying why
     the parent itself breaks the law.  ``edge_fields(rank, digit)`` adds
-    the law's own fields to a wrong edge's witness.
+    the law's own fields to a wrong edge's witness.  Many parents share
+    their children's ids and the law's values, so each such pair that
+    holds is compared once.
     """
     parent_value = record.level_values(stat, n - 1)
     value = record.level_values(stat, n).__getitem__
+    held = set()
     for rank, i, kids in record.batches(n):
         z = parent_value[i]
         want = want_of(rank, i, z)
         if isinstance(want, tuple):
+            key = want, kids.tobytes()
+            if key in held:
+                continue
             got = tuple(map(value, kids))
             if got == want:
+                held.add(key)
                 continue
             digit = next(d for d, v in enumerate(got) if v != want[d])
             want = {"digit": digit, "increment": got[digit] - z,

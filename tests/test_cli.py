@@ -12,7 +12,7 @@ from mton import cumulants as cm
 from mton import harness, laplace, tree
 from mton.harness import SUITES
 from mton.cli import main
-from mton.polynomials import format_rational
+from mton.polynomials import ExactPolynomial, format_rational
 
 
 def run(capsys, *argv):
@@ -134,6 +134,27 @@ def test_laplace_recursion_is_not_held_to_the_enumeration_bound(capsys):
                        "--method", "recursion")
     assert code == 2
     assert "13" in err
+
+
+def test_a_recursion_past_its_bound_needs_force(capsys, monkeypatch):
+    # the degree-n recursion's coefficients grow like n!, so a level far
+    # past the bound is refused before the recursion starts
+    calls = []
+
+    def recorded(stat, n, kind=tree.FULL, max_n=None):
+        calls.append(n)
+        return ExactPolynomial({1: 1})
+    monkeypatch.setattr(laplace, "recursion_transform", recorded)
+    for method in ("recursion", "both"):
+        code, out, err = run(capsys, "laplace", "--stat", "Y", "--n", "2000",
+                             "--method", method)
+        assert (code, out) == (2, ""), method
+        assert "2000" in err and "--force" in err
+    assert calls == []
+    code, out, err = run(capsys, "laplace", "--stat", "Y", "--n", "2000",
+                         "--method", "recursion", "--force")
+    assert code == 0, err
+    assert calls == [2000]
 
 
 def test_laplace_rejects_mismatched_stat_kind(capsys):

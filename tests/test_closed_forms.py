@@ -12,6 +12,15 @@ from mton.stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
 from mton.tree import FULL, PAIR
 
 
+def test_float_sums_equal_their_generator_forms_bit_for_bit():
+    n = 10 ** 5
+    ks = range(1, n + 1)
+    assert cf._float_harmonic(n) == math.fsum(1.0 / k for k in ks)
+    assert cf._float_harmonic2(n) == math.fsum(1.0 / (k * k) for k in ks)
+    assert cf._float_odd_harmonic(n) == math.fsum(1.0 / (2 * k + 1)
+                                                  for k in ks)
+
+
 def test_harmonic_helpers():
     assert cf.harmonic(1) == 1
     assert cf.harmonic(4) == Fraction(25, 12)

@@ -15,7 +15,7 @@ from mton.harness import (Check, CheckReport, CheckSpec, NotMinimizable,
                           corrupted_checks, counterexample_minimize,
                           reports_to_jsonl, run_checks, run_suite,
                           suite_names, summary_table)
-from mton.polynomials import ExactPolynomial, parse_rational
+from mton.polynomials import ExactPolynomial, format_rational, parse_rational
 from mton.stats import BLOCKS
 from mton.tree import FULL, PAIR
 
@@ -216,6 +216,24 @@ def _report(check_id):
     return build_checks()[check_id].run()
 
 
+def test_the_stepped_mean_finds_a_closed_form_wrong_at_one_size(monkeypatch):
+    # the kernel keeps the closed form at n for the step into n + 1, so
+    # each size evaluates it once, and the one wrong size is the witness
+    real = cf.expected_outer_pairs
+    calls = []
+
+    def off_at_500(n):
+        calls.append(n)
+        return real(n) + (n == 500)
+    monkeypatch.setattr(cf, "expected_outer_pairs", off_at_500)
+    report = _report("outer-pair-mean-recursion")
+    assert report.status == "fail"
+    assert report.witness["n"] == 500
+    assert report.witness["closed_form"] == format_rational(real(500) + 1)
+    assert report.witness["stepped"] == format_rational(real(500))
+    assert calls == list(range(1, 501))
+
+
 def test_parent_chain_catches_a_wrong_second_increment(monkeypatch):
     # r_2 one too high: the elongation children of level 2 are the first
     # whose parent step breaks the padded shift
@@ -237,7 +255,8 @@ def test_singleton_slice_catches_a_moved_record_id(monkeypatch):
     # singleton slice carries the one-block partition instead of its own
     warm = laplace.scan_record(FULL, 8)
     ranked = {level: array("H", warm.ranked[level]) for level in range(1, 9)}
-    moved = laplace.ScanRecord(FULL, list(warm.partitions), ranked)
+    moved = laplace.ScanRecord(FULL, list(warm.partitions), ranked,
+                               warm._tallies)
     k = tree.max_label_block_sizes(5).index(1, 100)  # past the first batches
     ranked[5][k] = moved.partitions.index(((1, 2, 3, 4, 5),))
     monkeypatch.setattr(laplace, "_scan_cache", {FULL: (8, moved)})

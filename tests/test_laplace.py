@@ -241,8 +241,8 @@ def test_depth_one_scan_is_the_root_alone():
     assert scan_chunk(PAIR, 1) == {1: Counter({((1, 2),): 1})}
 
 
-# the deepest level reuses each parent state's batch for many parents,
-# most of all at full depth 7 and pair depth 6
+# every level reuses each parent state's batch for many parents, most
+# of all at full depth 7 and pair depth 6
 _RECORD_DEPTHS = ((FULL, 6), (PAIR, 5), (FULL, 7), (PAIR, 6))
 
 
@@ -284,15 +284,15 @@ def test_a_scan_with_more_partitions_than_ids_raises(monkeypatch):
 
 
 def test_a_scan_past_the_id_capacity_is_refused_before_the_walk(monkeypatch):
-    def no_walk(*args):
-        raise AssertionError("the scan started a walk")
-    monkeypatch.setattr(tree, "_walk", no_walk)
+    def no_child(*args):
+        raise AssertionError("the scan built a child")
+    monkeypatch.setattr(tree, "_kids", no_child)
     # levels 1..d hold Catalan(1) + ... + Catalan(d) distinct partitions:
     # 23,713 at d = 10 and 82,499 at d = 11, against 65,536 ids
     for kind in (FULL, PAIR):
         with pytest.raises(SizeBoundExceeded, match="82499"):
             scan_chunk(kind, 11)
-        with pytest.raises(AssertionError, match="started a walk"):
+        with pytest.raises(AssertionError, match="built a child"):
             scan_chunk(kind, 10)
     monkeypatch.setattr(laplace._Ids, "capacity", 21)
     with pytest.raises(SizeBoundExceeded):
@@ -310,21 +310,40 @@ def test_the_elongation_child_depends_on_the_maximal_label_block():
     assert first[-1] == ((1,), (2, 3)) and second[-1] == ((1, 2), (3,))
 
 
-def test_the_deepest_level_is_built_once_per_parent_state(monkeypatch):
+def test_every_level_is_built_once_per_parent_state(monkeypatch):
+    # the children of each level-m state (partition, maximal-label
+    # block) are built once, and no level is walked node by node
+    states = {(kind, m): len({(op.partition().blocks, op.max_label_block())
+                              for op in iter_level(m, kind)})
+              for kind, depth in ((FULL, 7), (PAIR, 6))
+              for m in range(1, depth)}
     real = tree._kids
     calls = Counter()
 
     def counted(blocks, n, scale):
         calls[n] += 1
         return real(blocks, n, scale)
+
+    def no_walk(*args):
+        raise AssertionError("the scan walked a level")
     monkeypatch.setattr(tree, "_kids", counted)
+    monkeypatch.setattr(tree, "_walk", no_walk)
     for kind, depth in ((FULL, 7), (PAIR, 6)):
-        ground = tree._scale(kind) * (depth - 1)
-        states = {(op.partition().blocks, op.max_label_block())
-                  for op in iter_level(depth - 1, kind)}
         calls.clear()
         scan_chunk(kind, depth)
-        assert calls[ground] == len(states) < level_count(depth - 1, kind)
+        scale = tree._scale(kind)
+        assert calls == Counter({scale * m: states[kind, m]
+                                 for m in range(1, depth)}), kind
+        assert states[kind, depth - 1] < level_count(depth - 1, kind)
+
+
+def test_the_tallies_are_the_counts_of_the_rows():
+    # each level's id tally is summed from its parent states, and must be
+    # what counting the rank-ordered row gives
+    for kind, depth in _RECORD_DEPTHS:
+        record = scan_chunk(kind, depth)
+        for n in range(1, depth + 1):
+            assert record._tallies[n] == Counter(record.ranked[n]), (kind, n)
 
 
 _PARENTS = {3: [[3, 4], [1, 2]], 4: [[5, 6], [3, 4], [1, 2]]}
