@@ -173,10 +173,9 @@ def _recursion_kernel(chosen: Sequence[Statistic], kind: str):
 
 
 def _first_kind_kernel(chosen: Sequence[Statistic]):
-    # each statistic's increment law on the edges into full level n; the
-    # digit-derived block sizes it reads are tied to the labels first
+    # each statistic's increment law on the edges into full level n
     def kernel(n: int) -> Optional[dict]:
-        witness = _labelled_tie(n, tree.max_label_block_sizes(n))
+        witness = None
         for stat in chosen:
             witness = witness or laplace.first_kind_witness(stat, n)
         return witness
@@ -390,7 +389,7 @@ def _area_split_kernel(split: Callable[[int, int], int]):
         wants = {i: split(n, area)
                  for i, area in record.level_values(AREA, n - 1).items()}
         area_of = record.level_values(AREA, n).__getitem__
-        for r, i, kids in record.batches(n):
+        for r, i, kids, _ in record.batches(n):
             child_sum = sum(map(area_of, kids))
             want = wants[i]
             if child_sum != want:

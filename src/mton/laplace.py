@@ -34,14 +34,15 @@ level, the partition id of every node in rank order, and each level's
 histogram is its tally of those ids.  ``level_values`` evaluates a
 statistic once on each distinct partition of a level; ``transform``
 alone weights such values, by the level's id tally or a given one.
-``batches`` yields each level-(n-1) node's children on level n; it
-alone turns the layout into edges, knowing that they sit at ranks
-r*A .. r*A + A - 1.  Every edge-law check reads its edges from
-``batches``: both law shapes, through one per-batch comparison
-(:func:`second_kind_witness`, :func:`first_kind_witness`), and the
-harness's area split.  The record keeps no labels; a full-tree node's
-maximal-label block size, which the increment laws and the tree lemmas
-read, comes from its digit word (:func:`tree.max_label_block_sizes`).
+The record also keeps the sibling batches the scan built, and
+``batches`` yields them once per parent state, at the state's first
+rank, with each child's labelled maximal-label block size.  Every
+edge-law check reads its edges from ``batches``: both law shapes,
+through one per-batch comparison (:func:`second_kind_witness`,
+:func:`first_kind_witness`), and the harness's area split.  A law's
+verdict on a parent depends on its state alone, so the first failing
+state is the first failing rank.  Only the harness's two tree lemmas
+read block sizes off the digit words.
 An id takes 2 bytes per node: about 4 MB for the full tree to depth 9,
 about 44 MB to depth 10.  Past depth 10 the levels hold more distinct
 partitions than 2-byte ids can name, and :func:`scan_chunk` refuses the
@@ -54,7 +55,6 @@ import math
 from array import array
 from collections import Counter
 from fractions import Fraction
-from functools import cache
 from typing import Iterator, Optional, Sequence
 
 from . import tree
@@ -105,7 +105,9 @@ class ScanRecord(dict):
     at that level in rank order, and ``partitions[id]`` is that
     partition's canonical sorted block tuple.  ``tallies[level]``
     counts each id of that level's row, as the scan sums it from its
-    states."""
+    states.  ``edges[level]`` keeps, for the scan's batches into that
+    level, the first rank of each parent state and the sizes of the
+    children's maximal-label blocks, read through :meth:`batches`."""
 
     def __init__(self, kind: str, partitions: list, ranked: dict,
                  tallies: dict):
@@ -114,6 +116,7 @@ class ScanRecord(dict):
         self.partitions = partitions
         self.ranked = ranked
         self._tallies = tallies
+        self.edges: dict = {}
         for level, tally in self._tallies.items():
             self[level] = Counter({partitions[i]: mult
                                    for i, mult in tally.items()})
@@ -130,21 +133,25 @@ class ScanRecord(dict):
         """The level's transform: each distinct partition evaluated once
         and weighted by its count in the id tally, or in ``tally``."""
         tally = self._tallies[level] if tally is None else tally
-        points = tree._scale(self.kind) * level
+        value = self.level_values(stat, level)
         counts: Counter = Counter()
         for i, mult in tally.items():
-            counts[_evaluate_blocks(stat, self.partitions[i], points)] += mult
+            counts[value[i]] += mult
         return ExactPolynomial.from_counts(counts)
 
-    def batches(self, n: int) -> Iterator[tuple[int, int, array]]:
-        """``(rank, parent id, child ids)`` for every level-(n-1) node in
-        rank order, its children on level n in digit order.  The rank-r
-        parent's children sit at ranks r*A .. r*A + A - 1, A being its
-        child count (n+1 on the full tree, 2n-1 on the pair tree)."""
+    def batches(self, n: int) -> Iterator[tuple[int, int, array, array]]:
+        """``(rank, parent id, child ids, child sizes)`` once for each
+        state of level n-1, in increasing first rank: the state's first
+        rank r and partition id, and the ids and labelled maximal-label
+        block sizes of the A children (n+1 on the full tree, 2n-1 on the
+        pair tree) that every node of the state has, in digit order.  The
+        rank-r node's children sit at ranks r*A .. r*A + A - 1."""
+        first, sizes = self.edges[n]
         width = tree._radix(n - 1, self.kind)
-        kids = self.ranked[n]
-        for rank, parent in enumerate(self.ranked[n - 1]):
-            yield rank, parent, kids[rank * width:(rank + 1) * width]
+        parents, kids = self.ranked[n - 1], self.ranked[n]
+        for s, rank in enumerate(first):
+            yield (rank, parents[rank], kids[rank * width:(rank + 1) * width],
+                   sizes[s * width:(s + 1) * width])
 
 
 # parents whose batches one join concatenates
@@ -154,7 +161,7 @@ _JOIN = 1 << 10
 def _joined(batches: list, row: array, size: int) -> array:
     """The batches of the states in ``row``, in its order, as one row of
     ``size`` ids.  The row is allocated once, at its size, and filled a
-    few thousand batches at a time, so no deep row is held twice."""
+    few thousand batches at a time, so no deep row is stored twice."""
     out = array("H", [0]) * size
     cells = memoryview(out).cast("B")
     end = 0
@@ -190,9 +197,13 @@ def scan_chunk(kind: str, depth: int) -> ScanRecord:
     children once, and writes the states' batches of child ids (and, but
     on the deepest level, of child states) in the order of the level's
     state row: the rank-r node's batch becomes ranks r*A .. r*A + A - 1
-    of the next row.  Each level's id tally, and the node count of each
-    state, is summed from the parent states' counts and their batches,
-    never read from :func:`tree.level_count`.  A scan whose levels hold
+    of the next row.  For :meth:`ScanRecord.batches`, the scan keeps
+    each state's first rank and its children's maximal-label block
+    sizes: states are numbered in order of first appearance, so a new
+    state's first rank is its parent's times A plus its digit.  Each
+    level's id tally, and the node count of each state, is summed from
+    the parent states' counts and their batches, never read from
+    :func:`tree.level_count`.  A scan whose levels hold
     more distinct partitions (Catalan(k) at level k, on both trees) than
     the record has ids is refused before any child is built.  States
     are numbered on levels 1..depth-1 alone, at most Catalan(k) * k on
@@ -210,19 +221,22 @@ def scan_chunk(kind: str, depth: int) -> ScanRecord:
     root = tree._root(scale)
     ranked = {1: array("H", [ids[root]])}
     tallies = {1: Counter(ranked[1])}
-    # one node of each state of the level, the state of every node in
-    # rank order, and the number of nodes in each state
-    nodes, row, mult = [root], array("H", [0]), [1]
+    edges: dict = {}
+    # one node of each state of the level, and its first rank; the state
+    # of every node in rank order; the number of nodes in each state
+    nodes, first, row, mult = [root], array("L", [0]), array("H", [0]), [1]
     for n in range(2, depth + 1):
         ground = scale * (n - 1)
         deepest = n == depth
-        id_batches, state_batches = [], []
+        id_batches, state_batches, sizes = [], [], array("B")
         state_of: dict = {}
         next_nodes: list = []
-        for node in nodes:
+        next_first = array("L")
+        for node, rank in zip(nodes, first):
             kids = tree._kids(node, ground, scale)
             batch = array("H", [ids[tuple(sorted(kid))] for kid in kids])
             id_batches.append(batch)
+            sizes.fromlist([len(kid[-1]) for kid in kids])
             if deepest:
                 continue
             states = array("H")
@@ -232,16 +246,22 @@ def scan_chunk(kind: str, depth: int) -> ScanRecord:
                 if s is None:
                     s = state_of[key] = len(next_nodes)
                     next_nodes.append(kid)
+                    # the kid's digit is the length of the row so far
+                    next_first.append(rank * len(kids) + len(states))
                 states.append(s)
             state_batches.append(states)
+        edges[n] = first, sizes
         tallies[n] = _weighted(id_batches, mult)
         size = sum(tallies[n].values())
         ranked[n] = _joined(id_batches, row, size)
         if not deepest:
             counts = _weighted(state_batches, mult)
             mult = [counts[s] for s in range(len(next_nodes))]
-            nodes, row = next_nodes, _joined(state_batches, row, size)
-    return ScanRecord(kind, list(ids), ranked, tallies)
+            nodes, first = next_nodes, next_first
+            row = _joined(state_batches, row, size)
+    record = ScanRecord(kind, list(ids), ranked, tallies)
+    record.edges.update(edges)
+    return record
 
 
 _scan_cache: dict[str, tuple[int, ScanRecord]] = {}
@@ -305,35 +325,31 @@ def _check_edge_level(n: int) -> None:
         raise ValueError(f"the edges into level {n} need n >= 2")
 
 
-def _batch_witness(stat: Statistic, record: ScanRecord, n: int, want_of,
-                   edge_fields=lambda rank, digit: {}) -> Optional[dict]:
+def _batch_witness(stat: Statistic, record: ScanRecord, n: int, want_of, *,
+                   sized: bool) -> Optional[dict]:
     """First level-(n-1) parent, in rank order, whose children do not
     read what the law asks, as a witness; None when every batch holds.
 
-    ``want_of(rank, parent id, z)`` is the law at the parent whose value
-    is z: its children's values in digit order, or a dict saying why
-    the parent itself breaks the law.  ``edge_fields(rank, digit)`` adds
-    the law's own fields to a wrong edge's witness.  Many parents share
-    their children's ids and the law's values, so each such pair that
-    holds is compared once.
+    ``want_of(parent id, z, child sizes)`` is the law at the parent
+    whose value is z: a list of its children's values in digit order,
+    or a dict saying why the parent itself breaks the law.  A wrong edge's
+    witness names the child's size when ``sized``.  Each parent state
+    is checked once, at its first rank.
     """
     parent_value = record.level_values(stat, n - 1)
     value = record.level_values(stat, n).__getitem__
-    held = set()
-    for rank, i, kids in record.batches(n):
+    for rank, i, kids, sizes in record.batches(n):
         z = parent_value[i]
-        want = want_of(rank, i, z)
-        if isinstance(want, tuple):
-            key = want, kids.tobytes()
-            if key in held:
-                continue
-            got = tuple(map(value, kids))
+        want = want_of(i, z, sizes)
+        if isinstance(want, list):
+            got = list(map(value, kids))
             if got == want:
-                held.add(key)
                 continue
             digit = next(d for d, v in enumerate(got) if v != want[d])
             want = {"digit": digit, "increment": got[digit] - z,
-                    "want": want[digit] - z, **edge_fields(rank, digit)}
+                    "want": want[digit] - z}
+            if sized:
+                want["size"] = sizes[digit]
         return {"n": n, "stat": stat.name, **want,
                 "parent": tree.unrank(rank, n - 1, record.kind).to_json()}
     return None
@@ -345,22 +361,19 @@ def second_kind_witness(stat: Statistic, kind: str, n: int,
     level n, in rank order, or None when all three clauses hold: the
     alpha jump on the distinguished children, the beta jump elsewhere,
     and the subset size Z + q.  ``law`` defaults to the built-in one.
-    Each distinct parent's core digits are found once.
     """
     _check_edge_level(n)
     record = scan_record(kind, n)
     law = second_kind_input(stat, kind) if law is None else law
-    width = tree._radix(n - 1, kind)
     points = tree._scale(kind) * (n - 1)
 
-    @cache
-    def want_of(i: int, z: int):
+    def want_of(i: int, z: int, sizes):
         core = _core_digits(stat, kind, record.partitions[i], points)
         if len(core) != z + law.q:
             return {"core_size": len(core), "want": z + law.q}
-        return tuple(z + (law.alpha if d in core else law.beta)
-                     for d in range(width))
-    return _batch_witness(stat, record, n, lambda rank, i, z: want_of(i, z))
+        return [z + (law.alpha if d in core else law.beta)
+                for d in range(len(sizes))]
+    return _batch_witness(stat, record, n, want_of, sized=False)
 
 
 def first_kind_witness(stat: Statistic, n: int,
@@ -369,23 +382,14 @@ def first_kind_witness(stat: Statistic, n: int,
     level n, in rank order, or None when every edge whose child has a
     maximal-label block of size j changes the statistic by r_j (0 past
     the vector).  ``r`` defaults to the built-in vector.  The child's
-    block size comes from its digit word
-    (:func:`tree.max_label_block_sizes`), not from its labels.
+    block size is the one the scan measured on the labelled child.
     """
     _check_edge_level(n)
     record = scan_record(FULL, n)
     r = first_kind_input(stat) if r is None else r
     step = (0, *r) + (0,) * (n - len(r))  # step[j] is r_j
-    width = tree._radix(n - 1, FULL)
-    sizes = tree.max_label_block_sizes(n).tobytes()
-
-    @cache
-    def want_at(z: int, batch_sizes: bytes) -> tuple:
-        return tuple(z + step[j] for j in batch_sizes)
-    return _batch_witness(
-        stat, record, n,
-        lambda rank, i, z: want_at(z, sizes[rank * width:(rank + 1) * width]),
-        lambda rank, digit: {"size": sizes[rank * width + digit]})
+    return _batch_witness(stat, record, n, lambda i, z, sizes: [
+        z + step[j] for j in sizes], sized=True)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ a fixed amount r_j on any edge whose child has a maximal-label block of
 size j.  A statistic of the second kind changes by alpha on a
 distinguished subset of insertion children, by beta on every other
 child, where the distinguished subset has size Z(parent) + q.  The
-witnesses that check both laws on every edge of a level read the scan's
-rank-ordered record, in :mod:`laplace`.
+witnesses that check both laws on every edge of a level, in
+:mod:`laplace`, read the sibling batches the scan kept, once per parent
+state, with each child's labelled maximal-label block size.
 """
 
 from __future__ import annotations

@@ -387,32 +387,28 @@ def unrank(k: int, n: int, kind: str = FULL) -> OrderedNcPartition:
     return decode(TreeCode(kind, tuple(_digits_from_rank(k, n, kind))))
 
 
-def _walk(path: list, n: int, kind: str) -> Iterator[int]:
-    """Rank-order odometer over the depth-n nodes.
+def _walk(n: int, kind: str) -> Iterator[tuple]:
+    """Rank-order odometer yielding the raw blocks of each depth-n node.
 
-    Keeps the caller-owned ``path`` filled with the raw blocks of the
-    current node's ancestors (``path[i]`` sits at depth i+1, ``path[-1]``
-    is the node itself) and yields ``fresh``: the first path index whose
-    node has the current node as its leftmost descendant.  Stops once
-    every digit is at its maximum.  Every path node is taken from its
-    parent's sibling batch: ``rest[i]`` iterates over the siblings of
-    ``path[i]`` still to come, and is rebuilt only when ``path[i-1]``
-    changes.
+    ``path`` holds the current node's ancestors (``path[i]`` sits at
+    depth i+1, ``path[-1]`` is the node itself).  Stops once every digit
+    is at its maximum.  Every path node is taken from its parent's
+    sibling batch: ``rest[i]`` iterates over the siblings of ``path[i]``
+    still to come, and is rebuilt only when ``path[i-1]`` changes.
     """
     scale = _scale(kind)
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
     leaf = n - 1
-    path[:] = [_root(scale)] * n
+    path = [_root(scale)] * n
     rest = [iter(())] * n  # rest[0] stays empty: the root has no siblings
     i = 0
     while True:
-        fresh = i
         while i < leaf:
             i += 1
             siblings = rest[i] = iter(_kids(path[i - 1], scale * i, scale))
             path[i] = next(siblings)
-        yield fresh
+        yield path[-1]
         while (node := next(rest[i], None)) is None:
             if not i:
                 return
@@ -431,9 +427,8 @@ def iter_level(n: int, kind: str = FULL) -> Iterator[OrderedNcPartition]:
     below its new point.
     """
     ground = _scale(kind) * n
-    path: list = []
-    for _ in _walk(path, n, kind):
-        yield OrderedNcPartition(ground, path[-1])
+    for blocks in _walk(n, kind):
+        yield OrderedNcPartition(ground, blocks)
 
 
 def stream_level(n: int, kind: str = FULL) -> Iterator[OrderedNcPartition]:
@@ -445,6 +440,5 @@ def stream_level(n: int, kind: str = FULL) -> Iterator[OrderedNcPartition]:
     nodes produced is independent evidence for :func:`level_count`.
     """
     ground = _scale(kind) * n
-    path: list = []
-    for _ in _walk(path, n, kind):
-        yield OrderedNcPartition(ground, path[-1])
+    for blocks in _walk(n, kind):
+        yield OrderedNcPartition(ground, blocks)

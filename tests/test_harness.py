@@ -293,6 +293,52 @@ def test_first_kind_edges_pass_and_catch_a_wrong_vector(monkeypatch):
                               "size": 2, "increment": 0, "want": 1}
 
 
+_EDGE_CHECKS = ("first-kind-edges", "outer-full-subsets",
+                "interval-pair-subsets", "outer-pair-subsets",
+                "area-child-split")
+
+
+def _no_rebuild(monkeypatch):
+    def rebuilt(*args):
+        raise AssertionError("an edge law built a child or read digit sizes")
+    monkeypatch.setattr(tree, "_kids", rebuilt)
+    monkeypatch.setattr(tree, "max_label_block_sizes", rebuilt)
+
+
+def test_the_edge_laws_read_the_warm_record_alone(monkeypatch):
+    # the increment, insertion and area-split laws take every batch, and
+    # every child size, from the record the scan left
+    laplace.scan_record(FULL, 8)
+    laplace.scan_record(PAIR, 7)
+    _no_rebuild(monkeypatch)
+    for check_id in _EDGE_CHECKS:
+        assert _report(check_id).status == "pass", check_id
+
+
+def test_first_kind_edges_read_the_stored_child_sizes(monkeypatch):
+    # a copy of the full-tree record in which one elongation child of a
+    # level-5 batch, past the first batches, is stored one point short:
+    # a two-point block read as a singleton breaks Y's increment there
+    warm = laplace.scan_record(FULL, 8)
+    short = laplace.ScanRecord(FULL, warm.partitions, warm.ranked,
+                               warm._tallies)
+    short.edges.update(warm.edges)
+    first, sizes = warm.edges[5]
+    sizes = array("B", sizes)
+    width = tree._radix(4, FULL)
+    k = sizes.index(2, 10 * width)
+    sizes[k] = 1
+    short.edges[5] = first, sizes
+    monkeypatch.setattr(laplace, "_scan_cache", {FULL: (8, short)})
+    _no_rebuild(monkeypatch)
+    report = _report("first-kind-edges")
+    assert report.status == "fail"
+    parent = tree.unrank(first[k // width], 4, FULL)
+    assert report.witness == {"n": 5, "stat": "Y", "digit": k % width,
+                              "parent": parent.to_json(), "size": 1,
+                              "increment": 0, "want": 1}
+
+
 def test_a_misplaced_elongation_column_fails_both_lemmas(monkeypatch):
     # sizes built as if the elongation were digit 0: the labelled tie at
     # rank 0 of level 2 sees a singleton where the digits claim two points

@@ -259,19 +259,34 @@ def test_the_record_lists_every_level_in_rank_order():
 
 
 def test_batches_are_each_parents_children_in_digit_order():
-    for kind, depth in _RECORD_DEPTHS:
+    # one batch per parent state, in increasing first rank: each is the
+    # labelled children of the node at its rank, and every distinct
+    # (parent, children) pair that the rank layout slices out of the
+    # rows is yielded at its lowest rank
+    for kind, top in ((FULL, 8), (PAIR, 7)):
         children = tree.children if kind == FULL else tree.pair_children
-        record = scan_chunk(kind, depth)
-        blocks = record.partitions.__getitem__
-        for n in range(2, depth + 1):
-            ranks = []
-            for rank, parent, kids in record.batches(n):
-                op = tree.unrank(rank, n - 1, kind)
-                assert blocks(parent) == op.partition().blocks, (kind, n)
-                assert list(map(blocks, kids)) == [
-                    kid.partition().blocks for kid in children(op)], (kind, n)
-                ranks.append(rank)
-            assert ranks == list(range(level_count(n - 1, kind))), (kind, n)
+        for depth in range(2, top + 1):
+            record = scan_chunk(kind, depth)
+            blocks = record.partitions.__getitem__
+            for n in range(2, depth + 1):
+                yielded = {}
+                for rank, parent, kids, sizes in record.batches(n):
+                    op = tree.unrank(rank, n - 1, kind)
+                    want = children(op)
+                    assert blocks(parent) == op.partition().blocks
+                    assert list(map(blocks, kids)) == [
+                        kid.partition().blocks for kid in want], (kind, n)
+                    assert list(sizes) == [
+                        len(kid.max_label_block()) for kid in want], (kind, n)
+                    assert rank > max(yielded, default=-1), (kind, n)
+                    yielded[rank] = parent, kids.tobytes()
+                width = tree._radix(n - 1, kind)
+                lowest = {}
+                for rank, parent in enumerate(record.ranked[n - 1]):
+                    kids = record.ranked[n][rank * width:(rank + 1) * width]
+                    lowest.setdefault((parent, kids.tobytes()), rank)
+                for pair, rank in lowest.items():
+                    assert yielded.get(rank) == pair, (kind, depth, n)
 
 
 def test_a_scan_with_more_partitions_than_ids_raises(monkeypatch):

@@ -122,28 +122,13 @@ def test_pair_children_relabel_blocks_of_any_size():
         assert {kid.n for kid in kids} == {node.n + 2}
 
 
-def _walk_reference(n, kind):
-    # (fresh, path) of every rank from unrank and the digit words: path i
-    # holds the node of the first i digits, and fresh is the index just
-    # past the last non-zero digit
-    rows = []
-    for k in range(level_count(n, kind)):
-        digits = encode(unrank(k, n, kind), kind).digits
-        fresh = len(digits)
-        while fresh and digits[fresh - 1] == 0:
-            fresh -= 1
-        path = tuple(decode(TreeCode(kind, digits[:i])).blocks_by_label
-                     for i in range(n))
-        rows.append((fresh, path))
-    return rows
-
-
 def test_walk_matches_unrank_from_every_start():
+    # the walk yields the raw blocks of every node, in rank order
     for kind, depths in ((FULL, (1, 2, 5)), (PAIR, (1, 2, 4))):
         for n in depths:
-            path: list = []
-            got = [(fresh, tuple(path)) for fresh in tree._walk(path, n, kind)]
-            assert got == _walk_reference(n, kind), (kind, n)
+            assert list(tree._walk(n, kind)) == [
+                unrank(k, n, kind).blocks_by_label
+                for k in range(level_count(n, kind))], (kind, n)
 
 
 def test_the_walk_builds_every_node_from_one_batch_per_parent(monkeypatch):
