@@ -35,7 +35,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import compress
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import closed_forms as cf
@@ -283,96 +282,68 @@ def _k_stat_cross(n: int) -> Optional[dict]:
     return witness
 
 
-def _chain_divisor(m: int, ell: int) -> int:
-    # the (ell-1)-fold ancestor of the rank-r level-m node has rank
-    # r // this: the product of the child counts of the levels between
-    return math.prod(tree._radix(d, FULL) for d in range(m - ell + 1, m))
-
-
-def _labelled_tie(m: int, sizes, ells: Sequence[int] = ()) -> Optional[dict]:
-    # a stride of ranks, as in the count checks, ties the digit-derived
-    # block sizes, and the rank quotients of the iterated parents for
-    # each (ascending) ell, to the labelled nodes
-    for k in range(0, len(sizes), 1009):
-        op = tree.unrank(k, m, FULL)
-        block = op.max_label_block()
-        if len(block) != sizes[k]:
-            return {"n": m, "node": op.to_json(), "max_block": list(block),
-                    "digit_size": sizes[k]}
-        cur = op
-        for ell in ells:
-            cur = tree.parent(cur)
-            got, quotient = tree.rank_of(cur), k // _chain_divisor(m, ell)
-            if got != quotient:
-                return {"n": m, "ell": ell, "node": op.to_json(),
-                        "ancestor_rank": got, "quotient": quotient}
-    return None
-
-
-def _of_size(sizes, j: int) -> bytes:
-    # a selector over the ranks: 1 where the maximal-label block has j points
-    hit = bytearray(256)
-    hit[j] = 1
-    return sizes.tobytes().translate(hit)
-
-
-def _ranks_of_size(sizes, j: int) -> list[int]:
-    return list(compress(range(len(sizes)), _of_size(sizes, j)))
+def _sized(states, j: int) -> set:
+    # the next level's states reached by a child of labelled size j
+    return {k for k, size in zip(states.kids, states.sizes) if size == j}
 
 
 def _k_parent_chain(m: int) -> Optional[dict]:
-    # the level-m nodes whose digit-derived block size is ell, their
-    # (ell-1)-fold ancestors found by rank quotient, and each distinct
-    # (node, ancestor) pair of partitions compared once
-    ells = [ell for ell in (2, 3, 4) if ell <= m]
-    sizes = tree.max_label_block_sizes(m)
-    witness = _labelled_tie(m, sizes, ells)
-    if witness is not None:
-        return witness
+    # from each singleton state of level m-ell+1, the elongation child
+    # (the last digit) taken ell-1 times must reach each size-ell state
+    # of level m exactly once, with the source's node count and the
+    # padded value shift; states are checked in increasing first rank
     record = laplace.scan_record(FULL, m)
-    ids = record.ranked[m]
+    levels, top = record.levels, record.levels[m]
     values = [record.level_values(s, m) for s in SIZE_STATS]
-    for ell in ells:
+
+    def node(k: int) -> dict:  # a witness names the state's first node
+        return tree.unrank(top.first[k], m, FULL).to_json()
+    for ell in range(2, min(m, 4) + 1):
         low = m - ell + 1
-        low_sizes, low_ids = tree.max_label_block_sizes(low), record.ranked[low]
+        base = levels[low]
         low_values = [record.level_values(s, low) for s in SIZE_STATS]
-        divisor = _chain_divisor(m, ell)
         # r_2 + ... + r_ell, with r_j = 0 past the increment vector
         shifts = [sum(stats.first_kind_input(s)[1:ell]) for s in SIZE_STATS]
-        bucket = _ranks_of_size(sizes, ell)
-        images = [r // divisor for r in bucket]
-        deltas: dict[tuple, list] = {}
-        for r, k in zip(bucket, images):
-            if low_sizes[k] != 1:
-                image = tree.unrank(k, low, FULL)
-                return {"n": m, "ell": ell,
-                        "node": tree.unrank(r, m, FULL).to_json(),
-                        "image_max_block": list(image.max_label_block())}
-            pair = ids[r], low_ids[k]
-            if pair not in deltas:
-                a, b = pair
-                deltas[pair] = [hi[a] - lo[b]
-                                for hi, lo in zip(values, low_values)]
-            delta = deltas[pair]
+        # the root, a single point, is the one singleton state of level 1
+        sources = _sized(levels[low - 1], 1) if low > 1 else {0}
+        chained: dict[int, list] = {}
+        for s in sources:
+            k = s
+            for d in range(low, m):
+                width = tree._radix(d, FULL)
+                k = levels[d].kids[(k + 1) * width - 1]
+            chained.setdefault(k, []).append(s)
+        targets = _sized(levels[m - 1], ell)
+        for k in sorted(targets | chained.keys()):
+            hits, want = chained.get(k, []), int(k in targets)
+            if len(hits) != want:
+                return {"n": m, "ell": ell, "node": node(k),
+                        "chains": len(hits), "want": want}
+            s, = hits
+            if top.mult[k] != base.mult[s]:
+                return {"n": m, "ell": ell, "node": node(k),
+                        "count": top.mult[k], "source_count": base.mult[s]}
+            delta = [hi[top.part[k]] - lo[base.part[s]]
+                     for hi, lo in zip(values, low_values)]
             if delta != shifts:
                 i = next(i for i, d in enumerate(delta) if d != shifts[i])
                 return {"n": m, "ell": ell, "stat": SIZE_STATS[i].name,
-                        "node": tree.unrank(r, m, FULL).to_json(),
-                        "delta": delta[i], "want": shifts[i]}
-        distinct, target = set(images), set(_ranks_of_size(low_sizes, 1))
-        if len(distinct) != len(bucket) or distinct != target:
-            return {"n": m, "ell": ell, "bucket": len(bucket),
-                    "distinct_images": len(distinct), "target": len(target)}
+                        "node": node(k), "delta": delta[i], "want": shifts[i]}
     return None
 
 
 def _k_singleton_slice(m: int) -> Optional[dict]:
-    # the transform over the level-m nodes whose digit-derived block size
-    # is 1, read off the record with their id tally
-    sizes = tree.max_label_block_sizes(m)
-    witness = _labelled_tie(m, sizes)
+    # the transform over the level-m nodes whose maximal-label block is
+    # a singleton: each child of labelled size 1 of a level-(m-1) state,
+    # once for each node of the state
     record = laplace.scan_record(FULL, m)
-    singletons = Counter(compress(record.ranked[m], _of_size(sizes, 1)))
+    singletons: Counter = Counter()
+    for (_, _, kids, sizes), count in zip(record.batches(m),
+                                          record.levels[m - 1].mult):
+        for i, size in zip(kids, sizes):
+            if size == 1:
+                singletons[i] += count
+    witness = None
     for s in SIZE_STATS:
         r1 = stats.first_kind_input(s)[0]
         witness = witness or _disagree(m, {

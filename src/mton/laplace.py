@@ -29,24 +29,24 @@ alone applies the size guard, reads the cache and calls
 :func:`scan_chunk`; the fresh mapping it returns holds the cache's
 Counters, which are read-only.
 
-The scan keeps a rank-ordered record (:class:`ScanRecord`): for each
-level, the partition id of every node in rank order, and each level's
-histogram is its tally of those ids.  ``level_values`` evaluates a
-statistic once on each distinct partition of a level; ``transform``
-alone weights such values, by the level's id tally or a given one.
-The record also keeps the sibling batches the scan built, and
-``batches`` yields them once per parent state, at the state's first
-rank, with each child's labelled maximal-label block size.  Every
-edge-law check reads its edges from ``batches``: both law shapes,
-through one per-batch comparison (:func:`second_kind_witness`,
-:func:`first_kind_witness`), and the harness's area split.  A law's
-verdict on a parent depends on its state alone, so the first failing
-state is the first failing rank.  Only the harness's two tree lemmas
-read block sizes off the digit words.
-An id takes 2 bytes per node: about 4 MB for the full tree to depth 9,
-about 44 MB to depth 10.  Past depth 10 the levels hold more distinct
-partitions than 2-byte ids can name, and :func:`scan_chunk` refuses the
-scan before it builds a child, whatever the size guard allows.
+The scan keeps the tree's state graph (:class:`ScanRecord`): for each
+level, each state's partition id, first rank and node count, and its
+batch of children: their ids, their states and their labelled
+maximal-label block sizes, in digit order.  Each level's histogram is
+its states' node counts, tallied by partition id.  ``level_values``
+evaluates a statistic once on each distinct partition of a level;
+``transform`` alone weights such values, by the level's id tally or a
+given one.  ``batches`` yields the batches once per parent state, at
+the state's first rank.  Every edge-law check reads its edges from
+``batches``: both law shapes, through one per-batch comparison
+(:func:`second_kind_witness`, :func:`first_kind_witness`), and the
+harness's area split and singleton slice; the harness's parent chain
+follows the child-state batches.  A law's verdict on a parent
+depends on its state alone, so the first failing state is the first
+failing rank.  A partition id takes 2 bytes.  Past depth 10 the levels
+hold more distinct partitions than 2-byte ids can name, and
+:func:`scan_chunk` refuses the scan before it builds a child, whatever
+the size guard allows.
 """
 
 from __future__ import annotations
@@ -98,26 +98,40 @@ class _Ids(dict):
         return i
 
 
+class _States:
+    """The states of one scanned level, numbered in order of first
+    appearance.  For state s: ``part[s]`` is its partition id, ``first[s]``
+    the rank of its first node and ``mult[s]`` its node count.  Its A
+    children sit at ``s*A .. s*A + A - 1`` of ``ids`` (their partition
+    ids), ``kids`` (their states on the next level) and ``sizes`` (their
+    labelled maximal-label block sizes), in digit order; the three stay
+    empty on the scan's deepest level."""
+
+    __slots__ = ("part", "first", "mult", "ids", "kids", "sizes")
+
+    def __init__(self):
+        self.part, self.first, self.mult = array("H"), array("L"), array("Q")
+        self.ids, self.kids, self.sizes = array("H"), array("I"), array("B")
+
+
 class ScanRecord(dict):
     """The scan of one tree: ``{level: Counter}`` of canonical partitions,
-    as :func:`level_histograms` returns it, and the rank-ordered record
-    behind it.  ``ranked[level]`` holds the partition id of every node
-    at that level in rank order, and ``partitions[id]`` is that
-    partition's canonical sorted block tuple.  ``tallies[level]``
-    counts each id of that level's row, as the scan sums it from its
-    states.  ``edges[level]`` keeps, for the scan's batches into that
-    level, the first rank of each parent state and the sizes of the
-    children's maximal-label blocks, read through :meth:`batches`."""
+    as :func:`level_histograms` returns it, and the state graph behind
+    it.  ``levels[level]`` holds that level's :class:`_States`, and
+    ``partitions[id]`` is a partition's canonical sorted block tuple.
+    Each level's id tally, and so its Counter, is summed from its
+    states' node counts."""
 
-    def __init__(self, kind: str, partitions: list, ranked: dict,
-                 tallies: dict):
+    def __init__(self, kind: str, partitions: list, levels: dict):
         super().__init__()
         self.kind = kind
         self.partitions = partitions
-        self.ranked = ranked
-        self._tallies = tallies
-        self.edges: dict = {}
-        for level, tally in self._tallies.items():
+        self.levels = levels
+        self._tallies: dict = {}
+        for level, states in levels.items():
+            tally = self._tallies[level] = Counter()
+            for i, mult in zip(states.part, states.mult):
+                tally[i] += mult
             self[level] = Counter({partitions[i]: mult
                                    for i, mult in tally.items()})
 
@@ -144,48 +158,16 @@ class ScanRecord(dict):
         state of level n-1, in increasing first rank: the state's first
         rank r and partition id, and the ids and labelled maximal-label
         block sizes of the A children (n+1 on the full tree, 2n-1 on the
-        pair tree) that every node of the state has, in digit order.  The
-        rank-r node's children sit at ranks r*A .. r*A + A - 1."""
-        first, sizes = self.edges[n]
+        pair tree) that every node of the state has, in digit order."""
+        up = self.levels[n - 1]
         width = tree._radix(n - 1, self.kind)
-        parents, kids = self.ranked[n - 1], self.ranked[n]
-        for s, rank in enumerate(first):
-            yield (rank, parents[rank], kids[rank * width:(rank + 1) * width],
-                   sizes[s * width:(s + 1) * width])
-
-
-# parents whose batches one join concatenates
-_JOIN = 1 << 10
-
-
-def _joined(batches: list, row: array, size: int) -> array:
-    """The batches of the states in ``row``, in its order, as one row of
-    ``size`` ids.  The row is allocated once, at its size, and filled a
-    few thousand batches at a time, so no deep row is stored twice."""
-    out = array("H", [0]) * size
-    cells = memoryview(out).cast("B")
-    end = 0
-    for start in range(0, len(row), _JOIN):
-        chunk = b"".join(map(batches.__getitem__, row[start:start + _JOIN]))
-        cells[end:end + len(chunk)] = chunk
-        end += len(chunk)
-    cells.release()
-    return out
-
-
-def _weighted(batches: list, mult: list) -> Counter:
-    """How often each id occurs in the row that joins these batches: a
-    state's batch once for each of its ``mult`` nodes."""
-    tally: Counter = Counter()
-    for batch, m in zip(batches, mult):
-        for i in batch:
-            tally[i] += m
-    return tally
+        for s, (rank, i) in enumerate(zip(up.first, up.part)):
+            cut = slice(s * width, (s + 1) * width)
+            yield rank, i, up.ids[cut], up.sizes[cut]
 
 
 def scan_chunk(kind: str, depth: int) -> ScanRecord:
-    """Record the unlabelled partition of every node down to depth,
-    level by level in rank order.
+    """Record the state graph of the tree down to depth, level by level.
 
     The tree folds onto a graph of states: a node's children, as
     partitions, depend only on its state, the pair of its partition id
@@ -194,20 +176,16 @@ def scan_chunk(kind: str, depth: int) -> ScanRecord:
     elongation child also on which block carries the maximal label; the
     child's own maximal-label block is its new block or the elongated
     one.  So each level keeps one node per state, builds that node's
-    children once, and writes the states' batches of child ids (and, but
-    on the deepest level, of child states) in the order of the level's
-    state row: the rank-r node's batch becomes ranks r*A .. r*A + A - 1
-    of the next row.  For :meth:`ScanRecord.batches`, the scan keeps
-    each state's first rank and its children's maximal-label block
-    sizes: states are numbered in order of first appearance, so a new
-    state's first rank is its parent's times A plus its digit.  Each
-    level's id tally, and the node count of each state, is summed from
-    the parent states' counts and their batches, never read from
-    :func:`tree.level_count`.  A scan whose levels hold
-    more distinct partitions (Catalan(k) at level k, on both trees) than
-    the record has ids is refused before any child is built.  States
-    are numbered on levels 1..depth-1 alone, at most Catalan(k) * k on
-    level k <= 9, so they fit the same 2-byte cells.
+    children once, and stores their ids, states and labelled
+    maximal-label block sizes as the state's batch.  States are
+    numbered in order of first appearance, so a new state's first rank
+    is its parent's first rank times A plus its digit.  Each state's
+    node count is summed from the counts of the parent states whose
+    batches reach it, never read from :func:`tree.level_count`.  A scan
+    whose levels hold more distinct partitions (Catalan(k) at level k,
+    on both trees) than the record has ids is refused before any child
+    is built.  States outnumber partitions (66,197 at full level 10), so
+    the child-state cells are 4 bytes wide.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -218,50 +196,44 @@ def scan_chunk(kind: str, depth: int) -> ScanRecord:
             f"than the {_Ids.capacity} ids of a scan record")
     scale = tree._scale(kind)
     ids = _Ids()
-    root = tree._root(scale)
-    ranked = {1: array("H", [ids[root]])}
-    tallies = {1: Counter(ranked[1])}
-    edges: dict = {}
-    # one node of each state of the level, and its first rank; the state
-    # of every node in rank order; the number of nodes in each state
-    nodes, first, row, mult = [root], array("L", [0]), array("H", [0]), [1]
+    # one node of each state of the level
+    nodes = [tree._root(scale)]
+    up = _States()
+    up.part.append(ids[nodes[0]])
+    up.first.append(0)
+    up.mult.append(1)
+    levels = {1: up}
     for n in range(2, depth + 1):
         ground = scale * (n - 1)
         deepest = n == depth
-        id_batches, state_batches, sizes = [], [], array("B")
+        down = levels[n] = _States()
+        # each state by its partition id and the first point of its
+        # maximal-label block, which tells that block from the others
         state_of: dict = {}
         next_nodes: list = []
-        next_first = array("L")
-        for node, rank in zip(nodes, first):
+        mult: list = []
+        for node, rank, m in zip(nodes, up.first, up.mult):
             kids = tree._kids(node, ground, scale)
-            batch = array("H", [ids[tuple(sorted(kid))] for kid in kids])
-            id_batches.append(batch)
-            sizes.fromlist([len(kid[-1]) for kid in kids])
-            if deepest:
-                continue
-            states = array("H")
-            for i, kid in zip(batch, kids):
-                key = i, kid[-1]
+            batch = [ids[tuple(sorted(kid))] for kid in kids]
+            up.ids.extend(batch)
+            up.sizes.extend([len(kid[-1]) for kid in kids])
+            base = rank * len(kids)
+            for d, (i, kid) in enumerate(zip(batch, kids)):
+                key = i, kid[-1][0]
                 s = state_of.get(key)
                 if s is None:
-                    s = state_of[key] = len(next_nodes)
-                    next_nodes.append(kid)
-                    # the kid's digit is the length of the row so far
-                    next_first.append(rank * len(kids) + len(states))
-                states.append(s)
-            state_batches.append(states)
-        edges[n] = first, sizes
-        tallies[n] = _weighted(id_batches, mult)
-        size = sum(tallies[n].values())
-        ranked[n] = _joined(id_batches, row, size)
-        if not deepest:
-            counts = _weighted(state_batches, mult)
-            mult = [counts[s] for s in range(len(next_nodes))]
-            nodes, first = next_nodes, next_first
-            row = _joined(state_batches, row, size)
-    record = ScanRecord(kind, list(ids), ranked, tallies)
-    record.edges.update(edges)
-    return record
+                    s = state_of[key] = len(mult)
+                    down.part.append(i)
+                    down.first.append(base + d)
+                    mult.append(m)
+                    if not deepest:
+                        next_nodes.append(kid)
+                else:
+                    mult[s] += m
+                up.kids.append(s)
+        down.mult.extend(mult)
+        nodes, up = next_nodes, down
+    return ScanRecord(kind, list(ids), levels)
 
 
 _scan_cache: dict[str, tuple[int, ScanRecord]] = {}
@@ -318,7 +290,7 @@ def bruteforce_transform(stat: Statistic, n: int, kind: str = FULL,
 
 
 # ---------------------------------------------------------------------------
-# edge laws, read off the rank-ordered record
+# edge laws, read off the state graph
 
 def _check_edge_level(n: int) -> None:
     if n < 2:

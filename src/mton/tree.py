@@ -12,9 +12,7 @@ ordered pair-partitions of {1..2n}.
 Deleting the last point (or pair) of the maximal-label block recovers
 the parent, so every node has a unique digit word recording the child
 index chosen at each depth.  The digit words give ranking, unranking and
-O(depth)-memory enumeration in rank order, and the size of a full-tree
-node's maximal-label block without its labels: 1 after an insertion
-digit, the parent's size + 1 after the elongation digit.
+O(depth)-memory enumeration in rank order.
 
 All children of one node are built in one batch by a stepping row.  At
 the last gap the row is the node itself.  Each step moves the new point
@@ -31,7 +29,6 @@ its parent's batch.
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
@@ -318,26 +315,6 @@ def level_count(n: int, kind: str = FULL) -> int:
     if kind == FULL:
         return math.factorial(n + 1) // 2
     return math.prod(range(1, 2 * n, 2))
-
-
-def max_label_block_sizes(n: int) -> array:
-    """The size of the maximal-label block of every depth-n full-tree
-    node, in rank order, read off the digit words alone.
-
-    An insertion digit makes the new singleton the maximal-label block,
-    and the elongation digit (the last one, m at depth m) adds one point
-    to the parent's.  The rank-r node at depth m has digit r mod (m+1)
-    and its parent has rank r // (m+1), so every column holds 1 except
-    the elongation column, which holds the parent's size + 1.
-    """
-    if n < 1:
-        raise ValueError(f"depth must be >= 1, got {n}")
-    sizes = array("B", [1])
-    for m in range(2, n + 1):
-        longer = array("B", [s + 1 for s in sizes])
-        sizes = array("B", [1]) * (len(sizes) * (m + 1))
-        sizes[m::m + 1] = longer
-    return sizes
 
 
 def decode(code: TreeCode) -> OrderedNcPartition:

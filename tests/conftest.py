@@ -9,6 +9,8 @@ from collections import defaultdict
 
 import pytest
 
+from mton import tree
+
 _results: dict[int, dict] = {}
 
 
@@ -48,3 +50,21 @@ def pytest_terminal_summary(terminalreporter):
         else:
             verdict = "FAIL"
         tw.write_line(f"criterion {num:2d}: {verdict} - {entry['description']}")
+
+
+def _walk_rank(record, rank: int, n: int) -> tuple[int, int]:
+    # the level-n state of the rank-r node, reached from the root by its
+    # digit word down the record's child-state batches, and the index of
+    # the last batch entry taken (-1 at the root)
+    state, entry = 0, -1
+    digits = tree._digits_from_rank(rank, n, record.kind)
+    for depth, digit in enumerate(digits, start=1):
+        entry = state * tree._radix(depth, record.kind) + digit
+        state = record.levels[depth].kids[entry]
+    return state, entry
+
+
+@pytest.fixture
+def walk_rank():
+    """Walks a rank's digit word down a scan record's state graph."""
+    return _walk_rank

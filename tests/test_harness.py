@@ -1,5 +1,6 @@
 """Check runner: pass/fail reports, witnesses, minimization."""
 
+import copy
 import json
 from array import array
 
@@ -250,20 +251,73 @@ def test_parent_chain_catches_a_wrong_second_increment(monkeypatch):
                               "delta": 0, "want": 1}
 
 
-def test_singleton_slice_catches_a_moved_record_id(monkeypatch):
-    # a copy of the full-tree record in which one level-5 node of the
-    # singleton slice carries the one-block partition instead of its own
+def _altered(monkeypatch, level, field, index, value):
+    # a copy of the warm full-tree record in which one cell of one
+    # level's state arrays holds another value, served from the cache
     warm = laplace.scan_record(FULL, 8)
-    ranked = {level: array("H", warm.ranked[level]) for level in range(1, 9)}
-    moved = laplace.ScanRecord(FULL, list(warm.partitions), ranked,
-                               warm._tallies)
-    k = tree.max_label_block_sizes(5).index(1, 100)  # past the first batches
-    ranked[5][k] = moved.partitions.index(((1, 2, 3, 4, 5),))
-    monkeypatch.setattr(laplace, "_scan_cache", {FULL: (8, moved)})
+    levels = dict(warm.levels)
+    states = levels[level] = copy.copy(warm.levels[level])
+    cells = getattr(states, field)
+    cells = array(cells.typecode, cells)
+    cells[index] = value
+    setattr(states, field, cells)
+    record = laplace.ScanRecord(FULL, warm.partitions, levels)
+    monkeypatch.setattr(laplace, "_scan_cache", {FULL: (8, record)})
+    return record
+
+
+def _singleton_state(record, level, past):
+    # the first state of the level past the given one whose maximal-label
+    # block is a singleton, as the batches into the level read it
+    up = record.levels[level - 1]
+    return min(k for k, size in zip(up.kids, up.sizes)
+               if size == 1 and k > past)
+
+
+def test_singleton_slice_catches_a_moved_record_id(monkeypatch):
+    # one singleton child in a level-4 state's batch, past the first
+    # batches, carries the one-block partition instead of its own
+    warm = laplace.scan_record(FULL, 8)
+    k = warm.levels[4].sizes.index(1, 100)
+    _altered(monkeypatch, 4, "ids", k, warm.partitions.index(((1, 2, 3, 4, 5),)))
     report = _report("singleton-slice")
     assert report.status == "fail"
     assert report.witness["n"] == 5
     assert report.witness["stat"] == "Y"
+
+
+def test_parent_chain_catches_a_misdirected_elongation_child(monkeypatch):
+    # a singleton state of level 5 whose elongation entry points at the
+    # next singleton state's elongation child: that child is reached by
+    # two chains, and no batch reaches the lost image any more
+    warm = laplace.scan_record(FULL, 8)
+    width = tree._radix(5, FULL)
+    s = _singleton_state(warm, 5, 10)
+    other = _singleton_state(warm, 5, s)
+    twice = warm.levels[5].kids[(other + 1) * width - 1]
+    record = _altered(monkeypatch, 5, "kids", (s + 1) * width - 1, twice)
+    report = _report("parent-chain-bijection")
+    assert report.status == "fail"
+    node = tree.unrank(record.levels[6].first[twice], 6, FULL)
+    assert report.witness == {"n": 6, "ell": 2, "node": node.to_json(),
+                              "chains": 2, "want": 1}
+
+
+def test_parent_chain_catches_a_node_count_off_its_image(monkeypatch):
+    # a singleton state of level 5 counted one node too many: its
+    # elongation child on level 6 keeps the true count
+    warm = laplace.scan_record(FULL, 8)
+    width = tree._radix(5, FULL)
+    s = _singleton_state(warm, 5, 10)
+    count = warm.levels[5].mult[s] + 1
+    record = _altered(monkeypatch, 5, "mult", s, count)
+    report = _report("parent-chain-bijection")
+    assert report.status == "fail"
+    image = record.levels[5].kids[(s + 1) * width - 1]
+    node = tree.unrank(record.levels[6].first[image], 6, FULL)
+    assert report.witness == {"n": 6, "ell": 2, "node": node.to_json(),
+                              "count": record.levels[6].mult[image],
+                              "source_count": count}
 
 
 def test_singleton_slice_reads_the_one_evaluator(monkeypatch):
@@ -300,62 +354,61 @@ _EDGE_CHECKS = ("first-kind-edges", "outer-full-subsets",
 
 def _no_rebuild(monkeypatch):
     def rebuilt(*args):
-        raise AssertionError("an edge law built a child or read digit sizes")
+        raise AssertionError("a check built a child")
     monkeypatch.setattr(tree, "_kids", rebuilt)
-    monkeypatch.setattr(tree, "max_label_block_sizes", rebuilt)
 
 
 def test_the_edge_laws_read_the_warm_record_alone(monkeypatch):
-    # the increment, insertion and area-split laws take every batch, and
-    # every child size, from the record the scan left
+    # the increment, insertion and area-split laws and the two tree
+    # lemmas take every batch, and every child size, from the record the
+    # scan left
     laplace.scan_record(FULL, 8)
     laplace.scan_record(PAIR, 7)
     _no_rebuild(monkeypatch)
-    for check_id in _EDGE_CHECKS:
+    for check_id in _EDGE_CHECKS + ("parent-chain-bijection",
+                                    "singleton-slice"):
         assert _report(check_id).status == "pass", check_id
 
 
 def test_first_kind_edges_read_the_stored_child_sizes(monkeypatch):
     # a copy of the full-tree record in which one elongation child of a
-    # level-5 batch, past the first batches, is stored one point short:
-    # a two-point block read as a singleton breaks Y's increment there
+    # level-4 state's batch, past the first batches, is stored one point
+    # short: a two-point block read as a singleton breaks Y's increment
     warm = laplace.scan_record(FULL, 8)
-    short = laplace.ScanRecord(FULL, warm.partitions, warm.ranked,
-                               warm._tallies)
-    short.edges.update(warm.edges)
-    first, sizes = warm.edges[5]
-    sizes = array("B", sizes)
     width = tree._radix(4, FULL)
-    k = sizes.index(2, 10 * width)
-    sizes[k] = 1
-    short.edges[5] = first, sizes
-    monkeypatch.setattr(laplace, "_scan_cache", {FULL: (8, short)})
+    k = warm.levels[4].sizes.index(2, 10 * width)
+    short = _altered(monkeypatch, 4, "sizes", k, 1)
     _no_rebuild(monkeypatch)
     report = _report("first-kind-edges")
     assert report.status == "fail"
-    parent = tree.unrank(first[k // width], 4, FULL)
+    parent = tree.unrank(short.levels[4].first[k // width], 4, FULL)
     assert report.witness == {"n": 5, "stat": "Y", "digit": k % width,
                               "parent": parent.to_json(), "size": 1,
                               "increment": 0, "want": 1}
 
 
 def test_a_misplaced_elongation_column_fails_both_lemmas(monkeypatch):
-    # sizes built as if the elongation were digit 0: the labelled tie at
-    # rank 0 of level 2 sees a singleton where the digits claim two points
-    def elongation_first(n):
-        sizes = array("B", [1])
-        for m in range(2, n + 1):
-            longer = array("B", [s + 1 for s in sizes])
-            sizes = array("B", [1]) * (len(sizes) * (m + 1))
-            sizes[0::m + 1] = longer
-        return sizes
-    monkeypatch.setattr(tree, "max_label_block_sizes", elongation_first)
-    for check_id in ("parent-chain-bijection", "singleton-slice"):
-        report = _report(check_id)
-        assert report.status == "fail", check_id
-        assert report.witness == {
-            "n": 2, "node": {"n": 2, "blocks_by_label": [[2], [1]]},
-            "max_block": [1], "digit_size": 2}, check_id
+    # one singleton state of level 4 stores its elongation child's size
+    # at digit 0 and a singleton at the elongation digit: the slice takes
+    # the wrong child, and the chain reaches a state of the wrong size
+    warm = laplace.scan_record(FULL, 8)
+    width = tree._radix(4, FULL)
+    s = _singleton_state(warm, 4, 10)
+    sizes, kids = warm.levels[4].sizes, warm.levels[4].kids
+    first, last = s * width, (s + 1) * width - 1
+    assert (sizes[first], sizes[last]) == (1, 2)
+    record = _altered(monkeypatch, 4, "sizes", first, 2)
+    record.levels[4].sizes[last] = 1
+    slice_report = _report("singleton-slice")
+    assert slice_report.status == "fail"
+    assert (slice_report.witness["n"], slice_report.witness["stat"]) == (5, "Y")
+    report = _report("parent-chain-bijection")
+    assert report.status == "fail"
+    k = min(kids[first], kids[last])
+    node = tree.unrank(record.levels[5].first[k], 5, FULL)
+    assert report.witness == {"n": 5, "ell": 2, "node": node.to_json(),
+                              "chains": int(k == kids[last]),
+                              "want": int(k == kids[first])}
 
 
 def test_stat_cross_check_scans_each_tree_once(scan_calls):

@@ -246,30 +246,40 @@ def test_depth_one_scan_is_the_root_alone():
 _RECORD_DEPTHS = ((FULL, 6), (PAIR, 5), (FULL, 7), (PAIR, 6))
 
 
-def test_the_record_lists_every_level_in_rank_order():
+def test_the_record_lists_every_level_in_rank_order(walk_rank):
+    # every rank's digit word, walked down the child-state batches,
+    # reaches a state of the node's partition, and its last batch entry
+    # holds that partition's id and the node's labelled block size
     for kind, depth in _RECORD_DEPTHS:
         record = scan_chunk(kind, depth)
         laplace.clear_scan_cache()
         hist = level_histograms(kind, depth)
         for n in range(1, depth + 1):
-            ranked = [record.partitions[i] for i in record.ranked[n]]
-            walked = [op.partition().blocks for op in iter_level(n, kind)]
-            assert ranked == walked, (kind, n)
+            level = record.levels[n]
+            walked = []
+            for rank, op in enumerate(iter_level(n, kind)):
+                state, entry = walk_rank(record, rank, n)
+                blocks = op.partition().blocks
+                assert record.partitions[level.part[state]] == blocks
+                if n > 1:
+                    up = record.levels[n - 1]
+                    assert up.ids[entry] == level.part[state], (kind, rank)
+                    assert up.sizes[entry] == len(op.max_label_block())
+                walked.append(blocks)
             assert record[n] == hist[n] == Counter(walked), (kind, n)
 
 
-def test_batches_are_each_parents_children_in_digit_order():
+def test_batches_are_each_parents_children_in_digit_order(walk_rank):
     # one batch per parent state, in increasing first rank: each is the
-    # labelled children of the node at its rank, and every distinct
-    # (parent, children) pair that the rank layout slices out of the
-    # rows is yielded at its lowest rank
+    # labelled children of the node at its rank, and each state's first
+    # rank is the lowest rank whose digit word reaches it
     for kind, top in ((FULL, 8), (PAIR, 7)):
         children = tree.children if kind == FULL else tree.pair_children
         for depth in range(2, top + 1):
             record = scan_chunk(kind, depth)
             blocks = record.partitions.__getitem__
             for n in range(2, depth + 1):
-                yielded = {}
+                yielded = []
                 for rank, parent, kids, sizes in record.batches(n):
                     op = tree.unrank(rank, n - 1, kind)
                     want = children(op)
@@ -279,14 +289,32 @@ def test_batches_are_each_parents_children_in_digit_order():
                     assert list(sizes) == [
                         len(kid.max_label_block()) for kid in want], (kind, n)
                     assert rank > max(yielded, default=-1), (kind, n)
-                    yielded[rank] = parent, kids.tobytes()
-                width = tree._radix(n - 1, kind)
-                lowest = {}
-                for rank, parent in enumerate(record.ranked[n - 1]):
-                    kids = record.ranked[n][rank * width:(rank + 1) * width]
-                    lowest.setdefault((parent, kids.tobytes()), rank)
-                for pair, rank in lowest.items():
-                    assert yielded.get(rank) == pair, (kind, depth, n)
+                    yielded.append(rank)
+                lowest: dict = {}
+                for rank in range(level_count(n - 1, kind)):
+                    lowest.setdefault(walk_rank(record, rank, n - 1)[0], rank)
+                assert list(lowest) == list(range(len(yielded)))
+                assert list(lowest.values()) == yielded, (kind, depth, n)
+
+
+def test_a_depth_nine_record_keeps_fewer_cells_than_nodes():
+    # the record keeps one row of cells per state, not one per node: all
+    # of full depth 9 takes fewer cells than the nodes of level 9 alone
+    record = scan_chunk(FULL, 9)
+    cells = sum(len(getattr(states, field))
+                for states in record.levels.values()
+                for field in states.__slots__)
+    assert cells < level_count(9) == 1_814_400
+
+
+def test_state_numbers_past_two_bytes_are_kept_whole():
+    # full level 10 holds more states than a 2-byte cell can number, and
+    # the level-9 child-state batches reach every one of them
+    record = scan_chunk(FULL, 10)
+    top = record.levels[10]
+    assert len(top.part) == 66_197 > 1 << 16
+    assert set(record.levels[9].kids) == set(range(len(top.part)))
+    assert sum(top.mult) == level_count(10)
 
 
 def test_a_scan_with_more_partitions_than_ids_raises(monkeypatch):
@@ -352,13 +380,16 @@ def test_every_level_is_built_once_per_parent_state(monkeypatch):
         assert states[kind, depth - 1] < level_count(depth - 1, kind)
 
 
-def test_the_tallies_are_the_counts_of_the_rows():
-    # each level's id tally is summed from its parent states, and must be
-    # what counting the rank-ordered row gives
+def test_the_tallies_are_the_counts_of_the_rows(walk_rank):
+    # each level's id tally is summed from its states' node counts, and
+    # must be what counting the partition id of every rank's state gives
     for kind, depth in _RECORD_DEPTHS:
         record = scan_chunk(kind, depth)
         for n in range(1, depth + 1):
-            assert record._tallies[n] == Counter(record.ranked[n]), (kind, n)
+            part = record.levels[n].part
+            row = Counter(part[walk_rank(record, rank, n)[0]]
+                          for rank in range(level_count(n, kind)))
+            assert record._tallies[n] == row, (kind, n)
 
 
 _PARENTS = {3: [[3, 4], [1, 2]], 4: [[5, 6], [3, 4], [1, 2]]}
@@ -540,10 +571,12 @@ def test_clearing_the_returned_mapping_leaves_the_cache_whole(monkeypatch):
         assert poly.evaluate(1) == level_count(4, FULL), cache
 
 
-def test_record_transform_weights_a_given_tally_of_ids():
+def test_record_transform_weights_a_given_tally_of_ids(walk_rank):
     # the even ranks of full level 5 against an evaluation of each node
     record = scan_chunk(FULL, 5)
-    even = Counter(record.ranked[5][::2])
+    part = record.levels[5].part
+    even = Counter(part[walk_rank(record, rank, 5)[0]]
+                   for rank in range(0, level_count(5), 2))
     nodes = list(stream_level(5, FULL))[::2]
     for stat in _ALL_STATS:
         want = ExactPolynomial.from_counts(

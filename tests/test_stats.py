@@ -58,13 +58,15 @@ def test_block_size_statistics_decompose_pointwise():
                     - evaluate(blocks_of_size(2), op))
 
 
-def test_level_values_equal_the_six_evaluations():
+def test_level_values_equal_the_six_evaluations(walk_rank):
     # the tree lemmas read the block-size statistics off the scan record
     assert [s.name for s in stats.SIZE_STATS] == ["Y", "Y1", "Y2", "Y3", "Y4", "Yge3"]
     record = laplace.scan_record(FULL, 7)
     for n in range(1, 8):
         values = [record.level_values(s, n) for s in stats.SIZE_STATS]
-        for i, op in zip(record.ranked[n], iter_level(n, FULL)):
+        part = record.levels[n].part
+        for rank, op in enumerate(iter_level(n, FULL)):
+            i = part[walk_rank(record, rank, n)[0]]
             assert tuple(v[i] for v in values) == tuple(
                 evaluate(s, op) for s in stats.SIZE_STATS), op
 

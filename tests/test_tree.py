@@ -165,14 +165,6 @@ def test_parent_deletes_last_point_of_max_block():
     assert parent(op2).blocks_by_label == ((2,), (1,))
 
 
-def test_digit_derived_block_sizes_equal_the_labelled_ones():
-    for n in range(1, 8):
-        assert list(tree.max_label_block_sizes(n)) == [
-            len(op.max_label_block()) for op in iter_level(n, FULL)], n
-    with pytest.raises(ValueError):
-        tree.max_label_block_sizes(0)
-
-
 def test_rank_quotient_is_the_iterated_parent():
     # the rank-k node's s-fold ancestor has rank k // (7 * 6 * ... ) with
     # one factor per step: the child count of the level stepped up to
