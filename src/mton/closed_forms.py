@@ -18,16 +18,14 @@ them.  All three are forward cursors that hold one value each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
 from operator import mul, truediv
-from typing import Union
 
+from .polynomials import Rational
 from .stats import SecondKindInput
 from .tree import FULL, _radix
-
-Rational = Union[int, Fraction]
 
 EULER_GAMMA = 0.57721566490153286060651209008240243104215933593992
 
@@ -196,14 +194,9 @@ def expectation_recursion_step(law: SecondKindInput, prev: Rational, n: int,
 # ---------------------------------------------------------------------------
 # asymptotic diagnostics (floats by design; see module docstring)
 
-@dataclass(frozen=True)
-class AsymptoticReport:
-    formula: str
-    n: int
-    exact: float
-    asymptotic: float
-    difference: float
-    ratio: float
+class AsymptoticReport(namedtuple(
+        "AsymptoticReport", "formula n exact asymptotic difference ratio")):
+    __slots__ = ()
 
 
 # each term is 1.0 / k for an int k, divided in C rather than in a

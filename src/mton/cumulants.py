@@ -14,15 +14,14 @@ builders whose agreement is part of the verification surface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence, Union
 
 from . import laplace
 from .partitions import NcPartition, _nesting_sweep
+from .polynomials import Rational
 from .stats import BLOCKS
-
-Rational = Union[int, Fraction]
 
 
 class InsufficientCumulants(ValueError):
@@ -67,7 +66,7 @@ def _moment_polynomial(polys: Sequence[list], cums: Sequence[Fraction]) -> list:
 
 
 def moments_from_cumulants(cumulants: Sequence[Rational],
-                           upto: Optional[int] = None) -> tuple[Fraction, ...]:
+                           upto: int | None = None) -> tuple[Fraction, ...]:
     """Moments 1..upto from cumulants, through the semigroup recurrence."""
     cums = [Fraction(c) for c in cumulants]
     upto = len(cums) if upto is None else upto
@@ -84,7 +83,7 @@ def moments_from_cumulants(cumulants: Sequence[Rational],
 
 
 def cumulants_from_moments(moments: Sequence[Rational],
-                           upto: Optional[int] = None) -> tuple[Fraction, ...]:
+                           upto: int | None = None) -> tuple[Fraction, ...]:
     """Cumulants 1..upto: moment n is kappa_n plus a polynomial in the
     lower cumulants, so each step solves the recurrence for kappa_n."""
     moms = [Fraction(m) for m in moments]
@@ -106,11 +105,10 @@ def cumulants_from_moments(moments: Sequence[Rational],
 # ---------------------------------------------------------------------------
 # the ordered-count triangle
 
-@dataclass(frozen=True)
-class StirlingTable:
+class StirlingTable(namedtuple("StirlingTable", "rows")):
     """rows[n-1][k-1] counts ordered partitions of {1..n} with k blocks."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def n_max(self) -> int:

@@ -30,12 +30,10 @@ import json
 import math
 import random
 import time
-import traceback
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Optional, Sequence
 
 from . import closed_forms as cf
 from . import cumulants as cm
@@ -50,31 +48,27 @@ class NotMinimizable(ValueError):
     """The report is passing, unknown, or fails nowhere on re-run."""
 
 
-@dataclass(frozen=True)
-class CheckSpec:
-    id: str
-    description: str
+class CheckSpec(namedtuple("CheckSpec", "id description")):
+    __slots__ = ()
 
 
-@dataclass
-class CheckReport:
-    id: str
-    status: str  # pass | fail | error
-    witness: Optional[dict] = None
-    elapsed: float = 0.0
+class CheckReport(namedtuple("CheckReport", "id status witness elapsed",
+                             defaults=(None, 0.0))):
+    """``status`` is pass, fail or error; ``witness`` is a dict or None."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"id": self.id, "status": self.status,
                 "witness": self.witness, "elapsed": round(self.elapsed, 3)}
 
 
-@dataclass
-class Check:
-    spec: CheckSpec
-    sizes: tuple[int, ...]
-    kernel: Callable[[int], Optional[dict]]
-    # each (tree, deepest level) whose brute-force scan the kernel reads
-    scans: tuple[tuple[str, int], ...] = ()
+class Check(namedtuple("Check", "spec sizes kernel scans", defaults=((),))):
+    """``kernel(n)`` returns a witness dict or None for each of ``sizes``;
+    ``scans`` holds each (tree, deepest level) whose brute-force scan the
+    kernel reads."""
+
+    __slots__ = ()
 
     def run(self) -> CheckReport:
         start = time.perf_counter()
@@ -89,6 +83,7 @@ class Check:
                     status = "fail"
                     break
         except Exception as exc:  # reported, so later checks still run
+            import traceback  # loaded on use, to keep it off the import path
             frames = "".join(traceback.format_tb(exc.__traceback__))
             status, witness = "error", {
                 "n": n, "error": f"{type(exc).__name__}: {exc}",
@@ -128,7 +123,7 @@ def _render(value):
     return format_rational(value)
 
 
-def _disagree(n: int, values: dict, **fields) -> Optional[dict]:
+def _disagree(n: int, values: dict, **fields) -> dict | None:
     # every named value at n must be the same; a witness shows each
     # value under its name
     first, *rest = values.values()
@@ -139,14 +134,14 @@ def _disagree(n: int, values: dict, **fields) -> Optional[dict]:
 
 
 def _agree(routes: dict[str, Callable[[int], object]], **fields):
-    def kernel(n: int) -> Optional[dict]:
+    def kernel(n: int) -> dict | None:
         return _disagree(n, {name: route(n) for name, route in routes.items()},
                          **fields)
     return kernel
 
 
 def _enumerated(stat: Statistic, kind: str,
-                readout: Optional[Callable[[ExactPolynomial], object]]
+                readout: Callable[[ExactPolynomial], object] | None
                 = None):
     # the readout (by default the mean) of the brute-force transform at
     # n; the default is looked up here, so a replaced laplace readout holds
@@ -160,7 +155,7 @@ def _mean_kernel(stat: Statistic, kind: str, closed):
 
 
 def _recursion_kernel(chosen: Sequence[Statistic], kind: str):
-    def kernel(n: int) -> Optional[dict]:
+    def kernel(n: int) -> dict | None:
         witness = None
         for stat in chosen:
             witness = witness or _disagree(n, {
@@ -173,7 +168,7 @@ def _recursion_kernel(chosen: Sequence[Statistic], kind: str):
 
 def _first_kind_kernel(chosen: Sequence[Statistic]):
     # each statistic's increment law on the edges into full level n
-    def kernel(n: int) -> Optional[dict]:
+    def kernel(n: int) -> dict | None:
         witness = None
         for stat in chosen:
             witness = witness or laplace.first_kind_witness(stat, n)
@@ -206,7 +201,7 @@ def _count_kernel(kind: str, formula: Callable[[int, str], int]):
     # the level total is read off the scan, whose walk stops on digit
     # exhaustion, never on the formula; a stride of ranks round-trips
     # through unrank() and encode() as a spot check of the rank bijection
-    def kernel(n: int) -> Optional[dict]:
+    def kernel(n: int) -> dict | None:
         count = sum(laplace.level_histograms(kind, n)[n].values())
         for k in range(0, count, 1009):
             rank = tree.rank_of(tree.unrank(k, n, kind), kind)
@@ -222,7 +217,7 @@ def _count_kernel(kind: str, formula: Callable[[int, str], int]):
 def _multiplicity_kernel(b_pair: int):
     # the scanned tally of each partition against its hook-length ordering
     # count, and the number of distinct partitions against Catalan(n)
-    def kernel(n: int) -> Optional[dict]:
+    def kernel(n: int) -> dict | None:
         for kind in (FULL, PAIR) if n <= b_pair else (FULL,):
             hist = laplace.level_histograms(kind, n)[n]
             catalan = math.comb(2 * n, n) // (n + 1)
@@ -241,7 +236,7 @@ def _multiplicity_kernel(b_pair: int):
 
 def _enum_cross_kernel(kind: str, by_filter: Callable[[int], set]):
     # the tree level against an independent construction of the same set
-    def kernel(n: int) -> Optional[dict]:
+    def kernel(n: int) -> dict | None:
         walked = {op.blocks_by_label for op in tree.iter_level(n, kind)}
         filtered = by_filter(n)
         if walked != filtered:
@@ -266,7 +261,7 @@ _REFERENCE_STATS = (
 )
 
 
-def _k_stat_cross(n: int) -> Optional[dict]:
+def _k_stat_cross(n: int) -> dict | None:
     # the scanned transform against a histogram of the reference
     # evaluator over the independently constructed level
     witness = None
@@ -287,7 +282,7 @@ def _sized(states, j: int) -> set:
     return {k for k, size in zip(states.kids, states.sizes) if size == j}
 
 
-def _k_parent_chain(m: int) -> Optional[dict]:
+def _k_parent_chain(m: int) -> dict | None:
     # from each singleton state of level m-ell+1, the elongation child
     # (the last digit) taken ell-1 times must reach each size-ell state
     # of level m exactly once, with the source's node count and the
@@ -332,7 +327,7 @@ def _k_parent_chain(m: int) -> Optional[dict]:
     return None
 
 
-def _k_singleton_slice(m: int) -> Optional[dict]:
+def _k_singleton_slice(m: int) -> dict | None:
     # the transform over the level-m nodes whose maximal-label block is
     # a singleton: each child of labelled size 1 of a level-(m-1) state,
     # once for each node of the state
@@ -355,7 +350,7 @@ def _k_singleton_slice(m: int) -> Optional[dict]:
 
 def _area_split_kernel(split: Callable[[int, int], int]):
     # split(n, parent area) is the claimed sum of the children's areas
-    def kernel(n: int) -> Optional[dict]:
+    def kernel(n: int) -> dict | None:
         record = laplace.scan_record(PAIR, n)
         wants = {i: split(n, area)
                  for i, area in record.level_values(AREA, n - 1).items()}
@@ -402,7 +397,7 @@ def _asymptote_kernel(formula: str, field: str, tolerance: float):
     # within tolerance of 1
     target = 1.0 if field == "ratio" else 0.0
 
-    def kernel(n: int) -> Optional[dict]:
+    def kernel(n: int) -> dict | None:
         report = cf.asymptotic_report(formula, n)
         value = getattr(report, field)
         if abs(value - target) >= tolerance:
@@ -413,7 +408,7 @@ def _asymptote_kernel(formula: str, field: str, tolerance: float):
     return kernel
 
 
-def _k_area_ratio_shrinks(n: int) -> Optional[dict]:
+def _k_area_ratio_shrinks(n: int) -> dict | None:
     lower = cf.asymptotic_report("EArea", 10 ** 5)
     upper = cf.asymptotic_report("EArea", 10 ** 6)
     ok = (0.9 <= upper.ratio <= 1.1
@@ -452,7 +447,7 @@ _POISSON_ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1))
 
 
 def _poisson_kernel(triangle_moments: Callable[[Fraction, int], tuple]):
-    def kernel(index: int) -> Optional[dict]:
+    def kernel(index: int) -> dict | None:
         alpha = _POISSON_ALPHAS[index - 1]
         return _disagree(index, {
             "triangle": triangle_moments(alpha, 20),
@@ -461,7 +456,7 @@ def _poisson_kernel(triangle_moments: Callable[[Fraction, int], tuple]):
     return kernel
 
 
-def _k_hook_vs_filter(n: int) -> Optional[dict]:
+def _k_hook_vs_filter(n: int) -> dict | None:
     for blocks in reference.noncrossing_partitions(n):
         fast = cm._ordering_count_blocks(blocks)
         slow = reference.ordering_count(blocks)
@@ -471,7 +466,7 @@ def _k_hook_vs_filter(n: int) -> Optional[dict]:
     return None
 
 
-def _k_ordering_ratio(n: int) -> Optional[dict]:
+def _k_ordering_ratio(n: int) -> dict | None:
     for blocks in reference.noncrossing_partitions(n):
         count = cm._ordering_count_blocks(blocks)
         k = len(blocks)
@@ -533,7 +528,7 @@ def corrupted_checks() -> dict[str, tuple[Check, int]]:
             for suite, (id_, sizes, minimal, kernel) in twins.items()}
 
 
-def _k_selftest(_: int) -> Optional[dict]:
+def _k_selftest(_: int) -> dict | None:
     for suite, (check, minimal) in corrupted_checks().items():
         where = {"suite": suite, "check": check.spec.id}
         report = check.run()

@@ -54,8 +54,8 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
 
 from . import tree
 from .polynomials import ExactPolynomial, NegativeExponent
@@ -143,7 +143,7 @@ class ScanRecord(dict):
                 for i in self._tallies[level]}
 
     def transform(self, stat: Statistic, level: int,
-                  tally: Optional[Counter] = None) -> ExactPolynomial:
+                  tally: Counter | None = None) -> ExactPolynomial:
         """The level's transform: each distinct partition evaluated once
         and weighted by its count in the id tally, or in ``tally``."""
         tally = self._tallies[level] if tally is None else tally
@@ -244,7 +244,7 @@ def _default_max(kind: str) -> int:
     return DEFAULT_MAX_FULL if kind == FULL else DEFAULT_MAX_PAIR
 
 
-def _guard(n: int, kind: str, max_n: Optional[int]) -> None:
+def _guard(n: int, kind: str, max_n: int | None) -> None:
     limit = max_n if max_n is not None else _default_max(kind)
     if n > limit:
         raise SizeBoundExceeded(
@@ -252,7 +252,7 @@ def _guard(n: int, kind: str, max_n: Optional[int]) -> None:
 
 
 def level_histograms(kind: str, depth: int,
-                     max_n: Optional[int] = None) -> dict[int, Counter]:
+                     max_n: int | None = None) -> dict[int, Counter]:
     """Partition histograms for every level <= depth, cached per kind:
     each canonical partition with the number of nodes that carry it.
     The door to the scan: a depth past ``max_n`` (by default the kind's
@@ -278,7 +278,7 @@ def clear_scan_cache() -> None:
 
 
 def bruteforce_transform(stat: Statistic, n: int, kind: str = FULL,
-                         max_n: Optional[int] = None) -> ExactPolynomial:
+                         max_n: int | None = None) -> ExactPolynomial:
     """Exact level-n transform by exhaustive enumeration: the value of
     each distinct partition, weighted by the number of nodes that carry
     it."""
@@ -298,7 +298,7 @@ def _check_edge_level(n: int) -> None:
 
 
 def _batch_witness(stat: Statistic, record: ScanRecord, n: int, want_of, *,
-                   sized: bool) -> Optional[dict]:
+                   sized: bool) -> dict | None:
     """First level-(n-1) parent, in rank order, whose children do not
     read what the law asks, as a witness; None when every batch holds.
 
@@ -328,7 +328,7 @@ def _batch_witness(stat: Statistic, record: ScanRecord, n: int, want_of, *,
 
 
 def second_kind_witness(stat: Statistic, kind: str, n: int,
-                        law: Optional[SecondKindInput] = None) -> Optional[dict]:
+                        law: SecondKindInput | None = None) -> dict | None:
     """First violation of the (alpha, beta; q) law on the edges into
     level n, in rank order, or None when all three clauses hold: the
     alpha jump on the distinguished children, the beta jump elsewhere,
@@ -338,18 +338,18 @@ def second_kind_witness(stat: Statistic, kind: str, n: int,
     record = scan_record(kind, n)
     law = second_kind_input(stat, kind) if law is None else law
     points = tree._scale(kind) * (n - 1)
+    alpha, beta, q = law.alpha, law.beta, law.q
 
     def want_of(i: int, z: int, sizes):
         core = _core_digits(stat, kind, record.partitions[i], points)
-        if len(core) != z + law.q:
-            return {"core_size": len(core), "want": z + law.q}
-        return [z + (law.alpha if d in core else law.beta)
-                for d in range(len(sizes))]
+        if len(core) != z + q:
+            return {"core_size": len(core), "want": z + q}
+        return [z + (alpha if d in core else beta) for d in range(len(sizes))]
     return _batch_witness(stat, record, n, want_of, sized=False)
 
 
 def first_kind_witness(stat: Statistic, n: int,
-                       r: Optional[Sequence[int]] = None) -> Optional[dict]:
+                       r: Sequence[int] | None = None) -> dict | None:
     """First violation of the increment vector on the edges into full
     level n, in rank order, or None when every edge whose child has a
     maximal-label block of size j changes the statistic by r_j (0 past
@@ -452,7 +452,7 @@ def recurse_second_kind(law: SecondKindInput, seed: ExactPolynomial,
 
 
 def recursion_transform(stat: Statistic, n: int, kind: str = FULL,
-                        max_n: Optional[int] = None) -> ExactPolynomial:
+                        max_n: int | None = None) -> ExactPolynomial:
     """Level-n transform via the statistic's transition law, seeded by
     tiny brute-forced levels: on the full tree, the increment vector of
     :func:`first_kind_input` when the statistic has one; otherwise the

@@ -7,8 +7,8 @@ partitions can be shared freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from collections import namedtuple
+from collections.abc import Iterable
 
 
 class NotAPartition(ValueError):
@@ -31,16 +31,15 @@ class NotPairPartition(ValueError):
     """All blocks must have exactly two elements for this operation."""
 
 
-@dataclass(frozen=True)
-class NcPartition:
-    """A non-crossing partition of {1..n} in canonical block order.
+class NcPartition(namedtuple("NcPartition", "n blocks")):
+    """A non-crossing partition of {1..n} in canonical block order:
+    ``blocks`` is a tuple of sorted int tuples.
 
     The constructor trusts its input; route untrusted data through
     :func:`validate_noncrossing`.
     """
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -104,7 +103,7 @@ def validate_noncrossing(blocks: Iterable[Iterable[int]], n: int) -> NcPartition
     return NcPartition(n, tuple(cleaned))
 
 
-def _nesting_sweep(blocks) -> list[tuple[int, Optional[int]]]:
+def _nesting_sweep(blocks) -> list[tuple[int, int | None]]:
     """``(index, parent index)`` for each block in increasing order of
     minima, in one stack sweep; ``blocks`` are sorted tuples in any
     order."""
@@ -118,7 +117,7 @@ def _nesting_sweep(blocks) -> list[tuple[int, Optional[int]]]:
     return sweep
 
 
-def nesting_parents(p: NcPartition) -> tuple[Optional[int], ...]:
+def nesting_parents(p: NcPartition) -> tuple[int | None, ...]:
     """For each block, the index of the innermost block containing it,
     or ``None`` for an outer block."""
     return tuple(parent for _, parent in _nesting_sweep(p.blocks))

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from collections.abc import Mapping
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 
 class NegativeExponent(ValueError):
@@ -81,7 +81,7 @@ class ExactPolynomial:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Optional[Mapping[int, Rational]] = None):
+    def __init__(self, coeffs: Mapping[int, Rational] | None = None):
         clean: dict[int, Fraction] = {}
         if coeffs:
             for e, c in coeffs.items():
@@ -113,7 +113,7 @@ class ExactPolynomial:
         return sorted(self._coeffs.items())
 
     @property
-    def degree(self) -> Optional[int]:
+    def degree(self) -> int | None:
         """Largest exponent, or None for the zero polynomial."""
         return max(self._coeffs) if self._coeffs else None
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from collections.abc import Sequence
 from itertools import combinations, permutations, product
-from typing import Sequence
 
 from .partitions import NcPartition
 from .stats import dyck_path, path_area

@@ -21,10 +21,10 @@ state, with each child's labelled maximal-label block size.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, TextIO
+from io import TextIOBase
 
 from . import tree
 from .partitions import NcPartition, NotPairPartition, _span_sweep
@@ -44,12 +44,11 @@ class NotSecondKind(ValueError):
     """No insertion-subset transition law exists for this statistic."""
 
 
-@dataclass(frozen=True)
-class Statistic:
-    """Identifier for one of the supported block statistics."""
+class Statistic(namedtuple("Statistic", "family size", defaults=(0,))):
+    """Identifier for one of the supported block statistics: ``family`` is
+    blocks, blocks_of_size, blocks_at_least3, outer, intervals or area."""
 
-    family: str  # blocks | blocks_of_size | blocks_at_least3 | outer | intervals | area
-    size: int = 0
+    __slots__ = ()
 
     @property
     def name(self) -> str:
@@ -105,23 +104,24 @@ def evaluate(stat: Statistic, op: OrderedNcPartition) -> int:
 def _evaluate_blocks(stat: Statistic, blocks, n: int) -> int:
     """Value of the statistic on the blocks of a partition of {1..n},
     given in any order: no statistic reads the labels."""
-    if stat.family == "blocks":
+    family = stat.family
+    if family == "blocks":
         return len(blocks)
-    if stat.family == "blocks_of_size":
+    if family == "blocks_of_size":
         return _block_sizes(blocks).count(stat.size)
-    if stat.family == "blocks_at_least3":
+    if family == "blocks_at_least3":
         sizes = _block_sizes(blocks)
         return len(sizes) - sizes.count(1) - sizes.count(2)
-    if stat.family == "outer":
+    if family == "outer":
         return len(_span_sweep(blocks))
-    if stat.family == "intervals":
+    if family == "intervals":
         return sum(1 for b in blocks if len(b) == 2 and b[1] == b[0] + 1)
-    if stat.family == "area":
+    if family == "area":
         if _block_sizes(blocks).count(2) != len(blocks):
             raise AreaRequiresPairPartition(f"n={n} partition has a non-pair block")
         lows, highs = zip(*blocks)
         return sum(highs) - sum(lows)
-    raise ValueError(f"unknown statistic family {stat.family!r}")
+    raise ValueError(f"unknown statistic family {family!r}")
 
 
 def area(p: NcPartition) -> int:
@@ -161,11 +161,8 @@ def path_area(steps: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # transition laws
 
-@dataclass(frozen=True)
-class SecondKindInput:
-    alpha: int
-    beta: int
-    q: int
+class SecondKindInput(namedtuple("SecondKindInput", "alpha beta q")):
+    __slots__ = ()
 
 
 def first_kind_input(stat: Statistic) -> tuple[int, ...]:
@@ -247,7 +244,8 @@ def _table_rows(n: int, kind: str, stats: list[Statistic],
     yield ["mean", n] + [format_rational(Fraction(t, count)) for t in totals]
 
 
-def write_stats_csv(out: TextIO, n: int, kind: str,
+def write_stats_csv(out: TextIOBase, n: int, kind: str,
                     stats: Iterable[Statistic]) -> None:
     """Write :func:`stats_table` as CSV."""
+    import csv  # loaded on use, to keep it off the import path
     csv.writer(out).writerows(stats_table(n, kind, stats))

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .partitions import NcPartition, nesting_parents, validate_noncrossing
 
@@ -276,8 +276,7 @@ def child_at(op: OrderedNcPartition, digit: int, kind: str = FULL) -> OrderedNcP
 # ---------------------------------------------------------------------------
 # tree codes, ranking, enumeration
 
-@dataclass(frozen=True)
-class TreeCode:
+class TreeCode(namedtuple("TreeCode", "kind digits")):
     """Mixed-radix child-index word addressing one tree node.
 
     ``digits[i]`` picks the child at depth i+1; valid digits run to
@@ -285,8 +284,7 @@ class TreeCode:
     pair tree.
     """
 
-    kind: str
-    digits: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def level(self) -> int:

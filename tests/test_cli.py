@@ -224,6 +224,29 @@ def test_stirling_check_caps_the_exponential_tables(capsys, monkeypatch):
     assert len(out.strip().splitlines()) == 30
 
 
+def test_a_triangle_past_its_bound_needs_force(capsys, monkeypatch):
+    # row n holds integers up to (n+1)!/2, so rows far past the bound
+    # take the machine's memory; the refusal comes before any row
+    def refused(n_max):
+        raise AssertionError(f"built {n_max} rows")
+    monkeypatch.setattr(cm, "stirling_by_recursion", refused)
+    for extra in ((), ("--check",)):
+        code, out, err = run(capsys, "stirling", "--n", "501", *extra)
+        assert (code, out) == (2, ""), extra
+        assert "501" in err and "500" in err and "--force" in err
+    built = []
+
+    def recorded(n_max):
+        built.append(n_max)
+        return cm.StirlingTable(((1,),) * n_max)
+    monkeypatch.setattr(cm, "stirling_by_recursion", recorded)
+    for argv in (("--n", "500"), ("--n", "501", "--force")):
+        code, out, err = run(capsys, "stirling", *argv)
+        assert (code, err) == (0, ""), argv
+        assert out.count("\n") == built[-1]
+    assert built == [500, 501]
+
+
 def test_poisson(capsys):
     code, out, _ = run(capsys, "poisson", "--alpha", "1", "--upto", "4")
     assert code == 0
@@ -312,6 +335,23 @@ def test_python_dash_m_runs_the_cli_without_an_install():
         [sys.executable, "-m", "mton", "closed-form", "--formula", "EY",
          "--n", "2"], capture_output=True, text=True, env=env, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "5/3\n", "")
+
+
+def test_import_loads_no_introspection_or_lazy_modules():
+    # a fresh interpreter, set up as the benchmark's jobs are: no site
+    # hooks and no PYTHON* variable but the source path
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(src)
+    heavy = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize",
+             "traceback", "csv")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import mton, mton.cli, sys; "
+         f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split() == []
 
 
 def test_env_override_of_size_guard(capsys, monkeypatch):
