@@ -135,19 +135,25 @@ def _over_bound(args: argparse.Namespace, bound: int, what: str) -> bool:
 
 def cmd_laplace(args: argparse.Namespace) -> int:
     stat = Statistic.parse(args.stat)
-    if args.method != "brute" and _over_bound(args, _RECURSION_BOUND,
-                                              "the recursion to level"):
+    brute, recursion = args.method != "recursion", args.method != "brute"
+    if recursion and _over_bound(args, _RECURSION_BOUND,
+                                 "the recursion to level"):
         return 2
     # only brute force enumerates level n; the recursion enumerates just
     # its seed levels, which the library bound still guards
     max_n = args.n if args.force else _ceiling(args.kind)
-    results = {}
-    if args.method in ("brute", "both"):
+    # every refusal comes before any scan, so none throws a scan away
+    if brute:
         if _refused(args):
             return 2
+        laplace._refuse_area_off_pairs(stat, args.kind)
+    if recursion:
+        laplace._transition_law(stat, args.kind)
+    results = {}
+    if brute:
         results["brute"] = laplace.bruteforce_transform(
             stat, args.n, args.kind, max_n=max_n)
-    if args.method in ("recursion", "both"):
+    if recursion:
         results["recursion"] = laplace.recursion_transform(
             stat, args.n, args.kind, max_n=max_n)
     if args.json:
@@ -185,9 +191,12 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
 
 
 def cmd_cumulants(args: argparse.Namespace) -> int:
-    raw = args.from_moments if args.from_moments else args.from_cumulants
+    from_moments = args.from_moments is not None
+    raw = args.from_moments if from_moments else args.from_cumulants
     values = [parse_rational(part) for part in raw.split(",") if part.strip()]
-    if args.from_moments:
+    if not values:
+        raise ValueError(f"no value to convert in {raw!r}")
+    if from_moments:
         out = cm.cumulants_from_moments(values, upto=args.upto)
         label = "cumulants"
     else:

@@ -7,12 +7,9 @@ reported witness is already minimal, and counterexample_minimize simply
 re-derives it from scratch.  A kernel that raises yields an "error"
 report with a traceback excerpt, and the checks after it still run.  The
 self-test feeds one wrong formula per suite to that suite's own kernels.
-
-A check whose kernel reads the brute-force scan declares in ``scans``
-each tree it reads with the deepest level it reads there, and the check
-asks for those scans before its first size, so no kernel rescans a tree
-level by level; under "all" each tree is scanned once, by the first
-check that declares its deepest level.
+A kernel reads the brute-force scan through the scan cache of
+:mod:`laplace`, which builds each tree level once, in whatever order the
+levels are read, so a check says nothing about the scans it reads.
 
 Every exact comparison names its routes (say ``enumerated``,
 ``closed_form`` and ``alt_form``) and goes through one comparison,
@@ -63,10 +60,8 @@ class CheckReport(namedtuple("CheckReport", "id status witness elapsed",
                 "witness": self.witness, "elapsed": round(self.elapsed, 3)}
 
 
-class Check(namedtuple("Check", "spec sizes kernel scans", defaults=((),))):
-    """``kernel(n)`` returns a witness dict or None for each of ``sizes``;
-    ``scans`` holds each (tree, deepest level) whose brute-force scan the
-    kernel reads."""
+class Check(namedtuple("Check", "spec sizes kernel")):
+    """``kernel(n)`` returns a witness dict or None for each of ``sizes``."""
 
     __slots__ = ()
 
@@ -74,9 +69,6 @@ class Check(namedtuple("Check", "spec sizes kernel scans", defaults=((),))):
         start = time.perf_counter()
         status, witness = "pass", None
         try:
-            # scan once to the deepest level, so every size hits the cache
-            for kind, n in self.scans:
-                laplace.level_histograms(kind, n)
             for n in self.sizes:
                 witness = self.kernel(n)
                 if witness is not None:
@@ -554,22 +546,19 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
     b_pair = 8 if deep else 7
     b_outer = 9 if deep else 8
 
-    def mk(id_, desc, sizes, kernel, scans=()):
-        return Check(CheckSpec(id_, desc), tuple(sizes), kernel, scans)
+    def mk(id_, desc, sizes, kernel):
+        return Check(CheckSpec(id_, desc), tuple(sizes), kernel)
 
     return {
         "cardinality": [
             mk("count-full", "scanned full-tree level sizes equal (n+1)!/2",
-               range(1, b_full + 1), _count_kernel(FULL, tree.level_count),
-               scans=((FULL, b_full),)),
+               range(1, b_full + 1), _count_kernel(FULL, tree.level_count)),
             mk("count-pair", "scanned pair-tree level sizes equal (2n-1)!!",
-               range(1, b_pair + 1), _count_kernel(PAIR, tree.level_count),
-               scans=((PAIR, b_pair),)),
+               range(1, b_pair + 1), _count_kernel(PAIR, tree.level_count)),
             mk("scan-multiplicities",
                "scanned levels hold Catalan(n) partitions, each tallied "
                "as often as its hook-length ordering count",
-               range(1, b_full + 1), _multiplicity_kernel(b_pair),
-               scans=((FULL, b_full), (PAIR, b_pair))),
+               range(1, b_full + 1), _multiplicity_kernel(b_pair)),
             mk("enum-cross-check",
                "tree enumeration equals the permutation-filter construction",
                range(1, 8), _enum_cross_kernel(
@@ -581,37 +570,31 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
             mk("stat-cross-check",
                "scanned outer, interval-pair and area transforms equal "
                "reference evaluators over the filter construction",
-               range(1, 8), _k_stat_cross,
-               scans=((FULL, 7), (PAIR, 6))),
+               range(1, 8), _k_stat_cross),
         ],
         "thm16": [
             mk("block-count-mean", "enumerated mean block count vs closed form",
                range(2, b_full + 1),
-               _mean_kernel(BLOCKS, FULL, cf.expected_block_count),
-               scans=((FULL, b_full),)),
+               _mean_kernel(BLOCKS, FULL, cf.expected_block_count)),
             mk("block-count-variance",
                "enumerated block-count variance vs both closed forms",
                range(2, b_full + 1), _agree({
                    "enumerated": _enumerated(
                        BLOCKS, FULL, laplace.variance_from_laplace),
                    "closed_form": cf.variance_block_count,
-                   "alt_form": cf.variance_block_count_alt}),
-               scans=((FULL, b_full),)),
+                   "alt_form": cf.variance_block_count_alt})),
             mk("block-count-spot",
                "frozen level-3 mean 29/12 and variance 59/144",
                [3], _spot_kernel(BLOCKS, FULL, laplace.variance_from_laplace,
-                                 (Fraction(29, 12), Fraction(59, 144))),
-               scans=((FULL, 3),)),
+                                 (Fraction(29, 12), Fraction(59, 144)))),
             mk("product-form",
                "block-count transform equals t(1+2t)...(1+nt)",
                range(1, b_full + 1), _agree({
                    "enumerated": partial(laplace.bruteforce_transform, BLOCKS),
-                   "product_form": _product_form}),
-               scans=((FULL, b_full),)),
+                   "product_form": _product_form})),
             mk("block-count-recursion",
                "block-count transform recursion vs enumeration",
-               range(1, b_full + 1), _recursion_kernel((BLOCKS,), FULL),
-               scans=((FULL, b_full),)),
+               range(1, b_full + 1), _recursion_kernel((BLOCKS,), FULL)),
             mk("variance-forms", "the two printed variance forms agree",
                range(2, 10001), _agree({
                    "direct": cf.variance_block_count,
@@ -626,16 +609,13 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
         "thm17": [
             mk("size1-mean", "enumerated mean singleton count vs closed form",
                range(3, b_full + 1),
-               _mean_kernel(blocks_of_size(1), FULL, cf.expected_size1_blocks),
-               scans=((FULL, b_full),)),
+               _mean_kernel(blocks_of_size(1), FULL, cf.expected_size1_blocks)),
             mk("size2-mean", "enumerated mean two-block count vs closed form",
                range(4, b_full + 1),
-               _mean_kernel(blocks_of_size(2), FULL, cf.expected_size2_blocks),
-               scans=((FULL, b_full),)),
+               _mean_kernel(blocks_of_size(2), FULL, cf.expected_size2_blocks)),
             mk("size3plus-mean", "enumerated mean of >=3 blocks vs closed form",
                range(4, b_full + 1),
-               _mean_kernel(LARGE_BLOCKS, FULL, cf.expected_size3plus_blocks),
-               scans=((FULL, b_full),)),
+               _mean_kernel(LARGE_BLOCKS, FULL, cf.expected_size3plus_blocks)),
             mk("size-decomposition",
                "closed forms: whole mean equals sum of size parts",
                range(4, 1001), _agree({
@@ -645,13 +625,11 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
                        + cf.expected_size3plus_blocks(n))})),
             mk("tally-recursions",
                "size-count transform recursions vs enumeration",
-               range(1, b_full + 1), _recursion_kernel(SIZE_STATS[1:], FULL),
-               scans=((FULL, b_full),)),
+               range(1, b_full + 1), _recursion_kernel(SIZE_STATS[1:], FULL)),
             mk("first-kind-edges",
                "block-size counts change by r_j on every full-tree edge whose "
                "child has a maximal-label block of j points",
-               range(2, 9), _first_kind_kernel(SIZE_STATS),
-               scans=((FULL, 8),)),
+               range(2, 9), _first_kind_kernel(SIZE_STATS)),
             mk("seed-resolution",
                "level-3 singleton transform settles to 6t^3 + 5t + 1",
                [3], _agree({
@@ -660,8 +638,7 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
                    "recursion": lambda n: _with_mean(
                        laplace.recursion_transform(blocks_of_size(1), n)),
                    "frozen": lambda n: (ExactPolynomial({3: 6, 1: 5, 0: 1}),
-                                        Fraction(23, 12))}),
-               scans=((FULL, 3),)),
+                                        Fraction(23, 12))})),
             mk("size3-limit", "telescoped three-block mean approaches 23/90",
                [1000], _asymptote_kernel("EY3", "difference", 1e-2)),
         ],
@@ -669,59 +646,47 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
             mk("parent-chain-bijection",
                "iterated parents biject big-max-block slices onto singleton "
                "slices with the padded value shift",
-               range(2, 9), _k_parent_chain,
-               scans=((FULL, 8),)),
+               range(2, 9), _k_parent_chain),
             mk("singleton-slice",
                "singleton-max-block slice transform equals m t^r1 times the "
                "previous level",
-               range(2, 9), _k_singleton_slice,
-               scans=((FULL, 8),)),
+               range(2, 9), _k_singleton_slice),
             mk("area-child-split",
                "pair children areas sum to (2n-1) + (2n+1) parent area",
                range(2, 8), _area_split_kernel(
-                   lambda n, area: (2 * n - 1) + (2 * n + 1) * area),
-               scans=((PAIR, 7),)),
+                   lambda n, area: (2 * n - 1) + (2 * n + 1) * area)),
         ],
         "thm110": [
             mk("outer-full-mean", "enumerated mean outer count vs (2n+1)/3",
                range(1, b_outer + 1),
-               _mean_kernel(OUTER, FULL, cf.expected_outer_blocks),
-               scans=((FULL, b_outer),)),
+               _mean_kernel(OUTER, FULL, cf.expected_outer_blocks)),
             mk("outer-full-recursion",
                "outer-count transform recursion vs enumeration (full tree)",
-               range(1, b_outer + 1), _recursion_kernel((OUTER,), FULL),
-               scans=((FULL, b_outer),)),
+               range(1, b_outer + 1), _recursion_kernel((OUTER,), FULL)),
             mk("outer-full-subsets",
                "outer-count insertion law clauses on every full-tree parent",
-               range(2, b_outer + 1), _subset_kernel(OUTER, FULL),
-               scans=((FULL, b_outer),)),
+               range(2, b_outer + 1), _subset_kernel(OUTER, FULL)),
             mk("interval-pair-mean",
                "enumerated mean interval-pair count vs (2n+1)/3",
                range(1, b_pair + 1),
-               _mean_kernel(INTERVAL_PAIRS, PAIR, cf.expected_interval_pairs),
-               scans=((PAIR, b_pair),)),
+               _mean_kernel(INTERVAL_PAIRS, PAIR, cf.expected_interval_pairs)),
             mk("interval-pair-recursion",
                "interval-pair transform recursion vs enumeration",
                range(1, b_pair + 1),
-               _recursion_kernel((INTERVAL_PAIRS,), PAIR),
-               scans=((PAIR, b_pair),)),
+               _recursion_kernel((INTERVAL_PAIRS,), PAIR)),
             mk("interval-pair-subsets",
                "interval-pair insertion law clauses on every pair-tree parent",
-               range(2, b_pair + 1), _subset_kernel(INTERVAL_PAIRS, PAIR),
-               scans=((PAIR, b_pair),)),
+               range(2, b_pair + 1), _subset_kernel(INTERVAL_PAIRS, PAIR)),
             mk("outer-pair-mean",
                "enumerated mean outer count vs 2^n n!/(2n-1)!! - 1",
                range(1, b_pair + 1),
-               _mean_kernel(OUTER, PAIR, cf.expected_outer_pairs),
-               scans=((PAIR, b_pair),)),
+               _mean_kernel(OUTER, PAIR, cf.expected_outer_pairs)),
             mk("outer-pair-recursion",
                "outer-count transform recursion vs enumeration (pair tree)",
-               range(1, b_pair + 1), _recursion_kernel((OUTER,), PAIR),
-               scans=((PAIR, b_pair),)),
+               range(1, b_pair + 1), _recursion_kernel((OUTER,), PAIR)),
             mk("outer-pair-subsets",
                "outer-count insertion law clauses on every pair-tree parent",
-               range(2, b_pair + 1), _subset_kernel(OUTER, PAIR),
-               scans=((PAIR, b_pair),)),
+               range(2, b_pair + 1), _subset_kernel(OUTER, PAIR)),
             mk("outer-full-mean-recursion",
                "stepped outer mean reproduces (2n+1)/3",
                range(2, 1001),
@@ -743,19 +708,16 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
             mk("area-mean",
                "enumerated mean area vs (2n+1) sum 1/(2k+1)",
                range(1, b_pair + 1),
-               _mean_kernel(AREA, PAIR, cf.expected_area),
-               scans=((PAIR, b_pair),)),
+               _mean_kernel(AREA, PAIR, cf.expected_area)),
             mk("area-total", "summed area vs (2n+1)!! partial odd harmonic "
                "and vs the level sum of the area child split",
                range(1, b_pair + 1), _agree({
                    "enumerated": _enumerated(AREA, PAIR, _total),
                    "closed_form": cf.total_area,
-                   "alt_form": _area_total_by_levels}),
-               scans=((PAIR, b_pair),)),
+                   "alt_form": _area_total_by_levels})),
             mk("area-spot", "frozen pair level 2: mean 8/3, total 8",
                [2], _spot_kernel(AREA, PAIR, _total,
-                                 (Fraction(8, 3), 8)),
-               scans=((PAIR, 2),)),
+                                 (Fraction(8, 3), 8))),
             mk("area-asymptote",
                "mean area over n log n enters [0.9, 1.1] and tightens",
                [10 ** 6], _k_area_ratio_shrinks),
@@ -771,8 +733,7 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
                "triangle from enumeration vs recursion",
                range(1, 10), _agree({
                    "tree": _row(cm.stirling_by_tree_count),
-                   "recursion": _triangle_row}),
-               scans=((FULL, 9),)),
+                   "recursion": _triangle_row})),
             mk("triangle-recursion-closed",
                "triangle recursion vs increasing-products closed form",
                range(1, 21), _agree({

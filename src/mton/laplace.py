@@ -27,11 +27,12 @@ the scan.
 Every scan enters through one door, :func:`level_histograms`, which
 alone applies the size guard, reads the cache and calls
 :func:`scan_chunk`; the fresh mapping it returns holds the cache's
-Counters, which are read-only.
+Counters, which are read-only.  A read past the cached record's deepest
+level extends it, so each level is built once, in any read order.
 
 The scan keeps the tree's state graph (:class:`ScanRecord`): for each
-level, each state's partition id, first rank and node count, and its
-batch of children: their ids, their states and their labelled
+level, each state's partition id, maximal-label block start, first rank
+and node count, and its batch: its children's ids, states and labelled
 maximal-label block sizes, in digit order.  Each level's histogram is
 its states' node counts, tallied by partition id.  ``level_values``
 evaluates a statistic once on each distinct partition of a level;
@@ -100,17 +101,19 @@ class _Ids(dict):
 
 class _States:
     """The states of one scanned level, numbered in order of first
-    appearance.  For state s: ``part[s]`` is its partition id, ``first[s]``
-    the rank of its first node and ``mult[s]`` its node count.  Its A
-    children sit at ``s*A .. s*A + A - 1`` of ``ids`` (their partition
-    ids), ``kids`` (their states on the next level) and ``sizes`` (their
-    labelled maximal-label block sizes), in digit order; the three stay
-    empty on the scan's deepest level."""
+    appearance.  For state s: ``part[s]`` is its partition id, ``top[s]``
+    the first point of its maximal-label block, ``first[s]`` the rank of
+    its first node and ``mult[s]`` its node count.  Its A children sit at
+    ``s*A .. s*A + A - 1`` of ``ids`` (their partition ids), ``kids``
+    (their states on the next level) and ``sizes`` (their labelled
+    maximal-label block sizes), in digit order; the three stay empty on
+    the record's deepest level."""
 
-    __slots__ = ("part", "first", "mult", "ids", "kids", "sizes")
+    __slots__ = ("part", "top", "first", "mult", "ids", "kids", "sizes")
 
     def __init__(self):
-        self.part, self.first, self.mult = array("H"), array("L"), array("Q")
+        self.part, self.top = array("H"), array("B")
+        self.first, self.mult = array("L"), array("Q")
         self.ids, self.kids, self.sizes = array("H"), array("I"), array("B")
 
 
@@ -126,13 +129,16 @@ class ScanRecord(dict):
         super().__init__()
         self.kind = kind
         self.partitions = partitions
-        self.levels = levels
-        self._tallies: dict = {}
+        self.levels, self._tallies = {}, {}
+        self._add(levels)
+
+    def _add(self, levels: dict) -> None:
+        self.levels.update(levels)
         for level, states in levels.items():
             tally = self._tallies[level] = Counter()
             for i, mult in zip(states.part, states.mult):
                 tally[i] += mult
-            self[level] = Counter({partitions[i]: mult
+            self[level] = Counter({self.partitions[i]: mult
                                    for i, mult in tally.items()})
 
     def level_values(self, stat: Statistic, level: int) -> dict[int, int]:
@@ -166,8 +172,18 @@ class ScanRecord(dict):
             yield rank, i, up.ids[cut], up.sizes[cut]
 
 
-def scan_chunk(kind: str, depth: int) -> ScanRecord:
-    """Record the state graph of the tree down to depth, level by level.
+def _node(blocks: tuple, top: int) -> tuple:
+    # a node of the state: the blocks in min order, a monotone labelling,
+    # with the one that starts at top, an interval, moved last
+    j = next(j for j, b in enumerate(blocks) if b[0] == top)
+    return blocks[:j] + blocks[j + 1:] + (blocks[j],)
+
+
+def scan_chunk(kind: str, depth: int,
+               record: ScanRecord | None = None) -> ScanRecord:
+    """Record the state graph of the tree down to depth, level by level,
+    from the root or from the deepest level of ``record``, which gains
+    the new levels once all are built.
 
     The tree folds onto a graph of states: a node's children, as
     partitions, depend only on its state, the pair of its partition id
@@ -175,17 +191,17 @@ def scan_chunk(kind: str, depth: int) -> ScanRecord:
     only on the parent's partition and the gap, and the full tree's
     elongation child also on which block carries the maximal label; the
     child's own maximal-label block is its new block or the elongated
-    one.  So each level keeps one node per state, builds that node's
-    children once, and stores their ids, states and labelled
-    maximal-label block sizes as the state's batch.  States are
-    numbered in order of first appearance, so a new state's first rank
-    is its parent's first rank times A plus its digit.  Each state's
-    node count is summed from the counts of the parent states whose
-    batches reach it, never read from :func:`tree.level_count`.  A scan
-    whose levels hold more distinct partitions (Catalan(k) at level k,
-    on both trees) than the record has ids is refused before any child
-    is built.  States outnumber partitions (66,197 at full level 10), so
-    the child-state cells are 4 bytes wide.
+    one.  So each state's children are built once, from a node rebuilt
+    from the state (:func:`_node`), and stored as the state's batch:
+    their ids, states and labelled maximal-label block sizes.  States
+    are numbered in order of first appearance, so a new state's first
+    rank is its parent's first rank times A plus its digit.  Each
+    state's node count is summed from the counts of the parent states
+    whose batches reach it, never read from :func:`tree.level_count`.  A
+    scan whose levels hold more distinct partitions (Catalan(k) at level
+    k, on both trees) than the record has ids is refused before any
+    child is built.  States outnumber partitions (66,197 at full level
+    10), so the child-state cells are 4 bytes wide.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -195,25 +211,27 @@ def scan_chunk(kind: str, depth: int) -> ScanRecord:
             f"levels 1..{depth} hold {distinct} distinct partitions, more "
             f"than the {_Ids.capacity} ids of a scan record")
     scale = tree._scale(kind)
-    ids = _Ids()
-    # one node of each state of the level
-    nodes = [tree._root(scale)]
-    up = _States()
-    up.part.append(ids[nodes[0]])
-    up.first.append(0)
-    up.mult.append(1)
-    levels = {1: up}
-    for n in range(2, depth + 1):
+    if record is None:
+        root = _States()
+        root.part.append(0)
+        root.top.append(1)
+        root.first.append(0)
+        root.mult.append(1)
+        record = ScanRecord(kind, [tree._root(scale)], {1: root})
+    ids = _Ids(zip(record.partitions, range(len(record.partitions))))
+    up = record.levels[len(record)]
+    del up.ids[:], up.kids[:], up.sizes[:]  # left by a failed extension
+    levels = {}
+    for n in range(len(record) + 1, depth + 1):
         ground = scale * (n - 1)
-        deepest = n == depth
+        partitions = list(ids)
         down = levels[n] = _States()
         # each state by its partition id and the first point of its
         # maximal-label block, which tells that block from the others
         state_of: dict = {}
-        next_nodes: list = []
         mult: list = []
-        for node, rank, m in zip(nodes, up.first, up.mult):
-            kids = tree._kids(node, ground, scale)
+        for i, top, rank, m in zip(up.part, up.top, up.first, up.mult):
+            kids = tree._kids(_node(partitions[i], top), ground, scale)
             batch = [ids[tuple(sorted(kid))] for kid in kids]
             up.ids.extend(batch)
             up.sizes.extend([len(kid[-1]) for kid in kids])
@@ -224,19 +242,20 @@ def scan_chunk(kind: str, depth: int) -> ScanRecord:
                 if s is None:
                     s = state_of[key] = len(mult)
                     down.part.append(i)
+                    down.top.append(key[1])
                     down.first.append(base + d)
                     mult.append(m)
-                    if not deepest:
-                        next_nodes.append(kid)
                 else:
                     mult[s] += m
                 up.kids.append(s)
         down.mult.extend(mult)
-        nodes, up = next_nodes, down
-    return ScanRecord(kind, list(ids), levels)
+        up = down
+    record.partitions = list(ids)
+    record._add(levels)
+    return record
 
 
-_scan_cache: dict[str, tuple[int, ScanRecord]] = {}
+_scan_cache: dict[str, ScanRecord] = {}
 
 
 def _default_max(kind: str) -> int:
@@ -261,20 +280,26 @@ def level_histograms(kind: str, depth: int,
     if depth < 1:  # a warm cache would otherwise answer with no levels
         raise ValueError(f"depth must be >= 1, got {depth}")
     _guard(depth, kind, max_n)
-    cached = _scan_cache.get(kind)
-    if not cached or cached[0] < depth:
-        cached = _scan_cache[kind] = (depth, scan_chunk(kind, depth))
-    return {level: cached[1][level] for level in range(1, depth + 1)}
+    record = _scan_cache.get(kind)
+    if record is None or len(record) < depth:
+        record = _scan_cache[kind] = scan_chunk(kind, depth, record)
+    return {level: record[level] for level in range(1, depth + 1)}
 
 
 def scan_record(kind: str, depth: int) -> ScanRecord:
     """The cached scan of the tree, reaching at least level ``depth``."""
     level_histograms(kind, depth)
-    return _scan_cache[kind][1]
+    return _scan_cache[kind]
 
 
 def clear_scan_cache() -> None:
     _scan_cache.clear()
+
+
+def _refuse_area_off_pairs(stat: Statistic, kind: str) -> None:
+    if stat.family == "area" and kind == FULL:
+        raise AreaRequiresPairPartition(
+            f"{stat.name} needs the pair tree, not the {kind} tree")
 
 
 def bruteforce_transform(stat: Statistic, n: int, kind: str = FULL,
@@ -282,11 +307,9 @@ def bruteforce_transform(stat: Statistic, n: int, kind: str = FULL,
     """Exact level-n transform by exhaustive enumeration: the value of
     each distinct partition, weighted by the number of nodes that carry
     it."""
-    if stat.family == "area" and kind == FULL:
-        raise AreaRequiresPairPartition(
-            f"{stat.name} needs the pair tree, not the {kind} tree")
+    _refuse_area_off_pairs(stat, kind)
     level_histograms(kind, n, max_n)
-    return _scan_cache[kind][1].transform(stat, n)
+    return _scan_cache[kind].transform(stat, n)
 
 
 # ---------------------------------------------------------------------------
@@ -451,26 +474,31 @@ def recurse_second_kind(law: SecondKindInput, seed: ExactPolynomial,
     return ExactPolynomial(cur)
 
 
+def _transition_law(stat: Statistic, kind: str) -> tuple | SecondKindInput:
+    """On the full tree, the increment vector of :func:`first_kind_input`
+    when the statistic has one; otherwise :func:`second_kind_input`."""
+    if kind == FULL:
+        try:
+            return first_kind_input(stat)
+        except NotFirstKind:
+            pass
+    return second_kind_input(stat, kind)
+
+
 def recursion_transform(stat: Statistic, n: int, kind: str = FULL,
                         max_n: int | None = None) -> ExactPolynomial:
-    """Level-n transform via the statistic's transition law, seeded by
-    tiny brute-forced levels: on the full tree, the increment vector of
-    :func:`first_kind_input` when the statistic has one; otherwise the
-    insertion law of :func:`second_kind_input`."""
-    try:
-        r = first_kind_input(stat) if kind == FULL else None
-    except NotFirstKind:
-        r = None
-    if r is None:
-        law = second_kind_input(stat, kind)
+    """Level-n transform via the statistic's transition law
+    (:func:`_transition_law`), seeded by tiny brute-forced levels."""
+    law = _transition_law(stat, kind)
+    if isinstance(law, SecondKindInput):
         seed = bruteforce_transform(stat, 1, kind, max_n)
         return recurse_second_kind(law, seed, n, kind)
-    k = max(len(r), 2)
+    k = max(len(law), 2)
     if n <= k:
         return bruteforce_transform(stat, n, kind, max_n)
     seeds = [bruteforce_transform(stat, m, kind, max_n)
              for m in range(1, k + 1)]
-    return recurse_first_kind(r, seeds, n)
+    return recurse_first_kind(law, seeds, n)
 
 
 # ---------------------------------------------------------------------------

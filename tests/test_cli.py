@@ -163,6 +163,21 @@ def test_laplace_rejects_mismatched_stat_kind(capsys):
     assert "pair" in err
 
 
+def test_laplace_refuses_a_statistic_without_a_law_before_any_scan(
+        capsys, monkeypatch):
+    # Area has no insertion law on the pair tree: under --method both the
+    # recursion's refusal comes before the brute force scans the level
+    def no_scan(*args):
+        raise AssertionError("the scan was started")
+    monkeypatch.setattr(laplace, "_scan_cache", {})
+    monkeypatch.setattr(laplace, "scan_chunk", no_scan)
+    for extra in ((), ("--n", "9", "--force")):
+        code, out, err = run(capsys, "laplace", "--stat", "Area", "--kind",
+                             "pair", "--n", "8", *extra)
+        assert (code, out) == (2, ""), extra
+        assert err == "error: Area on the pair tree\n", extra
+
+
 def test_closed_form_exact(capsys):
     code, out, _ = run(capsys, "closed-form", "--formula", "EY", "--n", "3")
     assert code == 0
@@ -318,6 +333,14 @@ def test_bad_rational_or_negative_upto_is_a_usage_error(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: "), argv
+
+
+def test_an_empty_list_to_convert_is_a_usage_error(capsys):
+    for flag in ("--from-moments", "--from-cumulants"):
+        for raw in ("", " , "):
+            code, out, err = run(capsys, "cumulants", flag, raw)
+            assert (code, out) == (2, ""), (flag, raw)
+            assert err == f"error: no value to convert in {raw!r}\n"
 
 
 def test_negative_limit_is_a_usage_error(capsys):

@@ -3,6 +3,7 @@
 import copy
 import json
 from array import array
+from collections import Counter
 
 import pytest
 
@@ -161,56 +162,83 @@ def test_run_is_deterministic():
     assert [r.witness for r in first] == [r.witness for r in second]
 
 
+class _ScanCalls(list):
+    """Each scan as its tree, its depth and the levels it found in the
+    record; ``batches`` counts the child batches built, by tree."""
+
+    def __init__(self):
+        super().__init__()
+        self.batches = Counter()
+
+
 @pytest.fixture
 def scan_calls(monkeypatch):
-    # a cold scan cache whose walks are recorded; the warm cache of the
-    # earlier tests comes back afterwards
-    calls = []
-    real = laplace.scan_chunk
+    # a cold scan cache whose scans and child batches are recorded; the
+    # warm cache of the earlier tests comes back afterwards
+    calls = _ScanCalls()
+    real, real_kids = laplace.scan_chunk, tree._kids
 
-    def counted(kind, depth):
-        calls.append((kind, depth))
-        return real(kind, depth)
+    def counted(kind, depth, record=None):
+        calls.append((kind, depth, len(record or ())))
+        return real(kind, depth, record)
+
+    def counted_kids(blocks, n, scale):
+        calls.batches[FULL if scale == 1 else PAIR] += 1
+        return real_kids(blocks, n, scale)
 
     monkeypatch.setattr(laplace, "_scan_cache", {})
     monkeypatch.setattr(laplace, "scan_chunk", counted)
+    monkeypatch.setattr(tree, "_kids", counted_kids)
     return calls
 
 
-def test_scan_reader_asks_for_its_deepest_level_once(scan_calls):
+# the states of levels 1, 2, ... of each tree, one batch each
+_STATES = {FULL: (1, 3, 9, 29, 99, 351, 1275), PAIR: (1, 3, 10, 35, 126, 462)}
+
+
+def _states_above(kind, depth):
+    # the batches that a scan to depth builds once each
+    return sum(_STATES[kind][:depth - 1])
+
+
+def test_a_reader_extends_the_scan_one_level_at_a_time(scan_calls):
+    # each size reads one level deeper than the last; every scan builds
+    # only the level the record lacks, so every batch is built once
     totals = []
 
     def kernel(n):
         totals.append(laplace.bruteforce_transform(BLOCKS, n).evaluate(1))
         return None
     check = Check(CheckSpec("reader", "reads the full-tree scan"),
-                  tuple(range(1, 6)), kernel, ((FULL, 5),))
+                  tuple(range(1, 6)), kernel)
     assert check.run().status == "pass"
-    assert scan_calls == [(FULL, 5)]
+    assert scan_calls == [(FULL, n, n - 1) for n in range(1, 6)]
     assert totals == [tree.level_count(n) for n in range(1, 6)]
+    assert scan_calls.batches == {FULL: _states_above(FULL, 5)}
 
 
 def test_a_suite_scans_each_tree_it_reads_once(scan_calls):
     assert [r.status for r in run_suite("thm111")] == ["pass"] * 4
-    assert scan_calls == [(PAIR, 7)]
+    assert scan_calls.batches == {PAIR: _states_above(PAIR, 7)}
 
 
 def test_the_lemmas_suite_scans_each_tree_once(scan_calls):
     assert [r.status for r in run_suite("lemmas")] == ["pass"] * 3
-    assert scan_calls == [(FULL, 8), (PAIR, 7)]
+    assert scan_calls.batches == {FULL: _states_above(FULL, 8),
+                                  PAIR: _states_above(PAIR, 7)}
 
 
 def test_the_benchmarked_suites_share_one_scan_per_tree(scan_calls,
                                                          monkeypatch):
     # one process, as one verify run after another: no later suite
-    # rescans a tree, and no check walks a level of its own
+    # rebuilds a level, and no check walks a level of its own
     def no_walk(*args, **kwargs):
         raise AssertionError("iter_level was called")
     monkeypatch.setattr(tree, "iter_level", no_walk)
     for suite in ("lemmas", "thm110", "thm111", "selftest"):
         reports = run_suite(suite)
         assert [r.status for r in reports] == ["pass"] * len(reports), suite
-    assert scan_calls == [(FULL, 8), (PAIR, 7)]
+    assert scan_calls.batches == {FULL: 1767, PAIR: 637}
 
 
 def _report(check_id):
@@ -262,7 +290,7 @@ def _altered(monkeypatch, level, field, index, value):
     cells[index] = value
     setattr(states, field, cells)
     record = laplace.ScanRecord(FULL, warm.partitions, levels)
-    monkeypatch.setattr(laplace, "_scan_cache", {FULL: (8, record)})
+    monkeypatch.setattr(laplace, "_scan_cache", {FULL: record})
     return record
 
 
@@ -413,7 +441,8 @@ def test_a_misplaced_elongation_column_fails_both_lemmas(monkeypatch):
 
 def test_stat_cross_check_scans_each_tree_once(scan_calls):
     assert build_checks()["stat-cross-check"].run().status == "pass"
-    assert scan_calls == [(FULL, 7), (PAIR, 6)]
+    assert scan_calls.batches == {FULL: _states_above(FULL, 7),
+                                  PAIR: _states_above(PAIR, 6)}
 
 
 def test_stat_cross_check_catches_a_wrong_span_sweep(scan_calls, monkeypatch):
@@ -433,7 +462,7 @@ def _small_multiplicity_check():
     # the registered kernel, read to level 5 of each tree
     kernel = build_checks()["scan-multiplicities"].kernel
     return Check(CheckSpec("scan-multiplicities", "to level 5"),
-                 tuple(range(1, 6)), kernel, ((FULL, 5), (PAIR, 5)))
+                 tuple(range(1, 6)), kernel)
 
 
 def test_readout_witness_names_the_alt_form(monkeypatch):
@@ -446,27 +475,29 @@ def test_readout_witness_names_the_alt_form(monkeypatch):
                         lambda n: real(n) + (n == 4))
     kernel = build_checks()["block-count-variance"].kernel
     report = Check(CheckSpec("block-count-variance", "to level 5"),
-                   tuple(range(2, 6)), kernel, ((FULL, 5),)).run()
+                   tuple(range(2, 6)), kernel).run()
     assert report.status == "fail"
     assert report.witness == {"n": 4, "enumerated": "2051/3600",
                               "closed_form": "2051/3600",
                               "alt_form": "5651/3600"}
 
 
+def _served(monkeypatch, kind, alter):
+    # a fresh level-5 scan of the tree, altered in place, served from an
+    # otherwise cold cache
+    record = laplace.scan_chunk(kind, 5)
+    alter(record)
+    monkeypatch.setattr(laplace, "_scan_cache", {kind: record})
+
+
 def test_scan_multiplicities_catches_a_moved_tally(monkeypatch):
     # one level-3 node tallied under another partition: every smaller
     # level still passes, and the witness names the first partition off
-    real = laplace.scan_chunk
-
-    def moved(kind, depth):
-        hist = real(kind, depth)
-        if kind == FULL and depth >= 3:
-            level = hist[3]
-            level[((1,), (2,), (3,))] -= 1
-            level[((1, 2, 3),)] += 1
-        return hist
-    monkeypatch.setattr(laplace, "_scan_cache", {})
-    monkeypatch.setattr(laplace, "scan_chunk", moved)
+    def moved(record):
+        level = record[3]
+        level[((1,), (2,), (3,))] -= 1
+        level[((1, 2, 3),)] += 1
+    _served(monkeypatch, FULL, moved)
     check = _small_multiplicity_check()
     report = check.run()
     assert report.status == "fail"
@@ -480,16 +511,10 @@ def test_scan_multiplicities_catches_a_moved_tally(monkeypatch):
 def test_scan_multiplicities_catches_a_missing_partition(monkeypatch):
     # both level-2 pair partitions tallied as one: the totals still
     # hold, the number of distinct partitions does not
-    real = laplace.scan_chunk
-
-    def merged(kind, depth):
-        hist = real(kind, depth)
-        if kind == PAIR and depth >= 2:
-            level = hist[2]
-            level[((1, 2), (3, 4))] += level.pop(((1, 4), (2, 3)))
-        return hist
-    monkeypatch.setattr(laplace, "_scan_cache", {})
-    monkeypatch.setattr(laplace, "scan_chunk", merged)
+    def merged(record):
+        level = record[2]
+        level[((1, 2), (3, 4))] += level.pop(((1, 4), (2, 3)))
+    _served(monkeypatch, PAIR, merged)
     report = _small_multiplicity_check().run()
     assert report.status == "fail"
     assert report.witness == {"n": 2, "kind": PAIR, "distinct": 1,
@@ -497,27 +522,18 @@ def test_scan_multiplicities_catches_a_missing_partition(monkeypatch):
 
 
 def test_a_scan_past_the_guard_is_an_error_report(scan_calls):
+    # the size past the guard is refused at the door, before its scan
     def kernel(n):
-        raise AssertionError("the kernel ran")
+        laplace.level_histograms(FULL, n)
+        return None
     too_deep = laplace.DEFAULT_MAX_FULL + 1
     check = Check(CheckSpec("too-deep", "asks past the guard"),
-                  (1, too_deep), kernel, ((FULL, too_deep),))
+                  (1, too_deep), kernel)
     report = check.run()
     assert report.status == "error"
     assert report.witness["n"] == too_deep
     assert report.witness["error"].startswith("SizeBoundExceeded")
-    assert scan_calls == []
-
-
-def test_declared_scans_stay_within_the_library_guard():
-    limits = {FULL: laplace.DEFAULT_MAX_FULL, PAIR: laplace.DEFAULT_MAX_PAIR}
-    for deep in (False, True):
-        declared = {i: c for i, c in build_checks(deep).items() if c.scans}
-        assert {"count-full", "count-pair", "product-form", "seed-resolution",
-                "triangle-tree-recursion"} <= set(declared)
-        for check_id, check in declared.items():
-            for kind, depth in check.scans:
-                assert depth <= limits[kind], (deep, check_id)
+    assert scan_calls == [(FULL, 1, 0)]
 
 
 def test_count_kernel_reads_the_scan_not_a_stream(monkeypatch):
@@ -544,7 +560,7 @@ def test_area_total_alt_form_is_the_split_lemmas_level_sum(monkeypatch):
                         lambda n: real(n) + (n == 4))
     kernel = build_checks()["area-total"].kernel
     report = Check(CheckSpec("area-total", "to level 5"),
-                   tuple(range(1, 6)), kernel, ((PAIR, 5),)).run()
+                   tuple(range(1, 6)), kernel).run()
     assert report.status == "fail"
     witness = report.witness
     assert witness["n"] == 4

@@ -380,6 +380,73 @@ def test_every_level_is_built_once_per_parent_state(monkeypatch):
         assert states[kind, depth - 1] < level_count(depth - 1, kind)
 
 
+def _cells(record):
+    # every cell of a record, level by level and field by field
+    return (record.partitions, dict(record), record._tallies,
+            {n: {field: getattr(states, field).tobytes()
+                 for field in states.__slots__}
+             for n, states in record.levels.items()})
+
+
+def test_levels_read_in_any_order_are_each_built_once(monkeypatch):
+    # the cache extends its record by the levels it lacks: read in a
+    # scrambled order, each state's batch is built once, and the record
+    # is cell for cell the one-shot scan
+    reads = ((FULL, (3, 7, 5, 8)), (PAIR, (6, 2, 7)))
+    whole = {kind: scan_chunk(kind, max(depths)) for kind, depths in reads}
+    real = tree._kids
+    built = Counter()
+
+    def counted(blocks, n, scale):
+        built[scale] += 1
+        return real(blocks, n, scale)
+    monkeypatch.setattr(laplace, "_scan_cache", {})
+    monkeypatch.setattr(tree, "_kids", counted)
+    for kind, depths in reads:
+        for depth in depths:
+            level_histograms(kind, depth)
+        record, one_shot = laplace._scan_cache[kind], whole[kind]
+        assert _cells(record) == _cells(one_shot), kind
+        assert built[tree._scale(kind)] == sum(
+            len(one_shot.levels[m].part) for m in range(1, max(depths))), kind
+
+
+def test_an_extension_that_fails_leaves_the_record_whole(monkeypatch):
+    # a child step that raises part way through an extension: the record
+    # keeps its levels, and the next extension builds the one-shot scan
+    record = scan_chunk(FULL, 4)
+    real = tree._kids
+    steps = []
+
+    def fails_late(blocks, n, scale):
+        steps.append(n)
+        if len(steps) == 200:
+            raise MemoryError("out of room")
+        return real(blocks, n, scale)
+    monkeypatch.setattr(tree, "_kids", fails_late)
+    with pytest.raises(MemoryError):
+        scan_chunk(FULL, 7, record)
+    assert set(steps) == {4, 5, 6}  # levels 5 and 6 built, 7 part way
+    monkeypatch.setattr(tree, "_kids", real)
+    assert set(record) == {1, 2, 3, 4}
+    assert scan_chunk(FULL, 7, record) is record
+    assert _cells(record) == _cells(scan_chunk(FULL, 7))
+
+
+def test_each_state_rebuilds_a_node_of_itself():
+    # the node a state's batch is built from is a genuinely ordered
+    # partition with the state's partition and maximal-label block
+    for kind, depth in ((FULL, 8), (PAIR, 7)):
+        record = scan_chunk(kind, depth)
+        points = tree._scale(kind)
+        for n, states in record.levels.items():
+            for i, top in zip(states.part, states.top):
+                blocks = laplace._node(record.partitions[i], top)
+                op = tree.OrderedNcPartition.checked(points * n, blocks)
+                assert op.partition().blocks == record.partitions[i]
+                assert op.max_label_block()[0] == top, (kind, n)
+
+
 def test_the_tallies_are_the_counts_of_the_rows(walk_rank):
     # each level's id tally is summed from its states' node counts, and
     # must be what counting the partition id of every rank's state gives

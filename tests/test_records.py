@@ -43,9 +43,9 @@ RECORDS = {
     "CheckReport": (lambda: CheckReport("toy", "fail", {"n": 2}, 0.5),
                     "CheckReport(id='toy', status='fail', witness={'n': 2}, "
                     "elapsed=0.5)", "status", False),
-    "Check": (lambda: Check(_SPEC, (1, 2), _kernel, ((FULL, 3),)),
-              f"Check(spec={_SPEC!r}, sizes=(1, 2), kernel={_kernel!r}, "
-              "scans=(('full', 3),))", "sizes", False),
+    "Check": (lambda: Check(_SPEC, (1, 2), _kernel),
+              f"Check(spec={_SPEC!r}, sizes=(1, 2), kernel={_kernel!r})",
+              "sizes", False),
 }
 
 
@@ -88,7 +88,7 @@ def test_check_report_keeps_its_defaults():
     assert report.witness is None and report.elapsed == 0.0
     assert report.to_json() == {"id": "x", "status": "pass",
                                 "witness": None, "elapsed": 0.0}
-    assert Check(_SPEC, (1,), _kernel).scans == ()
+    assert Check._fields == ("spec", "sizes", "kernel")
 
 
 def test_tree_codes_and_partitions_survive_a_json_round_trip():
