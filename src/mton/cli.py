@@ -5,7 +5,8 @@ transforms, closed-form evaluation, moment/cumulant conversion, the
 ordered-count triangle, Poisson moments, and the verification suites.
 
 Exit codes: 0 on success, 1 when a verification or comparison fails,
-2 for usage errors (including size-guard refusals).
+2 for usage errors (including size-guard refusals).  A closed output
+pipe ends the command quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -331,7 +332,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading: not a failure; stdout goes to
+        # devnull so the interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (stats.NotFirstKind, stats.NotSecondKind, laplace.SizeBoundExceeded,
             cf.OutOfValidity, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

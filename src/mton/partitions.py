@@ -68,7 +68,7 @@ def validate_noncrossing(blocks: Iterable[Iterable[int]], n: int) -> NcPartition
     open blocks; on a mismatch the offending quadruple is reconstructed
     and attached to the :class:`Crossing` error.
     """
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise NotAPartition(f"ground set size must be a positive integer, got {n!r}")
     cleaned = []
     for block in blocks:

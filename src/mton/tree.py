@@ -18,18 +18,19 @@ All children of one node are built in one batch by a stepping row.  At
 the last gap the row is the node itself.  Each step moves the new point
 one place left, past one old point, so only the block holding that point
 changes: the point is raised into the block's tail.  Each child is a
-copy of the row with the new block in its last slot.  A single child
-step is the same row over one gap: every block is classified once,
-reused as is below the new point and split into its points below it and
-a raised tail otherwise.  The level walk always covers a whole level,
-in rank order from rank 0, and takes every node, inner or leaf, from
-its parent's batch.
+copy of the row with the new block in its last slot.  The level walk
+always covers a whole level, in rank order from rank 0, and takes every
+node, inner or leaf, from its parent's batch.
+
+A single child or parent step, as behind decoding, unranking and
+ranking, shifts the points past the gap directly and shares no code
+with the batches, so the walk and the codec are two constructions of
+each node.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterator
 
@@ -129,49 +130,35 @@ class OrderedNcPartition:
 # ---------------------------------------------------------------------------
 # raw-tuple child/parent steps (hot path: no wrapper objects, no validation)
 
-def _rows(blocks, shift, marks):
-    """The children that insert a new block of ``shift`` points
-    m, ..., m+shift-1 at each mark m of the range ``marks``, in order:
+def _shift(blocks, past, by):
+    """Move every point past ``past`` by ``by``; a block that lies wholly
+    at or below ``past`` is reused as is."""
+    return tuple([b if b[-1] <= past else tuple([x + by if x > past else x for x in b])
+                  for b in blocks])
+
+
+def _rows(blocks, shift, n):
+    """The children of a node on {1..n} that insert a new block of
+    ``shift`` points m, ..., m+shift-1 at each mark m = 1..n+1, in order:
     every old point >= m is raised by ``shift``, and the new block takes
     the last label.
 
     One row steps along the marks, from the last down to the first.  At
-    the last mark every block is classified: a block wholly below it is
-    reused as is, a block wholly at or above it is raised whole, and a
-    block that straddles it keeps its points below the mark and takes
-    the raised rest.  The raised part of a block is its tail.  Stepping
-    from mark m+1 down to m raises only point m, so only the block that
-    holds it changes: its tail gains m+shift at the front, and the block
-    becomes its points below m followed by the tail.  The new block sits
-    in the row's last slot, so each further child costs one block update
-    and one copy of the row.  When the range ends past every point, as
-    for a whole sibling batch, the starting row is the node itself and
-    nothing is raised up front.
+    mark n+1 the row is the node itself plus the new block.  The raised
+    part of a block is its tail.  Stepping from mark m+1 down to m raises
+    only point m, so only the block that holds it changes: its tail gains
+    m+shift at the front, and the block becomes its points below m
+    followed by the tail.  The new block sits in the row's last slot, so
+    each further child costs one block update and one copy of the row.
     """
-    first, last = marks[0], marks[-1]
-    row = []
-    tails = []
-    for b in blocks:
-        if b[-1] < last:
-            row.append(b)
-            tails.append(())
-        elif b[0] >= last:
-            tail = tuple([x + shift for x in b])
-            row.append(tail)
-            tails.append(tail)
-        else:
-            j = bisect_left(b, last)
-            tail = tuple([x + shift for x in b[j:]])
-            row.append(b[:j] + tail)
-            tails.append(tail)
-    row.append(tuple(range(last, last + shift)))
+    row = list(blocks)
+    row.append(tuple(range(n + 1, n + 1 + shift)))
     kids = [tuple(row)]
-    if last == first:
-        return kids
+    tails = [()] * len(blocks)
     slot = {x: i for i, b in enumerate(blocks) for x in b}
-    # the new block at each mark m = last-1, ..., first: m, ..., m+shift-1
-    news = zip(*[range(last - 1 + k, first - 1 + k, -1) for k in range(shift)])
-    for m, new in zip(range(last - 1, first - 1, -1), news):
+    # the new block at each mark m = n, ..., 1: m, ..., m+shift-1
+    news = zip(*[range(n + k, k, -1) for k in range(shift)])
+    for m, new in zip(range(n, 0, -1), news):
         i = slot[m]
         b = blocks[i]
         tail = tails[i] = (m + shift,) + tails[i]
@@ -182,38 +169,41 @@ def _rows(blocks, shift, marks):
     return kids
 
 
+def _elongation(kid):
+    """The full-tree elongation child, from the insertion child ``kid``
+    at the gap just after the maximal-label block: the new point joins
+    that block."""
+    return kid[:-2] + (kid[-2] + kid[-1],)
+
+
 def _kids(blocks, n, scale):
     """All children of a node on {1..n} in digit order: a new block of
     ``scale`` points inserted at every gap 1..n+1, then, in the full tree
-    only, the elongation child.  That is the insertion child at the gap
-    after the last point q of the maximal-label block, with the new point
-    q+1 joined to that block instead of standing alone."""
-    kids = _rows(blocks, scale, range(1, n + 2))
+    only, the elongation child."""
+    kids = _rows(blocks, scale, n)
     if scale == 1:
-        q = blocks[-1][-1]
-        kids.append(kids[q][:-2] + (blocks[-1] + (q + 1,),))
+        kids.append(_elongation(kids[blocks[-1][-1]]))
     return kids
 
 
 def _child(blocks, n, d, scale):
-    """The child of digit d alone; digit n+1 is the full tree's elongation."""
+    """The child of digit d alone, built by shifting points directly
+    rather than from a sibling batch: digit d <= n inserts the new block
+    at gap d+1, and digit n+1 is the full tree's elongation."""
     top = n + 2 - scale
     if d < 0 or d > top:
         raise DigitOutOfRange(f"digit {d} not in 0..{top}")
     if d <= n:
-        return _rows(blocks, scale, range(d + 1, d + 2))[0]
-    q = blocks[-1][-1]
-    return (_rows(blocks, 1, range(q + 1, q + 2))[0][:-2]
-            + (blocks[-1] + (q + 1,),))
+        return _shift(blocks, d, scale) + (tuple(range(d + 1, d + 1 + scale)),)
+    return _elongation(_child(blocks, n, blocks[-1][-1], 1))
 
 
 def _parent(blocks, scale):
     """Delete the last ``scale`` points of the maximal-label block, or the
     whole block when that is all of it, and close the gap they leave."""
     j = blocks[-1]
-    q = j[-1]
     rest = blocks[:-1] if len(j) <= scale else blocks[:-1] + (j[:-scale],)
-    return tuple(tuple(x - scale if x > q else x for x in b) for b in rest)
+    return _shift(rest, j[-1], -scale)
 
 
 def _scale(kind):
@@ -297,7 +287,11 @@ class TreeCode(namedtuple("TreeCode", "kind digits")):
     def from_json(cls, data: dict) -> "TreeCode":
         kind = data["kind"]
         _require_kind(kind)
-        return cls(kind, tuple(int(d) for d in data["digits"]))
+        digits = tuple(data["digits"])
+        for d in digits:
+            if not isinstance(d, int) or isinstance(d, bool):
+                raise ValueError(f"digit {d!r} is not an integer")
+        return cls(kind, digits)
 
 
 def _radix(depth: int, kind: str) -> int:

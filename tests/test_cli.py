@@ -360,6 +360,22 @@ def test_python_dash_m_runs_the_cli_without_an_install():
     assert (done.returncode, done.stdout, done.stderr) == (0, "5/3\n", "")
 
 
+@pytest.mark.parametrize("command", (["enumerate", "--n", "8"],
+                                     ["stats", "--n", "6"],
+                                     ["stirling", "--n", "200"]))
+def test_a_closed_pipe_ends_the_command_quietly(command):
+    # the reader takes one line and stops: not a failure of the command
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen([sys.executable, "-m", "mton", *command],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, "")
+
+
 def test_import_loads_no_introspection_or_lazy_modules():
     # a fresh interpreter, set up as the benchmark's jobs are: no site
     # hooks and no PYTHON* variable but the source path

@@ -9,6 +9,7 @@ from mton.partitions import (Crossing, NcPartition, NotAPartition,
                              nesting_parents,
                              validate_noncrossing)
 from mton.reference import has_crossing_naive, noncrossing_partitions
+from mton.tree import OrderedNcPartition
 
 
 def all_set_partitions(n):
@@ -138,6 +139,13 @@ def test_json_round_trip():
     blob = p.to_json()
     assert blob == {"n": 5, "blocks": [[1, 4, 5], [2, 3]]}
     assert NcPartition.from_json(blob) == p
+
+
+def test_json_rejects_a_boolean_ground_set_size():
+    with pytest.raises(NotAPartition, match="True"):
+        NcPartition.from_json({"n": True, "blocks": [[1]]})
+    with pytest.raises(NotAPartition, match="True"):
+        OrderedNcPartition.from_json({"n": True, "blocks_by_label": [[1]]})
 
 
 def test_pair_partition_predicate():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from mton import reference, tree
 from mton.tree import (FULL, PAIR, DigitOutOfRange, OrderedNcPartition,
-                       RankOutOfRange, RootHasNoParent, TreeCode, children,
-                       decode, encode, full_root, iter_level, level_count,
+                       RankOutOfRange, RootHasNoParent, TreeCode, child_at,
+                       children, decode, encode, full_root, iter_level, level_count,
                        pair_children, pair_parent, pair_root, parent, rank_of,
                        stream_level, unrank)
 
@@ -94,20 +94,6 @@ def test_sibling_batches_match_the_single_step_and_the_old_relabel():
                             == oracle(blocks, op.n, d))
 
 
-def test_a_row_range_past_the_first_mark_matches_the_old_relabel():
-    # the stepping row started mid-node: each insertion child of the range
-    for kind, top, shift, oracle in ((FULL, 5, 1, _relabel_full),
-                                     (PAIR, 4, 2, _relabel_pair)):
-        for depth in range(1, top + 1):
-            for op in iter_level(depth, kind):
-                blocks, n = op.blocks_by_label, op.n
-                for lo in range(2, n + 2):
-                    for hi in range(lo, n + 2):
-                        marks = range(lo, hi + 1)
-                        assert tree._rows(blocks, shift, marks) == [
-                            oracle(blocks, n, m - 1) for m in marks], (blocks, lo, hi)
-
-
 def test_pair_children_relabel_blocks_of_any_size():
     # a pair spliced into a full-tree node splits blocks of three or more
     op = decode(TreeCode(FULL, (2, 3, 4, 3, 2, 7, 0, 9)))
@@ -129,6 +115,24 @@ def test_walk_matches_unrank_from_every_start():
             assert list(tree._walk(n, kind)) == [
                 unrank(k, n, kind).blocks_by_label
                 for k in range(level_count(n, kind))], (kind, n)
+
+
+def test_the_codec_steps_without_a_sibling_batch(monkeypatch):
+    # unranking, ranking and single child or parent steps shift points
+    # directly, so they work with the batch stepper gone
+    def no_batch(*args):
+        raise AssertionError("a single step built a sibling batch")
+    monkeypatch.setattr(tree, "_rows", no_batch)
+    for kind, n, up in ((FULL, 16, parent), (PAIR, 12, pair_parent)):
+        total = level_count(n, kind)
+        for k in (0, 1, total // 3, total - 2, total - 1):
+            op = unrank(k, n, kind)
+            assert rank_of(op, kind) == k
+            assert unrank(k // tree._radix(n - 1, kind), n - 1, kind) == up(op)
+            for d in (0, tree._radix(n, kind) - 1):
+                kid = child_at(op, d, kind)
+                assert up(kid) == op
+                assert rank_of(kid, kind) == k * tree._radix(n, kind) + d
 
 
 def test_the_walk_builds_every_node_from_one_batch_per_parent(monkeypatch):
@@ -225,6 +229,12 @@ def test_code_json_round_trip():
     blob = code.to_json()
     assert blob == {"kind": "pair", "digits": [2, 4, 0]}
     assert TreeCode.from_json(blob) == code
+
+
+def test_code_json_rejects_a_digit_that_is_not_an_integer():
+    for bad in (1.7, "2", True):
+        with pytest.raises(ValueError, match=repr(bad)):
+            TreeCode.from_json({"kind": "full", "digits": [bad]})
 
 
 def test_checked_rejects_badly_ordered_labels():
