@@ -40,34 +40,46 @@ _FORMULAS = {
 }
 
 
-def _ceiling(kind: str) -> int:
-    env = os.environ.get("MTON_MAX_N")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(
-                f"MTON_MAX_N must be an integer, got {env!r}") from None
-    return laplace._default_max(kind)
-
+# the deepest level or row each cost reaches without --force, keyed by
+# the tree a node walk visits or by the words naming the cost
+_BOUNDS = {
+    # the node walk of enumerate, stats and laplace --method brute|both:
+    # level n holds (n+1)!/2 nodes, or (2n-1)!! on the pair tree, so level
+    # n + 1 holds n + 2 times as many (2n + 1 on the pair tree); counting
+    # full level 10 takes about 35 s, and pair level 8 about 3 s
+    FULL: 10,
+    PAIR: 8,
+    # the recursion of laplace --method recursion|both: its coefficients
+    # grow like n!, so a far deeper level can take the machine's memory
+    # (level 1000 takes about 1.5 s and prints 1.5 MB)
+    "the recursion to level": 1000,
+    # the triangle of stirling: row n holds integers up to (n+1)!/2, so
+    # time and memory grow like n^2.4; row 500 takes about 0.9 s, peaks
+    # at 45 MB and prints 55 MB, row 1000 about 14 s and 250 MB, and rows
+    # in the low thousands take the machine's memory
+    "the triangle to row": 500,
+}
 
 # the deepest level whose node count a refusal prints: the count of a far
 # deeper level is a factorial too long to compute before refusing
 _COUNTED = 20
 
 
-def _refused(args: argparse.Namespace) -> bool:
-    limit = _ceiling(args.kind)
-    if args.n > limit and not args.force:
-        if args.n <= _COUNTED:
-            scale = tree.level_count(args.n, args.kind)
-        else:
-            scale = f"more than {tree.level_count(_COUNTED, args.kind)}"
-        print(f"level {args.n} of the {args.kind} tree holds {scale} nodes, "
-              f"over the default bound {limit}; pass --force or set "
-              f"MTON_MAX_N", file=sys.stderr)
-        return True
-    return False
+def _refused(args: argparse.Namespace, cost: str) -> bool:
+    """Refuse ``args.n`` past the bound of ``cost`` on stderr, before
+    any work, unless --force is given."""
+    bound = _BOUNDS[cost]
+    if args.n <= bound or args.force:
+        return False
+    if cost in KINDS:
+        count = tree.level_count(min(args.n, _COUNTED), cost)
+        more = "more than " if args.n > _COUNTED else ""
+        head = (f"level {args.n} of the {cost} tree holds {more}{count} "
+                f"nodes, over the default")
+    else:
+        head = f"{cost} {args.n} is over the"
+    print(f"{head} bound {bound}; pass --force", file=sys.stderr)
+    return True
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -81,7 +93,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"limit must be >= 0, got {args.limit}")
-    if _refused(args):
+    if _refused(args, args.kind):
         return 2
     if args.format == "count":
         nodes = islice(tree.stream_level(args.n, args.kind), args.limit)
@@ -96,7 +108,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    if _refused(args):
+    if _refused(args, args.kind):
         return 2
     if args.stat:
         chosen = [Statistic.parse(s) for s in args.stat]
@@ -114,49 +126,26 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-# the deepest level the recursion builds without --force: its
-# coefficients grow like n!, so a far deeper level can take the
-# machine's memory (level 1000 takes about 1.5 s and prints 1.5 MB)
-_RECURSION_BOUND = 1000
-
-# the deepest row the triangle builds without --force: row n holds
-# integers up to (n+1)!/2, so time and memory grow like n^2.4; row 500
-# takes about 0.9 s, peaks at 45 MB and prints 55 MB, row 1000 about
-# 14 s and 250 MB, and rows in the low thousands take the machine's memory
-_STIRLING_BOUND = 500
-
-
-def _over_bound(args: argparse.Namespace, bound: int, what: str) -> bool:
-    if args.n > bound and not args.force:
-        print(f"{what} {args.n} is over the bound {bound}; pass --force",
-              file=sys.stderr)
-        return True
-    return False
-
-
 def cmd_laplace(args: argparse.Namespace) -> int:
     stat = Statistic.parse(args.stat)
     brute, recursion = args.method != "recursion", args.method != "brute"
-    if recursion and _over_bound(args, _RECURSION_BOUND,
-                                 "the recursion to level"):
+    # every refusal comes before any scan, so none throws a scan away;
+    # the recursion scans just its seed levels, which the scan's id
+    # capacity still bounds
+    if recursion and _refused(args, "the recursion to level"):
         return 2
-    # only brute force enumerates level n; the recursion enumerates just
-    # its seed levels, which the library bound still guards
-    max_n = args.n if args.force else _ceiling(args.kind)
-    # every refusal comes before any scan, so none throws a scan away
     if brute:
-        if _refused(args):
+        if _refused(args, args.kind):
             return 2
-        laplace._refuse_area_off_pairs(stat, args.kind)
+        stats.refuse_area_off_pairs(stat, args.kind)
     if recursion:
         laplace._transition_law(stat, args.kind)
     results = {}
     if brute:
-        results["brute"] = laplace.bruteforce_transform(
-            stat, args.n, args.kind, max_n=max_n)
+        results["brute"] = laplace.bruteforce_transform(stat, args.n, args.kind)
     if recursion:
         results["recursion"] = laplace.recursion_transform(
-            stat, args.n, args.kind, max_n=max_n)
+            stat, args.n, args.kind)
     if args.json:
         payload = {name: poly.to_json() for name, poly in results.items()}
         if args.method == "both":
@@ -208,7 +197,7 @@ def cmd_cumulants(args: argparse.Namespace) -> int:
 
 
 def cmd_stirling(args: argparse.Namespace) -> int:
-    if _over_bound(args, _STIRLING_BOUND, "the triangle to row"):
+    if _refused(args, "the triangle to row"):
         return 2
     table = cm.stirling_by_recursion(args.n)
     if args.check:
@@ -308,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check the recursion against the closed form "
                         "on rows up to 20 and the tree count on rows up to 9")
     p.add_argument("--force", action="store_true",
-                   help=f"build past row {_STIRLING_BOUND}")
+                   help=f"build past row {_BOUNDS['the triangle to row']}")
     p.set_defaults(func=cmd_stirling)
 
     p = sub.add_parser("poisson", help="moments of a Poisson law")

@@ -25,10 +25,10 @@ blocks, never from a parent's, so the recursions stay independent of
 the scan.
 
 Every scan enters through one door, :func:`level_histograms`, which
-alone applies the size guard, reads the cache and calls
-:func:`scan_chunk`; the fresh mapping it returns holds the cache's
-Counters, which are read-only.  A read past the cached record's deepest
-level extends it, so each level is built once, in any read order.
+alone reads the cache and calls :func:`scan_chunk`; the fresh mapping
+it returns holds the cache's Counters, which are read-only.  A read
+past the cached record's deepest level extends it, so each level is
+built once, in any read order.
 
 The scan keeps the tree's state graph (:class:`ScanRecord`): for each
 level, each state's partition id, maximal-label block start, first rank
@@ -46,8 +46,8 @@ follows the child-state batches.  A law's verdict on a parent
 depends on its state alone, so the first failing state is the first
 failing rank.  A partition id takes 2 bytes.  Past depth 10 the levels
 hold more distinct partitions than 2-byte ids can name, and
-:func:`scan_chunk` refuses the scan before it builds a child, whatever
-the size guard allows.
+:func:`scan_chunk` refuses the scan before it builds a child: that is
+the scan's only size limit, on both trees.
 """
 
 from __future__ import annotations
@@ -60,17 +60,14 @@ from fractions import Fraction
 
 from . import tree
 from .polynomials import ExactPolynomial, NegativeExponent
-from .stats import (AreaRequiresPairPartition, NotFirstKind, SecondKindInput,
-                    Statistic, _core_digits, _evaluate_blocks,
-                    first_kind_input, second_kind_input)
+from .stats import (NotFirstKind, SecondKindInput, Statistic, _core_digits,
+                    _evaluate_blocks, first_kind_input,
+                    refuse_area_off_pairs, second_kind_input)
 from .tree import FULL
-
-DEFAULT_MAX_FULL = 10
-DEFAULT_MAX_PAIR = 8
 
 
 class SizeBoundExceeded(ValueError):
-    """Refusing an enumeration larger than the configured guard."""
+    """Refusing a scan past the partition ids of its record."""
 
 
 class InsufficientSeed(ValueError):
@@ -258,28 +255,14 @@ def scan_chunk(kind: str, depth: int,
 _scan_cache: dict[str, ScanRecord] = {}
 
 
-def _default_max(kind: str) -> int:
-    # the kind's bound, read when called so a changed setting holds
-    return DEFAULT_MAX_FULL if kind == FULL else DEFAULT_MAX_PAIR
-
-
-def _guard(n: int, kind: str, max_n: int | None) -> None:
-    limit = max_n if max_n is not None else _default_max(kind)
-    if n > limit:
-        raise SizeBoundExceeded(
-            f"depth {n} exceeds the {kind}-tree guard of {limit}")
-
-
-def level_histograms(kind: str, depth: int,
-                     max_n: int | None = None) -> dict[int, Counter]:
+def level_histograms(kind: str, depth: int) -> dict[int, Counter]:
     """Partition histograms for every level <= depth, cached per kind:
     each canonical partition with the number of nodes that carry it.
-    The door to the scan: a depth past ``max_n`` (by default the kind's
-    bound) is refused before the cache is read.  The mapping is fresh;
-    its Counters belong to the cache and are read-only."""
+    The door to the scan, which :func:`scan_chunk` refuses past depth
+    10, its record's id capacity.  The mapping is fresh; its Counters
+    belong to the cache and are read-only."""
     if depth < 1:  # a warm cache would otherwise answer with no levels
         raise ValueError(f"depth must be >= 1, got {depth}")
-    _guard(depth, kind, max_n)
     record = _scan_cache.get(kind)
     if record is None or len(record) < depth:
         record = _scan_cache[kind] = scan_chunk(kind, depth, record)
@@ -296,19 +279,13 @@ def clear_scan_cache() -> None:
     _scan_cache.clear()
 
 
-def _refuse_area_off_pairs(stat: Statistic, kind: str) -> None:
-    if stat.family == "area" and kind == FULL:
-        raise AreaRequiresPairPartition(
-            f"{stat.name} needs the pair tree, not the {kind} tree")
-
-
-def bruteforce_transform(stat: Statistic, n: int, kind: str = FULL,
-                         max_n: int | None = None) -> ExactPolynomial:
+def bruteforce_transform(stat: Statistic, n: int,
+                         kind: str = FULL) -> ExactPolynomial:
     """Exact level-n transform by exhaustive enumeration: the value of
     each distinct partition, weighted by the number of nodes that carry
     it."""
-    _refuse_area_off_pairs(stat, kind)
-    level_histograms(kind, n, max_n)
+    refuse_area_off_pairs(stat, kind)
+    level_histograms(kind, n)
     return _scan_cache[kind].transform(stat, n)
 
 
@@ -485,19 +462,18 @@ def _transition_law(stat: Statistic, kind: str) -> tuple | SecondKindInput:
     return second_kind_input(stat, kind)
 
 
-def recursion_transform(stat: Statistic, n: int, kind: str = FULL,
-                        max_n: int | None = None) -> ExactPolynomial:
+def recursion_transform(stat: Statistic, n: int,
+                        kind: str = FULL) -> ExactPolynomial:
     """Level-n transform via the statistic's transition law
     (:func:`_transition_law`), seeded by tiny brute-forced levels."""
     law = _transition_law(stat, kind)
     if isinstance(law, SecondKindInput):
-        seed = bruteforce_transform(stat, 1, kind, max_n)
+        seed = bruteforce_transform(stat, 1, kind)
         return recurse_second_kind(law, seed, n, kind)
     k = max(len(law), 2)
     if n <= k:
-        return bruteforce_transform(stat, n, kind, max_n)
-    seeds = [bruteforce_transform(stat, m, kind, max_n)
-             for m in range(1, k + 1)]
+        return bruteforce_transform(stat, n, kind)
+    seeds = [bruteforce_transform(stat, m, kind) for m in range(1, k + 1)]
     return recurse_first_kind(law, seeds, n)
 
 

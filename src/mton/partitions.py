@@ -31,6 +31,18 @@ class NotPairPartition(ValueError):
     """All blocks must have exactly two elements for this operation."""
 
 
+def _field(data, name: str, *kinds: type):
+    """``data[name]`` of a JSON record, or a ValueError that names the
+    field when the record lacks it or holds none of ``kinds`` there."""
+    if not isinstance(data, dict) or name not in data:
+        raise ValueError(f"the record has no field {name!r}")
+    value = data[name]
+    if kinds and not isinstance(value, kinds):
+        raise ValueError(
+            f"field {name!r} must be a {kinds[0].__name__}, got {value!r}")
+    return value
+
+
 class NcPartition(namedtuple("NcPartition", "n blocks")):
     """A non-crossing partition of {1..n} in canonical block order:
     ``blocks`` is a tuple of sorted int tuples.
@@ -54,7 +66,8 @@ class NcPartition(namedtuple("NcPartition", "n blocks")):
 
     @classmethod
     def from_json(cls, data: dict) -> "NcPartition":
-        return validate_noncrossing(data["blocks"], data["n"])
+        return validate_noncrossing(_field(data, "blocks", list, tuple),
+                                    _field(data, "n"))
 
     def __str__(self) -> str:
         inner = ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
@@ -70,13 +83,13 @@ def validate_noncrossing(blocks: Iterable[Iterable[int]], n: int) -> NcPartition
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise NotAPartition(f"ground set size must be a positive integer, got {n!r}")
-    cleaned = []
-    for block in blocks:
-        b = tuple(sorted(block))
-        if not b:
-            raise NotAPartition("empty block")
-        cleaned.append(b)
-    cleaned.sort()
+    try:
+        cleaned = sorted(tuple(sorted(block)) for block in blocks)
+    except TypeError:
+        raise NotAPartition(
+            f"blocks must be lists of points, got {blocks!r}") from None
+    if cleaned and not cleaned[0]:
+        raise NotAPartition("empty block")
     owner = [-1] * (n + 1)
     for idx, b in enumerate(cleaned):
         for x in b:

@@ -11,6 +11,8 @@ import re
 from fractions import Fraction
 from collections.abc import Mapping
 
+from .partitions import _field
+
 Rational = int | Fraction
 
 
@@ -160,7 +162,17 @@ class ExactPolynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExactPolynomial":
-        return cls({int(e): parse_rational(c) for e, c in data["coeffs"].items()})
+        # each coefficient is a string, as to_json writes it: a JSON
+        # number, even an integer, is refused
+        coeffs = {}
+        for e, c in _field(data, "coeffs", dict).items():
+            try:
+                coeffs[int(e)] = parse_rational(c)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"field 'coeffs' maps {e!r} to {c!r}, not an integer "
+                    f"exponent to a rational string") from None
+        return cls(coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExactPolynomial) and self._coeffs == other._coeffs

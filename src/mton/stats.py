@@ -215,6 +215,12 @@ def _core_digits(stat: Statistic, kind: str, blocks, n: int) -> set[int]:
 # ---------------------------------------------------------------------------
 # tables
 
+def refuse_area_off_pairs(stat: Statistic, kind: str) -> None:
+    if stat.family == "area" and kind == FULL:
+        raise AreaRequiresPairPartition(
+            f"{stat.name} needs the pair tree, not the {kind} tree")
+
+
 def stats_table(n: int, kind: str,
                 stats: Iterable[Statistic]) -> Iterator[list]:
     """Rows of the statistics table: a header, one row per ordered
@@ -226,9 +232,7 @@ def stats_table(n: int, kind: str,
     stats = list(stats)
     count = tree.level_count(n, kind)
     for s in stats:
-        if s.family == "area" and kind != PAIR:
-            raise AreaRequiresPairPartition(
-                f"{s.name} needs the pair tree, not the {kind} tree")
+        refuse_area_off_pairs(s, kind)
     return _table_rows(n, kind, stats, count)
 
 

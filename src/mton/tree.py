@@ -34,7 +34,8 @@ import math
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .partitions import NcPartition, nesting_parents, validate_noncrossing
+from .partitions import (NcPartition, _field, nesting_parents,
+                         validate_noncrossing)
 
 FULL = "full"
 PAIR = "pair"
@@ -74,8 +75,8 @@ class OrderedNcPartition:
 
     @classmethod
     def checked(cls, n: int, blocks_by_label) -> "OrderedNcPartition":
+        part = validate_noncrossing(blocks_by_label, n)
         blocks = tuple(tuple(sorted(b)) for b in blocks_by_label)
-        part = validate_noncrossing(blocks, n)
         label_of = {b: i + 1 for i, b in enumerate(blocks)}
         parents = nesting_parents(part)
         for idx, par in enumerate(parents):
@@ -113,7 +114,8 @@ class OrderedNcPartition:
 
     @classmethod
     def from_json(cls, data: dict) -> "OrderedNcPartition":
-        return cls.checked(data["n"], data["blocks_by_label"])
+        return cls.checked(_field(data, "n"),
+                           _field(data, "blocks_by_label", list, tuple))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, OrderedNcPartition)
@@ -285,9 +287,9 @@ class TreeCode(namedtuple("TreeCode", "kind digits")):
 
     @classmethod
     def from_json(cls, data: dict) -> "TreeCode":
-        kind = data["kind"]
+        kind = _field(data, "kind")
         _require_kind(kind)
-        digits = tuple(data["digits"])
+        digits = tuple(_field(data, "digits", list, tuple))
         for d in digits:
             if not isinstance(d, int) or isinstance(d, bool):
                 raise ValueError(f"digit {d!r} is not an integer")

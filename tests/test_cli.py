@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from mton import cumulants as cm
-from mton import harness, laplace, tree
+from mton import cli, harness, laplace, tree
 from mton.harness import SUITES
 from mton.cli import main
 from mton.polynomials import ExactPolynomial, format_rational
@@ -49,7 +49,7 @@ def test_enumerate_guard_refuses_big_levels(capsys):
     assert "--force" in err
 
 
-_REFUSAL_TAIL = "over the default bound 10; pass --force or set MTON_MAX_N\n"
+_REFUSAL_TAIL = "over the default bound 10; pass --force\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -141,7 +141,7 @@ def test_a_recursion_past_its_bound_needs_force(capsys, monkeypatch):
     # past the bound is refused before the recursion starts
     calls = []
 
-    def recorded(stat, n, kind=tree.FULL, max_n=None):
+    def recorded(stat, n, kind=tree.FULL):
         calls.append(n)
         return ExactPolynomial({1: 1})
     monkeypatch.setattr(laplace, "recursion_transform", recorded)
@@ -155,6 +155,45 @@ def test_a_recursion_past_its_bound_needs_force(capsys, monkeypatch):
                          "--method", "recursion", "--force")
     assert code == 0, err
     assert calls == [2000]
+
+
+# each row of the bounds table: a command that reads it, the library call
+# that does the bounded work, and what that call returns once forced
+_BOUNDED = {
+    tree.FULL: (("enumerate", "--format", "count"), tree, "stream_level",
+                lambda n, kind: iter(())),
+    tree.PAIR: (("stats", "--kind", "pair"), tree, "iter_level",
+                lambda n, kind: iter(())),
+    "the recursion to level": (
+        ("laplace", "--stat", "Y", "--method", "recursion"), laplace,
+        "recursion_transform", lambda stat, n, kind: ExactPolynomial({1: 1})),
+    "the triangle to row": (("stirling",), cm, "stirling_by_recursion",
+                            lambda n: cm.StirlingTable(((1,),) * n)),
+}
+
+
+@pytest.mark.parametrize("cost", sorted(cli._BOUNDS))
+def test_every_bound_refuses_before_its_work_unless_forced(capsys, monkeypatch,
+                                                           cost):
+    argv, module, name, forced = _BOUNDED[cost]
+    over = str(cli._BOUNDS[cost] + 1)
+
+    def refused(*args):
+        raise AssertionError(f"{name} ran")
+    monkeypatch.setattr(module, name, refused)
+    code, out, err = run(capsys, *argv, "--n", over)
+    assert (code, out) == (2, "")
+    assert over in err and err.endswith(
+        f"bound {cli._BOUNDS[cost]}; pass --force\n"), err
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return forced(*args)
+    monkeypatch.setattr(module, name, recorded)
+    code, out, err = run(capsys, *argv, "--n", over, "--force")
+    assert (code, err) == (0, "")
+    assert len(calls) == 1 and int(over) in calls[0]
 
 
 def test_laplace_rejects_mismatched_stat_kind(capsys):
@@ -392,28 +431,3 @@ def test_import_loads_no_introspection_or_lazy_modules():
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.split() == []
 
-
-def test_env_override_of_size_guard(capsys, monkeypatch):
-    monkeypatch.setenv("MTON_MAX_N", "3")
-    code, _, err = run(capsys, "enumerate", "--n", "4", "--format", "count")
-    assert code == 2
-    assert "MTON_MAX_N" in err
-    monkeypatch.setenv("MTON_MAX_N", "4")
-    code, out, _ = run(capsys, "enumerate", "--n", "4", "--format", "count")
-    assert code == 0
-    assert out.strip() == "60"
-    # once the CLI guard admits a level, the library bound does not refuse it
-    monkeypatch.setattr(laplace, "DEFAULT_MAX_FULL", 4)
-    monkeypatch.setenv("MTON_MAX_N", "5")
-    code, _, err = run(capsys, "laplace", "--stat", "Y", "--n", "5",
-                       "--method", "brute")
-    assert code == 0, err
-
-
-def test_a_non_integer_max_n_is_named_in_the_usage_error(capsys, monkeypatch):
-    for value in ("abc", ""):
-        monkeypatch.setenv("MTON_MAX_N", value)
-        code, out, err = run(capsys, "enumerate", "--n", "3",
-                             "--format", "count")
-        assert (code, out) == (2, "")
-        assert err == f"error: MTON_MAX_N must be an integer, got {value!r}\n"

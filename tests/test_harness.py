@@ -521,19 +521,24 @@ def test_scan_multiplicities_catches_a_missing_partition(monkeypatch):
                               "catalan": 2}
 
 
-def test_a_scan_past_the_guard_is_an_error_report(scan_calls):
-    # the size past the guard is refused at the door, before its scan
-    def kernel(n):
-        laplace.level_histograms(FULL, n)
-        return None
-    too_deep = laplace.DEFAULT_MAX_FULL + 1
-    check = Check(CheckSpec("too-deep", "asks past the guard"),
-                  (1, too_deep), kernel)
-    report = check.run()
-    assert report.status == "error"
-    assert report.witness["n"] == too_deep
-    assert report.witness["error"].startswith("SizeBoundExceeded")
-    assert scan_calls == [(FULL, 1, 0)]
+def test_a_scan_past_the_guard_is_an_error_report(scan_calls, monkeypatch):
+    # depth 11, past the scan record's id capacity, is refused on both
+    # trees before a child is built, and each check reports the error
+    def no_child(*args):
+        raise AssertionError("the scan built a child")
+    monkeypatch.setattr(tree, "_kids", no_child)
+    for kind in (FULL, PAIR):
+        def kernel(n):
+            laplace.level_histograms(kind, n)
+            return None
+        check = Check(CheckSpec("too-deep", "asks past the guard"),
+                      (1, 11), kernel)
+        report = check.run()
+        assert report.status == "error"
+        assert report.witness["n"] == 11
+        assert report.witness["error"].startswith("SizeBoundExceeded")
+    assert scan_calls == [(FULL, 1, 0), (FULL, 11, 1),
+                          (PAIR, 1, 0), (PAIR, 11, 1)]
 
 
 def test_count_kernel_reads_the_scan_not_a_stream(monkeypatch):

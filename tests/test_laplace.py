@@ -171,13 +171,18 @@ def test_second_kind_step_rejects_a_surviving_negative_exponent():
         == ExactPolynomial({0: 3})
 
 
-def test_size_guard():
-    with pytest.raises(SizeBoundExceeded):
-        bruteforce_transform(BLOCKS, laplace.DEFAULT_MAX_FULL + 1)
-    with pytest.raises(SizeBoundExceeded):
-        bruteforce_transform(AREA, laplace.DEFAULT_MAX_PAIR + 1, PAIR)
-    # explicit override allows it (kept tiny here)
-    poly = bruteforce_transform(BLOCKS, 4, max_n=4)
+def test_size_guard(monkeypatch):
+    # the scan's one limit is its record's id capacity: depth 11 is
+    # refused on both trees before a child is built
+    def no_child(*args):
+        raise AssertionError("the scan built a child")
+    with monkeypatch.context() as patch:
+        patch.setattr(tree, "_kids", no_child)
+        with pytest.raises(SizeBoundExceeded, match="82499"):
+            bruteforce_transform(BLOCKS, 11)
+        with pytest.raises(SizeBoundExceeded, match="82499"):
+            bruteforce_transform(AREA, 11, PAIR)
+    poly = bruteforce_transform(BLOCKS, 4)
     assert poly.evaluate(1) == level_count(4, FULL)
     # a warm scan cache must not answer depth 0 with a missing level
     for n in (0, -1):
@@ -608,26 +613,23 @@ def test_area_is_refused_on_the_full_tree_before_the_scan(monkeypatch):
 
 
 def test_the_door_refuses_past_the_guard_before_any_scan(monkeypatch):
-    # both readers of the scan refuse a level past the bound before the
-    # cache is read or a walk starts
-    walks = []
-
-    def no_scan(kind, depth):
-        walks.append((kind, depth))
-        raise AssertionError("the scan was started")
-    monkeypatch.setattr(laplace, "scan_chunk", no_scan)
-    for kind, bound in ((FULL, laplace.DEFAULT_MAX_FULL),
-                        (PAIR, laplace.DEFAULT_MAX_PAIR)):
+    # both readers of the scan refuse depth 11, past the record's id
+    # capacity, on a warm cache before a child is built
+    def no_child(*args):
+        raise AssertionError("the scan built a child")
+    for kind in (FULL, PAIR):
+        level_histograms(kind, 2)
+    monkeypatch.setattr(tree, "_kids", no_child)
+    for kind in (FULL, PAIR):
         for read in (level_histograms, laplace.scan_record):
-            with pytest.raises(SizeBoundExceeded):
-                read(kind, bound + 1)
-    assert walks == []
+            with pytest.raises(SizeBoundExceeded, match="82499"):
+                read(kind, 11)
 
 
-def test_the_door_holds_a_forwarded_bound_on_a_warm_cache():
-    level_histograms(FULL, 4)
-    with pytest.raises(SizeBoundExceeded):
-        level_histograms(FULL, 4, max_n=3)
+def test_the_library_scans_pair_level_nine():
+    # the id capacity, not a depth setting, bounds the scan: pair level 9
+    # holds 34,459,425 nodes on 4,862 distinct partitions
+    assert sum(level_histograms(PAIR, 9)[9].values()) == level_count(9, PAIR)
 
 
 def test_clearing_the_returned_mapping_leaves_the_cache_whole(monkeypatch):

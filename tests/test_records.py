@@ -12,8 +12,9 @@ from mton.closed_forms import AsymptoticReport
 from mton.cumulants import StirlingTable
 from mton.harness import Check, CheckReport, CheckSpec
 from mton.partitions import NcPartition
+from mton.polynomials import ExactPolynomial
 from mton.stats import SecondKindInput, Statistic
-from mton.tree import FULL, TreeCode
+from mton.tree import FULL, OrderedNcPartition, TreeCode
 
 
 def _kernel(n):
@@ -99,6 +100,27 @@ def test_tree_codes_and_partitions_survive_a_json_round_trip():
     assert NcPartition.from_json(part.to_json()) == part
     assert part.size == 2 and part.is_pair_partition()
     assert str(part) == "{{1,4}, {2,3}}"
+
+
+@pytest.mark.parametrize("reader, data, field", [
+    (ExactPolynomial, {"coeffs": {"1": 1}}, "coeffs"),
+    (ExactPolynomial, {"coeffs": {"1": True}}, "coeffs"),
+    (ExactPolynomial, {"coeffs": []}, "coeffs"),
+    (ExactPolynomial, {}, "coeffs"),
+    (OrderedNcPartition, {"n": 2}, "blocks_by_label"),
+    (NcPartition, {"n": 2}, "blocks"),
+    (TreeCode, {"kind": "full"}, "digits"),
+    (NcPartition, {"n": 1, "blocks": [1]}, "blocks"),
+    (TreeCode, {"kind": "full", "digits": 5}, "digits"),
+], ids=["int-coefficient", "bool-coefficient", "coeffs-list", "no-coeffs",
+        "no-blocks-by-label", "no-blocks", "no-digits", "block-not-a-list",
+        "digits-not-a-list"])
+def test_a_bad_record_is_a_value_error_that_names_its_field(reader, data,
+                                                            field):
+    # a coefficient is read from a string only, as to_json writes it: a
+    # JSON number, even an integer, is refused
+    with pytest.raises(ValueError, match=field):
+        reader.from_json(data)
 
 
 def test_record_properties_and_methods():
