@@ -329,8 +329,7 @@ def main(argv: list[str] | None = None) -> int:
         # devnull so the interpreter's final flush does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (stats.NotFirstKind, stats.NotSecondKind, laplace.SizeBoundExceeded,
-            cf.OutOfValidity, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

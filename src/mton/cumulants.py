@@ -128,12 +128,7 @@ def stirling_by_recursion(n_max: int) -> StirlingTable:
     rows = [(1,)]
     for n in range(2, n_max + 1):
         prev = rows[-1]
-        row = []
-        for k in range(1, n + 1):
-            above = prev[k - 1] if k <= len(prev) else 0
-            diag = prev[k - 2] if 2 <= k <= len(prev) + 1 else 0
-            row.append(above + n * diag)
-        rows.append(tuple(row))
+        rows.append(tuple(a + n * b for a, b in zip(prev + (0,), (0,) + prev)))
     return StirlingTable(tuple(rows))
 
 

@@ -68,9 +68,10 @@ class Check(namedtuple("Check", "spec sizes kernel")):
     def run(self) -> CheckReport:
         start = time.perf_counter()
         status, witness = "pass", None
+        spec, sizes, kernel = self
         try:
-            for n in self.sizes:
-                witness = self.kernel(n)
+            for n in sizes:
+                witness = kernel(n)
                 if witness is not None:
                     status = "fail"
                     break
@@ -80,7 +81,7 @@ class Check(namedtuple("Check", "spec sizes kernel")):
             status, witness = "error", {
                 "n": n, "error": f"{type(exc).__name__}: {exc}",
                 "traceback": frames.splitlines()[-6:]}
-        return CheckReport(self.spec.id, status, witness,
+        return CheckReport(spec.id, status, witness,
                            time.perf_counter() - start)
 
 
@@ -269,11 +270,6 @@ def _k_stat_cross(n: int) -> dict | None:
     return witness
 
 
-def _sized(states, j: int) -> set:
-    # the next level's states reached by a child of labelled size j
-    return {k for k, size in zip(states.kids, states.sizes) if size == j}
-
-
 def _k_parent_chain(m: int) -> dict | None:
     # from each singleton state of level m-ell+1, the elongation child
     # (the last digit) taken ell-1 times must reach each size-ell state
@@ -291,16 +287,14 @@ def _k_parent_chain(m: int) -> dict | None:
         low_values = [record.level_values(s, low) for s in SIZE_STATS]
         # r_2 + ... + r_ell, with r_j = 0 past the increment vector
         shifts = [sum(stats.first_kind_input(s)[1:ell]) for s in SIZE_STATS]
-        # the root, a single point, is the one singleton state of level 1
-        sources = _sized(levels[low - 1], 1) if low > 1 else {0}
         chained: dict[int, list] = {}
-        for s in sources:
+        for s in (s for s, size in enumerate(base.size) if size == 1):
             k = s
             for d in range(low, m):
                 width = tree._radix(d, FULL)
                 k = levels[d].kids[(k + 1) * width - 1]
             chained.setdefault(k, []).append(s)
-        targets = _sized(levels[m - 1], ell)
+        targets = {k for k, size in enumerate(top.size) if size == ell}
         for k in sorted(targets | chained.keys()):
             hits, want = chained.get(k, []), int(k in targets)
             if len(hits) != want:
@@ -321,15 +315,13 @@ def _k_parent_chain(m: int) -> dict | None:
 
 def _k_singleton_slice(m: int) -> dict | None:
     # the transform over the level-m nodes whose maximal-label block is
-    # a singleton: each child of labelled size 1 of a level-(m-1) state,
-    # once for each node of the state
+    # a singleton: the level's singleton states, by their node counts
     record = laplace.scan_record(FULL, m)
+    states = record.levels[m]
     singletons: Counter = Counter()
-    for (_, _, kids, sizes), count in zip(record.batches(m),
-                                          record.levels[m - 1].mult):
-        for i, size in zip(kids, sizes):
-            if size == 1:
-                singletons[i] += count
+    for i, size, count in zip(states.part, states.size, states.mult):
+        if size == 1:
+            singletons[i] += count
     witness = None
     for s in SIZE_STATS:
         r1 = stats.first_kind_input(s)[0]
@@ -346,9 +338,11 @@ def _area_split_kernel(split: Callable[[int, int], int]):
         record = laplace.scan_record(PAIR, n)
         wants = {i: split(n, area)
                  for i, area in record.level_values(AREA, n - 1).items()}
-        area_of = record.level_values(AREA, n).__getitem__
-        for r, i, kids, _ in record.batches(n):
-            child_sum = sum(map(area_of, kids))
+        # each level-n state's area, read through its partition once
+        area = list(map(record.level_values(AREA, n).__getitem__,
+                        record.levels[n].part))
+        for r, i, kids in record.batches(n):
+            child_sum = sum(map(area.__getitem__, kids))
             want = wants[i]
             if child_sum != want:
                 return {"n": n,

@@ -31,18 +31,19 @@ past the cached record's deepest level extends it, so each level is
 built once, in any read order.
 
 The scan keeps the tree's state graph (:class:`ScanRecord`): for each
-level, each state's partition id, maximal-label block start, first rank
-and node count, and its batch: its children's ids, states and labelled
-maximal-label block sizes, in digit order.  Each level's histogram is
-its states' node counts, tallied by partition id.  ``level_values``
-evaluates a statistic once on each distinct partition of a level;
-``transform`` alone weights such values, by the level's id tally or a
-given one.  ``batches`` yields the batches once per parent state, at
-the state's first rank.  Every edge-law check reads its edges from
-``batches``: both law shapes, through one per-batch comparison
-(:func:`second_kind_witness`, :func:`first_kind_witness`), and the
-harness's area split and singleton slice; the harness's parent chain
-follows the child-state batches.  A law's verdict on a parent
+level, each state's partition id, maximal-label block start and size,
+first rank and node count, and its batch: its children's states, in
+digit order.  A child's partition and block size are read through its
+state.  Each level's histogram is its states' node counts, tallied by
+partition id.  ``level_values`` evaluates a statistic once on each
+distinct partition of a level; ``transform`` alone weights such values,
+by the level's id tally or a given one.  ``batches`` yields the batches
+once per parent state, at the state's first rank.  Every edge-law check
+reads its edges from ``batches``: both law shapes, through one
+per-batch comparison (:func:`second_kind_witness`,
+:func:`first_kind_witness`), and the harness's area split; the
+harness's parent chain follows the child-state batches, and its
+singleton slice reads the states alone.  A law's verdict on a parent
 depends on its state alone, so the first failing state is the first
 failing rank.  A partition id takes 2 bytes.  Past depth 10 the levels
 hold more distinct partitions than 2-byte ids can name, and
@@ -99,19 +100,17 @@ class _Ids(dict):
 class _States:
     """The states of one scanned level, numbered in order of first
     appearance.  For state s: ``part[s]`` is its partition id, ``top[s]``
-    the first point of its maximal-label block, ``first[s]`` the rank of
-    its first node and ``mult[s]`` its node count.  Its A children sit at
-    ``s*A .. s*A + A - 1`` of ``ids`` (their partition ids), ``kids``
-    (their states on the next level) and ``sizes`` (their labelled
-    maximal-label block sizes), in digit order; the three stay empty on
+    and ``size[s]`` the first point and the size of its maximal-label
+    block, ``first[s]`` the rank of its first node and ``mult[s]`` its
+    node count.  Its A children's states on the next level sit at
+    ``kids[s*A .. s*A + A - 1]``, in digit order; ``kids`` stays empty on
     the record's deepest level."""
 
-    __slots__ = ("part", "top", "first", "mult", "ids", "kids", "sizes")
+    __slots__ = ("part", "top", "size", "first", "mult", "kids")
 
     def __init__(self):
-        self.part, self.top = array("H"), array("B")
-        self.first, self.mult = array("L"), array("Q")
-        self.ids, self.kids, self.sizes = array("H"), array("I"), array("B")
+        self.part, self.top, self.size = array("H"), array("B"), array("B")
+        self.first, self.mult, self.kids = array("L"), array("Q"), array("I")
 
 
 class ScanRecord(dict):
@@ -156,17 +155,16 @@ class ScanRecord(dict):
             counts[value[i]] += mult
         return ExactPolynomial.from_counts(counts)
 
-    def batches(self, n: int) -> Iterator[tuple[int, int, array, array]]:
-        """``(rank, parent id, child ids, child sizes)`` once for each
-        state of level n-1, in increasing first rank: the state's first
-        rank r and partition id, and the ids and labelled maximal-label
-        block sizes of the A children (n+1 on the full tree, 2n-1 on the
-        pair tree) that every node of the state has, in digit order."""
+    def batches(self, n: int) -> Iterator[tuple[int, int, array]]:
+        """``(rank, parent id, child states)`` once for each state of
+        level n-1, in increasing first rank: the state's first rank r
+        and partition id, and the level-n states of the A children (n+1
+        on the full tree, 2n-1 on the pair tree) that every node of the
+        state has, in digit order."""
         up = self.levels[n - 1]
         width = tree._radix(n - 1, self.kind)
         for s, (rank, i) in enumerate(zip(up.first, up.part)):
-            cut = slice(s * width, (s + 1) * width)
-            yield rank, i, up.ids[cut], up.sizes[cut]
+            yield rank, i, up.kids[s * width:(s + 1) * width]
 
 
 def _node(blocks: tuple, top: int) -> tuple:
@@ -189,10 +187,11 @@ def scan_chunk(kind: str, depth: int,
     elongation child also on which block carries the maximal label; the
     child's own maximal-label block is its new block or the elongated
     one.  So each state's children are built once, from a node rebuilt
-    from the state (:func:`_node`), and stored as the state's batch:
-    their ids, states and labelled maximal-label block sizes.  States
-    are numbered in order of first appearance, so a new state's first
-    rank is its parent's first rank times A plus its digit.  Each
+    from the state (:func:`_node`), and stored as the state's batch of
+    child states.  Every child that reaches a state has the same
+    maximal-label block, so its size is measured once, on the first.
+    States are numbered in order of first appearance, so a new state's
+    first rank is its parent's first rank times A plus its digit.  Each
     state's node count is summed from the counts of the parent states
     whose batches reach it, never read from :func:`tree.level_count`.  A
     scan whose levels hold more distinct partitions (Catalan(k) at level
@@ -212,12 +211,13 @@ def scan_chunk(kind: str, depth: int,
         root = _States()
         root.part.append(0)
         root.top.append(1)
+        root.size.append(scale)
         root.first.append(0)
         root.mult.append(1)
         record = ScanRecord(kind, [tree._root(scale)], {1: root})
     ids = _Ids(zip(record.partitions, range(len(record.partitions))))
     up = record.levels[len(record)]
-    del up.ids[:], up.kids[:], up.sizes[:]  # left by a failed extension
+    del up.kids[:]  # left by a failed extension
     levels = {}
     for n in range(len(record) + 1, depth + 1):
         ground = scale * (n - 1)
@@ -229,17 +229,15 @@ def scan_chunk(kind: str, depth: int,
         mult: list = []
         for i, top, rank, m in zip(up.part, up.top, up.first, up.mult):
             kids = tree._kids(_node(partitions[i], top), ground, scale)
-            batch = [ids[tuple(sorted(kid))] for kid in kids]
-            up.ids.extend(batch)
-            up.sizes.extend([len(kid[-1]) for kid in kids])
             base = rank * len(kids)
-            for d, (i, kid) in enumerate(zip(batch, kids)):
-                key = i, kid[-1][0]
+            for d, kid in enumerate(kids):
+                key = ids[tuple(sorted(kid))], kid[-1][0]
                 s = state_of.get(key)
                 if s is None:
                     s = state_of[key] = len(mult)
-                    down.part.append(i)
+                    down.part.append(key[0])
                     down.top.append(key[1])
+                    down.size.append(len(kid[-1]))
                     down.first.append(base + d)
                     mult.append(m)
                 else:
@@ -302,26 +300,28 @@ def _batch_witness(stat: Statistic, record: ScanRecord, n: int, want_of, *,
     """First level-(n-1) parent, in rank order, whose children do not
     read what the law asks, as a witness; None when every batch holds.
 
-    ``want_of(parent id, z, child sizes)`` is the law at the parent
+    ``want_of(parent id, z, child states)`` is the law at the parent
     whose value is z: a list of its children's values in digit order,
     or a dict saying why the parent itself breaks the law.  A wrong edge's
-    witness names the child's size when ``sized``.  Each parent state
-    is checked once, at its first rank.
+    witness names the child's block size when ``sized``.  Each parent
+    state is checked once, at its first rank.
     """
     parent_value = record.level_values(stat, n - 1)
-    value = record.level_values(stat, n).__getitem__
-    for rank, i, kids, sizes in record.batches(n):
+    down = record.levels[n]
+    # each level-n state's value, read through its partition once
+    value = list(map(record.level_values(stat, n).__getitem__, down.part))
+    for rank, i, kids in record.batches(n):
         z = parent_value[i]
-        want = want_of(i, z, sizes)
+        want = want_of(i, z, kids)
         if isinstance(want, list):
-            got = list(map(value, kids))
+            got = list(map(value.__getitem__, kids))
             if got == want:
                 continue
             digit = next(d for d, v in enumerate(got) if v != want[d])
             want = {"digit": digit, "increment": got[digit] - z,
                     "want": want[digit] - z}
             if sized:
-                want["size"] = sizes[digit]
+                want["size"] = down.size[kids[digit]]
         return {"n": n, "stat": stat.name, **want,
                 "parent": tree.unrank(rank, n - 1, record.kind).to_json()}
     return None
@@ -340,11 +340,11 @@ def second_kind_witness(stat: Statistic, kind: str, n: int,
     points = tree._scale(kind) * (n - 1)
     alpha, beta, q = law.alpha, law.beta, law.q
 
-    def want_of(i: int, z: int, sizes):
+    def want_of(i: int, z: int, kids):
         core = _core_digits(stat, kind, record.partitions[i], points)
         if len(core) != z + q:
             return {"core_size": len(core), "want": z + q}
-        return [z + (alpha if d in core else beta) for d in range(len(sizes))]
+        return [z + (alpha if d in core else beta) for d in range(len(kids))]
     return _batch_witness(stat, record, n, want_of, sized=False)
 
 
@@ -354,14 +354,16 @@ def first_kind_witness(stat: Statistic, n: int,
     level n, in rank order, or None when every edge whose child has a
     maximal-label block of size j changes the statistic by r_j (0 past
     the vector).  ``r`` defaults to the built-in vector.  The child's
-    block size is the one the scan measured on the labelled child.
+    block size is its state's, which the scan measured on a labelled
+    child.
     """
     _check_edge_level(n)
     record = scan_record(FULL, n)
     r = first_kind_input(stat) if r is None else r
     step = (0, *r) + (0,) * (n - len(r))  # step[j] is r_j
-    return _batch_witness(stat, record, n, lambda i, z, sizes: [
-        z + step[j] for j in sizes], sized=True)
+    rise = [step[j] for j in record.levels[n].size]  # by level-n state
+    return _batch_witness(stat, record, n, lambda i, z, kids: [
+        z + rise[k] for k in kids], sized=True)
 
 
 # ---------------------------------------------------------------------------

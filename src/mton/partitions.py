@@ -90,17 +90,20 @@ def validate_noncrossing(blocks: Iterable[Iterable[int]], n: int) -> NcPartition
             f"blocks must be lists of points, got {blocks!r}") from None
     if cleaned and not cleaned[0]:
         raise NotAPartition("empty block")
-    owner = [-1] * (n + 1)
+    # sized by the points given, not by n, so a large n costs nothing
+    # before the coverage check refuses it
+    owner: dict[int, int] = {}
     for idx, b in enumerate(cleaned):
         for x in b:
             if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= n:
                 raise NotAPartition(f"element {x!r} outside 1..{n}")
-            if owner[x] != -1:
+            if x in owner:
                 raise NotAPartition(f"element {x} appears twice")
             owner[x] = idx
-    for x in range(1, n + 1):
-        if owner[x] == -1:
-            raise NotAPartition(f"element {x} not covered")
+    if len(owner) < n:
+        x = next((x for x, point in enumerate(sorted(owner), 1) if x != point),
+                 len(owner) + 1)
+        raise NotAPartition(f"element {x} not covered")
     stack: list[int] = []
     for i in range(1, n + 1):
         b = owner[i]

@@ -50,15 +50,28 @@ def _integer(digits: str) -> int:
 
 
 _INTEGER_RATIO = re.compile(r"\s*([-+]?)(\d+)(?:/(\d+))?\s*")
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
+# the interpreter's default int digit limit, sys.get_int_max_str_digits():
+# a decimal exponent past it asks for a power of ten that long
+_MAX_EXPONENT = 4300
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or plain integer strings of any length, as
     :func:`format_rational` writes them; other forms that ``Fraction``
-    reads, such as "0.5", go to it."""
+    reads, such as "0.5", go to it, with a decimal exponent of at most
+    4300."""
+    if not isinstance(text, str):
+        raise ValueError(f"a rational is read from a string, got {text!r}")
     match = _INTEGER_RATIO.fullmatch(text)
     try:
         if match is None:
+            exponent = _EXPONENT.search(text)
+            digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+            if len(digits) > 4 or int(digits or 0) > _MAX_EXPONENT:
+                raise ValueError(
+                    f"decimal exponent of {text.strip()!r} is past "
+                    f"{_MAX_EXPONENT}, the interpreter's int digit limit")
             return Fraction(text.strip())
         sign, num, den = match.groups()
         den = _integer(den or "1")

@@ -16,7 +16,7 @@ distinguished subset of insertion children, by beta on every other
 child, where the distinguished subset has size Z(parent) + q.  The
 witnesses that check both laws on every edge of a level, in
 :mod:`laplace`, read the sibling batches the scan kept, once per parent
-state, with each child's labelled maximal-label block size.
+state, and each child's maximal-label block size through its state.
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ class Statistic(namedtuple("Statistic", "family size", defaults=(0,))):
 
     @classmethod
     def parse(cls, text: str) -> "Statistic":
+        if not isinstance(text, str):
+            raise ValueError(f"a statistic is named by a string, got {text!r}")
         text = text.strip()
         fixed = {"Y": BLOCKS, "Yge3": LARGE_BLOCKS, "Out": OUTER,
                  "Int": INTERVAL_PAIRS, "Area": AREA}

@@ -52,16 +52,15 @@ def pytest_terminal_summary(terminalreporter):
         tw.write_line(f"criterion {num:2d}: {verdict} - {entry['description']}")
 
 
-def _walk_rank(record, rank: int, n: int) -> tuple[int, int]:
+def _walk_rank(record, rank: int, n: int) -> int:
     # the level-n state of the rank-r node, reached from the root by its
-    # digit word down the record's child-state batches, and the index of
-    # the last batch entry taken (-1 at the root)
-    state, entry = 0, -1
+    # digit word down the record's child-state batches
+    state = 0
     digits = tree._digits_from_rank(rank, n, record.kind)
     for depth, digit in enumerate(digits, start=1):
-        entry = state * tree._radix(depth, record.kind) + digit
-        state = record.levels[depth].kids[entry]
-    return state, entry
+        state = record.levels[depth].kids[
+            state * tree._radix(depth, record.kind) + digit]
+    return state
 
 
 @pytest.fixture

@@ -356,6 +356,13 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_a_vast_decimal_exponent_is_an_error_at_once(capsys):
+    code, out, err = run(capsys, "poisson", "--alpha", "1e-3000000",
+                         "--upto", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: decimal exponent") and "4300" in err, err
+
+
 def test_depth_below_one_is_a_usage_error(capsys):
     for argv in (("enumerate", "--n", "0", "--format", "count"),
                  ("enumerate", "--n", "0", "--kind", "pair", "--format", "count"),

@@ -296,18 +296,16 @@ def _altered(monkeypatch, level, field, index, value):
 
 def _singleton_state(record, level, past):
     # the first state of the level past the given one whose maximal-label
-    # block is a singleton, as the batches into the level read it
-    up = record.levels[level - 1]
-    return min(k for k, size in zip(up.kids, up.sizes)
-               if size == 1 and k > past)
+    # block is a singleton
+    return record.levels[level].size.index(1, past + 1)
 
 
 def test_singleton_slice_catches_a_moved_record_id(monkeypatch):
-    # one singleton child in a level-4 state's batch, past the first
-    # batches, carries the one-block partition instead of its own
+    # one singleton state of level 5, past the first states, carries the
+    # one-block partition instead of its own
     warm = laplace.scan_record(FULL, 8)
-    k = warm.levels[4].sizes.index(1, 100)
-    _altered(monkeypatch, 4, "ids", k, warm.partitions.index(((1, 2, 3, 4, 5),)))
+    k = _singleton_state(warm, 5, 40)
+    _altered(monkeypatch, 5, "part", k, warm.partitions.index(((1, 2, 3, 4, 5),)))
     report = _report("singleton-slice")
     assert report.status == "fail"
     assert report.witness["n"] == 5
@@ -316,13 +314,14 @@ def test_singleton_slice_catches_a_moved_record_id(monkeypatch):
 
 def test_parent_chain_catches_a_misdirected_elongation_child(monkeypatch):
     # a singleton state of level 5 whose elongation entry points at the
-    # next singleton state's elongation child: that child is reached by
-    # two chains, and no batch reaches the lost image any more
+    # previous singleton state's elongation child: that child is reached
+    # by two chains, and the lost image, a later state, by none
     warm = laplace.scan_record(FULL, 8)
     width = tree._radix(5, FULL)
-    s = _singleton_state(warm, 5, 10)
-    other = _singleton_state(warm, 5, s)
-    twice = warm.levels[5].kids[(other + 1) * width - 1]
+    other = _singleton_state(warm, 5, 10)
+    s = _singleton_state(warm, 5, other)
+    twice, lost = (warm.levels[5].kids[(t + 1) * width - 1] for t in (other, s))
+    assert twice < lost
     record = _altered(monkeypatch, 5, "kids", (s + 1) * width - 1, twice)
     report = _report("parent-chain-bijection")
     assert report.status == "fail"
@@ -399,44 +398,46 @@ def test_the_edge_laws_read_the_warm_record_alone(monkeypatch):
 
 
 def test_first_kind_edges_read_the_stored_child_sizes(monkeypatch):
-    # a copy of the full-tree record in which one elongation child of a
-    # level-4 state's batch, past the first batches, is stored one point
-    # short: a two-point block read as a singleton breaks Y's increment
+    # a copy of the full-tree record in which one level-5 state, past the
+    # first states, stores its two-point maximal-label block one point
+    # short: the elongation edge that first reaches it, read as a
+    # singleton child, breaks Y's increment
     warm = laplace.scan_record(FULL, 8)
     width = tree._radix(4, FULL)
-    k = warm.levels[4].sizes.index(2, 10 * width)
-    short = _altered(monkeypatch, 4, "sizes", k, 1)
+    k = warm.levels[5].size.index(2, 10 * width)
+    short = _altered(monkeypatch, 5, "size", k, 1)
     _no_rebuild(monkeypatch)
     report = _report("first-kind-edges")
     assert report.status == "fail"
-    parent = tree.unrank(short.levels[4].first[k // width], 4, FULL)
-    assert report.witness == {"n": 5, "stat": "Y", "digit": k % width,
-                              "parent": parent.to_json(), "size": 1,
-                              "increment": 0, "want": 1}
+    rank, digit = divmod(short.levels[5].first[k], width)
+    assert report.witness == {"n": 5, "stat": "Y", "digit": digit,
+                              "parent": tree.unrank(rank, 4, FULL).to_json(),
+                              "size": 1, "increment": 0, "want": 1}
 
 
 def test_a_misplaced_elongation_column_fails_both_lemmas(monkeypatch):
-    # one singleton state of level 4 stores its elongation child's size
-    # at digit 0 and a singleton at the elongation digit: the slice takes
-    # the wrong child, and the chain reaches a state of the wrong size
+    # the children at digit 0 and at the elongation digit of one
+    # singleton state of level 4 swap their stored block sizes: the slice
+    # takes the wrong state, and the chain reaches a state of the wrong
+    # size
     warm = laplace.scan_record(FULL, 8)
     width = tree._radix(4, FULL)
     s = _singleton_state(warm, 4, 10)
-    sizes, kids = warm.levels[4].sizes, warm.levels[4].kids
-    first, last = s * width, (s + 1) * width - 1
+    kids, sizes = warm.levels[4].kids, warm.levels[5].size
+    first, last = kids[s * width], kids[(s + 1) * width - 1]
     assert (sizes[first], sizes[last]) == (1, 2)
-    record = _altered(monkeypatch, 4, "sizes", first, 2)
-    record.levels[4].sizes[last] = 1
+    record = _altered(monkeypatch, 5, "size", first, 2)
+    record.levels[5].size[last] = 1
     slice_report = _report("singleton-slice")
     assert slice_report.status == "fail"
     assert (slice_report.witness["n"], slice_report.witness["stat"]) == (5, "Y")
     report = _report("parent-chain-bijection")
     assert report.status == "fail"
-    k = min(kids[first], kids[last])
+    k = min(first, last)
     node = tree.unrank(record.levels[5].first[k], 5, FULL)
     assert report.witness == {"n": 5, "ell": 2, "node": node.to_json(),
-                              "chains": int(k == kids[last]),
-                              "want": int(k == kids[first])}
+                              "chains": int(k == last),
+                              "want": int(k == first)}
 
 
 def test_stat_cross_check_scans_each_tree_once(scan_calls):

@@ -253,8 +253,8 @@ _RECORD_DEPTHS = ((FULL, 6), (PAIR, 5), (FULL, 7), (PAIR, 6))
 
 def test_the_record_lists_every_level_in_rank_order(walk_rank):
     # every rank's digit word, walked down the child-state batches,
-    # reaches a state of the node's partition, and its last batch entry
-    # holds that partition's id and the node's labelled block size
+    # reaches a state of the node's partition whose stored maximal-label
+    # block is the labelled node's, by first point and size
     for kind, depth in _RECORD_DEPTHS:
         record = scan_chunk(kind, depth)
         laplace.clear_scan_cache()
@@ -263,13 +263,12 @@ def test_the_record_lists_every_level_in_rank_order(walk_rank):
             level = record.levels[n]
             walked = []
             for rank, op in enumerate(iter_level(n, kind)):
-                state, entry = walk_rank(record, rank, n)
+                state = walk_rank(record, rank, n)
                 blocks = op.partition().blocks
                 assert record.partitions[level.part[state]] == blocks
-                if n > 1:
-                    up = record.levels[n - 1]
-                    assert up.ids[entry] == level.part[state], (kind, rank)
-                    assert up.sizes[entry] == len(op.max_label_block())
+                top = op.max_label_block()
+                assert level.top[state] == top[0], (kind, rank)
+                assert level.size[state] == len(top), (kind, rank)
                 walked.append(blocks)
             assert record[n] == hist[n] == Counter(walked), (kind, n)
 
@@ -284,20 +283,21 @@ def test_batches_are_each_parents_children_in_digit_order(walk_rank):
             record = scan_chunk(kind, depth)
             blocks = record.partitions.__getitem__
             for n in range(2, depth + 1):
+                down = record.levels[n]
                 yielded = []
-                for rank, parent, kids, sizes in record.batches(n):
+                for rank, parent, kids in record.batches(n):
                     op = tree.unrank(rank, n - 1, kind)
                     want = children(op)
                     assert blocks(parent) == op.partition().blocks
-                    assert list(map(blocks, kids)) == [
+                    assert [blocks(down.part[k]) for k in kids] == [
                         kid.partition().blocks for kid in want], (kind, n)
-                    assert list(sizes) == [
+                    assert [down.size[k] for k in kids] == [
                         len(kid.max_label_block()) for kid in want], (kind, n)
                     assert rank > max(yielded, default=-1), (kind, n)
                     yielded.append(rank)
                 lowest: dict = {}
                 for rank in range(level_count(n - 1, kind)):
-                    lowest.setdefault(walk_rank(record, rank, n - 1)[0], rank)
+                    lowest.setdefault(walk_rank(record, rank, n - 1), rank)
                 assert list(lowest) == list(range(len(yielded)))
                 assert list(lowest.values()) == yielded, (kind, depth, n)
 
@@ -310,6 +310,18 @@ def test_a_depth_nine_record_keeps_fewer_cells_than_nodes():
                 for states in record.levels.values()
                 for field in states.__slots__)
     assert cells < level_count(9) == 1_814_400
+
+
+def test_the_record_keeps_five_cells_per_state_and_one_per_edge():
+    # partition id, block start and size, first rank and node count per
+    # state, and the child's state per edge: the counts README quotes
+    for depth, want in ((8, 47_580), (9, 182_535)):
+        levels = scan_chunk(FULL, depth).levels.values()
+        states = sum(len(level.part) for level in levels)
+        edges = sum(len(level.kids) for level in levels)
+        cells = sum(len(getattr(level, field))
+                    for level in levels for field in level.__slots__)
+        assert cells == 5 * states + edges == want, depth
 
 
 def test_state_numbers_past_two_bytes_are_kept_whole():
@@ -459,7 +471,7 @@ def test_the_tallies_are_the_counts_of_the_rows(walk_rank):
         record = scan_chunk(kind, depth)
         for n in range(1, depth + 1):
             part = record.levels[n].part
-            row = Counter(part[walk_rank(record, rank, n)[0]]
+            row = Counter(part[walk_rank(record, rank, n)]
                           for rank in range(level_count(n, kind)))
             assert record._tallies[n] == row, (kind, n)
 
@@ -644,7 +656,7 @@ def test_record_transform_weights_a_given_tally_of_ids(walk_rank):
     # the even ranks of full level 5 against an evaluation of each node
     record = scan_chunk(FULL, 5)
     part = record.levels[5].part
-    even = Counter(part[walk_rank(record, rank, 5)[0]]
+    even = Counter(part[walk_rank(record, rank, 5)]
                    for rank in range(0, level_count(5), 2))
     nodes = list(stream_level(5, FULL))[::2]
     for stat in _ALL_STATS:

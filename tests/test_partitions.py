@@ -148,6 +148,18 @@ def test_json_rejects_a_boolean_ground_set_size():
         OrderedNcPartition.from_json({"n": True, "blocks_by_label": [[1]]})
 
 
+def test_a_vast_ground_set_is_refused_by_the_points_given():
+    # storage follows the one point given, not n: the first uncovered
+    # element is named without a list of 10**18 owners
+    with pytest.raises(NotAPartition, match="element 2 not covered"):
+        NcPartition.from_json({"n": 10 ** 18, "blocks": [[1]]})
+    # the first uncovered element, read off the sorted points
+    for blocks, n, missing in (([[2]], 2, 1), ([[1], [4]], 4, 2),
+                               ([[1, 2]], 3, 3)):
+        with pytest.raises(NotAPartition, match=f"element {missing} not"):
+            validate_noncrossing(blocks, n)
+
+
 def test_pair_partition_predicate():
     assert validate_noncrossing([[1, 2], [3, 4]], 4).is_pair_partition()
     assert not validate_noncrossing([[1, 2, 3, 4]], 4).is_pair_partition()

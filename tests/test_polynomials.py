@@ -81,6 +81,18 @@ def test_rational_text_helpers():
     assert format_rational(Fraction(23, 12)) == "23/12"
 
 
+def test_parse_rational_refuses_what_it_cannot_read():
+    # a non-string is named; a decimal exponent past the interpreter's
+    # 4300-digit limit is refused before Fraction builds the power of ten
+    with pytest.raises(ValueError, match="got 5"):
+        parse_rational(5)
+    for text in ("1e10000000", "1e-3000000", "2.5E+4301", "1e0_0004_301"):
+        with pytest.raises(ValueError, match="past 4300"):
+            parse_rational(text)
+    assert parse_rational("1e4300") == 10 ** 4300
+    assert parse_rational("2.5e-3") == Fraction(1, 400)
+
+
 def test_format_rational_past_the_int_digit_limit():
     assert format_rational(10 ** 5000 + 7) == "1" + "0" * 4999 + "7"
     value = Fraction(-(3 ** 20000), 2 ** 20000 + 1)

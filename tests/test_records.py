@@ -1,10 +1,13 @@
 """The package's record types keep their value semantics, and every
 annotation on the public surface still resolves."""
 
+import json
 import types
 import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mton
 from mton import stats
@@ -14,7 +17,8 @@ from mton.harness import Check, CheckReport, CheckSpec
 from mton.partitions import NcPartition
 from mton.polynomials import ExactPolynomial
 from mton.stats import SecondKindInput, Statistic
-from mton.tree import FULL, OrderedNcPartition, TreeCode
+from mton.tree import (FULL, KINDS, OrderedNcPartition, TreeCode, level_count,
+                       unrank)
 
 
 def _kernel(n):
@@ -121,6 +125,65 @@ def test_a_bad_record_is_a_value_error_that_names_its_field(reader, data,
     # JSON number, even an integer, is refused
     with pytest.raises(ValueError, match=field):
         reader.from_json(data)
+
+
+# arbitrary JSON values, and the JSON of genuine values of each reader
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=12)
+_NODES = st.sampled_from(KINDS).flatmap(lambda kind: st.integers(1, 4).flatmap(
+    lambda n: st.integers(0, level_count(n, kind) - 1).map(
+        lambda rank: unrank(rank, n, kind))))
+_GENUINE = {
+    ExactPolynomial: st.dictionaries(st.integers(0, 6), st.fractions(),
+                                     max_size=4).map(ExactPolynomial),
+    NcPartition: _NODES.map(OrderedNcPartition.partition),
+    OrderedNcPartition: _NODES,
+    TreeCode: st.builds(lambda kind, digits: TreeCode(kind, tuple(digits)),
+                        st.sampled_from(KINDS), st.lists(st.integers(0, 6))),
+}
+
+
+@st.composite
+def _records(draw, genuine):
+    # a genuine value's JSON with one field dropped or replaced, or one
+    # item inside it (a coefficient, a digit, a block, a point) replaced
+    blob = draw(genuine).to_json()
+    field = draw(st.sampled_from(sorted(blob)))
+    change = draw(st.sampled_from(["none", "drop", "field", "item"]))
+    if change == "drop":
+        del blob[field]
+    elif change == "field":
+        blob[field] = draw(_JSON)
+    elif change == "item" and blob[field]:
+        items = blob[field]
+        if isinstance(items, list) and draw(st.booleans()):
+            items = draw(st.sampled_from(items))  # a digit, or a block
+        if isinstance(items, dict):
+            items[draw(st.sampled_from(sorted(items)))] = draw(_JSON)
+        elif isinstance(items, list):
+            index = draw(st.integers(0, len(items) - 1))
+            items[index] = draw(st.integers(-1, 5) | _JSON)
+    return blob
+
+
+@pytest.mark.parametrize("reader", list(_GENUINE),
+                         ids=[reader.__name__ for reader in _GENUINE])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_json_reader_reads_back_or_raises_a_value_error(reader, data):
+    # one error contract: a reader either returns a value whose JSON form
+    # reads back to an equal value, or raises a ValueError
+    record = data.draw(_JSON | _records(_GENUINE[reader]))
+    try:
+        value = reader.from_json(record)
+    except ValueError:
+        return
+    blob = json.loads(json.dumps(value.to_json()))
+    assert reader.from_json(blob) == value
 
 
 def test_record_properties_and_methods():

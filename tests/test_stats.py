@@ -34,6 +34,11 @@ def test_statistic_names_and_parse():
         Statistic.parse("nope")
 
 
+def test_parse_refuses_a_name_that_is_not_a_string():
+    with pytest.raises(ValueError, match="got 5"):
+        Statistic.parse(5)
+
+
 def test_evaluate_on_frozen_node():
     op = decode(TreeCode(FULL, (2, 3, 4, 3, 2, 7, 0, 9)))
     # blocks: (3 4 7 9), (8), (5 6), (1 2)
@@ -66,7 +71,7 @@ def test_level_values_equal_the_six_evaluations(walk_rank):
         values = [record.level_values(s, n) for s in stats.SIZE_STATS]
         part = record.levels[n].part
         for rank, op in enumerate(iter_level(n, FULL)):
-            i = part[walk_rank(record, rank, n)[0]]
+            i = part[walk_rank(record, rank, n)]
             assert tuple(v[i] for v in values) == tuple(
                 evaluate(s, op) for s in stats.SIZE_STATS), op
 
