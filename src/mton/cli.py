@@ -41,14 +41,20 @@ _FORMULAS = {
 
 
 # the deepest level or row each cost reaches without --force, keyed by
-# the tree a node walk visits or by the words naming the cost
+# the words naming the cost; a node walk's key starts with its tree
 _BOUNDS = {
-    # the node walk of enumerate, stats and laplace --method brute|both:
+    # the node walk of enumerate --format count, laplace --method brute|both:
     # level n holds (n+1)!/2 nodes, or (2n-1)!! on the pair tree, so level
     # n + 1 holds n + 2 times as many (2n + 1 on the pair tree); counting
     # full level 10 takes about 35 s, and pair level 8 about 3 s
     FULL: 10,
     PAIR: 8,
+    # the per-node output of enumerate (JSON) and stats (CSV), 10 or 15
+    # times larger one level deeper: full level 8 takes about 3.9 s and
+    # prints 15 MB as JSON (3.3 s, 3.9 MB as CSV), pair level 7 3.1 s and
+    # 14 MB (2.1 s, 2.2 MB)
+    f"{FULL} per node": 8,
+    f"{PAIR} per node": 7,
     # the recursion of laplace --method recursion|both: its coefficients
     # grow like n!, so a far deeper level can take the machine's memory
     # (level 1000 takes about 1.5 s and prints 1.5 MB)
@@ -71,10 +77,11 @@ def _refused(args: argparse.Namespace, cost: str) -> bool:
     bound = _BOUNDS[cost]
     if args.n <= bound or args.force:
         return False
-    if cost in KINDS:
-        count = tree.level_count(min(args.n, _COUNTED), cost)
+    kind = cost.split()[0]
+    if kind in KINDS:
+        count = tree.level_count(min(args.n, _COUNTED), kind)
         more = "more than " if args.n > _COUNTED else ""
-        head = (f"level {args.n} of the {cost} tree holds {more}{count} "
+        head = (f"level {args.n} of the {kind} tree holds {more}{count} "
                 f"nodes, over the default")
     else:
         head = f"{cost} {args.n} is over the"
@@ -93,7 +100,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"limit must be >= 0, got {args.limit}")
-    if _refused(args, args.kind):
+    if _refused(args, args.kind if args.format == "count"
+                else f"{args.kind} per node"):
         return 2
     if args.format == "count":
         nodes = islice(tree.stream_level(args.n, args.kind), args.limit)
@@ -108,7 +116,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    if _refused(args, args.kind):
+    if _refused(args, f"{args.kind} per node"):
         return 2
     if args.stat:
         chosen = [Statistic.parse(s) for s in args.stat]
@@ -183,9 +191,14 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
 def cmd_cumulants(args: argparse.Namespace) -> int:
     from_moments = args.from_moments is not None
     raw = args.from_moments if from_moments else args.from_cumulants
-    values = [parse_rational(part) for part in raw.split(",") if part.strip()]
-    if not values:
+    fields = [part.strip() for part in raw.split(",")]
+    if not any(fields):
         raise ValueError(f"no value to convert in {raw!r}")
+    if "" in fields:  # a value's order is its position in the list
+        raise ValueError(f"field {fields.index('') + 1} of {raw!r} is empty")
+    if args.upto is not None and args.upto < 1:
+        raise ValueError(f"upto must be >= 1, got {args.upto}")
+    values = [parse_rational(field) for field in fields]
     if from_moments:
         out = cm.cumulants_from_moments(values, upto=args.upto)
         label = "cumulants"

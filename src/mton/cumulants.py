@@ -158,7 +158,7 @@ def stirling_by_tree_count(n_max: int) -> StirlingTable:
     rows = []
     for n in range(1, n_max + 1):
         poly = laplace.bruteforce_transform(BLOCKS, n)
-        rows.append(tuple(int(poly.coefficient(k)) for k in range(1, n + 1)))
+        rows.append(tuple(poly.coefficient(k) for k in range(1, n + 1)))
     return StirlingTable(tuple(rows))
 
 

@@ -60,7 +60,7 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
 from . import tree
-from .polynomials import ExactPolynomial, NegativeExponent
+from .polynomials import ExactPolynomial, _normal_form
 from .stats import (NotFirstKind, SecondKindInput, Statistic, _core_digits,
                     _evaluate_blocks, first_kind_input,
                     refuse_area_off_pairs, second_kind_input)
@@ -82,18 +82,14 @@ class ZeroPolynomial(ValueError):
 # ---------------------------------------------------------------------------
 # brute-force scan
 
-class _Ids(dict):
-    """Hands each new key the next id, up to what a record cell holds."""
+_ID_CAPACITY = 1 << 16  # partition ids are stored as array("H") items
 
-    capacity = 1 << 16  # ids are stored as array("H") items
+
+class _Ids(dict):
+    """Hands each new key the next id."""
 
     def __missing__(self, key):
-        i = len(self)
-        if i >= self.capacity:
-            raise SizeBoundExceeded(
-                f"more than {self.capacity} distinct partitions: the scan "
-                f"record stores each id in 2 bytes")
-        self[key] = i
+        i = self[key] = len(self)
         return i
 
 
@@ -202,10 +198,10 @@ def scan_chunk(kind: str, depth: int,
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     distinct = sum(math.comb(2 * k, k) // (k + 1) for k in range(1, depth + 1))
-    if distinct > _Ids.capacity:
+    if distinct > _ID_CAPACITY:
         raise SizeBoundExceeded(
             f"levels 1..{depth} hold {distinct} distinct partitions, more "
-            f"than the {_Ids.capacity} ids of a scan record")
+            f"than the {_ID_CAPACITY} ids of a scan record")
     scale = tree._scale(kind)
     if record is None:
         root = _States()
@@ -369,31 +365,15 @@ def first_kind_witness(stat: Statistic, n: int,
 # ---------------------------------------------------------------------------
 # recursions
 
-def _int_coeffs(poly: ExactPolynomial) -> dict:
-    """{exponent: coefficient} with the integral coefficients as ints, so
-    the recursion steps below do integer arithmetic when they can."""
-    return {e: c.numerator if c.denominator == 1 else c
-            for e, c in poly.items()}
-
-
-def _checked_level(coeffs: dict) -> dict:
-    """Drop zero coefficients, then reject a negative exponent that
-    survives, as :class:`ExactPolynomial` does on construction."""
-    level = {e: c for e, c in coeffs.items() if c}
-    low = min(level, default=0)
-    if low < 0:
-        raise NegativeExponent(f"exponent {low} with coefficient {level[low]}")
-    return level
-
-
 def recurse_first_kind(r: Sequence[int], seeds: Sequence[ExactPolynomial],
                        n: int) -> ExactPolynomial:
     """Level-n transform from the per-edge increment vector r.
 
     Seeds are the transforms at levels 1..len(seeds) with len(seeds) >=
     len(r) (r is padded to length two if needed).  Intermediate monomial
-    shifts may dip below exponent zero; each level is checked to be a
-    genuine polynomial once its shifted terms are summed.
+    shifts may dip below exponent zero; each summed level takes the
+    polynomials' normal form, which refuses a surviving negative exponent
+    and keeps integral coefficients as ints, for integer arithmetic.
     """
     r = tuple(int(x) for x in r)
     if not r:
@@ -407,24 +387,23 @@ def recurse_first_kind(r: Sequence[int], seeds: Sequence[ExactPolynomial],
         raise ValueError("level must be >= 1")
     if n <= len(seeds):
         return seeds[n - 1]
-    levels = [_int_coeffs(seed) for seed in seeds]
+    levels = [dict(seed.items()) for seed in seeds]
     prefix = [sum(r[:j]) for j in range(k)]  # prefix[j] = r_1 + ... + r_j
     for m in range(len(seeds) + 1, n + 1):
-        acc: dict = {}
+        acc = dict(levels[m - 2])  # the level above, unshifted and unscaled
 
         def add(level: dict, shift: int, scale: int):
             for e, c in level.items():
                 key = e + shift
                 acc[key] = acc.get(key, 0) + scale * c
 
-        add(levels[m - 2], 0, 1)
         add(levels[m - 2], r[0], m)
         for j in range(2, k + 1):
             if r[j - 1] == 0:
                 continue
             add(levels[m - j - 1], r[j - 1] + prefix[j - 1], m - j + 1)
             add(levels[m - j - 1], prefix[j - 1], -(m - j + 1))
-        levels.append(_checked_level(acc))
+        levels.append(_normal_form(acc))
     return ExactPolynomial(levels[n - 1])
 
 
@@ -437,19 +416,19 @@ def recurse_second_kind(law: SecondKindInput, seed: ExactPolynomial,
     t^(beta+1)) times the derivative, where children is the child count
     of a level m-1 node (m+1 on the full tree, 2m-1 on the pair tree).
     Term by term, c*t^e steps to (q+e)*c*t^(e+alpha) +
-    (children-q-e)*c*t^(e+beta), which is what the loop computes.
+    (children-q-e)*c*t^(e+beta), each level in normal form as above.
     """
     if n < 1:
         raise ValueError("level must be >= 1")
     alpha, beta, q = law.alpha, law.beta, law.q
-    cur = _int_coeffs(seed)
+    cur = dict(seed.items())
     for m in range(2, n + 1):
         rest = tree._radix(m - 1, kind) - q
         nxt: dict = {}
         for e, c in cur.items():
             nxt[e + alpha] = nxt.get(e + alpha, 0) + (q + e) * c
             nxt[e + beta] = nxt.get(e + beta, 0) + (rest - e) * c
-        cur = _checked_level(nxt)
+        cur = _normal_form(nxt)
     return ExactPolynomial(cur)
 
 

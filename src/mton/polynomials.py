@@ -1,8 +1,8 @@
 """Sparse exact polynomials in one variable over the rationals.
 
-Coefficients are `fractions.Fraction`; exponents are non-negative
-integers.  Construction drops zero coefficients and rejects negative
-exponents, so any sequence of ring operations stays in normal form.
+Coefficients are `int` when integral and `fractions.Fraction` otherwise;
+exponents are non-negative integers.  Construction drops zero coefficients
+and rejects negative exponents, so ring operations stay in normal form.
 """
 
 from __future__ import annotations
@@ -91,22 +91,28 @@ def format_rational(value: Rational) -> str:
     return f"{_decimal(f.numerator)}/{_decimal(f.denominator)}"
 
 
+def _normal_form(coeffs: Mapping[int, Rational]) -> dict[int, Rational]:
+    """Zero coefficients dropped, integral ones as ints (an int passes with
+    no call) and others as Fractions; a surviving negative exponent refused."""
+    f = None  # bound below once a coefficient is converted
+    clean = {e: c if type(c) is int else
+             f.numerator if (f := Fraction(c)).denominator == 1 else f
+             for e, c in coeffs.items() if c}
+    if f is not None:  # a converted string, such as "0", may be zero
+        clean = {e: c for e, c in clean.items() if c}
+    low = min(clean, default=0)
+    if low < 0:
+        raise NegativeExponent(f"exponent {low} with coefficient {clean[low]}")
+    return clean
+
+
 class ExactPolynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, Rational] | None = None):
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = Fraction(c)
-                if c == 0:
-                    continue
-                if e < 0:
-                    raise NegativeExponent(f"exponent {e} with coefficient {c}")
-                clean[int(e)] = c
-        self._coeffs = clean
+        self._coeffs = _normal_form(coeffs) if coeffs else {}
 
     @classmethod
     def zero(cls) -> "ExactPolynomial":
@@ -118,11 +124,11 @@ class ExactPolynomial:
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int]) -> "ExactPolynomial":
-        """Histogram {value: multiplicity} -> sum of multiplicity * t^value."""
-        return cls(dict(counts))
+        """Histogram {value: multiplicity} -> int sum of mult * t^value."""
+        return cls(counts)
 
-    def coefficient(self, exponent: int) -> Fraction:
-        return self._coeffs.get(exponent, Fraction(0))
+    def coefficient(self, exponent: int) -> Rational:
+        return self._coeffs.get(exponent, 0)
 
     def items(self):
         return sorted(self._coeffs.items())
@@ -138,21 +144,21 @@ class ExactPolynomial:
     def __add__(self, other: "ExactPolynomial") -> "ExactPolynomial":
         merged = dict(self._coeffs)
         for e, c in other._coeffs.items():
-            merged[e] = merged.get(e, Fraction(0)) + c
+            merged[e] = merged.get(e, 0) + c
         return ExactPolynomial(merged)
 
     def __sub__(self, other: "ExactPolynomial") -> "ExactPolynomial":
         merged = dict(self._coeffs)
         for e, c in other._coeffs.items():
-            merged[e] = merged.get(e, Fraction(0)) - c
+            merged[e] = merged.get(e, 0) - c
         return ExactPolynomial(merged)
 
     def __mul__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        out: dict[int, Fraction] = {}
+        out: dict[int, Rational] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return ExactPolynomial(out)
 
     def scaled(self, factor: Rational) -> "ExactPolynomial":
@@ -167,6 +173,7 @@ class ExactPolynomial:
         return ExactPolynomial({e - 1: c * e for e, c in self._coeffs.items() if e > 0})
 
     def evaluate(self, x: Rational) -> Fraction:
+        """Always a Fraction, so a quotient of two values stays exact."""
         x = Fraction(x)
         return sum((c * x ** e for e, c in self._coeffs.items()), Fraction(0))
 

@@ -49,14 +49,11 @@ def test_enumerate_guard_refuses_big_levels(capsys):
     assert "--force" in err
 
 
-_REFUSAL_TAIL = "over the default bound 10; pass --force\n"
-
-
-@pytest.mark.parametrize("argv", [
-    ("enumerate", "--n", "2000", "--format", "count"),
-    ("stats", "--n", str(10 ** 7))], ids=["n2000", "n1e7"])
+@pytest.mark.parametrize("argv, bound", [
+    (("enumerate", "--n", "2000", "--format", "count"), 10),
+    (("stats", "--n", str(10 ** 7)), 8)], ids=["n2000", "n1e7"])
 def test_a_refusal_far_past_the_bound_counts_no_deep_level(capsys, monkeypatch,
-                                                           argv):
+                                                           argv, bound):
     # (n+1)!/2 at n = 2000 has 5,739 digits and at n = 10**7 is out of
     # reach: the refusal reads the count of level 20 at most
     real = tree.level_count
@@ -67,12 +64,13 @@ def test_a_refusal_far_past_the_bound_counts_no_deep_level(capsys, monkeypatch,
     monkeypatch.setattr(tree, "level_count", shallow)
     code, out, err = run(capsys, "enumerate", "--n", "11", "--format", "count")
     assert (code, out) == (2, "")
-    assert err == ("level 11 of the full tree holds 239500800 nodes, "
-                   + _REFUSAL_TAIL)
+    assert err == ("level 11 of the full tree holds 239500800 nodes, over "
+                   "the default bound 10; pass --force\n")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == (f"level {argv[2]} of the full tree holds more than "
-                   f"25545471085854720000 nodes, {_REFUSAL_TAIL}")
+                   f"25545471085854720000 nodes, over the default bound "
+                   f"{bound}; pass --force\n")
 
 
 def test_stats_csv_stdout(capsys):
@@ -162,8 +160,12 @@ def test_a_recursion_past_its_bound_needs_force(capsys, monkeypatch):
 _BOUNDED = {
     tree.FULL: (("enumerate", "--format", "count"), tree, "stream_level",
                 lambda n, kind: iter(())),
-    tree.PAIR: (("stats", "--kind", "pair"), tree, "iter_level",
-                lambda n, kind: iter(())),
+    tree.PAIR: (("enumerate", "--kind", "pair", "--format", "count"), tree,
+                "stream_level", lambda n, kind: iter(())),
+    f"{tree.FULL} per node": (("enumerate",), tree, "iter_level",
+                              lambda n, kind: iter(())),
+    f"{tree.PAIR} per node": (("stats", "--kind", "pair"), tree, "iter_level",
+                              lambda n, kind: iter(())),
     "the recursion to level": (
         ("laplace", "--stat", "Y", "--method", "recursion"), laplace,
         "recursion_transform", lambda stat, n, kind: ExactPolynomial({1: 1})),
@@ -387,6 +389,28 @@ def test_an_empty_list_to_convert_is_a_usage_error(capsys):
             code, out, err = run(capsys, "cumulants", flag, raw)
             assert (code, out) == (2, ""), (flag, raw)
             assert err == f"error: no value to convert in {raw!r}\n"
+
+
+def test_an_empty_field_in_a_list_to_convert_is_a_usage_error(capsys):
+    # each value's order is its position: an empty field is refused, not
+    # skipped, wherever it stands
+    for flag, raw, position in (("--from-moments", "1,,2", 2),
+                                ("--from-cumulants", ",1", 1),
+                                ("--from-moments", "1,2, ", 3)):
+        code, out, err = run(capsys, "cumulants", flag, raw)
+        assert (code, out) == (2, ""), raw
+        assert err == f"error: field {position} of {raw!r} is empty\n"
+
+
+def test_an_order_below_one_to_convert_is_a_usage_error(capsys):
+    # no order prints a label with no values; the library's upto=0 is ()
+    for upto in ("0", "-1"):
+        code, out, err = run(capsys, "cumulants", "--from-moments", "1,2",
+                             "--upto", upto)
+        assert (code, out) == (2, ""), upto
+        assert err == f"error: upto must be >= 1, got {upto}\n"
+    assert cm.cumulants_from_moments([1, 2], upto=0) == ()
+    assert cm.moments_from_cumulants([1, 2], upto=0) == ()
 
 
 def test_negative_limit_is_a_usage_error(capsys):

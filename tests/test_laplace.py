@@ -29,6 +29,22 @@ def test_frozen_block_count_transforms():
     assert bruteforce_transform(BLOCKS, 3) == ExactPolynomial({1: 1, 2: 5, 3: 6})
 
 
+def test_transforms_keep_int_coefficients_and_read_out_fractions():
+    # a transform counts nodes, so its coefficients are ints; its values
+    # and the readouts divided from them are Fractions
+    for poly in (bruteforce_transform(BLOCKS, 5),
+                 recursion_transform(BLOCKS, 30),
+                 recursion_transform(OUTER, 12, PAIR),
+                 bruteforce_transform(AREA, 4, PAIR)):
+        assert all(type(poly.coefficient(e)) is int
+                   for e in range(poly.degree + 2))
+        assert type(poly.evaluate(1)) is Fraction
+        assert type(expectation_from_laplace(poly)) is Fraction
+        assert type(variance_from_laplace(poly)) is Fraction
+    assert expectation_from_laplace(bruteforce_transform(BLOCKS, 5)) \
+        == Fraction(81, 20)
+
+
 def test_frozen_singleton_transform():
     got = bruteforce_transform(blocks_of_size(1), 3)
     assert got == ExactPolynomial({3: 6, 1: 5, 0: 1})
@@ -336,10 +352,10 @@ def test_state_numbers_past_two_bytes_are_kept_whole():
 
 def test_a_scan_with_more_partitions_than_ids_raises(monkeypatch):
     # levels 1..4 of the full tree hold 1 + 2 + 5 + 14 partitions
-    monkeypatch.setattr(laplace._Ids, "capacity", 21)
+    monkeypatch.setattr(laplace, "_ID_CAPACITY", 21)
     with pytest.raises(SizeBoundExceeded):
         scan_chunk(FULL, 4)
-    monkeypatch.setattr(laplace._Ids, "capacity", 22)
+    monkeypatch.setattr(laplace, "_ID_CAPACITY", 22)
     assert sum(scan_chunk(FULL, 4)[4].values()) == level_count(4)
 
 
@@ -354,7 +370,7 @@ def test_a_scan_past_the_id_capacity_is_refused_before_the_walk(monkeypatch):
             scan_chunk(kind, 11)
         with pytest.raises(AssertionError, match="built a child"):
             scan_chunk(kind, 10)
-    monkeypatch.setattr(laplace._Ids, "capacity", 21)
+    monkeypatch.setattr(laplace, "_ID_CAPACITY", 21)
     with pytest.raises(SizeBoundExceeded):
         scan_chunk(FULL, 4)
 

@@ -1,4 +1,4 @@
-"""Exact polynomial ring over Fraction coefficients."""
+"""Exact polynomial ring over rational coefficients."""
 
 import sys
 from fractions import Fraction
@@ -33,6 +33,30 @@ def test_zero_coefficients_are_dropped():
     p = ExactPolynomial({0: 1, 2: 0, 5: Fraction(0)})
     assert p == ExactPolynomial({0: 1})
     assert p.degree == 0
+    # a coefficient is read as Fraction reads it, and only then tested
+    assert ExactPolynomial({1: "0", 2: "1/2", 3: 0.0}).items() \
+        == [(2, Fraction(1, 2))]
+
+
+def test_integral_coefficients_are_kept_as_ints():
+    p = ExactPolynomial({0: Fraction(4, 2), 1: Fraction(1, 2), 2: 3, 3: True})
+    assert [type(c) for _, c in p.items()] == [int, Fraction, int, int]
+    assert p.items() == [(0, 2), (1, Fraction(1, 2)), (2, 3), (3, 1)]
+    assert p.coefficient(7) == 0 and type(p.coefficient(7)) is int
+    # a ring operation whose coefficients cancel to integers returns ints
+    half = ExactPolynomial({1: Fraction(1, 2)})
+    assert type((half + half).coefficient(1)) is int
+    assert type(half.scaled(4).coefficient(1)) is int
+    # evaluation stays a Fraction, so a quotient of two values is exact
+    assert type(ExactPolynomial({1: 3}).evaluate(2)) is Fraction
+
+
+@given(int_polys, int_polys)
+@settings(max_examples=50, deadline=None)
+def test_integer_polynomials_keep_int_coefficients(p, q):
+    for r in (p + q, p - q, p * q, p.derivative(), p.shifted(2),
+              ExactPolynomial.from_json(p.to_json())):
+        assert all(type(c) is int for _, c in r.items())
 
 
 def test_negative_exponent_rejected():

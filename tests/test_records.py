@@ -10,15 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mton
-from mton import stats
+from mton import laplace, stats
 from mton.closed_forms import AsymptoticReport
 from mton.cumulants import StirlingTable
 from mton.harness import Check, CheckReport, CheckSpec
 from mton.partitions import NcPartition
 from mton.polynomials import ExactPolynomial
 from mton.stats import SecondKindInput, Statistic
-from mton.tree import (FULL, KINDS, OrderedNcPartition, TreeCode, level_count,
-                       unrank)
+from mton.tree import (FULL, KINDS, PAIR, OrderedNcPartition, TreeCode, encode,
+                       level_count, unrank)
 
 
 def _kernel(n):
@@ -184,6 +184,37 @@ def test_every_json_reader_reads_back_or_raises_a_value_error(reader, data):
         return
     blob = json.loads(json.dumps(value.to_json()))
     assert reader.from_json(blob) == value
+
+
+# any node of full levels 1..20 and pair levels 1..14, with its tree
+_DEEP_NODES = st.sampled_from(((FULL, 20), (PAIR, 14))).flatmap(
+    lambda top: st.integers(1, top[1]).flatmap(
+        lambda n: st.integers(0, level_count(n, top[0]) - 1).map(
+            lambda rank: (top[0], unrank(rank, n, top[0])))))
+
+
+def _read_back(value):
+    # the value read from its JSON text, and that value's JSON
+    blob = value.to_json()
+    back = type(value).from_json(json.loads(json.dumps(blob)))
+    return back, back.to_json(), blob
+
+
+@given(_DEEP_NODES)
+@settings(max_examples=100, deadline=None)
+def test_every_level_reads_back_from_its_json(node):
+    kind, op = node
+    for value in (op, op.partition(), encode(op, kind)):
+        back, again, blob = _read_back(value)
+        assert back == value and again == blob, value
+
+
+def test_transforms_read_back_from_their_json_with_int_coefficients():
+    for poly in (laplace.bruteforce_transform(stats.BLOCKS, 6),
+                 laplace.recursion_transform(stats.OUTER, 40)):
+        back, again, blob = _read_back(poly)
+        assert back == poly and again == blob
+        assert all(type(c) is int for _, c in back.items())
 
 
 def test_record_properties_and_methods():
