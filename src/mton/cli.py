@@ -25,21 +25,6 @@ from .polynomials import format_rational, parse_rational
 from .stats import Statistic
 from .tree import FULL, PAIR, KINDS
 
-_FORMULAS = {
-    "EY": cf.expected_block_count,
-    "VarY": cf.variance_block_count,
-    "EY1": cf.expected_size1_blocks,
-    "EY2": cf.expected_size2_blocks,
-    "EY3": cf.telescoped_size3_expectation,
-    "EYge3": cf.expected_size3plus_blocks,
-    "EOut": cf.expected_outer_blocks,
-    "EInt": cf.expected_interval_pairs,
-    "EOutPair": cf.expected_outer_pairs,
-    "EArea": cf.expected_area,
-    "STotal": cf.total_area,
-}
-
-
 # the deepest level or row each cost reaches without --force, keyed by
 # the words naming the cost; a node walk's key starts with its tree
 _BOUNDS = {
@@ -64,6 +49,14 @@ _BOUNDS = {
     # at 45 MB and prints 55 MB, row 1000 about 14 s and 250 MB, and rows
     # in the low thousands take the machine's memory
     "the triangle to row": 500,
+    # closed-form --n, exact or --asymptotic: the exact harmonic and area
+    # sums add n fractions whose denominators grow with n, so doubling n
+    # costs about 4 to 6 times as much; at level 30000 the slowest
+    # formulas take 1.5 to 2.0 s, at level 60000 8 to 9 s
+    "the closed form at level": 30000,
+    # poisson --upto: order 300 takes about 1.3 s at rate 1 (1.7 s at
+    # rate -7/3), order 400 about 2.9 s
+    "the moments to order": 300,
 }
 
 # the deepest level whose node count a refusal prints: the count of a far
@@ -71,20 +64,22 @@ _BOUNDS = {
 _COUNTED = 20
 
 
-def _refused(args: argparse.Namespace, cost: str) -> bool:
-    """Refuse ``args.n`` past the bound of ``cost`` on stderr, before
-    any work, unless --force is given."""
+def _refused(args: argparse.Namespace, cost: str,
+             size: int | None = None) -> bool:
+    """Refuse ``size`` (by default ``args.n``) past the bound of ``cost``
+    on stderr, before any work, unless --force is given."""
+    size = args.n if size is None else size
     bound = _BOUNDS[cost]
-    if args.n <= bound or args.force:
+    if size <= bound or args.force:
         return False
     kind = cost.split()[0]
     if kind in KINDS:
-        count = tree.level_count(min(args.n, _COUNTED), kind)
-        more = "more than " if args.n > _COUNTED else ""
-        head = (f"level {args.n} of the {kind} tree holds {more}{count} "
+        count = tree.level_count(min(size, _COUNTED), kind)
+        more = "more than " if size > _COUNTED else ""
+        head = (f"level {size} of the {kind} tree holds {more}{count} "
                 f"nodes, over the default")
     else:
-        head = f"{cost} {args.n} is over the"
+        head = f"{cost} {size} is over the"
     print(f"{head} bound {bound}; pass --force", file=sys.stderr)
     return True
 
@@ -100,8 +95,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"limit must be >= 0, got {args.limit}")
-    if _refused(args, args.kind if args.format == "count"
-                else f"{args.kind} per node"):
+    # a JSON walk stopped within the node count of the per-node bound's
+    # level prints no more than that level, so only its walk is priced
+    per_node = f"{args.kind} per node"
+    few = (args.limit is not None
+           and args.limit <= tree.level_count(_BOUNDS[per_node], args.kind))
+    if _refused(args, args.kind if args.format == "count" or few
+                else per_node):
         return 2
     if args.format == "count":
         nodes = islice(tree.stream_level(args.n, args.kind), args.limit)
@@ -173,18 +173,21 @@ def cmd_laplace(args: argparse.Namespace) -> int:
 
 
 def cmd_closed_form(args: argparse.Namespace) -> int:
+    exact, floats = cf.FORMULAS[args.formula]
+    if args.asymptotic and floats is None:
+        print(f"no asymptotic regime recorded for {args.formula}",
+              file=sys.stderr)
+        return 2
+    if _refused(args, "the closed form at level"):
+        return 2
     if args.asymptotic:
-        if args.formula not in cf._VALID_ASYMPTOTIC:
-            print(f"no asymptotic regime recorded for {args.formula}",
-                  file=sys.stderr)
-            return 2
         report = cf.asymptotic_report(args.formula, args.n)
         print(f"exact      {report.exact!r}")
         print(f"asymptote  {report.asymptotic!r}")
         print(f"difference {report.difference!r}")
         print(f"ratio      {report.ratio!r}")
         return 0
-    print(format_rational(_FORMULAS[args.formula](args.n)))
+    print(format_rational(exact(args.n)))
     return 0
 
 
@@ -235,6 +238,8 @@ def cmd_stirling(args: argparse.Namespace) -> int:
 
 
 def cmd_poisson(args: argparse.Namespace) -> int:
+    if _refused(args, "the moments to order", args.upto):
+        return 2
     alpha = parse_rational(args.alpha)
     values = cm.poisson_moments(alpha, args.upto)
     print(",".join(format_rational(v) for v in values))
@@ -289,10 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_laplace)
 
     p = sub.add_parser("closed-form", help="evaluate a closed form")
-    p.add_argument("--formula", choices=sorted(_FORMULAS), required=True)
+    p.add_argument("--formula", choices=sorted(cf.FORMULAS), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--asymptotic", action="store_true",
                    help="compare against the large-n regime (floats)")
+    p.add_argument("--force", action="store_true", help=(
+        f"evaluate past level {_BOUNDS['the closed form at level']}"))
     p.set_defaults(func=cmd_closed_form)
 
     p = sub.add_parser("cumulants", help="convert moments <-> cumulants")
@@ -316,6 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poisson", help="moments of a Poisson law")
     p.add_argument("--alpha", required=True, help="rate, as p/q")
     p.add_argument("--upto", type=int, required=True)
+    p.add_argument("--force", action="store_true", help=(
+        f"compute past order {_BOUNDS['the moments to order']}"))
     p.set_defaults(func=cmd_poisson)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -330,9 +339,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the options whose value is a rational or a list of rationals: argparse
+# reads a token that starts with "-" as an option unless it is a plain
+# negative number such as -1 or -0.5, so main joins a value such as -1/2
+# or -1,2,5 to the option before it
+_RATIONAL_OPTIONS = ("--alpha", "--from-moments", "--from-cumulants")
+
+
+def _join_rationals(argv: list[str]) -> list[str]:
+    """``argv`` with each value that starts with "-" and a digit joined,
+    as ``--alpha=-1/2``, to the rational option before it."""
+    joined = []
+    for token in argv:
+        if (joined and joined[-1] in _RATIONAL_OPTIONS
+                and token[:1] == "-" and token[1:2].isdigit()):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_rationals(
+        sys.argv[1:] if argv is None else argv))
     try:
         code = args.func(args)
         sys.stdout.flush()

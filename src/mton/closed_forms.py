@@ -13,6 +13,10 @@ a gcd between two of them at every n, while each step of D_n meets only
 the small denominator m^2.  The shifted form still subtracts the two
 sums, so comparing the two forms checks the running difference against
 them.  All three are forward cursors that hold one value each.
+
+Every formula is named once, in :data:`FORMULAS`, the table that the
+CLI's ``closed-form`` and :func:`asymptotic_report` read: its exact form
+and, where a large-n regime is tracked, its float value and asymptote.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from .stats import SecondKindInput
 from .tree import FULL, _radix
 
 EULER_GAMMA = 0.57721566490153286060651209008240243104215933593992
-
-_VALID_ASYMPTOTIC = ("EY", "VarY", "EY1", "EY2", "EY3", "EOutPair", "EArea")
 
 
 class OutOfValidity(ValueError):
@@ -216,34 +218,47 @@ def _float_odd_harmonic(n: int) -> float:
     return math.fsum(map(truediv, repeat(1.0), range(3, 2 * n + 2, 2)))
 
 
+# name -> (exact form, None or the (float value, asymptote) functions of
+# n); EY3 and EOutPair convert the exact value, the only rounding there
+FORMULAS = {
+    "EY": (expected_block_count, (
+        lambda n: n - _float_harmonic(n) + 1.5 - 1.0 / (n + 1),
+        lambda n: (n - math.log(n)) + (1.5 - EULER_GAMMA))),
+    "VarY": (variance_block_count, (
+        lambda n: (_float_harmonic(n) - _float_harmonic2(n)
+                   - (n - 1) ** 2 / (4.0 * (n + 1) ** 2)),
+        lambda n: math.log(n) - (math.pi ** 2 / 6 + 0.25 - EULER_GAMMA))),
+    "EY1": (expected_size1_blocks, (
+        lambda n: n - 2 * _float_harmonic(n) + 10.0 / 3 - 3.0 / (n + 1),
+        lambda n: n - 2 * math.log(n) + (10.0 / 3 - 2 * EULER_GAMMA))),
+    "EY2": (expected_size2_blocks, (
+        lambda n: (_float_harmonic(n) - 51.0 / 24
+                   + (6 * n - 1) / (2.0 * n * (n + 1))),
+        lambda n: math.log(n) - (51.0 / 24 - EULER_GAMMA))),
+    "EY3": (telescoped_size3_expectation, (
+        lambda n: float(telescoped_size3_expectation(n)),
+        lambda n: 23.0 / 90)),
+    "EYge3": (expected_size3plus_blocks, None),
+    "EOut": (expected_outer_blocks, None),
+    "EInt": (expected_interval_pairs, None),
+    "EOutPair": (expected_outer_pairs, (
+        lambda n: float(expected_outer_pairs(n)),
+        lambda n: math.sqrt(math.pi * n))),
+    "EArea": (expected_area, (
+        lambda n: (2 * n + 1) * _float_odd_harmonic(n),
+        lambda n: n * math.log(n))),
+    "STotal": (total_area, None),
+}
+
+
 def asymptotic_report(formula: str, n: int) -> AsymptoticReport:
     """Compare a closed form against its leading asymptote at large n."""
-    if formula not in _VALID_ASYMPTOTIC:
+    floats = FORMULAS[formula][1] if formula in FORMULAS else None
+    if floats is None:
         raise ValueError(f"no asymptote tracked for {formula!r}")
     if n < 100:
         raise OutOfValidity("asymptotic reports need n >= 100")
-    if formula == "EY":
-        exact = n - _float_harmonic(n) + 1.5 - 1.0 / (n + 1)
-        asym = (n - math.log(n)) + (1.5 - EULER_GAMMA)
-    elif formula == "VarY":
-        exact = (_float_harmonic(n) - _float_harmonic2(n)
-                 - (n - 1) ** 2 / (4.0 * (n + 1) ** 2))
-        asym = math.log(n) - (math.pi ** 2 / 6 + 0.25 - EULER_GAMMA)
-    elif formula == "EY1":
-        exact = n - 2 * _float_harmonic(n) + 10.0 / 3 - 3.0 / (n + 1)
-        asym = n - 2 * math.log(n) + (10.0 / 3 - 2 * EULER_GAMMA)
-    elif formula == "EY2":
-        exact = _float_harmonic(n) - 51.0 / 24 + (6 * n - 1) / (2.0 * n * (n + 1))
-        asym = math.log(n) - (51.0 / 24 - EULER_GAMMA)
-    elif formula == "EY3":
-        exact = float(telescoped_size3_expectation(n))
-        asym = 23.0 / 90
-    elif formula == "EOutPair":
-        # exact big-integer ratio; conversion to float is the only rounding
-        exact = float(expected_outer_pairs(n))
-        asym = math.sqrt(math.pi * n)
-    else:  # EArea
-        exact = (2 * n + 1) * _float_odd_harmonic(n)
-        asym = n * math.log(n)
+    value, asymptote = floats
+    exact, asym = value(n), asymptote(n)
     return AsymptoticReport(formula, n, exact, asym, exact - asym,
                             exact / asym if asym else math.inf)

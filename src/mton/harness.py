@@ -415,14 +415,6 @@ def _row(table: Callable[[int], cm.StirlingTable]):
     return lambda n: table(n).row(n)
 
 
-def _triangle_row(n: int) -> tuple[int, ...]:
-    return cm.stirling_by_recursion(n).row(n)
-
-
-def _half_factorial(n: int) -> int:
-    return math.factorial(n + 1) // 2
-
-
 def _seeded_sequence(index: int, length: int) -> tuple[Fraction, ...]:
     rng = random.Random(20260823 + index)
     return tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 30))
@@ -719,7 +711,7 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
         "stirling": [
             mk("triangle-frozen", "ordered-count triangle rows 1..6 are frozen",
                range(1, 7), _agree({
-                   "recursion": _triangle_row,
+                   "recursion": _row(cm.stirling_by_recursion),
                    "closed_form": _row(cm.stirling_by_closed_form),
                    "tree": _row(cm.stirling_by_tree_count),
                    "frozen": _FROZEN_TRIANGLE.__getitem__})),
@@ -727,21 +719,21 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
                "triangle from enumeration vs recursion",
                range(1, 10), _agree({
                    "tree": _row(cm.stirling_by_tree_count),
-                   "recursion": _triangle_row})),
+                   "recursion": _row(cm.stirling_by_recursion)})),
             mk("triangle-recursion-closed",
                "triangle recursion vs increasing-products closed form",
                range(1, 21), _agree({
                    "closed_form": _row(cm.stirling_by_closed_form),
-                   "recursion": _triangle_row})),
+                   "recursion": _row(cm.stirling_by_recursion)})),
             mk("triangle-row-sums", "triangle rows sum to (n+1)!/2",
                range(1, 21), _agree({
-                   "row_sum": lambda n: sum(_triangle_row(n)),
-                   "closed_form": _half_factorial})),
+                   "row_sum": lambda n: sum(cm.stirling_by_recursion(n).row(n)),
+                   "closed_form": lambda n: tree.level_count(n, FULL)})),
             mk("triangle-poly-identity",
                "triangle generating polynomial equals t(1+2t)...(1+nt)",
                range(1, 10), _agree({
                    "triangle": lambda n: ExactPolynomial(
-                       dict(enumerate(_triangle_row(n), 1))),
+                       dict(enumerate(cm.stirling_by_recursion(n).row(n), 1))),
                    "product_form": _product_form})),
         ],
         "cumulants": [
@@ -776,7 +768,7 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
                    "ordering_sum": lambda n: sum(map(
                        cm._ordering_count_blocks,
                        reference.noncrossing_partitions(n))),
-                   "closed_form": _half_factorial})),
+                   "closed_form": lambda n: tree.level_count(n, FULL)})),
             mk("moments-partition-sum",
                "semigroup-recurrence moment n equals the weighted NC(n) sum",
                range(1, 9), _agree({

@@ -44,6 +44,12 @@ class NotSecondKind(ValueError):
     """No insertion-subset transition law exists for this statistic."""
 
 
+# each family's name, which parse reads back; a blocks_of_size statistic
+# is named Y and its size, as Y2
+_NAMES = {"blocks": "Y", "blocks_at_least3": "Yge3", "outer": "Out",
+          "intervals": "Int", "area": "Area"}
+
+
 class Statistic(namedtuple("Statistic", "family size", defaults=(0,))):
     """Identifier for one of the supported block statistics: ``family`` is
     blocks, blocks_of_size, blocks_at_least3, outer, intervals or area."""
@@ -52,24 +58,18 @@ class Statistic(namedtuple("Statistic", "family size", defaults=(0,))):
 
     @property
     def name(self) -> str:
-        return {
-            "blocks": "Y",
-            "blocks_of_size": f"Y{self.size}",
-            "blocks_at_least3": "Yge3",
-            "outer": "Out",
-            "intervals": "Int",
-            "area": "Area",
-        }[self.family]
+        if self.family == "blocks_of_size":
+            return f"Y{self.size}"
+        return _NAMES[self.family]
 
     @classmethod
     def parse(cls, text: str) -> "Statistic":
         if not isinstance(text, str):
             raise ValueError(f"a statistic is named by a string, got {text!r}")
         text = text.strip()
-        fixed = {"Y": BLOCKS, "Yge3": LARGE_BLOCKS, "Out": OUTER,
-                 "Int": INTERVAL_PAIRS, "Area": AREA}
-        if text in fixed:
-            return fixed[text]
+        for family, name in _NAMES.items():
+            if text == name:
+                return cls(family)
         if text.startswith("Y") and text[1:].isdigit() and int(text[1:]) >= 1:
             return blocks_of_size(int(text[1:]))
         raise ValueError(f"unknown statistic {text!r}")
@@ -128,9 +128,7 @@ def _evaluate_blocks(stat: Statistic, blocks, n: int) -> int:
 
 def area(p: NcPartition) -> int:
     """Sum of max(V) - min(V) over the blocks of a pair-partition."""
-    if not p.is_pair_partition():
-        raise AreaRequiresPairPartition("area needs a pair-partition")
-    return sum(b[1] - b[0] for b in p.blocks)
+    return _evaluate_blocks(AREA, p.blocks, p.n)
 
 
 def dyck_path(p: NcPartition) -> tuple[int, ...]:

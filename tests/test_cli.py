@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from mton import closed_forms as cf
 from mton import cumulants as cm
 from mton import cli, harness, laplace, tree
 from mton.harness import SUITES
@@ -155,26 +157,37 @@ def test_a_recursion_past_its_bound_needs_force(capsys, monkeypatch):
     assert calls == [2000]
 
 
-# each row of the bounds table: a command that reads it, the library call
-# that does the bounded work, and what that call returns once forced
+# each row of the bounds table: a command that reads it, ending with the
+# option that takes the bounded size, the library call that does the
+# bounded work, and what that call returns once forced
 _BOUNDED = {
-    tree.FULL: (("enumerate", "--format", "count"), tree, "stream_level",
-                lambda n, kind: iter(())),
-    tree.PAIR: (("enumerate", "--kind", "pair", "--format", "count"), tree,
+    tree.FULL: (("enumerate", "--format", "count", "--n"), tree,
                 "stream_level", lambda n, kind: iter(())),
-    f"{tree.FULL} per node": (("enumerate",), tree, "iter_level",
+    tree.PAIR: (("enumerate", "--kind", "pair", "--format", "count", "--n"),
+                tree, "stream_level", lambda n, kind: iter(())),
+    f"{tree.FULL} per node": (("enumerate", "--n"), tree, "iter_level",
                               lambda n, kind: iter(())),
-    f"{tree.PAIR} per node": (("stats", "--kind", "pair"), tree, "iter_level",
-                              lambda n, kind: iter(())),
+    f"{tree.PAIR} per node": (("stats", "--kind", "pair", "--n"), tree,
+                              "iter_level", lambda n, kind: iter(())),
     "the recursion to level": (
-        ("laplace", "--stat", "Y", "--method", "recursion"), laplace,
+        ("laplace", "--stat", "Y", "--method", "recursion", "--n"), laplace,
         "recursion_transform", lambda stat, n, kind: ExactPolynomial({1: 1})),
-    "the triangle to row": (("stirling",), cm, "stirling_by_recursion",
+    "the triangle to row": (("stirling", "--n"), cm, "stirling_by_recursion",
                             lambda n: cm.StirlingTable(((1,),) * n)),
+    "the closed form at level": (
+        ("closed-form", "--formula", "EY", "--asymptotic", "--n"), cf,
+        "asymptotic_report",
+        lambda formula, n: cf.AsymptoticReport(formula, n, 1.0, 1.0, 0.0, 1.0)),
+    "the moments to order": (("poisson", "--alpha", "1", "--upto"), cm,
+                             "poisson_moments", lambda alpha, upto: [1]),
 }
 
 
-@pytest.mark.parametrize("cost", sorted(cli._BOUNDS))
+def test_every_bound_has_a_row_here():
+    assert sorted(_BOUNDED) == sorted(cli._BOUNDS)
+
+
+@pytest.mark.parametrize("cost", sorted(_BOUNDED))
 def test_every_bound_refuses_before_its_work_unless_forced(capsys, monkeypatch,
                                                            cost):
     argv, module, name, forced = _BOUNDED[cost]
@@ -183,7 +196,7 @@ def test_every_bound_refuses_before_its_work_unless_forced(capsys, monkeypatch,
     def refused(*args):
         raise AssertionError(f"{name} ran")
     monkeypatch.setattr(module, name, refused)
-    code, out, err = run(capsys, *argv, "--n", over)
+    code, out, err = run(capsys, *argv, over)
     assert (code, out) == (2, "")
     assert over in err and err.endswith(
         f"bound {cli._BOUNDS[cost]}; pass --force\n"), err
@@ -193,7 +206,7 @@ def test_every_bound_refuses_before_its_work_unless_forced(capsys, monkeypatch,
         calls.append(args)
         return forced(*args)
     monkeypatch.setattr(module, name, recorded)
-    code, out, err = run(capsys, *argv, "--n", over, "--force")
+    code, out, err = run(capsys, *argv, over, "--force")
     assert (code, err) == (0, "")
     assert len(calls) == 1 and int(over) in calls[0]
 
@@ -309,6 +322,33 @@ def test_poisson(capsys):
     assert out.strip() == "1,2,9/2,65/6"
 
 
+def test_poisson_reads_a_negative_rate_after_a_space(capsys):
+    code, out, err = run(capsys, "poisson", "--alpha", "-1/2", "--upto", "3")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "poisson", "--alpha=-1/2", "--upto", "3")[1]
+    assert out.strip() == ",".join(
+        format_rational(v) for v in cm.poisson_moments(Fraction(-1, 2), 3))
+    # an option in the value's place is still a missing value
+    with pytest.raises(SystemExit) as exc:
+        main(["poisson", "--alpha", "--upto", "3"])
+    assert exc.value.code == 2
+
+
+def test_cumulants_read_negative_moments_after_a_space(capsys):
+    code, out, err = run(capsys, "cumulants", "--from-moments", "-1,2,5")
+    assert (code, err) == (0, "")
+    assert out.strip() == "cumulants " + ",".join(
+        format_rational(v) for v in cm.cumulants_from_moments([-1, 2, 5]))
+
+
+def test_cumulants_read_negative_cumulants_after_a_space(capsys):
+    code, out, err = run(capsys, "cumulants", "--from-cumulants", "-1/2,1")
+    assert (code, err) == (0, "")
+    assert out.strip() == "moments " + ",".join(
+        format_rational(v)
+        for v in cm.moments_from_cumulants([Fraction(-1, 2), 1]))
+
+
 def test_verify_suite_table(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "thm111")
     assert code == 0
@@ -411,6 +451,24 @@ def test_an_order_below_one_to_convert_is_a_usage_error(capsys):
         assert err == f"error: upto must be >= 1, got {upto}\n"
     assert cm.cumulants_from_moments([1, 2], upto=0) == ()
     assert cm.moments_from_cumulants([1, 2], upto=0) == ()
+
+
+def test_a_limit_within_the_per_node_level_is_priced_as_a_walk(capsys):
+    # --limit 1 prints one node, so level 9 needs no --force; the walk's
+    # own bound still holds, and a limit past the node count of the
+    # per-node bound's level (181,440 full nodes) is still refused by it
+    code, out, err = run(capsys, "enumerate", "--n", "9", "--limit", "1")
+    assert (code, err) == (0, "")
+    assert [json.loads(line)["rank"] for line in out.splitlines()] == [0]
+    assert json.loads(out) == {"rank": 0, "n": 9, **tree.unrank(0, 9).to_json()}
+    code, out, err = run(capsys, "enumerate", "--n", "11", "--limit", "1")
+    assert (code, out) == (2, "")
+    assert err.endswith("over the default bound 10; pass --force\n"), err
+    for extra in (("--limit", "181441"), ()):
+        code, out, err = run(capsys, "enumerate", "--n", "9", *extra)
+        assert (code, out) == (2, ""), extra
+        assert err == ("level 9 of the full tree holds 1814400 nodes, over "
+                       "the default bound 8; pass --force\n"), extra
 
 
 def test_negative_limit_is_a_usage_error(capsys):

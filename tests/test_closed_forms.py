@@ -167,5 +167,33 @@ def test_asymptotic_regimes_hold_at_moderate_size():
     assert abs(1 - hi.ratio) < abs(1 - lo.ratio)
 
 
+# every formula whose large-n regime is tracked, with its exact form
+_TRACKED = {"EY": cf.expected_block_count, "VarY": cf.variance_block_count,
+            "EY1": cf.expected_size1_blocks, "EY2": cf.expected_size2_blocks,
+            "EY3": cf.telescoped_size3_expectation,
+            "EOutPair": cf.expected_outer_pairs, "EArea": cf.expected_area}
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+@pytest.mark.parametrize("name", sorted(_TRACKED))
+def test_each_float_value_matches_its_exact_form(name, n):
+    # the reports re-derive each closed form in floats; tie each copy to
+    # the exact Fraction it copies
+    want = float(_TRACKED[name](n))
+    got = cf.asymptotic_report(name, n).exact
+    assert abs(got - want) <= 1e-12 * abs(want), (name, n, got, want)
+
+
+def test_one_table_names_every_formula():
+    tracked = {name: exact for name, (exact, floats) in cf.FORMULAS.items()
+               if floats is not None}
+    assert tracked == _TRACKED
+    untracked = sorted(set(cf.FORMULAS) - set(tracked))
+    assert untracked == ["EInt", "EOut", "EYge3", "STotal"]
+    for name in untracked:
+        with pytest.raises(ValueError, match="no asymptote tracked"):
+            cf.asymptotic_report(name, 1000)
+
+
 def test_euler_gamma_constant():
     assert abs(cf.EULER_GAMMA - 0.5772156649015328606) < 1e-15

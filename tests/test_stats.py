@@ -28,10 +28,11 @@ def test_statistic_names_and_parse():
     for s in (BLOCKS, blocks_of_size(1), blocks_of_size(7), LARGE_BLOCKS,
               OUTER, INTERVAL_PAIRS, AREA):
         assert Statistic.parse(s.name) == s
-    with pytest.raises(ValueError):
-        Statistic.parse("Y0")
-    with pytest.raises(ValueError):
-        Statistic.parse("nope")
+    assert Statistic.parse("Y01") == blocks_of_size(1)
+    assert Statistic.parse(" Out ") == OUTER
+    for text in ("Y0", "nope", "y", "Y-1", "Yge", "out", ""):
+        with pytest.raises(ValueError, match="unknown statistic"):
+            Statistic.parse(text)
 
 
 def test_parse_refuses_a_name_that_is_not_a_string():
