@@ -33,15 +33,14 @@ from .laplace import (InsufficientSeed, SizeBoundExceeded, ZeroPolynomial,
                       variance_from_laplace)
 from .closed_forms import (EULER_GAMMA, FORMULAS, AsymptoticReport,
                            OutOfValidity, asymptotic_report,
-                           double_factorial_odd, expectation_recursion_step,
-                           expected_area, expected_block_count,
-                           expected_interval_pairs, expected_outer_blocks,
-                           expected_outer_pairs, expected_size1_blocks,
-                           expected_size2_blocks, expected_size3plus_blocks,
-                           harmonic, harmonic2, harmonic_difference,
-                           size_count_increment, telescoped_size3_expectation,
-                           total_area, variance_block_count,
-                           variance_block_count_alt)
+                           expectation_recursion_step, expected_area,
+                           expected_block_count, expected_interval_pairs,
+                           expected_outer_blocks, expected_outer_pairs,
+                           expected_size1_blocks, expected_size2_blocks,
+                           expected_size3plus_blocks, harmonic, harmonic2,
+                           harmonic_difference, size_count_increment,
+                           telescoped_size3_expectation, total_area,
+                           variance_block_count, variance_block_count_alt)
 from .cumulants import (InsufficientCumulants, InsufficientMoments,
                         StirlingTable, cumulants_from_moments,
                         moments_from_cumulants, ordering_count,

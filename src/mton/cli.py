@@ -346,12 +346,18 @@ def build_parser() -> argparse.ArgumentParser:
 _RATIONAL_OPTIONS = ("--alpha", "--from-moments", "--from-cumulants")
 
 
+def _names_a_rational_option(token: str) -> bool:
+    # in full or by a prefix of one of them only, as argparse abbreviates
+    return (token.startswith("--")
+            and sum(opt.startswith(token) for opt in _RATIONAL_OPTIONS) == 1)
+
+
 def _join_rationals(argv: list[str]) -> list[str]:
     """``argv`` with each value that starts with "-" and a digit joined,
     as ``--alpha=-1/2``, to the rational option before it."""
     joined = []
     for token in argv:
-        if (joined and joined[-1] in _RATIONAL_OPTIONS
+        if (joined and _names_a_rational_option(joined[-1])
                 and token[:1] == "-" and token[1:2].isdigit()):
             joined[-1] += "=" + token
         else:

@@ -6,13 +6,15 @@ returning an extrapolated value.  Exact work uses Fractions throughout;
 only the large-n asymptotic diagnostics drop to floats, where the
 remaining error (~1e-12) sits far below every tolerance used on them.
 
-The direct variance form reads the running difference D_n = H_n - H_n^(2),
-stepped by (m-1)/m^2, rather than subtracting the two harmonic sums: the
-sums' denominators run to thousands of digits, and their difference costs
-a gcd between two of them at every n, while each step of D_n meets only
-the small denominator m^2.  The shifted form still subtracts the two
-sums, so comparing the two forms checks the running difference against
-them.  All three are forward cursors that hold one value each.
+Every exact running sum (H_n, H_n^(2), D_n = H_n - H_n^(2), the partial
+odd harmonic sum of the area mean and the telescoped size-3 steps) is
+made by :func:`_running_sum`, one forward cursor per sum.  The direct
+variance form reads D_n, stepped by (m-1)/m^2, rather than subtracting
+the two harmonic sums: the sums' denominators run to thousands of
+digits, and their difference costs a gcd between two of them at every
+n, while each step of D_n meets only the small denominator m^2.  The
+shifted form still subtracts the two sums, so comparing the two forms
+checks the running difference against them.
 
 Every formula is named once, in :data:`FORMULAS`, the table that the
 CLI's ``closed-form`` and :func:`asymptotic_report` read: its exact form
@@ -29,7 +31,7 @@ from operator import mul, truediv
 
 from .polynomials import Rational
 from .stats import SecondKindInput
-from .tree import FULL, _radix
+from .tree import FULL, PAIR, _radix, level_count
 
 EULER_GAMMA = 0.57721566490153286060651209008240243104215933593992
 
@@ -38,60 +40,39 @@ class OutOfValidity(ValueError):
     """The requested n lies outside the formula's proven range."""
 
 
-def _advance(cursor: tuple[int, Fraction], n: int,
-             term) -> tuple[int, Fraction]:
-    """Step a running sum (m, S_m) forward to (n, S_n), adding term(k)
-    for k = m+1..n; restart from (0, 0) when n < m."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    m, total = cursor
-    if n < m:
-        m, total = 0, Fraction(0)
-    while m < n:
-        m += 1
-        total += term(m)
-    return m, total
+def _running_sum(term):
+    """n -> term(1) + ... + term(n), exact.
 
-
-class HarmonicCache:
-    """Exact harmonic numbers H_n and H_n^(2), and the running difference
-    D_n = H_n - H_n^(2) = Sum_{m=1..n} (m-1)/m^2.
-
-    Each is a single forward cursor (n, value), stepped one term at a
-    time and restarted from 0 when a smaller n is asked for: keeping
-    every value would hold a list of thousand-digit fractions per sum.
+    The sum is one forward cursor (m, S_m), stepped one term at a time
+    and restarted from 0 when a smaller n is asked for: keeping every
+    value would hold a list of thousand-digit fractions per sum.
     """
+    m, total = 0, Fraction(0)
 
-    def __init__(self):
-        self._h = self._h2 = self._d = (0, Fraction(0))
-
-    def harmonic(self, n: int) -> Fraction:
-        self._h = _advance(self._h, n, lambda m: Fraction(1, m))
-        return self._h[1]
-
-    def harmonic2(self, n: int) -> Fraction:
-        self._h2 = _advance(self._h2, n, lambda m: Fraction(1, m * m))
-        return self._h2[1]
-
-    def harmonic_difference(self, n: int) -> Fraction:
-        self._d = _advance(self._d, n, lambda m: Fraction(m - 1, m * m))
-        return self._d[1]
+    def running_sum(n: int) -> Fraction:
+        nonlocal m, total
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        if n < m:
+            m, total = 0, Fraction(0)
+        while m < n:
+            m += 1
+            total += term(m)
+        return total
+    return running_sum
 
 
-_cache = HarmonicCache()
-harmonic = _cache.harmonic
-harmonic2 = _cache.harmonic2
-harmonic_difference = _cache.harmonic_difference
+# H_n, H_n^(2) and the running difference D_n = H_n - H_n^(2)
+harmonic = _running_sum(lambda m: Fraction(1, m))
+harmonic2 = _running_sum(lambda m: Fraction(1, m * m))
+harmonic_difference = _running_sum(lambda m: Fraction(m - 1, m * m))
+# Sum_{k=1..n} 1/(2k+1), the partial odd harmonic sum of the area mean
+_odd_reciprocals = _running_sum(lambda k: Fraction(1, 2 * k + 1))
 
 
 def _require(n: int, low: int, name: str) -> None:
     if n < low:
         raise OutOfValidity(f"{name} holds for n >= {low}, got {n}")
-
-
-def double_factorial_odd(n: int) -> int:
-    """(2n-1)!! with the empty product equal to 1."""
-    return math.prod(range(1, 2 * n, 2))
 
 
 def expected_block_count(n: int) -> Fraction:
@@ -142,10 +123,11 @@ def telescoped_size3_expectation(n: int) -> Fraction:
     """Mean number of three-element blocks, telescoped from the exact
     level-4 value 1/10 (n >= 4).  Approaches 23/90."""
     _require(n, 4, "telescoped_size3_expectation")
-    total = Fraction(1, 10)
-    for m in range(5, n + 1):
-        total += size_count_increment(3, m)
-    return total
+    return Fraction(1, 10) + _size3_steps(n - 4)
+
+
+# step k is the one into level k + 4
+_size3_steps = _running_sum(lambda k: size_count_increment(3, k + 4))
 
 
 def expected_outer_blocks(n: int) -> Fraction:
@@ -171,13 +153,13 @@ def expected_area(n: int) -> Fraction:
     """Mean area under the pair-partition paths:
     (2n+1) * Sum_{k=1..n} 1/(2k+1)."""
     _require(n, 1, "expected_area")
-    return (2 * n + 1) * sum(Fraction(1, 2 * k + 1) for k in range(1, n + 1))
+    return (2 * n + 1) * _odd_reciprocals(n)
 
 
 def total_area(n: int) -> Fraction:
     """Sum of areas over the whole pair level: mean times (2n-1)!!."""
     _require(n, 1, "total_area")
-    return expected_area(n) * double_factorial_odd(n)
+    return expected_area(n) * level_count(n, PAIR)
 
 
 def expectation_recursion_step(law: SecondKindInput, prev: Rational, n: int,

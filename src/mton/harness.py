@@ -365,7 +365,7 @@ def _area_total_by_levels(n: int) -> int:
     # T_m = (2m-1) (2m-3)!! + (2m+1) T_(m-1)
     total = 1
     for m in range(2, n + 1):
-        total = ((2 * m - 1) * cf.double_factorial_odd(m - 1)
+        total = ((2 * m - 1) * tree.level_count(m - 1, PAIR)
                  + (2 * m + 1) * total)
     return total
 

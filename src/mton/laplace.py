@@ -344,18 +344,17 @@ def second_kind_witness(stat: Statistic, kind: str, n: int,
     return _batch_witness(stat, record, n, want_of, sized=False)
 
 
-def first_kind_witness(stat: Statistic, n: int,
-                       r: Sequence[int] | None = None) -> dict | None:
-    """First violation of the increment vector on the edges into full
-    level n, in rank order, or None when every edge whose child has a
-    maximal-label block of size j changes the statistic by r_j (0 past
-    the vector).  ``r`` defaults to the built-in vector.  The child's
-    block size is its state's, which the scan measured on a labelled
-    child.
+def first_kind_witness(stat: Statistic, n: int) -> dict | None:
+    """First violation of the increment vector of
+    :func:`first_kind_input` on the edges into full level n, in rank
+    order, or None when every edge whose child has a maximal-label block
+    of size j changes the statistic by r_j (0 past the vector).  The
+    child's block size is its state's, which the scan measured on a
+    labelled child.
     """
     _check_edge_level(n)
     record = scan_record(FULL, n)
-    r = first_kind_input(stat) if r is None else r
+    r = first_kind_input(stat)
     step = (0, *r) + (0,) * (n - len(r))  # step[j] is r_j
     rise = [step[j] for j in record.levels[n].size]  # by level-n state
     return _batch_witness(stat, record, n, lambda i, z, kids: [
@@ -384,7 +383,7 @@ def recurse_first_kind(r: Sequence[int], seeds: Sequence[ExactPolynomial],
     if len(seeds) < k:
         raise InsufficientSeed(f"need {k} seed levels, got {len(seeds)}")
     if n < 1:
-        raise ValueError("level must be >= 1")
+        raise ValueError(f"depth must be >= 1, got {n}")
     if n <= len(seeds):
         return seeds[n - 1]
     levels = [dict(seed.items()) for seed in seeds]
@@ -419,7 +418,7 @@ def recurse_second_kind(law: SecondKindInput, seed: ExactPolynomial,
     (children-q-e)*c*t^(e+beta), each level in normal form as above.
     """
     if n < 1:
-        raise ValueError("level must be >= 1")
+        raise ValueError(f"depth must be >= 1, got {n}")
     alpha, beta, q = law.alpha, law.beta, law.q
     cur = dict(seed.items())
     for m in range(2, n + 1):
@@ -470,12 +469,8 @@ def expectation_from_laplace(poly: ExactPolynomial) -> Fraction:
 
 
 def variance_from_laplace(poly: ExactPolynomial) -> Fraction:
-    """Variance of the statistic whose transform is ``poly``."""
-    total = poly.evaluate(1)
-    if total == 0:
-        raise ZeroPolynomial("transform sums to zero")
-    d1 = poly.derivative()
-    first = d1.evaluate(1)
-    second = d1.derivative().evaluate(1)
-    mean = first / total
-    return (second + first) / total - mean * mean
+    """Variance of the statistic whose transform is ``poly``: the
+    factorial moment P''(1)/P(1) plus the mean minus its square."""
+    mean = expectation_from_laplace(poly)
+    falling = poly.derivative().derivative().evaluate(1) / poly.evaluate(1)
+    return falling + mean - mean * mean

@@ -88,11 +88,6 @@ class OrderedNcPartition:
                     f"{part.blocks[par]} needs the larger label")
         return cls(n, blocks)
 
-    @property
-    def k(self) -> int:
-        """Number of blocks."""
-        return len(self.blocks_by_label)
-
     def partition(self) -> NcPartition:
         """Forget the labels; canonical min-sorted view."""
         return NcPartition(self.n, tuple(sorted(self.blocks_by_label)))

@@ -341,6 +341,22 @@ def test_cumulants_read_negative_moments_after_a_space(capsys):
         format_rational(v) for v in cm.cumulants_from_moments([-1, 2, 5]))
 
 
+def test_poisson_reads_a_negative_rate_after_an_abbreviation(capsys):
+    code, out, err = run(capsys, "poisson", "--alph", "-1/2", "--upto", "3")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "poisson", "--alpha", "-1/2", "--upto", "3")[1]
+
+
+def test_cumulants_read_negative_moments_after_an_abbreviation(capsys):
+    code, out, err = run(capsys, "cumulants", "--from-m", "-1,2,5")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "cumulants", "--from-moments", "-1,2,5")[1]
+    # a prefix of both list options is still ambiguous
+    with pytest.raises(SystemExit) as exc:
+        main(["cumulants", "--from-", "-1,2,5"])
+    assert exc.value.code == 2
+
+
 def test_cumulants_read_negative_cumulants_after_a_space(capsys):
     code, out, err = run(capsys, "cumulants", "--from-cumulants", "-1/2,1")
     assert (code, err) == (0, "")
@@ -408,10 +424,14 @@ def test_a_vast_decimal_exponent_is_an_error_at_once(capsys):
 def test_depth_below_one_is_a_usage_error(capsys):
     for argv in (("enumerate", "--n", "0", "--format", "count"),
                  ("enumerate", "--n", "0", "--kind", "pair", "--format", "count"),
-                 ("stats", "--n", "0")):
+                 ("stats", "--n", "0"),
+                 *(("laplace", "--stat", stat, "--n", "0", "--kind", kind,
+                    "--method", "recursion")
+                   for stat, kind in (("Y", "full"), ("Out", "full"),
+                                      ("Out", "pair"), ("Int", "pair")))):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
-        assert err.startswith("error: depth must be >= 1"), argv
+        assert err == "error: depth must be >= 1, got 0\n", argv
 
 
 def test_bad_rational_or_negative_upto_is_a_usage_error(capsys):

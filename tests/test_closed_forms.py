@@ -9,7 +9,7 @@ from mton import closed_forms as cf
 from mton import laplace
 from mton.stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
                         blocks_of_size)
-from mton.tree import FULL, PAIR
+from mton.tree import FULL, PAIR, level_count
 
 
 def test_float_sums_equal_their_generator_forms_bit_for_bit():
@@ -25,19 +25,38 @@ def test_harmonic_helpers():
     assert cf.harmonic(1) == 1
     assert cf.harmonic(4) == Fraction(25, 12)
     assert cf.harmonic2(2) == Fraction(5, 4)
-    assert cf.double_factorial_odd(4) == 105
-    assert cf.double_factorial_odd(1) == 1
+    assert level_count(4, PAIR) == 105
+    assert level_count(1, PAIR) == 1
 
 
 def test_running_difference_matches_the_harmonic_sums():
-    # an ascending pass, then descending, so the cursor restarts from 0
+    # an ascending pass, then descending, so the cursors restart from 0
     ns = (0, 1, 2, 3, 50, 999, 10001)
-    cache = cf.HarmonicCache()
     for n in ns + ns[::-1]:
-        assert cache.harmonic_difference(n) \
-            == cache.harmonic(n) - cache.harmonic2(n), n
+        assert cf.harmonic_difference(n) \
+            == cf.harmonic(n) - cf.harmonic2(n), n
     with pytest.raises(ValueError):
-        cache.harmonic_difference(-1)
+        cf.harmonic_difference(-1)
+
+
+@pytest.mark.parametrize("running_sum, term", [
+    (cf.harmonic, lambda k: Fraction(1, k)),
+    (cf.harmonic2, lambda k: Fraction(1, k * k)),
+    (cf.harmonic_difference, lambda k: Fraction(k - 1, k * k)),
+    (cf._odd_reciprocals, lambda k: Fraction(1, 2 * k + 1)),
+    (cf._size3_steps, lambda k: cf.size_count_increment(3, k + 4)),
+], ids=["harmonic", "harmonic2", "harmonic_difference", "odd_reciprocals",
+        "size3_steps"])
+def test_running_sums_read_the_same_in_any_order(running_sum, term):
+    ns = range(40)
+    want = [sum(map(term, range(1, n + 1)), Fraction(0)) for n in ns]
+    assert [running_sum(n) for n in ns] == want
+    assert [running_sum(n) for n in reversed(ns)] == want[::-1]
+    running_sum(200)  # restart from 0 at every n below
+    assert [running_sum(n) for n in (7, 3, 39, 0, 12)] \
+        == [want[n] for n in (7, 3, 39, 0, 12)]
+    with pytest.raises(ValueError):
+        running_sum(-1)
 
 
 def test_block_count_mean_and_variance_vs_enumeration():
@@ -106,7 +125,7 @@ def test_outer_pair_closed_form_shape():
     # the library reads 4^n / C(2n, n) - 1; the printed form is a product
     for n in range(1, 301):
         want = (Fraction(2 ** n * math.factorial(n),
-                         cf.double_factorial_odd(n)) - 1)
+                         level_count(n, PAIR)) - 1)
         assert cf.expected_outer_pairs(n) == want
 
 

@@ -146,10 +146,10 @@ def _first_second_kind_witness(stat, kind, bound, law=None):
     return None
 
 
-def _first_first_kind_witness(stat, bound, r=None):
+def _first_first_kind_witness(stat, bound):
     # the increments on every edge with child depth <= bound, smallest first
     for n in range(2, bound + 1):
-        witness = laplace.first_kind_witness(stat, n, r)
+        witness = laplace.first_kind_witness(stat, n)
         if witness is not None:
             return witness
     return None
@@ -164,10 +164,12 @@ def test_certificates_pass_at_small_bounds():
     assert _first_second_kind_witness(INTERVAL_PAIRS, PAIR, 4) is None
 
 
-def test_certificate_rejects_wrong_vector():
+def test_certificate_rejects_wrong_vector(monkeypatch):
     # r_2 = 1 where the elongation keeps the block count: the root's
     # elongation child, whose maximal-label block has two points
-    witness = _first_first_kind_witness(BLOCKS, 4, (1, 1))
+    with monkeypatch.context() as patch:
+        patch.setattr(laplace, "first_kind_input", lambda stat: (1, 1))
+        witness = _first_first_kind_witness(BLOCKS, 4)
     assert witness == {"n": 2, "stat": "Y", "digit": 2,
                        "parent": {"n": 1, "blocks_by_label": [[1]]},
                        "size": 2, "increment": 0, "want": 1}
