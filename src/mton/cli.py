@@ -139,8 +139,12 @@ def cmd_laplace(args: argparse.Namespace) -> int:
     brute, recursion = args.method != "recursion", args.method != "brute"
     # every refusal comes before any scan, so none throws a scan away;
     # the recursion scans just its seed levels, which the scan's id
-    # capacity still bounds
-    if recursion and _refused(args, "the recursion to level"):
+    # capacity still bounds.  On the full tree Y<size>'s increment
+    # vector seeds levels 1..size + 1, so it is priced at that level
+    # before it is built
+    seeds = stat.size + 1 if args.kind == FULL else 1
+    if recursion and _refused(args, "the recursion to level",
+                              max(args.n, seeds)):
         return 2
     if brute:
         if _refused(args, args.kind):

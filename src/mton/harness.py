@@ -159,19 +159,14 @@ def _recursion_kernel(chosen: Sequence[Statistic], kind: str):
     return kernel
 
 
-def _first_kind_kernel(chosen: Sequence[Statistic]):
-    # each statistic's increment law on the edges into full level n
+def _edge_kernel(chosen: Sequence[Statistic], kind: str):
+    # each statistic's transition law on the edges into level n
     def kernel(n: int) -> dict | None:
         witness = None
         for stat in chosen:
-            witness = witness or laplace.first_kind_witness(stat, n)
+            witness = witness or laplace.edge_witness(stat, kind, n)
         return witness
     return kernel
-
-
-def _subset_kernel(stat: Statistic, kind: str):
-    law = stats.second_kind_input(stat, kind)
-    return lambda n: laplace.second_kind_witness(stat, kind, n, law)
 
 
 def _mean_step_kernel(stat: Statistic, kind: str, closed):
@@ -615,7 +610,7 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
             mk("first-kind-edges",
                "block-size counts change by r_j on every full-tree edge whose "
                "child has a maximal-label block of j points",
-               range(2, 9), _first_kind_kernel(SIZE_STATS)),
+               range(2, 9), _edge_kernel(SIZE_STATS, FULL)),
             mk("seed-resolution",
                "level-3 singleton transform settles to 6t^3 + 5t + 1",
                [3], _agree({
@@ -651,7 +646,7 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
                range(1, b_outer + 1), _recursion_kernel((OUTER,), FULL)),
             mk("outer-full-subsets",
                "outer-count insertion law clauses on every full-tree parent",
-               range(2, b_outer + 1), _subset_kernel(OUTER, FULL)),
+               range(2, b_outer + 1), _edge_kernel((OUTER,), FULL)),
             mk("interval-pair-mean",
                "enumerated mean interval-pair count vs (2n+1)/3",
                range(1, b_pair + 1),
@@ -662,7 +657,7 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
                _recursion_kernel((INTERVAL_PAIRS,), PAIR)),
             mk("interval-pair-subsets",
                "interval-pair insertion law clauses on every pair-tree parent",
-               range(2, b_pair + 1), _subset_kernel(INTERVAL_PAIRS, PAIR)),
+               range(2, b_pair + 1), _edge_kernel((INTERVAL_PAIRS,), PAIR)),
             mk("outer-pair-mean",
                "enumerated mean outer count vs 2^n n!/(2n-1)!! - 1",
                range(1, b_pair + 1),
@@ -672,7 +667,7 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
                range(1, b_pair + 1), _recursion_kernel((OUTER,), PAIR)),
             mk("outer-pair-subsets",
                "outer-count insertion law clauses on every pair-tree parent",
-               range(2, b_pair + 1), _subset_kernel(OUTER, PAIR)),
+               range(2, b_pair + 1), _edge_kernel((OUTER,), PAIR)),
             mk("outer-full-mean-recursion",
                "stepped outer mean reproduces (2n+1)/3",
                range(2, 1001),

@@ -39,9 +39,9 @@ partition id.  ``level_values`` evaluates a statistic once on each
 distinct partition of a level; ``transform`` alone weights such values,
 by the level's id tally or a given one.  ``batches`` yields the batches
 once per parent state, at the state's first rank.  Every edge-law check
-reads its edges from ``batches``: both law shapes, through one
-per-batch comparison (:func:`second_kind_witness`,
-:func:`first_kind_witness`), and the harness's area split; the
+reads its edges from ``batches``: both law shapes, through one door,
+:func:`edge_witness`, which takes each statistic's law where the
+recursion takes it, and the harness's area split; the
 harness's parent chain follows the child-state batches, and its
 singleton slice reads the states alone.  A law's verdict on a parent
 depends on its state alone, so the first failing state is the first
@@ -286,11 +286,6 @@ def bruteforce_transform(stat: Statistic, n: int,
 # ---------------------------------------------------------------------------
 # edge laws, read off the state graph
 
-def _check_edge_level(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"the edges into level {n} need n >= 2")
-
-
 def _batch_witness(stat: Statistic, record: ScanRecord, n: int, want_of, *,
                    sized: bool) -> dict | None:
     """First level-(n-1) parent, in rank order, whose children do not
@@ -323,18 +318,31 @@ def _batch_witness(stat: Statistic, record: ScanRecord, n: int, want_of, *,
     return None
 
 
-def second_kind_witness(stat: Statistic, kind: str, n: int,
-                        law: SecondKindInput | None = None) -> dict | None:
-    """First violation of the (alpha, beta; q) law on the edges into
-    level n, in rank order, or None when all three clauses hold: the
+def edge_witness(stat: Statistic, kind: str, n: int,
+                 law: tuple | SecondKindInput | None = None) -> dict | None:
+    """First violation of the statistic's transition law on the edges
+    into level n, in rank order, or None when every batch holds it.
+    ``law`` defaults to the one the recursion reads
+    (:func:`_transition_law`).
+
+    An increment vector r asks every edge whose child has a
+    maximal-label block of size j to change the statistic by r_j (0 past
+    the vector); the child's block size is its state's, which the scan
+    measured on a labelled child.  An (alpha, beta; q) law asks for the
     alpha jump on the distinguished children, the beta jump elsewhere,
-    and the subset size Z + q.  ``law`` defaults to the built-in one.
+    and a distinguished subset of size Z + q.
     """
-    _check_edge_level(n)
+    if n < 2:
+        raise ValueError(f"the edges into level {n} need n >= 2")
+    law = _transition_law(stat, kind) if law is None else law
     record = scan_record(kind, n)
-    law = second_kind_input(stat, kind) if law is None else law
+    if not isinstance(law, SecondKindInput):
+        step = (0, *law) + (0,) * (n - len(law))  # step[j] is r_j
+        rise = [step[j] for j in record.levels[n].size]  # by level-n state
+        return _batch_witness(stat, record, n, lambda i, z, kids: [
+            z + rise[k] for k in kids], sized=True)
     points = tree._scale(kind) * (n - 1)
-    alpha, beta, q = law.alpha, law.beta, law.q
+    alpha, beta, q = law
 
     def want_of(i: int, z: int, kids):
         core = _core_digits(stat, kind, record.partitions[i], points)
@@ -342,23 +350,6 @@ def second_kind_witness(stat: Statistic, kind: str, n: int,
             return {"core_size": len(core), "want": z + q}
         return [z + (alpha if d in core else beta) for d in range(len(kids))]
     return _batch_witness(stat, record, n, want_of, sized=False)
-
-
-def first_kind_witness(stat: Statistic, n: int) -> dict | None:
-    """First violation of the increment vector of
-    :func:`first_kind_input` on the edges into full level n, in rank
-    order, or None when every edge whose child has a maximal-label block
-    of size j changes the statistic by r_j (0 past the vector).  The
-    child's block size is its state's, which the scan measured on a
-    labelled child.
-    """
-    _check_edge_level(n)
-    record = scan_record(FULL, n)
-    r = first_kind_input(stat)
-    step = (0, *r) + (0,) * (n - len(r))  # step[j] is r_j
-    rise = [step[j] for j in record.levels[n].size]  # by level-n state
-    return _batch_witness(stat, record, n, lambda i, z, kids: [
-        z + rise[k] for k in kids], sized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +360,8 @@ def recurse_first_kind(r: Sequence[int], seeds: Sequence[ExactPolynomial],
     """Level-n transform from the per-edge increment vector r.
 
     Seeds are the transforms at levels 1..len(seeds) with len(seeds) >=
-    len(r) (r is padded to length two if needed).  Intermediate monomial
+    len(r): a vector of length 1, as Y's (1,), needs one seed, since
+    then L_m = (1 + m t^r_1) L_(m-1).  Intermediate monomial
     shifts may dip below exponent zero; each summed level takes the
     polynomials' normal form, which refuses a surviving negative exponent
     and keeps integral coefficients as ints, for integer arithmetic.
@@ -377,8 +369,6 @@ def recurse_first_kind(r: Sequence[int], seeds: Sequence[ExactPolynomial],
     r = tuple(int(x) for x in r)
     if not r:
         raise ValueError("empty increment vector")
-    if len(r) == 1:
-        r = r + (0,)
     k = len(r)
     if len(seeds) < k:
         raise InsufficientSeed(f"need {k} seed levels, got {len(seeds)}")
@@ -450,7 +440,7 @@ def recursion_transform(stat: Statistic, n: int,
     if isinstance(law, SecondKindInput):
         seed = bruteforce_transform(stat, 1, kind)
         return recurse_second_kind(law, seed, n, kind)
-    k = max(len(law), 2)
+    k = len(law)
     if n <= k:
         return bruteforce_transform(stat, n, kind)
     seeds = [bruteforce_transform(stat, m, kind) for m in range(1, k + 1)]

@@ -13,9 +13,10 @@ Two transition shapes appear.  A statistic of the first kind changes by
 a fixed amount r_j on any edge whose child has a maximal-label block of
 size j.  A statistic of the second kind changes by alpha on a
 distinguished subset of insertion children, by beta on every other
-child, where the distinguished subset has size Z(parent) + q.  The
-witnesses that check both laws on every edge of a level, in
-:mod:`laplace`, read the sibling batches the scan kept, once per parent
+child, where the distinguished subset has size Z(parent) + q.  One
+witness checks either law on every edge of a level,
+:func:`laplace.edge_witness`, which reads the law where the recursion
+reads it; it reads the sibling batches the scan kept, once per parent
 state, and each child's maximal-label block size through its state.
 """
 
@@ -24,7 +25,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from io import TextIOBase
 
 from . import tree
 from .partitions import NcPartition, NotPairPartition, _span_sweep
@@ -70,8 +70,10 @@ class Statistic(namedtuple("Statistic", "family size", defaults=(0,))):
         for family, name in _NAMES.items():
             if text == name:
                 return cls(family)
-        if text.startswith("Y") and text[1:].isdigit() and int(text[1:]) >= 1:
-            return blocks_of_size(int(text[1:]))
+        digits = text[1:]  # ASCII only: str.isdigit also passes "²" and "١"
+        if (text.startswith("Y") and digits.isascii() and digits.isdigit()
+                and int(digits) >= 1):
+            return blocks_of_size(int(digits))
         raise ValueError(f"unknown statistic {text!r}")
 
 
@@ -247,9 +249,3 @@ def _table_rows(n: int, kind: str, stats: list[Statistic],
         yield [rank, n] + values
     yield ["mean", n] + [format_rational(Fraction(t, count)) for t in totals]
 
-
-def write_stats_csv(out: TextIOBase, n: int, kind: str,
-                    stats: Iterable[Statistic]) -> None:
-    """Write :func:`stats_table` as CSV."""
-    import csv  # loaded on use, to keep it off the import path
-    csv.writer(out).writerows(stats_table(n, kind, stats))

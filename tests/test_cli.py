@@ -508,6 +508,24 @@ def test_python_dash_m_runs_the_cli_without_an_install():
     assert (done.returncode, done.stdout, done.stderr) == (0, "5/3\n", "")
 
 
+def test_a_huge_block_size_recursion_is_refused_before_its_vector():
+    # Y100000000's increment vector would hold 10**8 + 1 entries; under
+    # a 512 MB address-space limit, set in the child alone, building it
+    # ends in a MemoryError, so the refusal must come first
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    limited = ("import resource, sys; "
+               "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)); "
+               "from mton.cli import main; sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run(
+        [sys.executable, "-c", limited, "laplace", "--stat", "Y100000000",
+         "--n", "3", "--method", "recursion"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "the recursion to level 100000001 is over the bound 1000; "
+               "pass --force\n")
+
+
 @pytest.mark.parametrize("command", (["enumerate", "--n", "8"],
                                      ["stats", "--n", "6"],
                                      ["stirling", "--n", "200"]))

@@ -9,11 +9,11 @@ import pytest
 
 from mton import laplace, stats, tree
 from mton.laplace import (InsufficientSeed, SizeBoundExceeded, ZeroPolynomial,
-                          bruteforce_transform, expectation_from_laplace,
-                          first_kind_witness, level_histograms,
+                          bruteforce_transform, edge_witness,
+                          expectation_from_laplace, level_histograms,
                           recurse_first_kind, recurse_second_kind,
                           recursion_transform, scan_chunk,
-                          second_kind_witness, variance_from_laplace)
+                          variance_from_laplace)
 from mton.partitions import validate_noncrossing
 from mton.polynomials import ExactPolynomial, NegativeExponent
 from mton.stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
@@ -86,6 +86,15 @@ def test_recursions_match_enumeration_all_stats():
 def test_first_kind_recursion_needs_enough_seeds():
     with pytest.raises(InsufficientSeed):
         recurse_first_kind((1, -1), [ExactPolynomial({1: 1})], 5)
+
+
+def test_block_count_recursion_needs_one_seed():
+    # Y's vector (1,): L_m = (1 + m t) L_(m-1), so L_1 = t is the only seed
+    want = t = ExactPolynomial.monomial(1)
+    for n in range(1, 13):
+        if n > 1:
+            want = want * ExactPolynomial({0: 1, 1: n})
+        assert recurse_first_kind((1,), [t], n) == want, n
 
 
 def test_first_kind_recursion_rejects_negative_shift():
@@ -521,8 +530,8 @@ _FROZEN_WITNESSES = [
 @pytest.mark.parametrize("stat, kind, law, n, want", _FROZEN_WITNESSES)
 def test_second_kind_witness_of_a_wrong_law_is_frozen(stat, kind, law, n,
                                                       want):
-    assert second_kind_witness(stat, kind, n, SecondKindInput(*law)) == want
-    assert second_kind_witness(stat, kind, n) is None
+    assert edge_witness(stat, kind, n, SecondKindInput(*law)) == want
+    assert edge_witness(stat, kind, n) is None
 
 
 def _walked_witness(stat, kind, n, law):
@@ -566,7 +575,7 @@ def test_second_kind_witness_finds_a_child_deep_in_the_level(
     monkeypatch.setattr(laplace, "_evaluate_blocks", off_by_one)
     monkeypatch.setattr(stats, "_evaluate_blocks", off_by_one)
     law = stats.second_kind_input(stat, kind)
-    got = second_kind_witness(stat, kind, n, law)
+    got = edge_witness(stat, kind, n, law)
     assert got is not None and "digit" in got
     assert got == _walked_witness(stat, kind, n, law)
     parent = tree.OrderedNcPartition.from_json(got["parent"])
@@ -602,14 +611,35 @@ def test_first_kind_witness_finds_a_child_deep_in_the_level(stat,
     def off_by_one(s, blocks, points):
         return real(s, blocks, points) + (tuple(sorted(blocks)) == target)
     r = first_kind_input(stat)
-    assert first_kind_witness(stat, 6) is None
+    assert edge_witness(stat, FULL, 6) is None
     monkeypatch.setattr(laplace, "_evaluate_blocks", off_by_one)
     monkeypatch.setattr(stats, "_evaluate_blocks", off_by_one)
-    got = first_kind_witness(stat, 6)
+    got = edge_witness(stat, FULL, 6)
     assert got is not None and got["size"] == 6
     assert got == _walked_first_kind_witness(stat, 6, r)
     with pytest.raises(ValueError):
-        first_kind_witness(stat, 1)
+        edge_witness(stat, FULL, 1)
+
+
+@pytest.mark.parametrize("stat, kind, error", [
+    *((s, FULL, None) for s in (BLOCKS, blocks_of_size(1), blocks_of_size(2),
+                                 blocks_of_size(3), blocks_of_size(4),
+                                 LARGE_BLOCKS, OUTER)),
+    (OUTER, PAIR, None), (INTERVAL_PAIRS, PAIR, None),
+    (AREA, PAIR, NotSecondKind), (INTERVAL_PAIRS, FULL, NotSecondKind)],
+    ids=lambda v: getattr(v, "name", v))
+def test_edge_witness_reads_the_law_of_the_recursion(stat, kind, error):
+    # the default law is the recursion's: it holds on every edge into
+    # full levels 2..6 and pair levels 2..5, and a pair without one
+    # raises the law lookup's error
+    for n in range(2, 7 if kind == FULL else 6):
+        if error is None:
+            assert edge_witness(stat, kind, n) is None, n
+        else:
+            with pytest.raises(error):
+                edge_witness(stat, kind, n)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        edge_witness(stat, kind, 1)
 
 
 _ALL_STATS = (BLOCKS, blocks_of_size(1), blocks_of_size(2), blocks_of_size(3),

@@ -1,5 +1,6 @@
 """Per-node statistics, path area, transition inputs, certificates."""
 
+import csv
 import io
 from collections import Counter
 from fractions import Fraction
@@ -13,7 +14,7 @@ from mton.stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
                         AreaRequiresPairPartition, NotFirstKind, NotSecondKind,
                         SecondKindInput, Statistic, area, blocks_of_size,
                         dyck_path, evaluate, first_kind_input, path_area,
-                        second_kind_input, write_stats_csv)
+                        second_kind_input, stats_table)
 from mton.tree import (FULL, PAIR, OrderedNcPartition, TreeCode, child_at,
                        decode, iter_level)
 
@@ -30,7 +31,7 @@ def test_statistic_names_and_parse():
         assert Statistic.parse(s.name) == s
     assert Statistic.parse("Y01") == blocks_of_size(1)
     assert Statistic.parse(" Out ") == OUTER
-    for text in ("Y0", "nope", "y", "Y-1", "Yge", "out", ""):
+    for text in ("Y0", "nope", "y", "Y-1", "Yge", "out", "", "Y١", "Y²"):
         with pytest.raises(ValueError, match="unknown statistic"):
             Statistic.parse(text)
 
@@ -140,7 +141,7 @@ def test_second_kind_inputs():
 def _first_second_kind_witness(stat, kind, bound, law=None):
     # the clauses on every parent with depth <= bound, smallest first
     for n in range(2, bound + 2):
-        witness = laplace.second_kind_witness(stat, kind, n, law)
+        witness = laplace.edge_witness(stat, kind, n, law)
         if witness is not None:
             return witness
     return None
@@ -149,7 +150,7 @@ def _first_second_kind_witness(stat, kind, bound, law=None):
 def _first_first_kind_witness(stat, bound):
     # the increments on every edge with child depth <= bound, smallest first
     for n in range(2, bound + 1):
-        witness = laplace.first_kind_witness(stat, n)
+        witness = laplace.edge_witness(stat, FULL, n)
         if witness is not None:
             return witness
     return None
@@ -202,7 +203,7 @@ def test_joint_distribution_streaming_pass():
 
 def test_csv_writer_layout():
     out = io.StringIO()
-    write_stats_csv(out, 2, FULL, [BLOCKS, OUTER])
+    csv.writer(out).writerows(stats_table(2, FULL, [BLOCKS, OUTER]))
     lines = out.getvalue().strip().splitlines()
     assert lines[0] == "rank,n,Y,Out"
     assert lines[1] == "0,2,2,2"
@@ -213,7 +214,7 @@ def test_csv_writer_layout():
 
 def test_csv_writer_pair_area():
     out = io.StringIO()
-    write_stats_csv(out, 2, PAIR, [AREA])
+    csv.writer(out).writerows(stats_table(2, PAIR, [AREA]))
     lines = out.getvalue().strip().splitlines()
     assert lines[0] == "rank,n,Area"
     assert [l.split(",")[2] for l in lines[1:4]] == ["2", "4", "2"]
