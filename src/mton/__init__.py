@@ -24,7 +24,7 @@ from .stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
                     AreaRequiresPairPartition, NotFirstKind, NotSecondKind,
                     SecondKindInput, Statistic, area, blocks_of_size,
                     core_child_digits, dyck_path, evaluate, first_kind_input,
-                    path_area, second_kind_input, stats_table)
+                    path_area, second_kind_input, seed_levels, stats_table)
 from .laplace import (InsufficientSeed, SizeBoundExceeded, ZeroPolynomial,
                       bruteforce_transform, expectation_from_laplace,
                       level_histograms, recurse_first_kind,

@@ -79,7 +79,7 @@ def _refused(args: argparse.Namespace, cost: str,
         head = (f"level {size} of the {kind} tree holds {more}{count} "
                 f"nodes, over the default")
     else:
-        head = f"{cost} {size} is over the"
+        head = f"{cost} {format_rational(size)} is over the"
     print(f"{head} bound {bound}; pass --force", file=sys.stderr)
     return True
 
@@ -118,13 +118,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     if _refused(args, f"{args.kind} per node"):
         return 2
-    if args.stat:
-        chosen = [Statistic.parse(s) for s in args.stat]
-    elif args.kind == FULL:
-        chosen = [stats.BLOCKS, stats.blocks_of_size(1), stats.blocks_of_size(2),
-                  stats.LARGE_BLOCKS, stats.OUTER, stats.INTERVAL_PAIRS]
-    else:
-        chosen = [stats.OUTER, stats.INTERVAL_PAIRS, stats.AREA]
+    names = args.stat or (("Y", "Y1", "Y2", "Yge3", "Out", "Int")
+                          if args.kind == FULL else ("Out", "Int", "Area"))
+    chosen = [Statistic.parse(s) for s in names]
     # rejects a bad depth or a statistic off its tree before --out is opened
     rows = stats.stats_table(args.n, args.kind, chosen)
     import csv  # loaded on use, to keep it off the import path
@@ -137,14 +133,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_laplace(args: argparse.Namespace) -> int:
     stat = Statistic.parse(args.stat)
     brute, recursion = args.method != "recursion", args.method != "brute"
-    # every refusal comes before any scan, so none throws a scan away;
-    # the recursion scans just its seed levels, which the scan's id
-    # capacity still bounds.  On the full tree Y<size>'s increment
-    # vector seeds levels 1..size + 1, so it is priced at that level
-    # before it is built
-    seeds = stat.size + 1 if args.kind == FULL else 1
+    # every refusal precedes any scan; the recursion is priced at its seed levels
     if recursion and _refused(args, "the recursion to level",
-                              max(args.n, seeds)):
+                              max(args.n, stats.seed_levels(stat, args.kind))):
         return 2
     if brute:
         if _refused(args, args.kind):
@@ -158,10 +149,11 @@ def cmd_laplace(args: argparse.Namespace) -> int:
     if recursion:
         results["recursion"] = laplace.recursion_transform(
             stat, args.n, args.kind)
+    equal = results.get("brute") == results.get("recursion")
     if args.json:
         payload = {name: poly.to_json() for name, poly in results.items()}
-        if args.method == "both":
-            payload["equal"] = results["brute"] == results["recursion"]
+        if brute and recursion:
+            payload["equal"] = equal
         print(json.dumps(payload))
     else:
         for name, poly in results.items():
@@ -169,11 +161,9 @@ def cmd_laplace(args: argparse.Namespace) -> int:
         some = next(iter(results.values()))
         print(f"{'mean':10} {format_rational(laplace.expectation_from_laplace(some))}")
         print(f"{'variance':10} {format_rational(laplace.variance_from_laplace(some))}")
-        if args.method == "both":
-            print("EQUAL" if results["brute"] == results["recursion"] else "DIFFER")
-    if args.method == "both" and results["brute"] != results["recursion"]:
-        return 1
-    return 0
+        if brute and recursion:
+            print("EQUAL" if equal else "DIFFER")
+    return 1 if brute and recursion and not equal else 0
 
 
 def cmd_closed_form(args: argparse.Namespace) -> int:

@@ -57,13 +57,14 @@ import math
 from array import array
 from collections import Counter
 from collections.abc import Iterator, Sequence
+from contextlib import suppress
 from fractions import Fraction
 
 from . import tree
 from .polynomials import ExactPolynomial, _normal_form
 from .stats import (NotFirstKind, SecondKindInput, Statistic, _core_digits,
                     _evaluate_blocks, first_kind_input,
-                    refuse_area_off_pairs, second_kind_input)
+                    refuse_area_off_pairs, second_kind_input, seed_levels)
 from .tree import FULL
 
 
@@ -425,25 +426,23 @@ def _transition_law(stat: Statistic, kind: str) -> tuple | SecondKindInput:
     """On the full tree, the increment vector of :func:`first_kind_input`
     when the statistic has one; otherwise :func:`second_kind_input`."""
     if kind == FULL:
-        try:
+        with suppress(NotFirstKind):
             return first_kind_input(stat)
-        except NotFirstKind:
-            pass
     return second_kind_input(stat, kind)
 
 
 def recursion_transform(stat: Statistic, n: int,
                         kind: str = FULL) -> ExactPolynomial:
     """Level-n transform via the statistic's transition law
-    (:func:`_transition_law`), seeded by tiny brute-forced levels."""
-    law = _transition_law(stat, kind)
-    if isinstance(law, SecondKindInput):
-        seed = bruteforce_transform(stat, 1, kind)
-        return recurse_second_kind(law, seed, n, kind)
-    k = len(law)
-    if n <= k:
+    (:func:`_transition_law`) from its brute-forced :func:`stats.seed_levels`;
+    a level among several seeds is its own, and builds no vector."""
+    k = seed_levels(stat, kind)
+    if 1 < k and n <= k:
         return bruteforce_transform(stat, n, kind)
+    law = _transition_law(stat, kind)
     seeds = [bruteforce_transform(stat, m, kind) for m in range(1, k + 1)]
+    if isinstance(law, SecondKindInput):
+        return recurse_second_kind(law, seeds[0], n, kind)
     return recurse_first_kind(law, seeds, n)
 
 

@@ -1,5 +1,8 @@
 """Block statistics of ordered partitions and their child-step laws.
 
+A statistic family is one entry of ``_FAMILIES``: its name, its value on
+a partition's blocks, the trees it is defined on, its transition law and
+so its recursion's seed levels; a new statistic is a new entry there.
 Every statistic is evaluated from scratch off the block structure, never
 incrementally along tree edges, so the certified transition laws below
 are genuine cross-checks and not restatements of the evaluator.  One
@@ -29,7 +32,7 @@ from fractions import Fraction
 from . import tree
 from .partitions import NcPartition, NotPairPartition, _span_sweep
 from .polynomials import format_rational
-from .tree import FULL, PAIR, OrderedNcPartition
+from .tree import FULL, KINDS, PAIR, OrderedNcPartition
 
 
 class AreaRequiresPairPartition(NotPairPartition):
@@ -44,35 +47,73 @@ class NotSecondKind(ValueError):
     """No insertion-subset transition law exists for this statistic."""
 
 
-# each family's name, which parse reads back; a blocks_of_size statistic
-# is named Y and its size, as Y2
-_NAMES = {"blocks": "Y", "blocks_at_least3": "Yge3", "outer": "Out",
-          "intervals": "Int", "area": "Area"}
+SecondKindInput = namedtuple("SecondKindInput", "alpha beta q")
+
+
+def _at_least3(blocks, size: int, n: int) -> int:
+    sizes = list(map(len, blocks))
+    return len(sizes) - sizes.count(1) - sizes.count(2)
+
+
+def _interval_starts(blocks) -> list[int]:
+    return [b[0] for b in blocks if len(b) == 2 and b[1] == b[0] + 1]
+
+
+def _area(blocks, size: int, n: int) -> int:
+    if list(map(len, blocks)).count(2) != len(blocks):
+        raise AreaRequiresPairPartition(f"n={n} partition has a non-pair block")
+    lows, highs = zip(*blocks)
+    return sum(highs) - sum(lows)
+
+
+# One entry per statistic family: the name parse reads back (None: Y and
+# the size, as Y2); value(blocks, size, n), the statistic on the blocks of
+# a partition of {1..n} in any order (no statistic reads the labels); the
+# trees it is defined on; its increment vector on the full tree, zeros +
+# size zeros then a tail (Y<size>: size - 1 zeros, then (1, -1)); its
+# (alpha, beta; q) law by tree, and core(blocks, n), the digits of the
+# children where that law jumps by alpha.
+_Family = namedtuple("_Family", "name value trees zeros tail laws core",
+                     defaults=(KINDS, 0, (), {}, None))
+_FAMILIES = {
+    "blocks": _Family("Y", lambda blocks, size, n: len(blocks), tail=(1,)),
+    "blocks_of_size": _Family(
+        None, lambda blocks, size, n: list(map(len, blocks)).count(size),
+        zeros=-1, tail=(1, -1)),
+    "blocks_at_least3": _Family("Yge3", _at_least3, zeros=2, tail=(1,)),
+    "outer": _Family(
+        "Out", lambda blocks, size, n: len(_span_sweep(blocks)),
+        laws={FULL: SecondKindInput(1, 0, 1), PAIR: SecondKindInput(1, 0, 1)},
+        core=lambda blocks, n: {m - 1 for m in _span_sweep(blocks)} | {n}),
+    "intervals": _Family(
+        "Int", lambda blocks, size, n: len(_interval_starts(blocks)),
+        laws={PAIR: SecondKindInput(0, 1, 0)},
+        core=lambda blocks, n: set(_interval_starts(blocks))),
+    "area": _Family("Area", _area, trees=(PAIR,)),
+}
 
 
 class Statistic(namedtuple("Statistic", "family size", defaults=(0,))):
-    """Identifier for one of the supported block statistics: ``family`` is
-    blocks, blocks_of_size, blocks_at_least3, outer, intervals or area."""
+    """A block statistic: its ``_FAMILIES`` key, and blocks_of_size's size."""
 
     __slots__ = ()
 
     @property
     def name(self) -> str:
-        if self.family == "blocks_of_size":
-            return f"Y{self.size}"
-        return _NAMES[self.family]
+        return _FAMILIES[self.family].name or f"Y{self.size}"
 
     @classmethod
     def parse(cls, text: str) -> "Statistic":
         if not isinstance(text, str):
             raise ValueError(f"a statistic is named by a string, got {text!r}")
         text = text.strip()
-        for family, name in _NAMES.items():
-            if text == name:
+        for family, entry in _FAMILIES.items():
+            if text == entry.name:
                 return cls(family)
         digits = text[1:]  # ASCII only: str.isdigit also passes "²" and "١"
+        # int() refuses past 4300 digits, with wording of its own
         if (text.startswith("Y") and digits.isascii() and digits.isdigit()
-                and int(digits) >= 1):
+                and len(digits) <= 4300 and int(digits) >= 1):
             return blocks_of_size(int(digits))
         raise ValueError(f"unknown statistic {text!r}")
 
@@ -95,37 +136,14 @@ SIZE_STATS = (BLOCKS, blocks_of_size(1), blocks_of_size(2), blocks_of_size(3),
               blocks_of_size(4), LARGE_BLOCKS)
 
 
-def _block_sizes(blocks) -> list[int]:
-    """The node's block sizes, in label order."""
-    return list(map(len, blocks))
-
-
 def evaluate(stat: Statistic, op: OrderedNcPartition) -> int:
     """Value of the statistic on one ordered partition."""
     return _evaluate_blocks(stat, op.blocks_by_label, op.n)
 
 
 def _evaluate_blocks(stat: Statistic, blocks, n: int) -> int:
-    """Value of the statistic on the blocks of a partition of {1..n},
-    given in any order: no statistic reads the labels."""
-    family = stat.family
-    if family == "blocks":
-        return len(blocks)
-    if family == "blocks_of_size":
-        return _block_sizes(blocks).count(stat.size)
-    if family == "blocks_at_least3":
-        sizes = _block_sizes(blocks)
-        return len(sizes) - sizes.count(1) - sizes.count(2)
-    if family == "outer":
-        return len(_span_sweep(blocks))
-    if family == "intervals":
-        return sum(1 for b in blocks if len(b) == 2 and b[1] == b[0] + 1)
-    if family == "area":
-        if _block_sizes(blocks).count(2) != len(blocks):
-            raise AreaRequiresPairPartition(f"n={n} partition has a non-pair block")
-        lows, highs = zip(*blocks)
-        return sum(highs) - sum(lows)
-    raise ValueError(f"unknown statistic family {family!r}")
+    """The statistic on the blocks of a partition of {1..n}, in any order."""
+    return _FAMILIES[stat.family].value(blocks, stat.size, n)
 
 
 def area(p: NcPartition) -> int:
@@ -163,32 +181,31 @@ def path_area(steps: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # transition laws
 
-class SecondKindInput(namedtuple("SecondKindInput", "alpha beta q")):
-    __slots__ = ()
-
-
 def first_kind_input(stat: Statistic) -> tuple[int, ...]:
     """Increment vector (r_1, ..., r_k): an edge whose child has a
     maximal-label block of size j changes the statistic by r_j (0 for
     j beyond the vector)."""
-    if stat.family == "blocks":
-        return (1,)
-    if stat.family == "blocks_of_size":
-        if stat.size == 1:
-            return (1, -1)
-        return (0,) * (stat.size - 1) + (1, -1)
-    if stat.family == "blocks_at_least3":
-        return (0, 0, 1)
-    raise NotFirstKind(f"{stat.name} has no per-edge increment vector")
+    family = _FAMILIES[stat.family]
+    if not family.tail:
+        raise NotFirstKind(f"{stat.name} has no per-edge increment vector")
+    return (0,) * (family.zeros + stat.size) + family.tail
+
+
+def seed_levels(stat: Statistic, kind: str) -> int:
+    """How many levels seed the recursion: on the full tree the length of
+    the increment vector, if any, else 1; no vector is built, no error."""
+    family = _FAMILIES[stat.family]
+    if kind == FULL and family.tail:
+        return family.zeros + stat.size + len(family.tail)
+    return 1
 
 
 def second_kind_input(stat: Statistic, kind: str) -> SecondKindInput:
     """The (alpha, beta; q) law for insertion-driven statistics."""
-    if stat.family == "outer" and kind in (FULL, PAIR):
-        return SecondKindInput(1, 0, 1)
-    if stat.family == "intervals" and kind == PAIR:
-        return SecondKindInput(0, 1, 0)
-    raise NotSecondKind(f"{stat.name} on the {kind} tree")
+    law = _FAMILIES[stat.family].laws.get(kind)
+    if law is None:
+        raise NotSecondKind(f"{stat.name} on the {kind} tree")
+    return law
 
 
 def core_child_digits(stat: Statistic, kind: str,
@@ -205,20 +222,16 @@ def core_child_digits(stat: Statistic, kind: str,
 
 
 def _core_digits(stat: Statistic, kind: str, blocks, n: int) -> set[int]:
-    """:func:`core_child_digits` of the parent with these blocks on
-    {1..n}, given in any order."""
-    if stat.family == "outer":
-        return {m - 1 for m in _span_sweep(blocks)} | {n}
-    if stat.family == "intervals" and kind == PAIR:
-        return {b[0] for b in blocks if len(b) == 2 and b[1] == b[0] + 1}
-    raise NotSecondKind(f"{stat.name} on the {kind} tree")
+    """:func:`core_child_digits` of the parent with these blocks, in any order."""
+    second_kind_input(stat, kind)  # refuses a tree without an insertion law
+    return _FAMILIES[stat.family].core(blocks, n)
 
 
 # ---------------------------------------------------------------------------
 # tables
 
 def refuse_area_off_pairs(stat: Statistic, kind: str) -> None:
-    if stat.family == "area" and kind == FULL:
+    if kind not in _FAMILIES[stat.family].trees:
         raise AreaRequiresPairPartition(
             f"{stat.name} needs the pair tree, not the {kind} tree")
 
@@ -244,8 +257,6 @@ def _table_rows(n: int, kind: str, stats: list[Statistic],
     totals = [0] * len(stats)
     for rank, op in enumerate(tree.iter_level(n, kind)):
         values = [evaluate(s, op) for s in stats]
-        for i, v in enumerate(values):
-            totals[i] += v
+        totals = list(map(sum, zip(totals, values)))
         yield [rank, n] + values
     yield ["mean", n] + [format_rational(Fraction(t, count)) for t in totals]
-

@@ -114,6 +114,41 @@ def test_laplace_both_methods_agree(capsys):
     assert "23/12" in out
 
 
+def test_laplace_both_methods_say_whether_they_agree(capsys, monkeypatch):
+    code, out, _ = run(capsys, "laplace", "--stat", "Y1", "--n", "3", "--json")
+    assert (code, json.loads(out)["equal"]) == (0, True)
+    monkeypatch.setattr(laplace, "recursion_transform",
+                        lambda stat, n, kind: ExactPolynomial({1: 1}))
+    code, out, _ = run(capsys, "laplace", "--stat", "Y1", "--n", "3")
+    assert (code, out.splitlines()[-1]) == (1, "DIFFER")
+    code, out, _ = run(capsys, "laplace", "--stat", "Y1", "--n", "3", "--json")
+    assert (code, json.loads(out)["equal"]) == (1, False)
+
+
+def test_laplace_brute_force_past_its_level_is_refused(capsys, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("the level was scanned")
+    monkeypatch.setattr(laplace, "bruteforce_transform", no_scan)
+    code, out, err = run(capsys, "laplace", "--stat", "Y", "--n", "11",
+                         "--method", "brute")
+    assert (code, out) == (2, "")
+    assert err.startswith("level 11 of the full tree holds") and "--force" in err
+
+
+def test_laplace_refuses_a_size_past_the_int_digit_limit(capsys):
+    # int() and str() refuse past 4300 digits, in wording of their own
+    code, out, err = run(capsys, "laplace", "--stat", "Y" + "9" * 5000,
+                         "--n", "3", "--method", "brute")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown statistic"), err[:80]
+    # the largest size parsed seeds a level of 4301 digits
+    code, out, err = run(capsys, "laplace", "--stat", "Y" + "9" * 4300,
+                         "--n", "3", "--method", "recursion")
+    assert (code, out) == (2, "")
+    assert err == (f"the recursion to level 1{'0' * 4300} is over the bound "
+                   "1000; pass --force\n"), err[:80]
+
+
 def test_laplace_json(capsys):
     code, out, _ = run(capsys, "laplace", "--stat", "Area", "--n", "2",
                        "--kind", "pair", "--method", "brute", "--json")
@@ -293,6 +328,23 @@ def test_stirling_check_caps_the_exponential_tables(capsys, monkeypatch):
     assert len(out.strip().splitlines()) == 30
 
 
+@pytest.mark.parametrize("name, route", [
+    ("stirling_by_closed_form", "closed form"),
+    ("stirling_by_tree_count", "tree count")])
+def test_stirling_check_names_the_first_row_that_differs(capsys, monkeypatch,
+                                                         name, route):
+    real = getattr(cm, name)
+
+    def off_at_row_4(n_max):
+        rows = list(real(n_max).rows)
+        rows[3] = (rows[3][0] + 1,) + rows[3][1:]
+        return cm.StirlingTable(tuple(rows))
+    monkeypatch.setattr(cm, name, off_at_row_4)
+    code, out, err = run(capsys, "stirling", "--n", "6", "--check")
+    assert (code, out) == (1, "")
+    assert err == f"recursion and {route} differ at row 4\n"
+
+
 def test_a_triangle_past_its_bound_needs_force(capsys, monkeypatch):
     # row n holds integers up to (n+1)!/2, so rows far past the bound
     # take the machine's memory; the refusal comes before any row
@@ -370,6 +422,17 @@ def test_verify_suite_table(capsys):
     assert code == 0
     assert "area-mean" in out
     assert "0 failing" in out
+
+
+def test_verify_prints_the_witness_of_a_failing_check(capsys, monkeypatch):
+    # the corrupted twin of the thm111 suite fails at n = 1
+    check, _ = harness.corrupted_checks()["thm111"]
+    monkeypatch.setattr(harness, "run_suite",
+                        lambda name, deep=False: [check.run()])
+    code, out, _ = run(capsys, "verify", "--suite", "thm111")
+    assert code == 1
+    witness = json.dumps(check.run().witness, sort_keys=True)
+    assert out.splitlines()[-1] == f"witness corrupt-area: {witness}"
 
 
 def test_verify_suite_jsonl(tmp_path, capsys):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from mton import closed_forms as cf
 from mton import cumulants as cm
-from mton import laplace, partitions, reference, stats, tree
+from mton import harness, laplace, partitions, reference, stats, tree
 from mton.harness import (Check, CheckReport, CheckSpec, NotMinimizable,
                           SUITES, _count_kernel, _disagree, build_checks,
                           corrupted_checks, counterexample_minimize,
@@ -153,6 +153,41 @@ def test_variance_forms_catch_a_wrong_running_difference(monkeypatch):
 def test_selftest_suite_passes():
     reports = run_suite("selftest")
     assert [r.status for r in reports] == ["pass"]
+
+
+def _selftest_with(monkeypatch, check, minimal):
+    # the self-test's report when the one corrupted twin is this check
+    monkeypatch.setattr(harness, "corrupted_checks",
+                        lambda: {"toy": (check, minimal)})
+    report, = run_suite("selftest")
+    assert report.status == "fail"
+    return report.witness
+
+
+def test_selftest_fails_on_a_twin_that_passes(monkeypatch):
+    assert _selftest_with(monkeypatch, make_check(100), 1) == {
+        "suite": "toy", "check": "toy",
+        "problem": "corrupted formula not caught", "status": "pass"}
+
+
+def test_selftest_fails_on_a_twin_that_passes_on_its_rerun(monkeypatch):
+    runs = []
+
+    def kernel(n):
+        runs.append(n)
+        return {"n": n} if len(runs) == 1 else None
+    flaky = Check(CheckSpec("flaky", "fails on its first run only"),
+                  (1, 2, 3), kernel)
+    assert _selftest_with(monkeypatch, flaky, 1) == {
+        "suite": "toy", "check": "flaky",
+        "problem": "failure not minimizable"}
+
+
+def test_selftest_fails_on_a_twin_minimal_elsewhere(monkeypatch):
+    assert _selftest_with(monkeypatch, make_check(4), 2) == {
+        "suite": "toy", "check": "toy",
+        "problem": "minimal witness not n=2",
+        "witness": {"n": 4, "got": 16, "want": -1}}
 
 
 def test_run_is_deterministic():

@@ -97,6 +97,27 @@ def test_block_count_recursion_needs_one_seed():
         assert recurse_first_kind((1,), [t], n) == want, n
 
 
+def _no_vector(stat):
+    raise AssertionError(f"the increment vector of {stat.name} was built")
+
+
+def test_a_level_among_a_huge_vectors_seeds_is_scanned_without_it(
+        monkeypatch):
+    # Y<10**12>'s vector would hold 10**12 + 1 entries; level 3 is among
+    # its seed levels, so the recursion reads it off the scan
+    monkeypatch.setattr(laplace, "first_kind_input", _no_vector)
+    huge = blocks_of_size(10 ** 12)
+    assert recursion_transform(huge, 3) == bruteforce_transform(huge, 3)
+    assert recursion_transform(huge, 3) == ExactPolynomial({0: 12})
+
+
+def test_a_seed_past_the_scan_is_refused_before_the_vector(monkeypatch):
+    # Y<10**7> seeds levels 1..10**7 + 1, and the scan stops at depth 10
+    monkeypatch.setattr(laplace, "first_kind_input", _no_vector)
+    with pytest.raises(SizeBoundExceeded):
+        recursion_transform(blocks_of_size(10 ** 7), 12)
+
+
 def test_first_kind_recursion_rejects_negative_shift():
     with pytest.raises(NegativeExponent):
         recurse_first_kind((0, -1), [ExactPolynomial.zero(),

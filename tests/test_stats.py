@@ -36,6 +36,14 @@ def test_statistic_names_and_parse():
             Statistic.parse(text)
 
 
+def test_parse_refuses_a_size_past_the_int_digit_limit():
+    # int() refuses decimal text past 4300 digits, in wording of its own
+    for digits in ("9" * 5000, "1" + "0" * 4300):
+        with pytest.raises(ValueError, match="^unknown statistic 'Y"):
+            Statistic.parse("Y" + digits)
+    assert Statistic.parse("Y" + "9" * 4300) == blocks_of_size(10 ** 4300 - 1)
+
+
 def test_parse_refuses_a_name_that_is_not_a_string():
     with pytest.raises(ValueError, match="got 5"):
         Statistic.parse(5)
@@ -126,6 +134,16 @@ def test_first_kind_inputs():
         first_kind_input(OUTER)
     with pytest.raises(NotFirstKind):
         first_kind_input(AREA)
+
+
+def test_seed_levels_are_the_vector_lengths_and_never_raise():
+    for s in (BLOCKS, blocks_of_size(1), blocks_of_size(2), blocks_of_size(7),
+              LARGE_BLOCKS):
+        assert stats.seed_levels(s, FULL) == len(first_kind_input(s)), s.name
+        assert stats.seed_levels(s, PAIR) == 1
+    for s in (OUTER, INTERVAL_PAIRS, AREA):
+        assert stats.seed_levels(s, FULL) == stats.seed_levels(s, PAIR) == 1
+    assert stats.seed_levels(blocks_of_size(10 ** 12), FULL) == 10 ** 12 + 1
 
 
 def test_second_kind_inputs():

@@ -186,6 +186,11 @@ def test_pair_parent_is_parent_twice():
         assert pair_parent(op) == via_full
 
 
+def test_pair_parent_refuses_a_maximal_block_that_is_not_an_interval_pair():
+    with pytest.raises(ValueError, match=r"\(1, 4\) is not an interval pair"):
+        pair_parent(OrderedNcPartition(4, ((2, 3), (1, 4))))
+
+
 def test_level_matches_filter_construction():
     for n in range(1, 7):
         walked = {op.blocks_by_label for op in iter_level(n, FULL)}
