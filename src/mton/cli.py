@@ -21,7 +21,7 @@ from itertools import islice
 from . import closed_forms as cf
 from . import cumulants as cm
 from . import harness, laplace, stats, tree
-from .polynomials import format_rational, parse_rational
+from .polynomials import _decimal, format_rational, parse_rational
 from .stats import Statistic
 from .tree import FULL, PAIR, KINDS
 
@@ -54,8 +54,8 @@ _BOUNDS = {
     # costs about 4 to 6 times as much; at level 30000 the slowest
     # formulas take 1.5 to 2.0 s, at level 60000 8 to 9 s
     "the closed form at level": 30000,
-    # poisson --upto: order 300 takes about 1.3 s at rate 1 (1.7 s at
-    # rate -7/3), order 400 about 2.9 s
+    # poisson --upto: order 300 takes about 0.7 s at rate 1 (0.8 s at
+    # rate -7/3), order 400 about 1.6 s
     "the moments to order": 300,
 }
 
@@ -142,7 +142,7 @@ def cmd_laplace(args: argparse.Namespace) -> int:
             return 2
         stats.refuse_area_off_pairs(stat, args.kind)
     if recursion:
-        laplace._transition_law(stat, args.kind)
+        stats.refuse_lawless(stat, args.kind)
     results = {}
     if brute:
         results["brute"] = laplace.bruteforce_transform(stat, args.n, args.kind)
@@ -213,8 +213,8 @@ def cmd_stirling(args: argparse.Namespace) -> int:
     if args.check:
         # both cross-checks grow exponentially in n, so each compares
         # only the rows the harness also checks it on
-        closed_bound = min(args.n, 20)
-        tree_bound = min(args.n, 9)
+        closed_bound = min(args.n, harness.CLOSED_FORM_ROWS)
+        tree_bound = min(args.n, harness.TREE_COUNT_ROWS)
         closed = cm.stirling_by_closed_form(closed_bound)
         trees = cm.stirling_by_tree_count(tree_bound)
         for m in range(1, closed_bound + 1):
@@ -227,7 +227,7 @@ def cmd_stirling(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return 1
     for m in range(1, args.n + 1):
-        print(" ".join(str(v) for v in table.row(m)))
+        print(" ".join(map(_decimal, table.row(m))))
     return 0
 
 
@@ -309,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--check", action="store_true",
                    help="cross-check the recursion against the closed form "
-                        "on rows up to 20 and the tree count on rows up to 9")
+                        f"on rows up to {harness.CLOSED_FORM_ROWS} and the "
+                        f"tree count on rows up to {harness.TREE_COUNT_ROWS}")
     p.add_argument("--force", action="store_true",
                    help=f"build past row {_BOUNDS['the triangle to row']}")
     p.set_defaults(func=cmd_stirling)

@@ -8,7 +8,8 @@ and cumulants come back by the same recurrence solved for kappa_n.  The
 weighted sum over all non-crossing partitions is kept in ``reference``
 as the independent oracle.  The triangle J[n][k] counts ordered
 partitions of {1..n} with exactly k blocks and admits three independent
-builders whose agreement is part of the verification surface.
+builders whose agreement is part of the verification surface; the
+Poisson moments weigh the recursion's rows by alpha^k / k!.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import combinations
+from operator import mul
 
 from . import laplace
 from .partitions import NcPartition, _nesting_sweep
@@ -134,45 +137,33 @@ def stirling_by_recursion(n_max: int) -> StirlingTable:
 
 def stirling_by_closed_form(n_max: int) -> StirlingTable:
     """J[n][k] as the sum of products j_1*...*j_{k-1} over increasing
-    choices 2 <= j_1 < ... < j_{k-1} <= n, expanded term by term."""
+    choices 2 <= j_1 < ... < j_{k-1} <= n, expanded term by term: the
+    coefficient of t^k in t(1+2t)...(1+nt)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    rows = []
-    for n in range(1, n_max + 1):
-        row = [0] * n
-
-        def descend(start: int, chosen: int, product: int):
-            row[chosen] += product
-            for j in range(start, n + 1):
-                descend(j + 1, chosen + 1, product * j)
-
-        descend(2, 0, 1)
-        rows.append(tuple(row))
-    return StirlingTable(tuple(rows))
+    return StirlingTable(tuple(
+        tuple(sum(map(math.prod, combinations(range(2, n + 1), k - 1)))
+              for k in range(1, n + 1))
+        for n in range(1, n_max + 1)))
 
 
 def stirling_by_tree_count(n_max: int) -> StirlingTable:
     """J[n][k] read off the enumerated block-count transforms."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    rows = []
-    for n in range(1, n_max + 1):
-        poly = laplace.bruteforce_transform(BLOCKS, n)
-        rows.append(tuple(poly.coefficient(k) for k in range(1, n + 1)))
-    return StirlingTable(tuple(rows))
+    return StirlingTable(tuple(
+        tuple(map(laplace.bruteforce_transform(BLOCKS, n).coefficient,
+                  range(1, n + 1)))
+        for n in range(1, n_max + 1)))
 
 
 def poisson_moments(alpha: Rational, upto: int) -> tuple[Fraction, ...]:
     """Moments of the law with all cumulants equal to alpha, through the
-    triangle: moment n = sum_k J[n][k] * alpha^k / k!."""
+    triangle: moment n = sum_k J[n][k] * w_k, with the weights
+    w_k = alpha^k / k! computed once for k = 1..upto."""
     if upto < 1:
         raise ValueError("upto must be >= 1")
     a = Fraction(alpha)
-    table = stirling_by_recursion(upto)
-    out = []
-    for n in range(1, upto + 1):
-        total = Fraction(0)
-        for k in range(1, n + 1):
-            total += table.value(n, k) * a ** k / math.factorial(k)
-        out.append(total)
-    return tuple(out)
+    weights = [a ** k / math.factorial(k) for k in range(1, upto + 1)]
+    return tuple(sum(map(mul, row, weights), Fraction(0))
+                 for row in stirling_by_recursion(upto).rows)

@@ -404,6 +404,9 @@ _FROZEN_TRIANGLE = {
     1: (1,), 2: (1, 2), 3: (1, 5, 6), 4: (1, 9, 26, 24),
     5: (1, 14, 71, 154, 120), 6: (1, 20, 155, 580, 1044, 720),
 }
+# the last row each exponential triangle route reaches, in stirling --check too
+CLOSED_FORM_ROWS = 20  # triangle-recursion-closed: 2^(n-1) products in row n
+TREE_COUNT_ROWS = 9  # triangle-tree-recursion: (n+1)!/2 nodes in level n
 
 
 def _row(table: Callable[[int], cm.StirlingTable]):
@@ -419,14 +422,12 @@ def _seeded_sequence(index: int, length: int) -> tuple[Fraction, ...]:
 _POISSON_ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1))
 
 
-def _poisson_kernel(triangle_moments: Callable[[Fraction, int], tuple]):
-    def kernel(index: int) -> dict | None:
-        alpha = _POISSON_ALPHAS[index - 1]
-        return _disagree(index, {
-            "triangle": triangle_moments(alpha, 20),
-            "recurrence": cm.moments_from_cumulants([alpha] * 20)},
-            alpha=format_rational(alpha))
-    return kernel
+def _k_poisson_constant(index: int) -> dict | None:
+    alpha = _POISSON_ALPHAS[index - 1]
+    return _disagree(index, {
+        "triangle": cm.poisson_moments(alpha, 20),
+        "recurrence": cm.moments_from_cumulants([alpha] * 20)},
+        alpha=format_rational(alpha))
 
 
 def _k_hook_vs_filter(n: int) -> dict | None:
@@ -712,12 +713,12 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
                    "frozen": _FROZEN_TRIANGLE.__getitem__})),
             mk("triangle-tree-recursion",
                "triangle from enumeration vs recursion",
-               range(1, 10), _agree({
+               range(1, TREE_COUNT_ROWS + 1), _agree({
                    "tree": _row(cm.stirling_by_tree_count),
                    "recursion": _row(cm.stirling_by_recursion)})),
             mk("triangle-recursion-closed",
                "triangle recursion vs increasing-products closed form",
-               range(1, 21), _agree({
+               range(1, CLOSED_FORM_ROWS + 1), _agree({
                    "closed_form": _row(cm.stirling_by_closed_form),
                    "recursion": _row(cm.stirling_by_recursion)})),
             mk("triangle-row-sums", "triangle rows sum to (n+1)!/2",
@@ -751,7 +752,7 @@ def _suite_checks(deep: bool = False) -> dict[str, list[Check]]:
                                         Fraction(3, 2))})),
             mk("poisson-constant",
                "triangle moments equal constant-cumulant moments to order 20",
-               range(1, 5), _poisson_kernel(cm.poisson_moments)),
+               range(1, 5), _k_poisson_constant),
             mk("hook-vs-filter",
                "forest hook-length ordering count vs permutation filter",
                range(1, 9), _k_hook_vs_filter),

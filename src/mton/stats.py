@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import tree
 from .partitions import NcPartition, NotPairPartition, _span_sweep
-from .polynomials import format_rational
+from .polynomials import _decimal, format_rational
 from .tree import FULL, KINDS, PAIR, OrderedNcPartition
 
 
@@ -100,7 +100,7 @@ class Statistic(namedtuple("Statistic", "family size", defaults=(0,))):
 
     @property
     def name(self) -> str:
-        return _FAMILIES[self.family].name or f"Y{self.size}"
+        return _FAMILIES[self.family].name or f"Y{_decimal(self.size)}"
 
     @classmethod
     def parse(cls, text: str) -> "Statistic":
@@ -206,6 +206,12 @@ def second_kind_input(stat: Statistic, kind: str) -> SecondKindInput:
     if law is None:
         raise NotSecondKind(f"{stat.name} on the {kind} tree")
     return law
+
+
+def refuse_lawless(stat: Statistic, kind: str) -> None:
+    """Refuse a statistic with no law on the tree, building no vector."""
+    if kind != FULL or not _FAMILIES[stat.family].tail:
+        second_kind_input(stat, kind)
 
 
 def core_child_digits(stat: Statistic, kind: str,

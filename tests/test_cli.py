@@ -11,7 +11,7 @@ import pytest
 
 from mton import closed_forms as cf
 from mton import cumulants as cm
-from mton import cli, harness, laplace, tree
+from mton import cli, harness, laplace, stats, tree
 from mton.harness import SUITES
 from mton.cli import main
 from mton.polynomials import ExactPolynomial, format_rational
@@ -267,6 +267,26 @@ def test_laplace_refuses_a_statistic_without_a_law_before_any_scan(
         assert err == "error: Area on the pair tree\n", extra
 
 
+def test_laplace_reads_a_laws_existence_without_its_vector(capsys,
+                                                          monkeypatch):
+    # Y100000000's increment vector would hold 10**8 + 1 entries; level 3
+    # lies among its seed levels, so --force scans it and builds no vector
+    def no_vector(stat):
+        raise AssertionError(f"built the increment vector of {stat.name}")
+    monkeypatch.setattr(laplace, "first_kind_input", no_vector)
+    monkeypatch.setattr(stats, "first_kind_input", no_vector)
+    code, out, err = run(capsys, "laplace", "--stat", "Y100000000", "--n",
+                         "3", "--method", "recursion", "--force")
+    assert (code, err) == (0, "")
+    assert out.split("\n") == ["recursion  12", "mean       0",
+                               "variance   0", ""]
+    for name, kind in (("Int", "full"), ("Area", "pair"), ("Y2", "pair")):
+        code, out, err = run(capsys, "laplace", "--stat", name, "--kind",
+                             kind, "--n", "3", "--method", "recursion")
+        assert (code, out) == (2, ""), name
+        assert err == f"error: {name} on the {kind} tree\n", name
+
+
 def test_closed_form_exact(capsys):
     code, out, _ = run(capsys, "closed-form", "--formula", "EY", "--n", "3")
     assert code == 0
@@ -343,6 +363,16 @@ def test_stirling_check_names_the_first_row_that_differs(capsys, monkeypatch,
     code, out, err = run(capsys, "stirling", "--n", "6", "--check")
     assert (code, out) == (1, "")
     assert err == f"recursion and {route} differ at row 4\n"
+
+
+def test_stirling_writes_entries_past_the_int_digit_limit(capsys,
+                                                          monkeypatch):
+    # str() refuses past 4300 digits; row n ends in n!, and 1559! has 4303
+    monkeypatch.setattr(cm, "stirling_by_recursion",
+                        lambda n_max: cm.StirlingTable(((1, 10 ** 5000),)))
+    code, out, err = run(capsys, "stirling", "--n", "1")
+    assert (code, err) == (0, "")
+    assert out == "1 1" + "0" * 5000 + "\n"
 
 
 def test_a_triangle_past_its_bound_needs_force(capsys, monkeypatch):

@@ -44,6 +44,11 @@ def test_parse_refuses_a_size_past_the_int_digit_limit():
     assert Statistic.parse("Y" + "9" * 4300) == blocks_of_size(10 ** 4300 - 1)
 
 
+def test_name_writes_a_size_past_the_int_digit_limit():
+    # str() refuses past 4300 digits, in wording of its own
+    assert blocks_of_size(10 ** 4300).name == "Y1" + "0" * 4300
+
+
 def test_parse_refuses_a_name_that_is_not_a_string():
     with pytest.raises(ValueError, match="got 5"):
         Statistic.parse(5)
