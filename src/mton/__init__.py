@@ -11,7 +11,7 @@ all of it against independent constructions.
 """
 
 from .partitions import (Crossing, NcPartition, NotAPartition,
-                         NotPairPartition, interval_pairs, nesting_parents,
+                         NotPairPartition, nesting_parents,
                          validate_noncrossing)
 from .tree import (FULL, KINDS, PAIR, DigitOutOfRange, OrderedNcPartition,
                    RankOutOfRange, RootHasNoParent, TreeCode, children, decode,

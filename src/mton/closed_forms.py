@@ -27,7 +27,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
-from operator import mul, truediv
+from operator import truediv
 
 from .polynomials import Rational
 from .stats import SecondKindInput
@@ -183,38 +183,29 @@ class AsymptoticReport(namedtuple(
     __slots__ = ()
 
 
-# each term is 1.0 / k for an int k, divided in C rather than in a
-# generator; math.fsum rounds the sum correctly
-
-def _float_harmonic(n: int) -> float:
-    return math.fsum(map(truediv, repeat(1.0), range(1, n + 1)))
-
-
-def _float_harmonic2(n: int) -> float:
-    ks = range(1, n + 1)
-    return math.fsum(map(truediv, repeat(1.0), map(mul, ks, ks)))
-
-
-def _float_odd_harmonic(n: int) -> float:
-    """Sum_{k=1..n} 1/(2k+1)."""
-    return math.fsum(map(truediv, repeat(1.0), range(3, 2 * n + 2, 2)))
+def _float_reciprocals(denominators) -> float:
+    """Sum of 1.0 / k over the ints k given: each term is divided in C
+    rather than in a generator, and math.fsum rounds the sum correctly."""
+    return math.fsum(map(truediv, repeat(1.0), denominators))
 
 
 # name -> (exact form, None or the (float value, asymptote) functions of
 # n); EY3 and EOutPair convert the exact value, the only rounding there
 FORMULAS = {
     "EY": (expected_block_count, (
-        lambda n: n - _float_harmonic(n) + 1.5 - 1.0 / (n + 1),
+        lambda n: n - _float_reciprocals(range(1, n + 1)) + 1.5 - 1.0 / (n + 1),
         lambda n: (n - math.log(n)) + (1.5 - EULER_GAMMA))),
     "VarY": (variance_block_count, (
-        lambda n: (_float_harmonic(n) - _float_harmonic2(n)
+        lambda n: (_float_reciprocals(range(1, n + 1))
+                   - _float_reciprocals(map(pow, range(1, n + 1), repeat(2)))
                    - (n - 1) ** 2 / (4.0 * (n + 1) ** 2)),
         lambda n: math.log(n) - (math.pi ** 2 / 6 + 0.25 - EULER_GAMMA))),
     "EY1": (expected_size1_blocks, (
-        lambda n: n - 2 * _float_harmonic(n) + 10.0 / 3 - 3.0 / (n + 1),
+        lambda n: (n - 2 * _float_reciprocals(range(1, n + 1))
+                   + 10.0 / 3 - 3.0 / (n + 1)),
         lambda n: n - 2 * math.log(n) + (10.0 / 3 - 2 * EULER_GAMMA))),
     "EY2": (expected_size2_blocks, (
-        lambda n: (_float_harmonic(n) - 51.0 / 24
+        lambda n: (_float_reciprocals(range(1, n + 1)) - 51.0 / 24
                    + (6 * n - 1) / (2.0 * n * (n + 1))),
         lambda n: math.log(n) - (51.0 / 24 - EULER_GAMMA))),
     "EY3": (telescoped_size3_expectation, (
@@ -227,7 +218,7 @@ FORMULAS = {
         lambda n: float(expected_outer_pairs(n)),
         lambda n: math.sqrt(math.pi * n))),
     "EArea": (expected_area, (
-        lambda n: (2 * n + 1) * _float_odd_harmonic(n),
+        lambda n: (2 * n + 1) * _float_reciprocals(range(3, 2 * n + 2, 2)),
         lambda n: n * math.log(n))),
     "STotal": (total_area, None),
 }

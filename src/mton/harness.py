@@ -260,8 +260,8 @@ def _k_stat_cross(n: int) -> dict | None:
         for stat, value in evaluators:
             witness = witness or _disagree(n, {
                 "enumerated": laplace.bruteforce_transform(stat, n, kind),
-                "reference": ExactPolynomial.from_counts(
-                    Counter(map(value, level)))}, stat=stat.name, kind=kind)
+                "reference": ExactPolynomial(Counter(map(value, level)))},
+                stat=stat.name, kind=kind)
     return witness
 
 

@@ -63,7 +63,7 @@ from fractions import Fraction
 from . import tree
 from .polynomials import ExactPolynomial, _normal_form
 from .stats import (NotFirstKind, SecondKindInput, Statistic, _core_digits,
-                    _evaluate_blocks, first_kind_input,
+                    _evaluate_blocks, _increments, first_kind_input,
                     refuse_area_off_pairs, second_kind_input, seed_levels)
 from .tree import FULL
 
@@ -150,7 +150,7 @@ class ScanRecord(dict):
         counts: Counter = Counter()
         for i, mult in tally.items():
             counts[value[i]] += mult
-        return ExactPolynomial.from_counts(counts)
+        return ExactPolynomial(counts)
 
     def batches(self, n: int) -> Iterator[tuple[int, int, array]]:
         """``(rank, parent id, child states)`` once for each state of
@@ -324,7 +324,8 @@ def edge_witness(stat: Statistic, kind: str, n: int,
     """First violation of the statistic's transition law on the edges
     into level n, in rank order, or None when every batch holds it.
     ``law`` defaults to the one the recursion reads
-    (:func:`_transition_law`).
+    (:func:`_transition_law`); an increment vector longer than n is
+    built only up to r_n, the last entry an edge into level n reads.
 
     An increment vector r asks every edge whose child has a
     maximal-label block of size j to change the statistic by r_j (0 past
@@ -335,7 +336,9 @@ def edge_witness(stat: Statistic, kind: str, n: int,
     """
     if n < 2:
         raise ValueError(f"the edges into level {n} need n >= 2")
-    law = _transition_law(stat, kind) if law is None else law
+    if law is None:
+        law = (_transition_law(stat, kind) if seed_levels(stat, kind) <= n
+               else _increments(stat, n))
     record = scan_record(kind, n)
     if not isinstance(law, SecondKindInput):
         step = (0, *law) + (0,) * (n - len(law))  # step[j] is r_j

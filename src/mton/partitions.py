@@ -156,12 +156,3 @@ def _span_sweep(blocks: Iterable[tuple[int, ...]]) -> list[int]:
             outer.append(b[0])
             reach = b[-1]
     return outer
-
-
-def interval_pairs(p: NcPartition) -> list[int]:
-    """Indices of blocks of the form {m, m+1}.
-
-    Not restricted to pair-partitions; any two-element interval counts.
-    """
-    return [i for i, b in enumerate(p.blocks) if len(b) == 2 and b[1] == b[0] + 1]
-

@@ -115,17 +115,8 @@ class ExactPolynomial:
         self._coeffs = _normal_form(coeffs) if coeffs else {}
 
     @classmethod
-    def zero(cls) -> "ExactPolynomial":
-        return cls()
-
-    @classmethod
     def monomial(cls, exponent: int, coefficient: Rational = 1) -> "ExactPolynomial":
         return cls({exponent: coefficient})
-
-    @classmethod
-    def from_counts(cls, counts: Mapping[int, int]) -> "ExactPolynomial":
-        """Histogram {value: multiplicity} -> int sum of mult * t^value."""
-        return cls(counts)
 
     def coefficient(self, exponent: int) -> Rational:
         return self._coeffs.get(exponent, 0)

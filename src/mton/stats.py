@@ -185,10 +185,17 @@ def first_kind_input(stat: Statistic) -> tuple[int, ...]:
     """Increment vector (r_1, ..., r_k): an edge whose child has a
     maximal-label block of size j changes the statistic by r_j (0 for
     j beyond the vector)."""
+    return _increments(stat, seed_levels(stat, FULL))
+
+
+def _increments(stat: Statistic, upto: int) -> tuple[int, ...]:
+    """The entries r_1 .. r_upto of :func:`first_kind_input`'s vector, or
+    all of them when it is shorter; no entry past ``upto`` is built."""
     family = _FAMILIES[stat.family]
     if not family.tail:
         raise NotFirstKind(f"{stat.name} has no per-edge increment vector")
-    return (0,) * (family.zeros + stat.size) + family.tail
+    zeros = family.zeros + stat.size
+    return (0,) * min(zeros, upto) + family.tail[:max(upto - zeros, 0)]
 
 
 def seed_levels(stat: Statistic, kind: str) -> int:

@@ -34,7 +34,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .partitions import (NcPartition, _field, nesting_parents,
+from .partitions import (NcPartition, _field, _nesting_sweep,
                          validate_noncrossing)
 
 FULL = "full"
@@ -75,17 +75,14 @@ class OrderedNcPartition:
 
     @classmethod
     def checked(cls, n: int, blocks_by_label) -> "OrderedNcPartition":
-        part = validate_noncrossing(blocks_by_label, n)
+        validate_noncrossing(blocks_by_label, n)
         blocks = tuple(tuple(sorted(b)) for b in blocks_by_label)
-        label_of = {b: i + 1 for i, b in enumerate(blocks)}
-        parents = nesting_parents(part)
-        for idx, par in enumerate(parents):
-            if par is None:
-                continue
-            if label_of[part.blocks[idx]] <= label_of[part.blocks[par]]:
+        # indices into the by-label blocks are labels - 1
+        for idx, par in _nesting_sweep(blocks):
+            if par is not None and idx < par:
                 raise ValueError(
-                    f"labels not monotonic: {part.blocks[idx]} nested in "
-                    f"{part.blocks[par]} needs the larger label")
+                    f"labels not monotonic: {blocks[idx]} nested in "
+                    f"{blocks[par]} needs the larger label")
         return cls(n, blocks)
 
     def partition(self) -> NcPartition:
@@ -100,9 +97,6 @@ class OrderedNcPartition:
     def max_label_block(self) -> tuple[int, ...]:
         """The block with the largest label; always an interval."""
         return self.blocks_by_label[-1]
-
-    def is_pair_partition(self) -> bool:
-        return all(len(b) == 2 for b in self.blocks_by_label)
 
     def to_json(self) -> dict:
         return {"n": self.n, "blocks_by_label": [list(b) for b in self.blocks_by_label]}

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 
@@ -15,10 +16,12 @@ from mton.tree import FULL, PAIR, level_count
 def test_float_sums_equal_their_generator_forms_bit_for_bit():
     n = 10 ** 5
     ks = range(1, n + 1)
-    assert cf._float_harmonic(n) == math.fsum(1.0 / k for k in ks)
-    assert cf._float_harmonic2(n) == math.fsum(1.0 / (k * k) for k in ks)
-    assert cf._float_odd_harmonic(n) == math.fsum(1.0 / (2 * k + 1)
-                                                  for k in ks)
+    # the three denominator runs that FORMULAS passes
+    assert cf._float_reciprocals(ks) == math.fsum(1.0 / k for k in ks)
+    assert cf._float_reciprocals(map(pow, ks, repeat(2))) \
+        == math.fsum(1.0 / (k * k) for k in ks)
+    assert cf._float_reciprocals(range(3, 2 * n + 2, 2)) \
+        == math.fsum(1.0 / (2 * k + 1) for k in ks)
 
 
 def test_harmonic_helpers():
@@ -100,6 +103,23 @@ def test_size_count_increment_telescopes():
         assert (laplace.expectation_from_laplace(poly)
                 == cf.telescoped_size3_expectation(n))
     assert cf.telescoped_size3_expectation(400) < Fraction(23, 90)
+
+
+def test_the_size_means_step_as_the_recursion_means():
+    # past the scan: the mean of the Y<size> recursion steps by
+    # size_count_increment from n = size + 2, and the Y3 mean is the
+    # telescoped sum
+    for size in range(1, 6):
+        stat = blocks_of_size(size)
+        means = {n: laplace.expectation_from_laplace(
+                     laplace.recursion_transform(stat, n))
+                 for n in range(size + 1, 41)}
+        for n in range(size + 2, 41):
+            assert means[n] - means[n - 1] \
+                == cf.size_count_increment(size, n), (size, n)
+        if size == 3:
+            for n in range(4, 41):
+                assert means[n] == cf.telescoped_size3_expectation(n), n
 
 
 def test_mean_spot_values():

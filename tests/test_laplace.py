@@ -1,6 +1,9 @@
 """Level transforms: enumeration, recursions, caches."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -120,7 +123,7 @@ def test_a_seed_past_the_scan_is_refused_before_the_vector(monkeypatch):
 
 def test_first_kind_recursion_rejects_negative_shift():
     with pytest.raises(NegativeExponent):
-        recurse_first_kind((0, -1), [ExactPolynomial.zero(),
+        recurse_first_kind((0, -1), [ExactPolynomial(),
                                      ExactPolynomial({0: 1})], 4)
 
 
@@ -238,9 +241,9 @@ def test_size_guard(monkeypatch):
 
 def test_zero_polynomial_moments():
     with pytest.raises(ZeroPolynomial):
-        expectation_from_laplace(ExactPolynomial.zero())
+        expectation_from_laplace(ExactPolynomial())
     with pytest.raises(ZeroPolynomial):
-        variance_from_laplace(ExactPolynomial.zero())
+        variance_from_laplace(ExactPolynomial())
 
 
 def test_variance_from_frozen_transform():
@@ -663,6 +666,44 @@ def test_edge_witness_reads_the_law_of_the_recursion(stat, kind, error):
         edge_witness(stat, kind, 1)
 
 
+def test_a_vector_longer_than_the_level_is_cut_where_the_edges_stop(
+        monkeypatch):
+    # Y5's vector (0, 0, 0, 0, 1, -1) is one entry longer than level 5:
+    # the edges into levels 2..5 read it cut at the level, built without
+    # the whole vector, and a wrong value on the one-block partition is
+    # found where the whole vector finds it
+    stat = blocks_of_size(5)
+    whole = first_kind_input(stat)
+    monkeypatch.setattr(laplace, "first_kind_input", _no_vector)
+    real = stats._evaluate_blocks
+
+    def off_by_one(s, blocks, points):
+        return real(s, blocks, points) + (len(blocks) == 1 and points > 1)
+    for n in range(2, 6):
+        assert edge_witness(stat, FULL, n) is None, n
+    monkeypatch.setattr(laplace, "_evaluate_blocks", off_by_one)
+    monkeypatch.setattr(stats, "_evaluate_blocks", off_by_one)
+    for n in range(2, 6):
+        got = edge_witness(stat, FULL, n)
+        assert got is not None and got == edge_witness(stat, FULL, n, whole)
+
+
+def test_a_huge_vectors_edges_are_checked_without_it():
+    # Y100000000's vector would hold 10**8 + 1 entries, of which the
+    # edges into level 3 read r_1..r_3; under a 1 GiB address-space
+    # limit, set in the child alone, building it ends in a MemoryError
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    limited = ("import resource; "
+               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+               "from mton.laplace import edge_witness; "
+               "from mton.stats import blocks_of_size; "
+               "print(edge_witness(blocks_of_size(10 ** 8), 'full', 3))")
+    done = subprocess.run([sys.executable, "-c", limited],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "None\n", "")
+
+
 _ALL_STATS = (BLOCKS, blocks_of_size(1), blocks_of_size(2), blocks_of_size(3),
               blocks_of_size(4), LARGE_BLOCKS, OUTER, INTERVAL_PAIRS)
 
@@ -674,7 +715,7 @@ def test_weighted_partitions_equal_a_per_node_tally():
         for n in range(1, top + 1):
             nodes = list(stream_level(n, kind))
             for stat in stats:
-                want = ExactPolynomial.from_counts(
+                want = ExactPolynomial(
                     Counter(evaluate(stat, op) for op in nodes))
                 assert bruteforce_transform(stat, n, kind) == want, \
                     (kind, n, stat.name)
@@ -727,7 +768,7 @@ def test_record_transform_weights_a_given_tally_of_ids(walk_rank):
                    for rank in range(0, level_count(5), 2))
     nodes = list(stream_level(5, FULL))[::2]
     for stat in _ALL_STATS:
-        want = ExactPolynomial.from_counts(
+        want = ExactPolynomial(
             Counter(evaluate(stat, op) for op in nodes))
         assert record.transform(stat, 5, even) == want, stat.name
         assert record.transform(stat, 5) == bruteforce_transform(stat, 5)

@@ -5,8 +5,7 @@ import itertools
 import pytest
 
 from mton.partitions import (Crossing, NcPartition, NotAPartition,
-                             _nesting_sweep, _span_sweep, interval_pairs,
-                             nesting_parents,
+                             _nesting_sweep, _span_sweep, nesting_parents,
                              validate_noncrossing)
 from mton.reference import has_crossing_naive, noncrossing_partitions
 from mton.tree import OrderedNcPartition
@@ -123,15 +122,6 @@ def test_the_nesting_sweep_reads_blocks_in_any_order():
                 b[0] for b in blocks)
             assert {order[i]: (order[par] if par is not None else None)
                     for i, par in sweep} == want
-
-
-def test_interval_pairs_finds_adjacent_two_blocks():
-    p = validate_noncrossing([[1, 6], [2, 3], [4, 5]], 6)
-    pairs = interval_pairs(p)
-    found = {p.blocks[i] for i in pairs}
-    assert found == {(2, 3), (4, 5)}
-    q = validate_noncrossing([[1, 3], [2], [4]], 4)
-    assert interval_pairs(q) == []
 
 
 def test_json_round_trip():

@@ -66,6 +66,14 @@ def test_evaluate_on_frozen_node():
     assert evaluate(INTERVAL_PAIRS, op) == 2
 
 
+def test_interval_starts_are_the_adjacent_two_blocks():
+    # any two-element interval counts, on a pair-partition or not
+    p = validate_noncrossing([[1, 6], [2, 3], [4, 5]], 6)
+    assert stats._interval_starts(p.blocks) == [2, 4]
+    q = validate_noncrossing([[1, 3], [2], [4]], 4)
+    assert stats._interval_starts(q.blocks) == []
+
+
 def test_block_size_statistics_decompose_pointwise():
     for n in range(1, 8):
         for op in iter_level(n, FULL):
@@ -221,7 +229,7 @@ def test_joint_distribution_streaming_pass():
                 tallies[s][evaluate(s, op)] += 1
         for s, counter in tallies.items():
             direct = laplace.bruteforce_transform(s, n)
-            assert ExactPolynomial.from_counts(counter) == direct
+            assert ExactPolynomial(counter) == direct
 
 
 def test_csv_writer_layout():

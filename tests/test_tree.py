@@ -63,7 +63,7 @@ def test_children_count_and_parent_inverse_pair():
             assert len(kids) == 2 * n + 1
             for kid in kids:
                 assert pair_parent(kid) == op
-                assert kid.is_pair_partition()
+                assert kid.partition().is_pair_partition()
 
 
 def _relabel_full(blocks, n, d):
@@ -264,7 +264,7 @@ def test_unrank_rank_property_pair(n, data):
     k = data.draw(st.integers(min_value=0, max_value=level_count(n, PAIR) - 1))
     op = unrank(k, n, PAIR)
     assert rank_of(op, PAIR) == k
-    assert op.is_pair_partition()
+    assert op.partition().is_pair_partition()
 
 
 @settings(max_examples=40, deadline=None)
