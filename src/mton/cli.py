@@ -103,11 +103,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if _refused(args, args.kind if args.format == "count" or few
                 else per_node):
         return 2
+    nodes = islice(tree.stream_level(args.n, args.kind), args.limit)
     if args.format == "count":
-        nodes = islice(tree.stream_level(args.n, args.kind), args.limit)
         print(sum(1 for _ in nodes))
         return 0
-    nodes = islice(tree.iter_level(args.n, args.kind), args.limit)
     for rank, op in enumerate(nodes):
         record = {"rank": rank}
         record.update(op.to_json())

@@ -225,7 +225,7 @@ def _multiplicity_kernel(b_pair: int):
 def _enum_cross_kernel(kind: str, by_filter: Callable[[int], set]):
     # the tree level against an independent construction of the same set
     def kernel(n: int) -> dict | None:
-        walked = {op.blocks_by_label for op in tree.iter_level(n, kind)}
+        walked = {op.blocks_by_label for op in tree.stream_level(n, kind)}
         filtered = by_filter(n)
         if walked != filtered:
             missing = [list(map(list, b)) for b in list(filtered - walked)[:3]]

@@ -268,7 +268,7 @@ def _table_rows(n: int, kind: str, stats: list[Statistic],
                 count: int) -> Iterator[list]:
     yield ["rank", "n"] + [s.name for s in stats]
     totals = [0] * len(stats)
-    for rank, op in enumerate(tree.iter_level(n, kind)):
+    for rank, op in enumerate(tree.stream_level(n, kind)):
         values = [evaluate(s, op) for s in stats]
         totals = list(map(sum, zip(totals, values)))
         yield [rank, n] + values

@@ -376,7 +376,7 @@ def _walk(n: int, kind: str) -> Iterator[tuple]:
         path[i] = node
 
 
-def iter_level(n: int, kind: str = FULL) -> Iterator[OrderedNcPartition]:
+def stream_level(n: int, kind: str = FULL) -> Iterator[OrderedNcPartition]:
     """Yield every depth-n node, walking the whole level in rank order.
 
     Iterative depth-first walk over the digit word.  Beyond the yielded
@@ -384,21 +384,19 @@ def iter_level(n: int, kind: str = FULL) -> Iterator[OrderedNcPartition]:
     each, at most n+2 nodes apiece.  A batch starts from the parent's own
     row and costs one block update and one C-level copy of the row per
     child; a child shares with its parent every block that lies wholly
-    below its new point.
+    below its new point.  The walk never consults the counting formula:
+    it ends when every digit sits at its maximum, so the number of nodes
+    produced is independent evidence for :func:`level_count`.
     """
     ground = _scale(kind) * n
     for blocks in _walk(n, kind):
         yield OrderedNcPartition(ground, blocks)
 
 
-def stream_level(n: int, kind: str = FULL) -> Iterator[OrderedNcPartition]:
-    """Yield every depth-n node in rank order, stopping only when the
-    walk is exhausted.
+def iter_level(n: int, kind: str = FULL) -> Iterator[OrderedNcPartition]:
+    """The walk of :func:`stream_level`, under its older name.
 
-    Like :func:`iter_level`, this never consults the counting formula:
-    the walk ends when every digit sits at its maximum, so the number of
-    nodes produced is independent evidence for :func:`level_count`.
+    A generator of its own, not an alias, so that a tracer can wrap
+    each name apart.
     """
-    ground = _scale(kind) * n
-    for blocks in _walk(n, kind):
-        yield OrderedNcPartition(ground, blocks)
+    yield from stream_level(n, kind)

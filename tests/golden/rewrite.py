@@ -10,10 +10,10 @@ repository root after a change that is meant to alter an output:
 
 The commands are the README's command-line block (its CSV written to
 stdout, and without ``verify --suite all``), every closed form, the
-transforms of Y, one refusal per size bound, and the JSON rows of the
-faster verification suites.  A ``verify`` row keeps every field but its
-``elapsed`` time.  Argparse's own usage errors are left out: their
-wording belongs to the interpreter.
+transforms of Y, the pair tree's per-node outputs, one refusal per size
+bound, and the JSON rows of the faster verification suites.  A
+``verify`` row keeps every field but its ``elapsed`` time.  Argparse's
+own usage errors are left out: their wording belongs to the interpreter.
 """
 
 from __future__ import annotations
@@ -71,6 +71,9 @@ def commands() -> list[list[str]]:
         argvs.append(["laplace", "--stat", "Y", "--n", str(n)])
     argvs.append(["laplace", "--stat", "Y", "--n", "200",
                   "--method", "recursion"])
+    argvs += [["enumerate", "--kind", "pair", "--n", "3"],
+              ["enumerate", "--kind", "pair", "--n", "5", "--format", "count"],
+              ["stats", "--kind", "pair", "--n", "3"]]
     for cost, bound in cli._BOUNDS.items():
         argvs.append(_PAST_BOUND[cost](str(bound + 1)))
     for suite in ("lemmas", "thm110", "thm111", "selftest"):

@@ -200,10 +200,10 @@ _BOUNDED = {
                 "stream_level", lambda n, kind: iter(())),
     tree.PAIR: (("enumerate", "--kind", "pair", "--format", "count", "--n"),
                 tree, "stream_level", lambda n, kind: iter(())),
-    f"{tree.FULL} per node": (("enumerate", "--n"), tree, "iter_level",
+    f"{tree.FULL} per node": (("enumerate", "--n"), tree, "stream_level",
                               lambda n, kind: iter(())),
     f"{tree.PAIR} per node": (("stats", "--kind", "pair", "--n"), tree,
-                              "iter_level", lambda n, kind: iter(())),
+                              "stream_level", lambda n, kind: iter(())),
     "the recursion to level": (
         ("laplace", "--stat", "Y", "--method", "recursion", "--n"), laplace,
         "recursion_transform", lambda stat, n, kind: ExactPolynomial({1: 1})),

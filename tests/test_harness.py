@@ -268,8 +268,8 @@ def test_the_benchmarked_suites_share_one_scan_per_tree(scan_calls,
     # one process, as one verify run after another: no later suite
     # rebuilds a level, and no check walks a level of its own
     def no_walk(*args, **kwargs):
-        raise AssertionError("iter_level was called")
-    monkeypatch.setattr(tree, "iter_level", no_walk)
+        raise AssertionError("a level was walked")
+    monkeypatch.setattr(tree, "_walk", no_walk)
     for suite in ("lemmas", "thm110", "thm111", "selftest"):
         reports = run_suite(suite)
         assert [r.status for r in reports] == ["pass"] * len(reports), suite
@@ -578,9 +578,9 @@ def test_a_scan_past_the_guard_is_an_error_report(scan_calls, monkeypatch):
 
 
 def test_count_kernel_reads_the_scan_not_a_stream(monkeypatch):
-    def no_stream(*args, **kwargs):
-        raise AssertionError("stream_level was called")
-    monkeypatch.setattr(tree, "stream_level", no_stream)
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a level was walked")
+    monkeypatch.setattr(tree, "_walk", no_walk)
     assert _count_kernel(FULL, tree.level_count)(6) is None
     wrong = _count_kernel(FULL, lambda n, kind: tree.level_count(n, kind) + 1)
     assert wrong(6) == {"n": 6, "streamed": 2520, "formula": 2521}

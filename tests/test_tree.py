@@ -109,12 +109,15 @@ def test_pair_children_relabel_blocks_of_any_size():
 
 
 def test_walk_matches_unrank_from_every_start():
-    # the walk yields the raw blocks of every node, in rank order
+    # the walk yields the raw blocks of every node in rank order, and
+    # both level names yield the nodes themselves
     for kind, depths in ((FULL, (1, 2, 5)), (PAIR, (1, 2, 4))):
         for n in depths:
+            nodes = [unrank(k, n, kind) for k in range(level_count(n, kind))]
             assert list(tree._walk(n, kind)) == [
-                unrank(k, n, kind).blocks_by_label
-                for k in range(level_count(n, kind))], (kind, n)
+                op.blocks_by_label for op in nodes], (kind, n)
+            assert list(stream_level(n, kind)) == nodes, (kind, n)
+            assert list(iter_level(n, kind)) == nodes, (kind, n)
 
 
 def test_the_codec_steps_without_a_sibling_batch(monkeypatch):
