@@ -7,8 +7,8 @@ whose mean grows like n log n.
 """
 
 from mton import (AREA, PAIR, asymptotic_report, dyck_path, evaluate,
-                  expected_area, iter_level, level_count, pair_children,
-                  path_area, total_area)
+                  expected_area, level_count, pair_children, path_area,
+                  stream_level, total_area)
 
 
 def path_picture(steps):
@@ -18,7 +18,7 @@ def path_picture(steps):
 def main():
     n = 3
     print(f"all {level_count(n, PAIR)} ordered pair-partitions at n={n}:")
-    for op in iter_level(n, PAIR):
+    for op in stream_level(n, PAIR):
         p = op.partition()
         steps = dyck_path(p)
         pretty = "  ".join("{" + ",".join(map(str, b)) + "}"
@@ -33,7 +33,7 @@ def main():
     print()
     print("the child-sum identity behind the total:")
     m = 3
-    for parent_op in iter_level(m - 1, PAIR):
+    for parent_op in stream_level(m - 1, PAIR):
         kids = pair_children(parent_op)
         lhs = sum(evaluate(AREA, kid) for kid in kids)
         rhs = (2 * m - 1) + (2 * m + 1) * evaluate(AREA, parent_op)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from mton import (BLOCKS, FULL, LARGE_BLOCKS, blocks_of_size, evaluate,
                   expected_block_count, expected_size1_blocks,
                   expected_size2_blocks, expected_size3plus_blocks,
-                  iter_level, variance_block_count, asymptotic_report)
+                  stream_level, variance_block_count, asymptotic_report)
 
 
 def main():
@@ -24,7 +24,7 @@ def main():
     }
     tallies = {name: Counter() for name in stats}
     count = 0
-    for op in iter_level(n, FULL):
+    for op in stream_level(n, FULL):
         count += 1
         for name, s in stats.items():
             tallies[name][evaluate(s, op)] += 1

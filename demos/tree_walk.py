@@ -7,8 +7,8 @@ streaming a whole level all come down to arithmetic on that word.
 """
 
 from mton import (FULL, PAIR, TreeCode, children, decode, encode, full_root,
-                  iter_level, level_count, pair_children, pair_root, parent,
-                  rank_of, unrank)
+                  level_count, pair_children, pair_root, parent, rank_of,
+                  stream_level, unrank)
 
 
 def show(op, prefix=""):
@@ -48,7 +48,7 @@ def main():
 
     print()
     print("== rank order is walk order ==")
-    for k, node in enumerate(iter_level(3, FULL)):
+    for k, node in enumerate(stream_level(3, FULL)):
         assert rank_of(node, FULL) == k
         assert unrank(k, 3, FULL) == node
         show(node, f"rank {k:2d}:  ")

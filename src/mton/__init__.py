@@ -11,8 +11,7 @@ all of it against independent constructions.
 """
 
 from .partitions import (Crossing, NcPartition, NotAPartition,
-                         NotPairPartition, nesting_parents,
-                         validate_noncrossing)
+                         NotPairPartition, validate_noncrossing)
 from .tree import (FULL, KINDS, PAIR, DigitOutOfRange, OrderedNcPartition,
                    RankOutOfRange, RootHasNoParent, TreeCode, children, decode,
                    encode, full_root, iter_level, level_count, pair_children,
@@ -22,7 +21,7 @@ from .polynomials import (ExactPolynomial, NegativeExponent, format_rational,
                           parse_rational)
 from .stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
                     AreaRequiresPairPartition, NotFirstKind, NotSecondKind,
-                    SecondKindInput, Statistic, area, blocks_of_size,
+                    SecondKindInput, Statistic, blocks_of_size,
                     core_child_digits, dyck_path, evaluate, first_kind_input,
                     path_area, second_kind_input, seed_levels, stats_table)
 from .laplace import (InsufficientSeed, SizeBoundExceeded, ZeroPolynomial,

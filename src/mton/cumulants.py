@@ -113,10 +113,6 @@ class StirlingTable(namedtuple("StirlingTable", "rows")):
 
     __slots__ = ()
 
-    @property
-    def n_max(self) -> int:
-        return len(self.rows)
-
     def row(self, n: int) -> tuple[int, ...]:
         return self.rows[n - 1]
 

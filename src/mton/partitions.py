@@ -133,12 +133,6 @@ def _nesting_sweep(blocks) -> list[tuple[int, int | None]]:
     return sweep
 
 
-def nesting_parents(p: NcPartition) -> tuple[int | None, ...]:
-    """For each block, the index of the innermost block containing it,
-    or ``None`` for an outer block."""
-    return tuple(parent for _, parent in _nesting_sweep(p.blocks))
-
-
 def _span_sweep(blocks: Iterable[tuple[int, ...]]) -> list[int]:
     """The minima of the outer blocks of a non-crossing partition, in
     one left-to-right pass over the spans.

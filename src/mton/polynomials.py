@@ -129,9 +129,6 @@ class ExactPolynomial:
         """Largest exponent, or None for the zero polynomial."""
         return max(self._coeffs) if self._coeffs else None
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def __add__(self, other: "ExactPolynomial") -> "ExactPolynomial":
         merged = dict(self._coeffs)
         for e, c in other._coeffs.items():

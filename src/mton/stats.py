@@ -146,11 +146,6 @@ def _evaluate_blocks(stat: Statistic, blocks, n: int) -> int:
     return _FAMILIES[stat.family].value(blocks, stat.size, n)
 
 
-def area(p: NcPartition) -> int:
-    """Sum of max(V) - min(V) over the blocks of a pair-partition."""
-    return _evaluate_blocks(AREA, p.blocks, p.n)
-
-
 def dyck_path(p: NcPartition) -> tuple[int, ...]:
     """Slope word of the lattice path: +1 at block minima, -1 at maxima."""
     if not p.is_pair_partition():

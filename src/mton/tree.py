@@ -396,7 +396,9 @@ def stream_level(n: int, kind: str = FULL) -> Iterator[OrderedNcPartition]:
 def iter_level(n: int, kind: str = FULL) -> Iterator[OrderedNcPartition]:
     """The walk of :func:`stream_level`, under its older name.
 
-    A generator of its own, not an alias, so that a tracer can wrap
-    each name apart.
+    Kept for the benchmark alone: perfbench's two edge sweeps and its
+    tracer test read it until ROADMAP item 1 moves them to
+    :func:`stream_level`.  A generator of its own, not an alias, so that
+    a tracer can wrap each name apart.
     """
     yield from stream_level(n, kind)

@@ -23,7 +23,7 @@ from mton.stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
                         AreaRequiresPairPartition, NotSecondKind,
                         SecondKindInput, blocks_of_size, evaluate,
                         first_kind_input, second_kind_input)
-from mton.tree import FULL, PAIR, iter_level, level_count, stream_level
+from mton.tree import FULL, PAIR, level_count, stream_level
 
 
 def test_frozen_block_count_transforms():
@@ -311,7 +311,7 @@ def test_the_record_lists_every_level_in_rank_order(walk_rank):
         for n in range(1, depth + 1):
             level = record.levels[n]
             walked = []
-            for rank, op in enumerate(iter_level(n, kind)):
+            for rank, op in enumerate(stream_level(n, kind)):
                 state = walk_rank(record, rank, n)
                 blocks = op.partition().blocks
                 assert record.partitions[level.part[state]] == blocks
@@ -423,7 +423,7 @@ def test_every_level_is_built_once_per_parent_state(monkeypatch):
     # the children of each level-m state (partition, maximal-label
     # block) are built once, and no level is walked node by node
     states = {(kind, m): len({(op.partition().blocks, op.max_label_block())
-                              for op in iter_level(m, kind)})
+                              for op in stream_level(m, kind)})
               for kind, depth in ((FULL, 7), (PAIR, 6))
               for m in range(1, depth)}
     real = tree._kids
@@ -561,7 +561,7 @@ def test_second_kind_witness_of_a_wrong_law_is_frozen(stat, kind, law, n,
 def _walked_witness(stat, kind, n, law):
     # the oracle: every parent in rank order, each child built and
     # evaluated on its own
-    for parent in iter_level(n - 1, kind):
+    for parent in stream_level(n - 1, kind):
         z = evaluate(stat, parent)
         core = stats.core_child_digits(stat, kind, parent)
         if len(core) != z + law.q:
@@ -610,7 +610,7 @@ def _walked_first_kind_witness(stat, n, r):
     # the oracle: every parent in rank order, each child built, evaluated
     # and its labelled maximal-label block measured on its own
     step = (0,) + r + (0,) * n
-    for parent in iter_level(n - 1, FULL):
+    for parent in stream_level(n - 1, FULL):
         z = evaluate(stat, parent)
         for digit, child in enumerate(tree.children(parent)):
             size = len(child.max_label_block())

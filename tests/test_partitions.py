@@ -5,8 +5,7 @@ import itertools
 import pytest
 
 from mton.partitions import (Crossing, NcPartition, NotAPartition,
-                             _nesting_sweep, _span_sweep, nesting_parents,
-                             validate_noncrossing)
+                             _nesting_sweep, _span_sweep, validate_noncrossing)
 from mton.reference import has_crossing_naive, noncrossing_partitions
 from mton.tree import OrderedNcPartition
 
@@ -93,7 +92,7 @@ def test_counts_are_catalan():
 
 def test_nesting_parents_small():
     p = validate_noncrossing([[1, 6], [2, 3], [4, 5]], 6)
-    parents = nesting_parents(p)
+    parents = dict(_nesting_sweep(p.blocks))
     idx = {blk: i for i, blk in enumerate(p.blocks)}
     assert parents[idx[(2, 3)]] == idx[(1, 6)]
     assert parents[idx[(4, 5)]] == idx[(1, 6)]
@@ -103,19 +102,20 @@ def test_nesting_parents_small():
 def test_outer_blocks_have_no_parent():
     for blocks in noncrossing_partitions(7):
         p = NcPartition(7, blocks)
-        parents = nesting_parents(p)
-        # the sweep's outer minima, in min order, are the parentless blocks
+        # the span sweep's outer minima, in min order, are the blocks the
+        # nesting sweep gives no parent
         assert _span_sweep(p.blocks) == [
-            b[0] for b, par in zip(p.blocks, parents) if par is None]
+            p.blocks[i][0] for i, par in _nesting_sweep(p.blocks)
+            if par is None]
 
 
 def test_the_nesting_sweep_reads_blocks_in_any_order():
     # the innermost enclosing block of each block, found from a reversed
-    # and a rotated block list, is the one nesting_parents finds
+    # and a rotated block list, is the one found from the canonical list
     for blocks in noncrossing_partitions(7):
         p = NcPartition(7, blocks)
-        want = {b: (p.blocks[par] if par is not None else None)
-                for b, par in zip(p.blocks, nesting_parents(p))}
+        want = {p.blocks[i]: (p.blocks[par] if par is not None else None)
+                for i, par in _nesting_sweep(p.blocks)}
         for order in (blocks[::-1], blocks[1:] + blocks[:1]):
             sweep = _nesting_sweep(order)
             assert [order[i][0] for i, _ in sweep] == sorted(

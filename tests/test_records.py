@@ -219,7 +219,7 @@ def test_transforms_read_back_from_their_json_with_int_coefficients():
 
 def test_record_properties_and_methods():
     table = StirlingTable(((1,), (1, 2)))
-    assert (table.n_max, table.row(2), table.value(2, 2)) == (2, (1, 2), 2)
+    assert (len(table.rows), table.row(2), table.value(2, 2)) == (2, (1, 2), 2)
     assert stats.blocks_of_size(3).name == "Y3"
     assert Check(_SPEC, (1, 2), _kernel).run().status == "pass"
 

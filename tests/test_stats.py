@@ -12,11 +12,11 @@ from mton.partitions import validate_noncrossing
 from mton.polynomials import ExactPolynomial
 from mton.stats import (AREA, BLOCKS, INTERVAL_PAIRS, LARGE_BLOCKS, OUTER,
                         AreaRequiresPairPartition, NotFirstKind, NotSecondKind,
-                        SecondKindInput, Statistic, area, blocks_of_size,
+                        SecondKindInput, Statistic, blocks_of_size,
                         dyck_path, evaluate, first_kind_input, path_area,
                         second_kind_input, stats_table)
 from mton.tree import (FULL, PAIR, OrderedNcPartition, TreeCode, child_at,
-                       decode, iter_level)
+                       decode, stream_level)
 
 
 def test_statistic_names_and_parse():
@@ -76,7 +76,7 @@ def test_interval_starts_are_the_adjacent_two_blocks():
 
 def test_block_size_statistics_decompose_pointwise():
     for n in range(1, 8):
-        for op in iter_level(n, FULL):
+        for op in stream_level(n, FULL):
             total = sum(evaluate(blocks_of_size(size), op)
                         for size in range(1, n + 1))
             assert total == evaluate(BLOCKS, op)
@@ -93,7 +93,7 @@ def test_level_values_equal_the_six_evaluations(walk_rank):
     for n in range(1, 8):
         values = [record.level_values(s, n) for s in stats.SIZE_STATS]
         part = record.levels[n].part
-        for rank, op in enumerate(iter_level(n, FULL)):
+        for rank, op in enumerate(stream_level(n, FULL)):
             i = part[walk_rank(record, rank, n)]
             assert tuple(v[i] for v in values) == tuple(
                 evaluate(s, op) for s in stats.SIZE_STATS), op
@@ -107,11 +107,13 @@ def test_area_evaluation_refuses_a_non_pair_block():
 
 
 def test_area_only_on_pair_partitions():
+    # the evaluator the scan reads on each partition's blocks
+    p = validate_noncrossing([[1, 2, 3]], 3)
     with pytest.raises(AreaRequiresPairPartition):
-        area(validate_noncrossing([[1, 2, 3]], 3))
+        stats._evaluate_blocks(AREA, p.blocks, p.n)
     p = validate_noncrossing([[1, 4], [2, 3]], 4)
     # trapezoid rule over heights 1, 2, 1, 0
-    assert area(p) == 4
+    assert stats._evaluate_blocks(AREA, p.blocks, p.n) == 4
 
 
 def test_dyck_path_and_area_examples():
@@ -132,7 +134,7 @@ def test_path_area_rejects_broken_paths():
 
 def test_area_statistic_matches_path_area():
     for n in range(1, 6):
-        for op in iter_level(n, PAIR):
+        for op in stream_level(n, PAIR):
             p = op.partition()
             assert evaluate(AREA, op) == path_area(dyck_path(p))
 
@@ -224,7 +226,7 @@ def test_joint_distribution_streaming_pass():
     for n in range(1, 8):
         tallies = {s: Counter() for s in (BLOCKS, blocks_of_size(1),
                                           blocks_of_size(2), LARGE_BLOCKS)}
-        for op in iter_level(n, FULL):
+        for op in stream_level(n, FULL):
             for s in tallies:
                 tallies[s][evaluate(s, op)] += 1
         for s, counter in tallies.items():

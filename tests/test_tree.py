@@ -48,7 +48,7 @@ def test_figure_path_decodes_to_frozen_partition():
 
 def test_children_count_and_parent_inverse_full():
     for n in range(1, 6):
-        for op in iter_level(n, FULL):
+        for op in stream_level(n, FULL):
             kids = children(op)
             assert len(kids) == n + 2
             for kid in kids:
@@ -58,7 +58,7 @@ def test_children_count_and_parent_inverse_full():
 
 def test_children_count_and_parent_inverse_pair():
     for n in range(1, 5):
-        for op in iter_level(n, PAIR):
+        for op in stream_level(n, PAIR):
             kids = pair_children(op)
             assert len(kids) == 2 * n + 1
             for kid in kids:
@@ -85,7 +85,7 @@ def test_sibling_batches_match_the_single_step_and_the_old_relabel():
     for kind, top, scale, oracle in ((FULL, 7, 1, _relabel_full),
                                      (PAIR, 5, 2, _relabel_pair)):
         for depth in range(1, top + 1):
-            for op in iter_level(depth, kind):
+            for op in stream_level(depth, kind):
                 blocks = op.blocks_by_label
                 kids = tree._kids(blocks, op.n, scale)
                 assert len(kids) == tree._radix(depth, kind)
@@ -98,7 +98,7 @@ def test_pair_children_relabel_blocks_of_any_size():
     # a pair spliced into a full-tree node splits blocks of three or more
     op = decode(TreeCode(FULL, (2, 3, 4, 3, 2, 7, 0, 9)))
     assert op.blocks_by_label[0] == (3, 4, 7, 9)
-    nodes = [op] + [node for node in iter_level(6, FULL)
+    nodes = [op] + [node for node in stream_level(6, FULL)
                     if max(map(len, node.blocks_by_label)) >= 3]
     assert len(nodes) > 400
     for node in nodes:
@@ -175,7 +175,7 @@ def test_parent_deletes_last_point_of_max_block():
 def test_rank_quotient_is_the_iterated_parent():
     # the rank-k node's s-fold ancestor has rank k // (7 * 6 * ... ) with
     # one factor per step: the child count of the level stepped up to
-    for k, op in enumerate(iter_level(6, FULL)):
+    for k, op in enumerate(stream_level(6, FULL)):
         cur, divisor = op, 1
         for step in range(1, 4):
             cur = parent(cur)
@@ -184,7 +184,7 @@ def test_rank_quotient_is_the_iterated_parent():
 
 
 def test_pair_parent_is_parent_twice():
-    for op in iter_level(4, PAIR):
+    for op in stream_level(4, PAIR):
         via_full = parent(parent(op))
         assert pair_parent(op) == via_full
 
@@ -196,17 +196,17 @@ def test_pair_parent_refuses_a_maximal_block_that_is_not_an_interval_pair():
 
 def test_level_matches_filter_construction():
     for n in range(1, 7):
-        walked = {op.blocks_by_label for op in iter_level(n, FULL)}
+        walked = {op.blocks_by_label for op in stream_level(n, FULL)}
         assert walked == reference.ordered_partitions_by_filter(n)
     for n in range(1, 5):
-        walked = {op.blocks_by_label for op in iter_level(n, PAIR)}
+        walked = {op.blocks_by_label for op in stream_level(n, PAIR)}
         assert walked == reference.ordered_pair_partitions_by_filter(n)
 
 
 def test_rank_round_trip_exhaustive_small():
     for kind, bound in ((FULL, 6), (PAIR, 5)):
         for n in range(1, bound + 1):
-            for k, op in enumerate(iter_level(n, kind)):
+            for k, op in enumerate(stream_level(n, kind)):
                 assert rank_of(op, kind) == k
                 assert unrank(k, n, kind) == op
 
