@@ -89,11 +89,6 @@ class OrderedNcPartition:
         """Forget the labels; canonical min-sorted view."""
         return NcPartition(self.n, tuple(sorted(self.blocks_by_label)))
 
-    def labels(self) -> tuple[int, ...]:
-        """Labels of the canonical blocks, in min order."""
-        return tuple(lab for _, lab in
-                     sorted((b[0], i + 1) for i, b in enumerate(self.blocks_by_label)))
-
     def max_label_block(self) -> tuple[int, ...]:
         """The block with the largest label; always an interval."""
         return self.blocks_by_label[-1]
@@ -266,10 +261,6 @@ class TreeCode(namedtuple("TreeCode", "kind digits")):
     """
 
     __slots__ = ()
-
-    @property
-    def level(self) -> int:
-        return len(self.digits) + 1
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "digits": list(self.digits)}

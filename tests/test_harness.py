@@ -28,7 +28,7 @@ def make_check(threshold):
         if n >= threshold:
             return {"n": n, "got": n * n, "want": -1}
         return None
-    spec = CheckSpec("toy", "fails at and past a threshold")
+    spec = CheckSpec("toy")
     return Check(spec, tuple(range(1, 10)), kernel)
 
 
@@ -50,7 +50,7 @@ def test_raising_kernel_is_an_error_report_and_the_run_goes_on():
         if n == 3:
             raise ZeroDivisionError("bad denominator")
         return None
-    broken = Check(CheckSpec("broken", "raises at n=3"), (1, 2, 3, 4), kernel)
+    broken = Check(CheckSpec("broken"), (1, 2, 3, 4), kernel)
     reports = run_checks([broken, make_check(100)])
     assert [r.status for r in reports] == ["error", "pass"]
     witness = reports[0].witness
@@ -176,8 +176,7 @@ def test_selftest_fails_on_a_twin_that_passes_on_its_rerun(monkeypatch):
     def kernel(n):
         runs.append(n)
         return {"n": n} if len(runs) == 1 else None
-    flaky = Check(CheckSpec("flaky", "fails on its first run only"),
-                  (1, 2, 3), kernel)
+    flaky = Check(CheckSpec("flaky"), (1, 2, 3), kernel)
     assert _selftest_with(monkeypatch, flaky, 1) == {
         "suite": "toy", "check": "flaky",
         "problem": "failure not minimizable"}
@@ -244,8 +243,7 @@ def test_a_reader_extends_the_scan_one_level_at_a_time(scan_calls):
     def kernel(n):
         totals.append(laplace.bruteforce_transform(BLOCKS, n).evaluate(1))
         return None
-    check = Check(CheckSpec("reader", "reads the full-tree scan"),
-                  tuple(range(1, 6)), kernel)
+    check = Check(CheckSpec("reader"), tuple(range(1, 6)), kernel)
     assert check.run().status == "pass"
     assert scan_calls == [(FULL, n, n - 1) for n in range(1, 6)]
     assert totals == [tree.level_count(n) for n in range(1, 6)]
@@ -497,8 +495,7 @@ def test_stat_cross_check_catches_a_wrong_span_sweep(scan_calls, monkeypatch):
 def _small_multiplicity_check():
     # the registered kernel, read to level 5 of each tree
     kernel = build_checks()["scan-multiplicities"].kernel
-    return Check(CheckSpec("scan-multiplicities", "to level 5"),
-                 tuple(range(1, 6)), kernel)
+    return Check(CheckSpec("scan-multiplicities"), tuple(range(1, 6)), kernel)
 
 
 def test_readout_witness_names_the_alt_form(monkeypatch):
@@ -510,7 +507,7 @@ def test_readout_witness_names_the_alt_form(monkeypatch):
     monkeypatch.setattr(closed_forms, "variance_block_count_alt",
                         lambda n: real(n) + (n == 4))
     kernel = build_checks()["block-count-variance"].kernel
-    report = Check(CheckSpec("block-count-variance", "to level 5"),
+    report = Check(CheckSpec("block-count-variance"),
                    tuple(range(2, 6)), kernel).run()
     assert report.status == "fail"
     assert report.witness == {"n": 4, "enumerated": "2051/3600",
@@ -567,8 +564,7 @@ def test_a_scan_past_the_guard_is_an_error_report(scan_calls, monkeypatch):
         def kernel(n):
             laplace.level_histograms(kind, n)
             return None
-        check = Check(CheckSpec("too-deep", "asks past the guard"),
-                      (1, 11), kernel)
+        check = Check(CheckSpec("too-deep"), (1, 11), kernel)
         report = check.run()
         assert report.status == "error"
         assert report.witness["n"] == 11
@@ -600,8 +596,7 @@ def test_area_total_alt_form_is_the_split_lemmas_level_sum(monkeypatch):
     monkeypatch.setattr(closed_forms, "expected_area",
                         lambda n: real(n) + (n == 4))
     kernel = build_checks()["area-total"].kernel
-    report = Check(CheckSpec("area-total", "to level 5"),
-                   tuple(range(1, 6)), kernel).run()
+    report = Check(CheckSpec("area-total"), tuple(range(1, 6)), kernel).run()
     assert report.status == "fail"
     witness = report.witness
     assert witness["n"] == 4

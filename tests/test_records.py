@@ -25,7 +25,7 @@ def _kernel(n):
     return None
 
 
-_SPEC = CheckSpec("toy", "a toy check")
+_SPEC = CheckSpec("toy")
 
 # (make a value, its repr, a field to assign, whether the record is frozen)
 RECORDS = {
@@ -43,8 +43,7 @@ RECORDS = {
         "difference=-0.5, ratio=0.75)", "ratio", True),
     "StirlingTable": (lambda: StirlingTable(((1,), (1, 2))),
                       "StirlingTable(rows=((1,), (1, 2)))", "rows", True),
-    "CheckSpec": (lambda: CheckSpec("toy", "a toy check"),
-                  "CheckSpec(id='toy', description='a toy check')", "id", True),
+    "CheckSpec": (lambda: CheckSpec("toy"), "CheckSpec(id='toy')", "id", True),
     "CheckReport": (lambda: CheckReport("toy", "fail", {"n": 2}, 0.5),
                     "CheckReport(id='toy', status='fail', witness={'n': 2}, "
                     "elapsed=0.5)", "status", False),
@@ -94,12 +93,12 @@ def test_check_report_keeps_its_defaults():
     assert report.to_json() == {"id": "x", "status": "pass",
                                 "witness": None, "elapsed": 0.0}
     assert Check._fields == ("spec", "sizes", "kernel")
+    assert CheckSpec._fields == ("id",)
 
 
 def test_tree_codes_and_partitions_survive_a_json_round_trip():
     code = TreeCode(FULL, (1, 0, 3))
     assert TreeCode.from_json(code.to_json()) == code
-    assert code.level == 4
     part = NcPartition(4, ((1, 4), (2, 3)))
     assert NcPartition.from_json(part.to_json()) == part
     assert part.size == 2 and part.is_pair_partition()

@@ -41,7 +41,6 @@ def test_figure_path_decodes_to_frozen_partition():
     op = decode(TreeCode(FULL, (2, 3, 4, 3, 2, 7, 0, 9)))
     assert op.n == 9
     assert op.blocks_by_label == ((3, 4, 7, 9), (8,), (5, 6), (1, 2))
-    assert op.labels() == (4, 1, 3, 2)
     assert op.max_label_block() == (1, 2)
     assert encode(op, FULL) == TreeCode(FULL, (2, 3, 4, 3, 2, 7, 0, 9))
 
