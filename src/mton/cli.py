@@ -140,8 +140,8 @@ def cmd_laplace(args: argparse.Namespace) -> int:
         if _refused(args, args.kind):
             return 2
         stats.refuse_area_off_pairs(stat, args.kind)
-    if recursion:
-        stats.refuse_lawless(stat, args.kind)
+    if recursion:  # a statistic without a law, read without its vector
+        stats.transition_law(stat, args.kind, 0)
     results = {}
     if brute:
         results["brute"] = laplace.bruteforce_transform(stat, args.n, args.kind)

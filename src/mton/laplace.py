@@ -41,14 +41,14 @@ by the level's id tally or a given one.  ``batches`` yields the batches
 once per parent state, at the state's first rank.  Every edge-law check
 reads its edges from ``batches``: both law shapes, through one door,
 :func:`edge_witness`, which takes each statistic's law where the
-recursion takes it, and the harness's area split; the
-harness's parent chain follows the child-state batches, and its
-singleton slice reads the states alone.  A law's verdict on a parent
-depends on its state alone, so the first failing state is the first
-failing rank.  A partition id takes 2 bytes.  Past depth 10 the levels
-hold more distinct partitions than 2-byte ids can name, and
-:func:`scan_chunk` refuses the scan before it builds a child: that is
-the scan's only size limit, on both trees.
+recursion takes it, from :func:`stats.transition_law`, and the
+harness's area split; the harness's parent chain follows the
+child-state batches, and its singleton slice reads the states alone.
+A law's verdict on a parent depends on its state alone, so the first
+failing state is the first failing rank.  A partition id takes 2 bytes.
+Past depth 10 the levels hold more distinct partitions than 2-byte ids
+can name, and :func:`scan_chunk` refuses the scan before it builds a
+child: that is the scan's only size limit, on both trees.
 """
 
 from __future__ import annotations
@@ -57,14 +57,13 @@ import math
 from array import array
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from contextlib import suppress
 from fractions import Fraction
 
 from . import tree
 from .polynomials import ExactPolynomial, _normal_form
-from .stats import (NotFirstKind, SecondKindInput, Statistic, _core_digits,
-                    _evaluate_blocks, _increments, first_kind_input,
-                    refuse_area_off_pairs, second_kind_input, seed_levels)
+from .stats import (SecondKindInput, Statistic, _core_digits,
+                    _evaluate_blocks, refuse_area_off_pairs, seed_levels,
+                    transition_law)
 from .tree import FULL
 
 
@@ -193,16 +192,21 @@ def scan_chunk(kind: str, depth: int,
     whose batches reach it, never read from :func:`tree.level_count`.  A
     scan whose levels hold more distinct partitions (Catalan(k) at level
     k, on both trees) than the record has ids is refused before any
-    child is built.  States outnumber partitions (66,197 at full level
-    10), so the child-state cells are 4 bytes wide.
+    child is built; the count stops at the first level past the ids,
+    and a deeper scan is said to hold more.  States outnumber partitions
+    (66,197 at full level 10), so the child-state cells are 4 bytes wide.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    distinct = sum(math.comb(2 * k, k) // (k + 1) for k in range(1, depth + 1))
-    if distinct > _ID_CAPACITY:
-        raise SizeBoundExceeded(
-            f"levels 1..{depth} hold {distinct} distinct partitions, more "
-            f"than the {_ID_CAPACITY} ids of a scan record")
+    distinct = 0
+    for k in range(1, depth + 1):
+        distinct += math.comb(2 * k, k) // (k + 1)
+        if distinct > _ID_CAPACITY:
+            more = "more than " if k < depth else ""
+            raise SizeBoundExceeded(
+                f"levels 1..{depth} hold {more}{distinct} distinct "
+                f"partitions, more than the {_ID_CAPACITY} ids of a scan "
+                f"record")
     scale = tree._scale(kind)
     if record is None:
         root = _States()
@@ -319,13 +323,12 @@ def _batch_witness(stat: Statistic, record: ScanRecord, n: int, want_of, *,
     return None
 
 
-def edge_witness(stat: Statistic, kind: str, n: int,
-                 law: tuple | SecondKindInput | None = None) -> dict | None:
+def edge_witness(stat: Statistic, kind: str, n: int) -> dict | None:
     """First violation of the statistic's transition law on the edges
     into level n, in rank order, or None when every batch holds it.
-    ``law`` defaults to the one the recursion reads
-    (:func:`_transition_law`); an increment vector longer than n is
-    built only up to r_n, the last entry an edge into level n reads.
+    The law is the recursion's, :func:`stats.transition_law`, with an
+    increment vector built only up to r_n, the last entry an edge into
+    level n reads.
 
     An increment vector r asks every edge whose child has a
     maximal-label block of size j to change the statistic by r_j (0 past
@@ -336,9 +339,7 @@ def edge_witness(stat: Statistic, kind: str, n: int,
     """
     if n < 2:
         raise ValueError(f"the edges into level {n} need n >= 2")
-    if law is None:
-        law = (_transition_law(stat, kind) if seed_levels(stat, kind) <= n
-               else _increments(stat, n))
+    law = transition_law(stat, kind, n)
     record = scan_record(kind, n)
     if not isinstance(law, SecondKindInput):
         step = (0, *law) + (0,) * (n - len(law))  # step[j] is r_j
@@ -425,25 +426,19 @@ def recurse_second_kind(law: SecondKindInput, seed: ExactPolynomial,
     return ExactPolynomial(cur)
 
 
-def _transition_law(stat: Statistic, kind: str) -> tuple | SecondKindInput:
-    """On the full tree, the increment vector of :func:`first_kind_input`
-    when the statistic has one; otherwise :func:`second_kind_input`."""
-    if kind == FULL:
-        with suppress(NotFirstKind):
-            return first_kind_input(stat)
-    return second_kind_input(stat, kind)
-
-
 def recursion_transform(stat: Statistic, n: int,
                         kind: str = FULL) -> ExactPolynomial:
     """Level-n transform via the statistic's transition law
-    (:func:`_transition_law`) from its brute-forced :func:`stats.seed_levels`;
-    a level among several seeds is its own, and builds no vector."""
+    (:func:`stats.transition_law`) from its brute-forced
+    :func:`stats.seed_levels`; a level among several seeds is its own, and
+    builds no vector."""
     k = seed_levels(stat, kind)
     if 1 < k and n <= k:
         return bruteforce_transform(stat, n, kind)
-    law = _transition_law(stat, kind)
-    seeds = [bruteforce_transform(stat, m, kind) for m in range(1, k + 1)]
+    law = transition_law(stat, kind)
+    # the deepest seed first, so a seed past the scan builds no child
+    seeds = [bruteforce_transform(stat, m, kind)
+             for m in range(k, 0, -1)][::-1]
     if isinstance(law, SecondKindInput):
         return recurse_second_kind(law, seeds[0], n, kind)
     return recurse_first_kind(law, seeds, n)

@@ -17,10 +17,11 @@ a fixed amount r_j on any edge whose child has a maximal-label block of
 size j.  A statistic of the second kind changes by alpha on a
 distinguished subset of insertion children, by beta on every other
 child, where the distinguished subset has size Z(parent) + q.  One
-witness checks either law on every edge of a level,
-:func:`laplace.edge_witness`, which reads the law where the recursion
-reads it; it reads the sibling batches the scan kept, once per parent
-state, and each child's maximal-label block size through its state.
+function, :func:`transition_law`, chooses a statistic's law on a tree.
+The recursion reads it there, and so does the one witness that checks
+either law on every edge of a level, :func:`laplace.edge_witness`; it
+reads the sibling batches the scan kept, once per parent state, and each
+child's maximal-label block size through its state.
 """
 
 from __future__ import annotations
@@ -176,21 +177,26 @@ def path_area(steps: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # transition laws
 
+def transition_law(stat: Statistic, kind: str,
+                   upto: int | None = None) -> tuple | SecondKindInput:
+    """The statistic's law on the tree: on the full tree its increment
+    vector's entries r_1 .. r_upto, if it has one (all by default), and
+    no entry past ``upto`` is built; else :func:`second_kind_input`."""
+    family = _FAMILIES[stat.family]
+    if kind != FULL or not family.tail:
+        return second_kind_input(stat, kind)
+    zeros = family.zeros + stat.size
+    upto = zeros + len(family.tail) if upto is None else upto
+    return (0,) * min(zeros, upto) + family.tail[:max(upto - zeros, 0)]
+
+
 def first_kind_input(stat: Statistic) -> tuple[int, ...]:
     """Increment vector (r_1, ..., r_k): an edge whose child has a
     maximal-label block of size j changes the statistic by r_j (0 for
     j beyond the vector)."""
-    return _increments(stat, seed_levels(stat, FULL))
-
-
-def _increments(stat: Statistic, upto: int) -> tuple[int, ...]:
-    """The entries r_1 .. r_upto of :func:`first_kind_input`'s vector, or
-    all of them when it is shorter; no entry past ``upto`` is built."""
-    family = _FAMILIES[stat.family]
-    if not family.tail:
+    if not _FAMILIES[stat.family].tail:
         raise NotFirstKind(f"{stat.name} has no per-edge increment vector")
-    zeros = family.zeros + stat.size
-    return (0,) * min(zeros, upto) + family.tail[:max(upto - zeros, 0)]
+    return transition_law(stat, FULL)
 
 
 def seed_levels(stat: Statistic, kind: str) -> int:
@@ -208,12 +214,6 @@ def second_kind_input(stat: Statistic, kind: str) -> SecondKindInput:
     if law is None:
         raise NotSecondKind(f"{stat.name} on the {kind} tree")
     return law
-
-
-def refuse_lawless(stat: Statistic, kind: str) -> None:
-    """Refuse a statistic with no law on the tree, building no vector."""
-    if kind != FULL or not _FAMILIES[stat.family].tail:
-        second_kind_input(stat, kind)
 
 
 def core_child_digits(stat: Statistic, kind: str,

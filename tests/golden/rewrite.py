@@ -11,8 +11,9 @@ repository root after a change that is meant to alter an output:
 The commands are the README's command-line block (its CSV written to
 stdout, and without ``verify --suite all``), every closed form, the
 transforms of Y, the pair tree's per-node outputs, one refusal per size
-bound, and the JSON rows of the faster verification suites.  A
-``verify`` row keeps every field but its ``elapsed`` time.  Argparse's
+bound, the scan's own refusals, and the JSON rows of the faster
+verification suites.  A ``verify`` row keeps every field but its
+``elapsed`` time.  Argparse's
 own usage errors are left out: their wording belongs to the interpreter.
 """
 
@@ -76,6 +77,13 @@ def commands() -> list[list[str]]:
               ["stats", "--kind", "pair", "--n", "3"]]
     for cost, bound in cli._BOUNDS.items():
         argvs.append(_PAST_BOUND[cost](str(bound + 1)))
+    # the scan's refusal at the first level past its ids and deeper, and
+    # of a recursion whose seeds reach past them
+    for n in ("11", "13"):
+        argvs.append(["laplace", "--stat", "Y", "--n", n, "--method", "brute",
+                      "--force"])
+    argvs.append(["laplace", "--stat", "Y12", "--n", "14",
+                  "--method", "recursion"])
     for suite in ("lemmas", "thm110", "thm111", "selftest"):
         argvs.append(["verify", "--suite", suite, "--json"])
     # the README's verify and asymptote commands are listed again above

@@ -252,6 +252,22 @@ def test_laplace_rejects_mismatched_stat_kind(capsys):
     assert "pair" in err
 
 
+def test_a_scan_far_past_its_ids_is_refused_at_once():
+    # the refusal once summed Catalan(1..n) first: at n = 8000 that took
+    # about 20 s and then failed to print the sum, and n = 10**5 ran longer
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for n in ("8000", "100000"):
+        done = subprocess.run(
+            [sys.executable, "-m", "mton", "laplace", "--stat", "Y", "--n", n,
+             "--method", "brute", "--force"],
+            capture_output=True, text=True, env=env, timeout=10)
+        assert (done.returncode, done.stdout) == (2, ""), n
+        assert done.stderr == (
+            f"error: levels 1..{n} hold more than 82499 distinct partitions, "
+            f"more than the 65536 ids of a scan record\n")
+
+
 def test_laplace_refuses_a_statistic_without_a_law_before_any_scan(
         capsys, monkeypatch):
     # Area has no insertion law on the pair tree: under --method both the
@@ -271,10 +287,14 @@ def test_laplace_reads_a_laws_existence_without_its_vector(capsys,
                                                           monkeypatch):
     # Y100000000's increment vector would hold 10**8 + 1 entries; level 3
     # lies among its seed levels, so --force scans it and builds no vector
-    def no_vector(stat):
-        raise AssertionError(f"built the increment vector of {stat.name}")
-    monkeypatch.setattr(laplace, "first_kind_input", no_vector)
-    monkeypatch.setattr(stats, "first_kind_input", no_vector)
+    real = stats.transition_law
+
+    def no_vector(stat, kind, upto=None):
+        if upto != 0:
+            raise AssertionError(f"built the increment vector of {stat.name}")
+        return real(stat, kind, upto)
+    monkeypatch.setattr(laplace, "transition_law", no_vector)
+    monkeypatch.setattr(stats, "transition_law", no_vector)
     code, out, err = run(capsys, "laplace", "--stat", "Y100000000", "--n",
                          "3", "--method", "recursion", "--force")
     assert (code, err) == (0, "")

@@ -1,5 +1,6 @@
-"""Every name mton exports, and every public member of an exported class,
-is read in the library, or says why it is public."""
+"""Every name mton exports, every public member of an exported class and
+every other public module-level name is read in the library, or says why
+it is public."""
 
 import ast
 from collections import Counter
@@ -19,6 +20,13 @@ PUBLIC = {
     "pair_root": "the pair tree's root: demos and README",
     "ordering_count": "a partition's monotonic labellings: a demo; the "
                       "library counts raw blocks, _ordering_count_blocks",
+    # public names __init__ does not export, as module.name
+    "reference.has_crossing_naive": "the tests' oracle for the crossing "
+                                    "sweep",
+    "laplace.clear_scan_cache": "perfbench's tracer and the tests start "
+                                "from a cold scan",
+    "tree.child_at": "the single-child step the batch tests compare "
+                     "against",
 }
 
 # public members of exported classes that no library module reads, each
@@ -72,10 +80,11 @@ def _loads(node: ast.AST) -> set[str]:
     return seen
 
 
-def _read(modules: dict[str, ast.Module], exports: dict[str, str]) -> set[str]:
-    """The exported names some library module reads: a load in the
-    module that defines or imports the name, outside its own definition,
-    or a ``<module>.<name>`` read anywhere."""
+def _read(modules: dict[str, ast.Module],
+          names: set[tuple[str, str]]) -> set[tuple[str, str]]:
+    """The ``(module, name)`` pairs some library module reads: a load in
+    the module that defines or imports the name, outside its own
+    definition, or a ``<module>.<name>`` read anywhere."""
     read = set()
     for module, tree in modules.items():
         relative = [(node.module, alias) for node in ast.walk(tree)
@@ -90,11 +99,11 @@ def _read(modules: dict[str, ast.Module], exports: dict[str, str]) -> set[str]:
             for load in _loads(stmt):
                 head, dot, attr = load.partition(".")
                 loads.add(modules_as.get(head, head) + dot + attr)
-            for name, home in exports.items():
+            for home, name in names:
                 local = module == home or (home, name) in imported
                 if name not in _bound(stmt) and (
                         f"{home}.{name}" in loads or local and name in loads):
-                    read.add(name)
+                    read.add((home, name))
     return read
 
 
@@ -158,14 +167,20 @@ def _member_reads(modules: dict[str, ast.Module],
 
 def _audit(sources: dict[str, str],
            public: dict[str, str]) -> dict[str, set[str]]:
-    """Exported names and ``Class.member`` members with no library reader
+    """Exported names, other public module-level names (as
+    ``module.name``) and ``Class.member`` members with no library reader
     and no ``public`` entry, and every stale entry: read in the library,
-    or no longer an export or a member of one."""
+    or no longer such a name."""
     modules = {name: ast.parse(text) for name, text in sources.items()}
     exports = _exports(modules.pop("__init__"))
     members = _member_reads(modules, exports)
-    read = _read(modules, exports) | {m for m, r in members.items() if r}
-    names = set(exports) | set(members)
+    label = {(home, name): f"{home}.{name}" for home, tree in modules.items()
+             for stmt in tree.body for name in _bound(stmt)
+             if not name.startswith("_")}
+    label.update(((home, name), name) for name, home in exports.items())
+    read = ({label[pair] for pair in _read(modules, set(label))}
+            | {m for m, r in members.items() if r})
+    names = set(label.values()) | set(members)
     return {"unread": names - read - set(public),
             "stale": {n for n in public if n not in names or n in read}}
 
@@ -183,16 +198,21 @@ def test_the_audit_sees_reads_definitions_and_stale_entries():
              "    def m(self):\n        return self.m()\n"  # unread
              "    def run(self):\n        x, y = self\n"  # reads x, y
              "        return x\n"
-             "Q = namedtuple('Q', 'z, w')\n",
+             "Q = namedtuple('Q', 'z, w')\n"
+             "def lone():\n    pass\n"  # not exported and unread
+             "def _private():\n    pass\n",
         "b": "from . import a as x\nfrom .a import children\n"
              "def full_root():\n    return x.h, children, x.P.run, x.Q.z\n"
-             "def iter_level():\n    pass\n",
+             "def iter_level():\n    return helper\n"
+             "def helper():\n    pass\n",  # not exported, read
     }
     public = dict.fromkeys(("children", "full_root", "iter_level",
-                            "pair_root", "P.gone", "Q.z"), "a reason")
+                            "pair_root", "P.gone", "Q.z", "b.helper",
+                            "b.gone"), "a reason")
     assert _audit(sources, public) == {
-        "unread": {"f", "P.m", "Q.w"},
-        "stale": {"children", "pair_root", "P.gone", "Q.z"}}
+        "unread": {"f", "P.m", "Q.w", "a.lone"},
+        "stale": {"children", "pair_root", "P.gone", "Q.z", "b.helper",
+                  "b.gone"}}
 
 
 def test_every_export_has_a_library_reader_or_a_reason():

@@ -397,9 +397,9 @@ def test_singleton_slice_reads_the_one_evaluator(monkeypatch):
 
 def test_first_kind_edges_pass_and_catch_a_wrong_vector(monkeypatch):
     assert _report("first-kind-edges").status == "pass"
-    real = laplace.first_kind_input
-    monkeypatch.setattr(laplace, "first_kind_input",
-                        lambda s: (1, 1) if s == BLOCKS else real(s))
+    real = laplace.transition_law
+    monkeypatch.setattr(laplace, "transition_law", lambda s, kind, upto=None:
+                        (1, 1) if s == BLOCKS else real(s, kind, upto))
     report = _report("first-kind-edges")
     assert report.status == "fail"
     assert report.witness == {"n": 2, "stat": "Y", "digit": 2,

@@ -100,7 +100,7 @@ def test_block_count_recursion_needs_one_seed():
         assert recurse_first_kind((1,), [t], n) == want, n
 
 
-def _no_vector(stat):
+def _no_vector(stat, kind, upto=None):
     raise AssertionError(f"the increment vector of {stat.name} was built")
 
 
@@ -108,7 +108,7 @@ def test_a_level_among_a_huge_vectors_seeds_is_scanned_without_it(
         monkeypatch):
     # Y<10**12>'s vector would hold 10**12 + 1 entries; level 3 is among
     # its seed levels, so the recursion reads it off the scan
-    monkeypatch.setattr(laplace, "first_kind_input", _no_vector)
+    monkeypatch.setattr(laplace, "transition_law", _no_vector)
     huge = blocks_of_size(10 ** 12)
     assert recursion_transform(huge, 3) == bruteforce_transform(huge, 3)
     assert recursion_transform(huge, 3) == ExactPolynomial({0: 12})
@@ -116,7 +116,7 @@ def test_a_level_among_a_huge_vectors_seeds_is_scanned_without_it(
 
 def test_a_seed_past_the_scan_is_refused_before_the_vector(monkeypatch):
     # Y<10**7> seeds levels 1..10**7 + 1, and the scan stops at depth 10
-    monkeypatch.setattr(laplace, "first_kind_input", _no_vector)
+    monkeypatch.setattr(laplace, "transition_law", _no_vector)
     with pytest.raises(SizeBoundExceeded):
         recursion_transform(blocks_of_size(10 ** 7), 12)
 
@@ -553,9 +553,11 @@ _FROZEN_WITNESSES = [
 
 @pytest.mark.parametrize("stat, kind, law, n, want", _FROZEN_WITNESSES)
 def test_second_kind_witness_of_a_wrong_law_is_frozen(stat, kind, law, n,
-                                                      want):
-    assert edge_witness(stat, kind, n, SecondKindInput(*law)) == want
+                                                      want, monkeypatch):
     assert edge_witness(stat, kind, n) is None
+    monkeypatch.setattr(laplace, "transition_law",
+                        lambda *args: SecondKindInput(*law))
+    assert edge_witness(stat, kind, n) == want
 
 
 def _walked_witness(stat, kind, n, law):
@@ -599,7 +601,7 @@ def test_second_kind_witness_finds_a_child_deep_in_the_level(
     monkeypatch.setattr(laplace, "_evaluate_blocks", off_by_one)
     monkeypatch.setattr(stats, "_evaluate_blocks", off_by_one)
     law = stats.second_kind_input(stat, kind)
-    got = edge_witness(stat, kind, n, law)
+    got = edge_witness(stat, kind, n)
     assert got is not None and "digit" in got
     assert got == _walked_witness(stat, kind, n, law)
     parent = tree.OrderedNcPartition.from_json(got["parent"])
@@ -674,18 +676,27 @@ def test_a_vector_longer_than_the_level_is_cut_where_the_edges_stop(
     # found where the whole vector finds it
     stat = blocks_of_size(5)
     whole = first_kind_input(stat)
-    monkeypatch.setattr(laplace, "first_kind_input", _no_vector)
+    read = []
+
+    def cut(s, kind, upto=None):
+        law = stats.transition_law(s, kind, upto)
+        read.append(law)
+        return law
+    monkeypatch.setattr(laplace, "transition_law", cut)
     real = stats._evaluate_blocks
 
     def off_by_one(s, blocks, points):
         return real(s, blocks, points) + (len(blocks) == 1 and points > 1)
     for n in range(2, 6):
         assert edge_witness(stat, FULL, n) is None, n
+    assert read == [whole[:n] for n in range(2, 6)]
     monkeypatch.setattr(laplace, "_evaluate_blocks", off_by_one)
     monkeypatch.setattr(stats, "_evaluate_blocks", off_by_one)
     for n in range(2, 6):
         got = edge_witness(stat, FULL, n)
-        assert got is not None and got == edge_witness(stat, FULL, n, whole)
+        with monkeypatch.context() as patch:
+            patch.setattr(laplace, "transition_law", lambda *args: whole)
+            assert got is not None and got == edge_witness(stat, FULL, n)
 
 
 def test_a_huge_vectors_edges_are_checked_without_it():
@@ -730,6 +741,37 @@ def test_area_is_refused_on_the_full_tree_before_the_scan(monkeypatch):
     for n in (1, 2, 3):
         with pytest.raises(AreaRequiresPairPartition):
             bruteforce_transform(AREA, n, FULL)
+
+
+def test_the_refusal_counts_partitions_only_to_the_first_level_past(
+        monkeypatch):
+    # Catalan(1) + ... + Catalan(d) outgrows the ids at d = 11; a deeper
+    # scan is said to hold more, its levels past 11 left uncounted
+    def no_child(*args):
+        raise AssertionError("the scan built a child")
+    monkeypatch.setattr(tree, "_kids", no_child)
+    for depth in (12, 13):
+        with pytest.raises(SizeBoundExceeded) as refusal:
+            scan_chunk(FULL, depth)
+        assert str(refusal.value) == (
+            f"levels 1..{depth} hold more than 82499 distinct partitions, "
+            f"more than the 65536 ids of a scan record")
+    # the capacity is read at call time: 1 + 2 + 5 + 14 passes 21 at d = 4
+    monkeypatch.setattr(laplace, "_ID_CAPACITY", 21)
+    for depth, held in ((4, "22"), (6, "more than 22")):
+        with pytest.raises(SizeBoundExceeded, match=f"hold {held} distinct"):
+            scan_chunk(PAIR, depth)
+
+
+def test_a_recursion_scans_its_deepest_seed_first(monkeypatch):
+    # Y12 seeds levels 1..13, past the scan: on a cold cache the refusal
+    # comes before a child of level 2 is built
+    def no_child(*args):
+        raise AssertionError("the scan built a child")
+    monkeypatch.setattr(laplace, "_scan_cache", {})
+    monkeypatch.setattr(tree, "_kids", no_child)
+    with pytest.raises(SizeBoundExceeded, match=r"levels 1\.\.13 hold"):
+        recursion_transform(blocks_of_size(12), 14)
 
 
 def test_the_door_refuses_past_the_guard_before_any_scan(monkeypatch):

@@ -171,10 +171,41 @@ def test_second_kind_inputs():
         second_kind_input(BLOCKS, FULL)
 
 
-def _first_second_kind_witness(stat, kind, bound, law=None):
+# one statistic per family, and blocks_of_size at three sizes
+_EVERY_FAMILY = (BLOCKS, blocks_of_size(1), blocks_of_size(2),
+                 blocks_of_size(7), LARGE_BLOCKS, OUTER, INTERVAL_PAIRS, AREA)
+
+
+def _law_or_refusal(law, *args):
+    try:
+        return law(*args)
+    except NotSecondKind as refusal:
+        return str(refusal)
+
+
+def test_transition_law_is_the_cut_vector_or_the_insertion_law():
+    # on the full tree a vector's r_1..r_upto, all of it by default;
+    # otherwise the insertion law, or its lookup's refusal
+    assert {s.family for s in _EVERY_FAMILY} == set(stats._FAMILIES)
+    for stat in _EVERY_FAMILY:
+        for kind in (FULL, PAIR):
+            try:
+                whole = first_kind_input(stat) if kind == FULL else None
+            except NotFirstKind:
+                whole = None
+            for upto in (None, *range(len(whole or ()) + 2)):
+                want = (_law_or_refusal(second_kind_input, stat, kind)
+                        if whole is None else whole[:upto])
+                assert _law_or_refusal(stats.transition_law, stat, kind,
+                                       upto) == want, (stat.name, kind, upto)
+    # a vector of 10**12 + 1 entries, cut without being built
+    assert stats.transition_law(blocks_of_size(10 ** 12), FULL, 3) == (0, 0, 0)
+
+
+def _first_second_kind_witness(stat, kind, bound):
     # the clauses on every parent with depth <= bound, smallest first
     for n in range(2, bound + 2):
-        witness = laplace.edge_witness(stat, kind, n, law)
+        witness = laplace.edge_witness(stat, kind, n)
         if witness is not None:
             return witness
     return None
@@ -202,7 +233,7 @@ def test_certificate_rejects_wrong_vector(monkeypatch):
     # r_2 = 1 where the elongation keeps the block count: the root's
     # elongation child, whose maximal-label block has two points
     with monkeypatch.context() as patch:
-        patch.setattr(laplace, "first_kind_input", lambda stat: (1, 1))
+        patch.setattr(laplace, "transition_law", lambda *args: (1, 1))
         witness = _first_first_kind_witness(BLOCKS, 4)
     assert witness == {"n": 2, "stat": "Y", "digit": 2,
                        "parent": {"n": 1, "blocks_by_label": [[1]]},
@@ -210,12 +241,14 @@ def test_certificate_rejects_wrong_vector(monkeypatch):
     parent = OrderedNcPartition.from_json(witness["parent"])
     assert len(child_at(parent, witness["digit"]).max_label_block()) == 2
     # a wrong q: the root's core subset has the wrong size
-    witness = _first_second_kind_witness(OUTER, FULL, 4,
-                                         SecondKindInput(1, 0, 2))
+    monkeypatch.setattr(laplace, "transition_law",
+                        lambda *args: SecondKindInput(1, 0, 2))
+    witness = _first_second_kind_witness(OUTER, FULL, 4)
     assert (witness["core_size"], witness["want"]) == (2, 3)
     # a wrong alpha: the witness is the first child whose jump is off
-    witness = _first_second_kind_witness(INTERVAL_PAIRS, PAIR, 3,
-                                         SecondKindInput(1, 1, 0))
+    monkeypatch.setattr(laplace, "transition_law",
+                        lambda *args: SecondKindInput(1, 1, 0))
+    witness = _first_second_kind_witness(INTERVAL_PAIRS, PAIR, 3)
     parent = OrderedNcPartition.from_json(witness["parent"])
     child = child_at(parent, witness["digit"], PAIR)
     assert child.blocks_by_label == ((1, 4), (2, 3))
